@@ -32,13 +32,6 @@ from .models import (
     LofModel,
     NoveltyModel,
     classify,
-    dump_model,
-    isolation_forest_score,
-    load_model,
-    load_model_file,
-    lof_score,
-    model_score,
-    save_model,
     train_isolation_forest,
     train_lof,
 )
@@ -51,10 +44,8 @@ from .pipeline import (
     TrainedDetector,
     assess_device,
     attack_from_capture,
-    load_assessment_report,
     load_settings,
     train_from_capture,
-    write_assessment_report,
 )
 from .protocols import (
     ResponseClass,
@@ -69,11 +60,8 @@ from .replay import (
     QueueEntry,
     ReplayConfig,
     ResponseQueue,
-    load_queue,
     run_attack,
     schedule,
-    write_queue,
-    write_transcript,
 )
 from .simdevices import (
     DEFAULT_APP_ENDPOINT,
@@ -101,11 +89,8 @@ from .verdict import (
     Reason,
     Verdict,
     decide,
-    evaluate_accuracy,
-    load_verdict_report,
     protocol_check,
     response_check,
-    write_verdict_report,
 )
 
 __version__ = "0.1.0"

@@ -1,0 +1,132 @@
+"""The artifact codec: every JSON file the stages hand each other.
+
+Each artifact is one JSON object tagged with a versioned ``schema``
+string, written with sorted keys and two-space indent. Reading checks
+the tag and decodes the body into the value the next stage uses. Every
+way a file can be malformed (unreadable, undecodable bytes, not JSON,
+not an object, an unknown or unexpected schema, a missing or mistyped
+field) raises one ArtifactError that names the file.
+"""
+
+from __future__ import annotations
+
+import json
+from datetime import datetime, timezone
+from pathlib import Path
+from typing import Any
+
+from .models import IsolationForestModel, LofModel, NoveltyModel
+from .replay import ResponseQueue
+
+__all__ = ["ArtifactError", "write", "read", "read_any"]
+
+MODEL = "novelty-model/1"
+QUEUE = "response-queue/1"
+TRANSCRIPT = "attack-transcript/1"
+VERDICT = "verdict-report/1"
+ASSESSMENT = "assessment-report/1"
+
+
+class ArtifactError(ValueError):
+    """A file that is not a well-formed artifact of the expected schema."""
+
+    def __init__(self, path: str | Path, reason: str):
+        super().__init__(f"{path}: {reason}")
+
+
+def write(path: str | Path, schema: str, body: dict) -> None:
+    """Write body as an artifact of the given schema."""
+    document = {"schema": schema, **body}
+    # Reports record when they were made; the stage-to-stage artifacts do not.
+    if schema in (VERDICT, ASSESSMENT):
+        document["timestamps"] = {
+            "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        }
+    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+
+
+def read(path: str | Path, schema: str) -> Any:
+    """Decode the artifact at path, which must carry the given schema.
+
+    Returns a novelty model (None for kind "none"), a ResponseQueue, or
+    for the three reports the checked JSON object itself.
+    """
+    return _load(path, schema)[1]
+
+
+def read_any(path: str | Path) -> tuple[str, Any]:
+    """Decode an artifact of any known schema; returns (schema, value)."""
+    return _load(path, None)
+
+
+def _load(path: str | Path, expected: str | None) -> tuple[str, Any]:
+    try:
+        body = json.loads(Path(path).read_bytes())
+    except OSError as exc:
+        raise ArtifactError(path, exc.strerror or str(exc)) from exc
+    except (ValueError, RecursionError) as exc:
+        raise ArtifactError(path, f"is not JSON: {exc}") from exc
+    if not isinstance(body, dict):
+        raise ArtifactError(path, "is not a JSON object")
+    schema = body.get("schema")
+    if not isinstance(schema, str) or schema not in _DECODERS:
+        raise ArtifactError(path, f"unrecognized artifact schema {schema!r}")
+    if expected is not None and schema != expected:
+        raise ArtifactError(path, f"expected a {expected} artifact, got {schema}")
+    try:
+        return schema, _DECODERS[schema](body)
+    except KeyError as exc:
+        raise ArtifactError(path, f"missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise ArtifactError(path, str(exc)) from exc
+
+
+def _checked(body: dict, fields: dict[str, type | tuple[type, ...]]) -> dict:
+    for name, kind in fields.items():
+        if not isinstance(body[name], kind):
+            raise TypeError(f"field {name!r} has type {type(body[name]).__name__}")
+    return body
+
+
+_MODEL_KINDS = {cls.kind: cls for cls in (LofModel, IsolationForestModel)}
+
+
+def _decode_model(body: dict) -> NoveltyModel | None:
+    """Kind "none" is no model: the capture held no responses to learn from."""
+    kind = body["kind"]
+    if kind == "none":
+        return None
+    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
+        raise ValueError(f"unrecognized model kind {kind!r}")
+    return _MODEL_KINDS[kind].from_dict(body)
+
+
+# The fields each report summary reads, with the JSON type each must have.
+_FLOW_FIELDS = dict(scheduled_position=int, original_index=int, request_lengths=list, response_count=int)
+_VERDICT_FIELDS = dict(device_id=str, scenario=str, outcome=str, reason=str, labels=list, j=int)
+_ASSESSMENT_FIELDS = dict(
+    device_id=str, scenario=str, vulnerable=bool, reps=int, accuracy=(int, float), reason_counts=dict
+)
+
+
+def _decode_transcript(body: dict) -> dict:
+    for flow in _checked(body, {"flows": list})["flows"]:
+        if not isinstance(flow, dict):
+            raise TypeError("field 'flows' must hold objects")
+        _checked(flow, _FLOW_FIELDS)
+    return body
+
+
+def _decode_verdict(body: dict) -> dict:
+    if not all(isinstance(label, str) for label in _checked(body, _VERDICT_FIELDS)["labels"]):
+        raise TypeError("field 'labels' must hold strings")
+    return body
+
+
+_DECODERS = {
+    MODEL: _decode_model,
+    QUEUE: ResponseQueue.from_dict,
+    TRANSCRIPT: _decode_transcript,
+    VERDICT: _decode_verdict,
+    ASSESSMENT: lambda body: _checked(body, _ASSESSMENT_FIELDS),
+}

@@ -5,22 +5,26 @@ the all-in-one assess loop and a simulate helper that serves the
 built-in device profiles for manual experiments.
 
 Exit codes: 0 success, 10 device judged vulnerable (attack SUCCESSFUL),
-11 not vulnerable (attack FAILED), 2 usage error, 3 the capture shows no
-traffic between the given endpoints.
+11 not vulnerable (attack FAILED), 2 usage error or a malformed artifact
+or capture, 3 the capture shows no traffic between the given endpoints,
+1 detect needed a model but none was trained.
 """
 
 from __future__ import annotations
 
 import ipaddress
-import json
 import time
+from dataclasses import asdict
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
-from . import __version__
+from . import __version__, artifacts
+from .artifacts import ArtifactError
 from .capture import SessionConfig, parse_capture, parse_endpoint
-from .models import load_model_file, save_model
+from .models import IsolationForestModel, LofModel
+from .pcap import PcapError
 from .protocols import ResponseClass
 from .pipeline import (
     MODEL_KINDS,
@@ -31,19 +35,19 @@ from .pipeline import (
     attack_from_capture,
     load_settings,
     train_from_capture,
-    write_assessment_report,
 )
-from .replay import load_queue, write_queue, write_transcript
 from .simdevices import (
     Behavior,
     companion_session,
     default_profile,
     spawn_device,
 )
-from .verdict import Outcome, decide, write_verdict_report
+from .verdict import Outcome, decide
 
+EXIT_NO_MODEL = 1
 EXIT_VULNERABLE = 10
 EXIT_NOT_VULNERABLE = 11
+EXIT_BAD_INPUT = 2
 EXIT_NO_CONNECTIVITY = 3
 
 
@@ -97,6 +101,12 @@ def _read_capture(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
+def _fail(message: object, code: int = EXIT_BAD_INPUT) -> NoReturn:
+    """One `error:` line on stderr, then exit; exit 2 is a malformed input."""
+    click.echo(f"error: {message}", err=True)
+    raise SystemExit(code)
+
+
 def _guard_target(address: str, authorized: bool):
     # Assessing gear you do not own is an attack, not an assessment.
     if not ipaddress.ip_address(address).is_loopback and not authorized:
@@ -129,13 +139,14 @@ def train(capture_path, app, device, model_out, config_path, **overrides):
     session = _session(app, device)
     try:
         detector = train_from_capture(_read_capture(capture_path), session, settings)
+    except PcapError as exc:
+        _fail(f"{capture_path}: {exc}")
     except NoLocalConnectivityError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_NO_CONNECTIVITY)
-    save_model(detector.model, model_out)
-    kind = detector.model.kind if detector.model is not None else "none"
+        _fail(exc, EXIT_NO_CONNECTIVITY)
+    body = detector.model.to_dict() if detector.model is not None else {"kind": "none"}
+    artifacts.write(model_out, artifacts.MODEL, body)
     click.echo(
-        f"trained {kind} model on {detector.training_responses} response payloads "
+        f"trained {body['kind']} model on {detector.training_responses} response payloads "
         f"across {len(detector.flows)} flows"
     )
     response_class = detector.response_class.value if detector.response_class else "n/a"
@@ -187,12 +198,17 @@ def attack(capture_path, app, device, target, queue_out, transcript_out, i_own_t
         result, _ = attack_from_capture(
             _read_capture(capture_path), session, target_endpoint, settings
         )
+    except PcapError as exc:
+        _fail(f"{capture_path}: {exc}")
     except NoLocalConnectivityError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_NO_CONNECTIVITY)
-    write_queue(result.queue, queue_out)
+        _fail(exc, EXIT_NO_CONNECTIVITY)
+    artifacts.write(queue_out, artifacts.QUEUE, result.queue.to_dict())
     if transcript_out:
-        write_transcript(result, transcript_out)
+        artifacts.write(
+            transcript_out,
+            artifacts.TRANSCRIPT,
+            {"flows": [asdict(report) for report in result.flows]},
+        )
     notes = [report.note for report in result.flows if report.note]
     click.echo(
         f"replayed {len(result.flows)} flows at {target_endpoint}, "
@@ -222,25 +238,32 @@ def detect(queue_path, model_path, capture_path, app, device, report_out, device
     """Judge an attack: exit 10 if it succeeded, 11 if it failed."""
     settings = _build_settings(config_path, **overrides)
     session = _session(app, device)
-    queue = load_queue(queue_path)
-    model = load_model_file(model_path)
-    records = parse_capture(_read_capture(capture_path), session)
+    try:
+        queue = artifacts.read(queue_path, artifacts.QUEUE)
+        model = artifacts.read(model_path, artifacts.MODEL)
+        records = parse_capture(_read_capture(capture_path), session)
+    except ArtifactError as exc:
+        _fail(exc)
+    except PcapError as exc:
+        _fail(f"{capture_path}: {exc}")
     try:
         verdict = decide(queue, records, model, settings.detection_config())
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(1)
+        _fail(exc, EXIT_NO_MODEL)
     labels = ", ".join(label.value for label in verdict.labels) or "n/a"
     click.echo(f"attack {verdict.outcome.value} ({verdict.reason.value})")
     click.echo(f"inspected response labels: {labels}")
     if report_out:
-        write_verdict_report(
-            verdict,
+        artifacts.write(
             report_out,
-            device_id=device_id or str(session.device),
-            scenario=scenario,
-            response_window=settings.response_window,
-            model_kind=model.kind if model is not None else None,
+            artifacts.VERDICT,
+            {
+                **verdict.to_dict(),
+                "device_id": device_id or str(session.device),
+                "scenario": scenario,
+                "j": settings.response_window,
+                "model_kind": model.kind if model is not None else None,
+            },
         )
         click.echo(f"verdict report written to {report_out}")
     raise SystemExit(
@@ -282,7 +305,7 @@ def assess(behavior, scenario, reps, device_seed, port, rekey_on_restart, post_r
     for reason, count in sorted(result.reason_counts().items()):
         click.echo(f"  {reason}: {count}")
     if report_out:
-        write_assessment_report(result, report_out)
+        artifacts.write(report_out, artifacts.ASSESSMENT, result.to_dict())
         click.echo(f"assessment report written to {report_out}")
     raise SystemExit(EXIT_VULNERABLE if result.vulnerable else EXIT_NOT_VULNERABLE)
 
@@ -336,61 +359,56 @@ def simulate(behavior, port, device_seed, rekey_on_restart, training_capture_out
 def report(path):
     """Summarize any artifact JSON (model, queue, transcript, verdict, assessment)."""
     try:
-        body = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise click.UsageError(f"{path} is not JSON: {exc}")
-    schema = body.get("schema", "")
-    if schema == "novelty-model/1":
-        kind = body.get("kind")
-        click.echo(f"novelty model, kind {kind}")
-        if kind == "lof":
+        schema, value = artifacts.read_any(path)
+    except ArtifactError as exc:
+        _fail(exc)
+    if schema == artifacts.MODEL:
+        click.echo(f"novelty model, kind {value.kind if value is not None else 'none'}")
+        if isinstance(value, LofModel):
             click.echo(
-                f"  k={body['k']} (effective {body['k_eff']}), "
-                f"threshold {body['threshold']}, {len(body['points'])} training points"
+                f"  k={value.k} (effective {value.k_eff}), "
+                f"threshold {value.threshold}, {value.training_size} training points"
             )
-        elif kind == "isolation_forest":
+        elif isinstance(value, IsolationForestModel):
             click.echo(
-                f"  {len(body['trees'])} trees, subsample {body['subsample']}, "
-                f"cutoff {body['anomaly_cutoff']}, seed {body['seed']}"
+                f"  {len(value.trees)} trees, subsample {value.subsample}, "
+                f"cutoff {value.anomaly_cutoff}, seed {value.seed}"
             )
         else:
             click.echo("  no trainable responses were found; cheap checks only")
-    elif schema == "response-queue/1":
-        responses = body.get("responses", [])
-        click.echo(f"response queue: {len(responses)} responses")
-        for item in responses[:10]:
-            size = len(item.get("payload_b64", "")) * 3 // 4
-            click.echo(f"  t={item['timestamp']:.3f}s flow {item['flow_index']}: ~{size} bytes")
-        if len(responses) > 10:
-            click.echo(f"  ... {len(responses) - 10} more")
-    elif schema == "attack-transcript/1":
-        flows = body.get("flows", [])
-        click.echo(f"attack transcript: {len(flows)} flows replayed")
-        for item in flows:
+    elif schema == artifacts.QUEUE:
+        click.echo(f"response queue: {len(value)} responses")
+        for entry in value.entries[:10]:
+            click.echo(
+                f"  t={entry.timestamp:.3f}s flow {entry.flow_index}: {len(entry.payload)} bytes"
+            )
+        if len(value) > 10:
+            click.echo(f"  ... {len(value) - 10} more")
+    elif schema == artifacts.TRANSCRIPT:
+        click.echo(f"attack transcript: {len(value['flows'])} flows replayed")
+        for item in value["flows"]:
             note = f" ({item['note']})" if item.get("note") else ""
             click.echo(
                 f"  position {item['scheduled_position']} <- capture flow "
                 f"{item['original_index']}: {len(item['request_lengths'])} requests, "
                 f"{item['response_count']} responses{note}"
             )
-    elif schema == "verdict-report/1":
+    elif schema == artifacts.VERDICT:
         click.echo(
-            f"verdict for {body.get('device_id')}: {body.get('outcome')} "
-            f"({body.get('reason')}), scenario {body.get('scenario')}"
+            f"verdict for {value['device_id']}: {value['outcome']} "
+            f"({value['reason']}), scenario {value['scenario']}"
         )
-        if body.get("labels"):
-            click.echo(f"  labels: {', '.join(body['labels'])} (window {body.get('j')})")
-    elif schema == "assessment-report/1":
-        click.echo(
-            f"assessment of {body.get('device_id')}, scenario {body.get('scenario')}: "
-            f"{'VULNERABLE' if body.get('vulnerable') else 'NOT VULNERABLE'}"
-        )
-        click.echo(
-            f"  {body.get('reps')} reps, accuracy {body.get('accuracy'):.3f}, "
-            f"reasons {body.get('reason_counts')}"
-        )
+        if value["labels"]:
+            click.echo(f"  labels: {', '.join(value['labels'])} (window {value['j']})")
     else:
-        raise click.UsageError(f"unrecognized artifact schema {schema!r}")
+        click.echo(
+            f"assessment of {value['device_id']}, scenario {value['scenario']}: "
+            f"{'VULNERABLE' if value['vulnerable'] else 'NOT VULNERABLE'}"
+        )
+        click.echo(
+            f"  {value['reps']} reps, accuracy {value['accuracy']:.3f}, "
+            f"reasons {value['reason_counts']}"
+        )
 
 
 if __name__ == "__main__":

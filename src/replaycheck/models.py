@@ -17,11 +17,9 @@ in-distribution queries; the isolation-forest score lives in (0, 1] with
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -34,21 +32,13 @@ __all__ = [
     "IsolationForestModel",
     "InsufficientTrainingError",
     "train_lof",
-    "lof_score",
     "train_isolation_forest",
-    "isolation_forest_score",
     "classify",
-    "dump_model",
-    "load_model",
-    "save_model",
-    "load_model_file",
     "DEFAULT_LOF_K",
     "DEFAULT_LOF_THRESHOLD",
     "DEFAULT_TREES",
     "DEFAULT_ANOMALY_CUTOFF",
 ]
-
-MODEL_SCHEMA = "novelty-model/1"
 
 DEFAULT_LOF_K = 5
 DEFAULT_LOF_THRESHOLD = 1.5
@@ -122,6 +112,78 @@ class LofModel:
     def training_size(self) -> int:
         return self.points.shape[0]
 
+    @property
+    def cutoff(self) -> float:
+        return self.threshold
+
+    def score(self, query: FeatureVector | Sequence[float] | np.ndarray) -> float:
+        """LOF of a query against the trained model; higher is more anomalous.
+
+        Exactly 1.0 when the query coincides with a training point (including
+        the all-dimensions-dropped degenerate model, where every query does).
+        """
+        row = _as_row(query, self.mean.shape[0])
+        query_std = (row[self.kept] - self.mean[self.kept]) / self.std[self.kept]
+        distances = _pairwise_distances(query_std[None, :], self.points)[0]
+        if (distances == 0.0).any():
+            return 1.0
+
+        k_distance_q = np.partition(distances, self.k_eff - 1)[self.k_eff - 1]
+        neighbors = np.flatnonzero(distances <= k_distance_q)
+        lrd_q = _lrd_from_neighbors(distances, neighbors, self.k_distance)
+        return float(self.lrd[neighbors].mean() / lrd_q)
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "k": self.k,
+            "k_eff": self.k_eff,
+            "threshold": self.threshold,
+            "standardization": {
+                "mean": self.mean.tolist(),
+                "std": self.std.tolist(),
+            },
+            "points": self.points.tolist(),
+            "k_distance": self.k_distance.tolist(),
+            "lrd": self.lrd.tolist(),
+        }
+
+    @classmethod
+    def from_dict(cls, body: dict) -> "LofModel":
+        """Inverse of to_dict; raises on a missing or malformed field."""
+        mean = np.asarray(body["standardization"]["mean"], dtype=np.float64)
+        std = np.asarray(body["standardization"]["std"], dtype=np.float64)
+        kept = std > 0.0
+        # An all-dimensions-dropped model serializes its points as rows of
+        # empty lists; asarray still yields the right (n, 0) shape.
+        points = np.asarray(body["points"], dtype=np.float64)
+        k_distance = np.asarray(body["k_distance"], dtype=np.float64)
+        lrd = np.asarray(body["lrd"], dtype=np.float64)
+        k, k_eff, threshold = body["k"], body["k_eff"], body["threshold"]
+        if not (
+            mean.ndim == 1
+            and std.shape == mean.shape
+            and points.ndim == 2
+            and points.shape[1] == kept.sum()
+            and k_distance.shape == lrd.shape == points.shape[:1]
+            and isinstance(k, int)
+            and isinstance(k_eff, int)
+            and 1 <= k_eff < len(points)
+            and isinstance(threshold, (int, float))
+        ):
+            raise ValueError("LOF model fields have inconsistent shapes or types")
+        return cls(
+            k=k,
+            k_eff=k_eff,
+            threshold=threshold,
+            mean=mean,
+            std=std,
+            kept=kept,
+            points=points,
+            k_distance=k_distance,
+            lrd=lrd,
+        )
+
 
 def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] == 0:
@@ -191,24 +253,6 @@ def train_lof(
     )
 
 
-def lof_score(model: LofModel, query: FeatureVector | Sequence[float] | np.ndarray) -> float:
-    """LOF of a query against the trained model; higher is more anomalous.
-
-    Exactly 1.0 when the query coincides with a training point (including
-    the all-dimensions-dropped degenerate model, where every query does).
-    """
-    row = _as_row(query, model.mean.shape[0])
-    query_std = (row[model.kept] - model.mean[model.kept]) / model.std[model.kept]
-    distances = _pairwise_distances(query_std[None, :], model.points)[0]
-    if (distances == 0.0).any():
-        return 1.0
-
-    k_distance_q = np.partition(distances, model.k_eff - 1)[model.k_eff - 1]
-    neighbors = np.flatnonzero(distances <= k_distance_q)
-    lrd_q = _lrd_from_neighbors(distances, neighbors, model.k_distance)
-    return float(model.lrd[neighbors].mean() / lrd_q)
-
-
 # ---------------------------------------------------------------------------
 # isolation forest
 # ---------------------------------------------------------------------------
@@ -241,6 +285,53 @@ class IsolationForestModel:
     anomaly_cutoff: float
 
     kind = "isolation_forest"
+
+    @property
+    def cutoff(self) -> float:
+        return self.anomaly_cutoff
+
+    def score(self, query: FeatureVector | Sequence[float] | np.ndarray) -> float:
+        """Anomaly score 2^(-E[path length]/c(subsample)), in (0, 1]."""
+        row = query.as_array() if isinstance(query, FeatureVector) else np.asarray(query, dtype=np.float64)
+        mean_path = math.fsum(_path_length(tree, row, 0) for tree in self.trees) / len(self.trees)
+        return float(2.0 ** (-mean_path / _average_path_length(self.subsample)))
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **asdict(self)}
+
+    @classmethod
+    def from_dict(cls, body: dict) -> "IsolationForestModel":
+        """Inverse of to_dict; raises on a missing or malformed field."""
+        trees, subsample = body["trees"], body["subsample"]
+        seed, anomaly_cutoff = body["seed"], body["anomaly_cutoff"]
+        if not (
+            isinstance(trees, list)
+            and trees
+            and isinstance(subsample, int)
+            and subsample >= 2
+            and isinstance(seed, int)
+            and isinstance(anomaly_cutoff, (int, float))
+        ):
+            raise ValueError("isolation forest needs trees, subsample >= 2, seed and cutoff")
+        for tree in trees:
+            _check_tree(tree)
+        return cls(trees=trees, subsample=subsample, seed=seed, anomaly_cutoff=anomaly_cutoff)
+
+
+def _check_tree(node) -> None:
+    """Reject a tree that _path_length could not walk."""
+    if isinstance(node, dict) and node.keys() == {"n"} and isinstance(node["n"], int):
+        return
+    if not (
+        isinstance(node, dict)
+        and node.keys() == {"f", "t", "l", "r"}
+        and isinstance(node["f"], int)
+        and node["f"] >= 0
+        and isinstance(node["t"], (int, float))
+    ):
+        raise ValueError("isolation tree node is neither a leaf nor a split")
+    _check_tree(node["l"])
+    _check_tree(node["r"])
 
 
 def _grow_tree(matrix: np.ndarray, rng: np.random.Generator, depth: int, limit: int) -> dict:
@@ -309,15 +400,6 @@ def _path_length(tree: dict, row: np.ndarray, depth: int) -> float:
     return depth + _average_path_length(tree["n"])
 
 
-def isolation_forest_score(
-    model: IsolationForestModel, query: FeatureVector | Sequence[float] | np.ndarray
-) -> float:
-    """Anomaly score 2^(-E[path length]/c(subsample)), in (0, 1]."""
-    row = query.as_array() if isinstance(query, FeatureVector) else np.asarray(query, dtype=np.float64)
-    mean_path = math.fsum(_path_length(tree, row, 0) for tree in model.trees) / len(model.trees)
-    return float(2.0 ** (-mean_path / _average_path_length(model.subsample)))
-
-
 # ---------------------------------------------------------------------------
 # shared surface
 # ---------------------------------------------------------------------------
@@ -325,97 +407,6 @@ def isolation_forest_score(
 NoveltyModel = LofModel | IsolationForestModel
 
 
-def model_score(model: NoveltyModel, query) -> float:
-    if isinstance(model, LofModel):
-        return lof_score(model, query)
-    return isolation_forest_score(model, query)
-
-
 def classify(model: NoveltyModel, query) -> Label:
     """Regular/Irregular split of a query response against the model."""
-    score = model_score(model, query)
-    cutoff = model.threshold if isinstance(model, LofModel) else model.anomaly_cutoff
-    return Label.IRREGULAR if score > cutoff else Label.REGULAR
-
-
-def dump_model(model: NoveltyModel | None) -> str:
-    """Serialize a model to a versioned JSON document (field for field).
-
-    None is a valid model: a capture with no learnable responses (silent
-    device) trains nothing, and detection then rests on the cheap checks
-    alone. It serializes as kind "none" so the file flow still works.
-    """
-    if model is None:
-        body: dict = {"schema": MODEL_SCHEMA, "kind": "none"}
-        return json.dumps(body, indent=2, sort_keys=True)
-    if isinstance(model, LofModel):
-        body = {
-            "schema": MODEL_SCHEMA,
-            "kind": model.kind,
-            "k": model.k,
-            "k_eff": model.k_eff,
-            "threshold": model.threshold,
-            "standardization": {
-                "mean": model.mean.tolist(),
-                "std": model.std.tolist(),
-            },
-            "points": model.points.tolist(),
-            "k_distance": model.k_distance.tolist(),
-            "lrd": model.lrd.tolist(),
-        }
-    elif isinstance(model, IsolationForestModel):
-        body = {
-            "schema": MODEL_SCHEMA,
-            "kind": model.kind,
-            "trees": model.trees,
-            "subsample": model.subsample,
-            "seed": model.seed,
-            "anomaly_cutoff": model.anomaly_cutoff,
-        }
-    else:
-        raise TypeError(f"not a novelty model: {type(model)!r}")
-    return json.dumps(body, indent=2, sort_keys=True)
-
-
-def load_model(text: str) -> NoveltyModel | None:
-    """Inverse of dump_model; validates the schema tag."""
-    body = json.loads(text)
-    if body.get("schema") != MODEL_SCHEMA:
-        raise ValueError(f"unrecognized model schema {body.get('schema')!r}")
-    kind = body.get("kind")
-    if kind == "none":
-        return None
-    if kind == "lof":
-        mean = np.asarray(body["standardization"]["mean"], dtype=np.float64)
-        std = np.asarray(body["standardization"]["std"], dtype=np.float64)
-        # An all-dimensions-dropped model serializes its points as rows of
-        # empty lists; asarray still yields the right (n, 0) shape.
-        points = np.asarray(body["points"], dtype=np.float64)
-        kept = std > 0.0
-        return LofModel(
-            k=body["k"],
-            k_eff=body["k_eff"],
-            threshold=body["threshold"],
-            mean=mean,
-            std=std,
-            kept=kept,
-            points=points,
-            k_distance=np.asarray(body["k_distance"], dtype=np.float64),
-            lrd=np.asarray(body["lrd"], dtype=np.float64),
-        )
-    if kind == "isolation_forest":
-        return IsolationForestModel(
-            trees=body["trees"],
-            subsample=body["subsample"],
-            seed=body["seed"],
-            anomaly_cutoff=body["anomaly_cutoff"],
-        )
-    raise ValueError(f"unrecognized model kind {kind!r}")
-
-
-def save_model(model: NoveltyModel | None, path: str | Path) -> None:
-    Path(path).write_text(dump_model(model) + "\n")
-
-
-def load_model_file(path: str | Path) -> NoveltyModel | None:
-    return load_model(Path(path).read_text())
+    return Label.IRREGULAR if model.score(query) > model.cutoff else Label.REGULAR

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .capture import (
@@ -54,8 +53,6 @@ from .verdict import (
     Verdict,
     decide,
 )
-
-ASSESSMENT_SCHEMA = "assessment-report/1"
 
 MODEL_KINDS = ("lof", "isolation_forest")
 
@@ -258,6 +255,28 @@ class AssessmentResult:
             counts[verdict.reason.value] = counts.get(verdict.reason.value, 0) + 1
         return counts
 
+    def to_dict(self) -> dict:
+        """The assessment-report body.
+
+        Ground truth is constant within a scenario, so accuracy is the whole
+        story; precision and recall would each be degenerate (0/0) on half
+        the scenarios and are deliberately not reported.
+        """
+        return {
+            "device_id": self.device_id,
+            "scenario": self.scenario,
+            "reps": self.reps,
+            "vulnerable": self.vulnerable,
+            "accuracy": self.accuracy,
+            "model_kind": self.model_kind,
+            "response_class": self.response_class,
+            "reason_counts": self.reason_counts(),
+            "runs": [
+                {**verdict.to_dict(), "replay_took_effect": truth}
+                for verdict, truth in zip(self.verdicts, self.truths)
+            ],
+        }
+
 
 def assess_device(
     device: SimulatedDevice,
@@ -314,43 +333,3 @@ def assess_device(
             detector.response_class.value if detector.response_class else None
         ),
     )
-
-
-def write_assessment_report(result: AssessmentResult, path: str | Path) -> None:
-    """Persist an assessment run as the documented JSON report.
-
-    Ground truth is constant within a scenario, so accuracy is the whole
-    story; precision and recall would each be degenerate (0/0) on half
-    the scenarios and are deliberately not reported.
-    """
-    body = {
-        "schema": ASSESSMENT_SCHEMA,
-        "device_id": result.device_id,
-        "scenario": result.scenario,
-        "reps": result.reps,
-        "vulnerable": result.vulnerable,
-        "accuracy": result.accuracy,
-        "model_kind": result.model_kind,
-        "response_class": result.response_class,
-        "reason_counts": result.reason_counts(),
-        "runs": [
-            {
-                "outcome": verdict.outcome.value,
-                "reason": verdict.reason.value,
-                "labels": [label.value for label in verdict.labels],
-                "replay_took_effect": truth,
-            }
-            for verdict, truth in zip(result.verdicts, result.truths)
-        ],
-        "timestamps": {
-            "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        },
-    }
-    Path(path).write_text(json.dumps(body, indent=2) + "\n")
-
-
-def load_assessment_report(path: str | Path) -> dict:
-    body = json.loads(Path(path).read_text())
-    if body.get("schema") != ASSESSMENT_SCHEMA:
-        raise ValueError(f"unrecognized report schema {body.get('schema')!r}")
-    return body

@@ -15,12 +15,10 @@ device that does would see the difference.
 from __future__ import annotations
 
 import base64
-import json
 import select
 import socket
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from .capture import Endpoint, Flow, Transport
 
@@ -33,13 +31,7 @@ __all__ = [
     "schedule",
     "replay_flow",
     "run_attack",
-    "write_transcript",
-    "write_queue",
-    "load_queue",
 ]
-
-TRANSCRIPT_SCHEMA = "attack-transcript/1"
-QUEUE_SCHEMA = "response-queue/1"
 
 _RECV_CHUNK = 65536
 _POLL_INTERVAL = 0.02
@@ -88,6 +80,30 @@ class ResponseQueue:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def to_dict(self) -> dict:
+        return {
+            "responses": [
+                {
+                    "timestamp": entry.timestamp,
+                    "flow_index": entry.flow_index,
+                    "payload_b64": base64.b64encode(entry.payload).decode("ascii"),
+                }
+                for entry in self.entries
+            ]
+        }
+
+    @classmethod
+    def from_dict(cls, body: dict) -> "ResponseQueue":
+        """Inverse of to_dict; raises on a missing or malformed field."""
+        entries = []
+        for item in body["responses"]:
+            timestamp, flow_index = item["timestamp"], item["flow_index"]
+            if not (isinstance(timestamp, (int, float)) and isinstance(flow_index, int)):
+                raise TypeError("queue entries need a numeric timestamp and integer flow_index")
+            payload = base64.b64decode(item["payload_b64"], validate=True)
+            entries.append(QueueEntry(timestamp=timestamp, flow_index=flow_index, payload=payload))
+        return cls(tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -252,56 +268,3 @@ def run_attack(
             time.sleep(config.inter_flow_delay_ms / 1000.0)
     entries.sort(key=lambda e: e.timestamp)  # stable: replay order breaks ties
     return AttackResult(queue=ResponseQueue(tuple(entries)), flows=tuple(reports))
-
-
-# ---------------------------------------------------------------------------
-# artifact files
-# ---------------------------------------------------------------------------
-
-
-def write_transcript(result: AttackResult, path: str | Path) -> None:
-    body = {
-        "schema": TRANSCRIPT_SCHEMA,
-        "flows": [
-            {
-                "scheduled_position": r.scheduled_position,
-                "original_index": r.original_index,
-                "transport": r.transport.value,
-                "request_lengths": list(r.request_lengths),
-                "response_count": r.response_count,
-                "note": r.note,
-            }
-            for r in result.flows
-        ],
-    }
-    Path(path).write_text(json.dumps(body, indent=2) + "\n")
-
-
-def write_queue(queue: ResponseQueue, path: str | Path) -> None:
-    body = {
-        "schema": QUEUE_SCHEMA,
-        "responses": [
-            {
-                "timestamp": entry.timestamp,
-                "flow_index": entry.flow_index,
-                "payload_b64": base64.b64encode(entry.payload).decode("ascii"),
-            }
-            for entry in queue.entries
-        ],
-    }
-    Path(path).write_text(json.dumps(body, indent=2) + "\n")
-
-
-def load_queue(path: str | Path) -> ResponseQueue:
-    body = json.loads(Path(path).read_text())
-    if body.get("schema") != QUEUE_SCHEMA:
-        raise ValueError(f"unrecognized queue schema {body.get('schema')!r}")
-    entries = tuple(
-        QueueEntry(
-            timestamp=item["timestamp"],
-            flow_index=item["flow_index"],
-            payload=base64.b64decode(item["payload_b64"]),
-        )
-        for item in body["responses"]
-    )
-    return ResponseQueue(entries)

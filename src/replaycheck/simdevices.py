@@ -201,7 +201,11 @@ class _EngineBase:
 
     # companion side ---------------------------------------------------------
     def companion_exchange(self, client: "_CompanionClient", target: DeviceState):
-        raise NotImplementedError
+        """Send one command and read its single response."""
+        command = self.build_command(target)
+        client.send(command)
+        response = client.read_message(self)
+        return [(True, command), (False, response)]
 
 
 class _LineEngine(_EngineBase):
@@ -259,12 +263,6 @@ class _CleartextEchoEngine(_LineEngine):
             }
         )
 
-    def companion_exchange(self, client, target):
-        command = self.build_command(target)
-        client.send(command)
-        response = client.read_message(self)
-        return [(True, command), (False, response)]
-
 
 class _SignedCleartextEngine(_LineEngine):
     """JSON plus an HMAC hex signature over a static per-device secret.
@@ -314,12 +312,6 @@ class _SignedCleartextEngine(_LineEngine):
         body["sign"] = self._signature(body)
         return _json_line(body)
 
-    def companion_exchange(self, client, target):
-        command = self.build_command(target)
-        client.send(command)
-        response = client.read_message(self)
-        return [(True, command), (False, response)]
-
 
 class _EncodedFixedEngine(_EngineBase):
     """Fixed 24-byte opaque command and ack blobs, one pair per state.
@@ -358,12 +350,6 @@ class _EncodedFixedEngine(_EngineBase):
 
     def build_command(self, target: DeviceState) -> bytes:
         return self.commands[target]
-
-    def companion_exchange(self, client, target):
-        command = self.build_command(target)
-        client.send(command)
-        response = client.read_message(self)
-        return [(True, command), (False, response)]
 
 
 class _SessionKeyEngine(_LineEngine):
@@ -430,12 +416,6 @@ class _SessionKeyEngine(_LineEngine):
                 "params": {"request": base64.b64encode(ciphertext).decode()},
             }
         )
-
-    def companion_exchange(self, client, target):
-        command = self.build_command(target)
-        client.send(command)
-        response = client.read_message(self)
-        return [(True, command), (False, response)]
 
 
 class _TlsLikeEngine(_EngineBase):

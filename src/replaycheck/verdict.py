@@ -10,11 +10,8 @@ single regular response means the replayed commands were accepted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .capture import PacketRecord
@@ -31,12 +28,7 @@ __all__ = [
     "response_check",
     "protocol_check",
     "decide",
-    "evaluate_accuracy",
-    "write_verdict_report",
-    "load_verdict_report",
 ]
-
-REPORT_SCHEMA = "verdict-report/1"
 
 DEFAULT_RESPONSE_WINDOW = 3
 
@@ -88,6 +80,13 @@ class Verdict:
         ):
             raise ValueError("RegularFound verdict without a regular label")
 
+    def to_dict(self) -> dict:
+        return {
+            "outcome": self.outcome.value,
+            "reason": self.reason.value,
+            "labels": [label.value for label in self.labels],
+        }
+
 
 def response_check(queue: ResponseQueue) -> bool:
     """Passes iff the device answered the replay at all."""
@@ -126,51 +125,3 @@ def decide(
     if all(label == Label.IRREGULAR for label in labels):
         return Verdict(Outcome.FAILED, Reason.ALL_IRREGULAR, labels)
     return Verdict(Outcome.SUCCESSFUL, Reason.REGULAR_FOUND, labels)
-
-
-def evaluate_accuracy(verdicts: Sequence[Verdict], vulnerable: bool) -> float:
-    """Fraction of verdicts matching the known ground truth.
-
-    vulnerable=True means SUCCESSFUL is the correct outcome for every
-    verdict in the list, and vice versa; ground truth is constant across
-    a run by construction.
-    """
-    if not verdicts:
-        raise ValueError("need at least one verdict")
-    correct = sum(
-        (verdict.outcome == Outcome.SUCCESSFUL) == vulnerable for verdict in verdicts
-    )
-    return correct / len(verdicts)
-
-
-def write_verdict_report(
-    verdict: Verdict,
-    path: str | Path,
-    *,
-    device_id: str,
-    scenario: str,
-    response_window: int,
-    model_kind: str | None,
-) -> None:
-    """Persist one verdict as the documented JSON report."""
-    body = {
-        "schema": REPORT_SCHEMA,
-        "device_id": device_id,
-        "scenario": scenario,
-        "outcome": verdict.outcome.value,
-        "reason": verdict.reason.value,
-        "labels": [label.value for label in verdict.labels],
-        "j": response_window,
-        "model_kind": model_kind,
-        "timestamps": {
-            "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        },
-    }
-    Path(path).write_text(json.dumps(body, indent=2) + "\n")
-
-
-def load_verdict_report(path: str | Path) -> dict:
-    body = json.loads(Path(path).read_text())
-    if body.get("schema") != REPORT_SCHEMA:
-        raise ValueError(f"unrecognized report schema {body.get('schema')!r}")
-    return body

@@ -11,11 +11,10 @@ import pytest
 from click.testing import CliRunner
 
 import replaycheck
+from replaycheck import artifacts
 from replaycheck.capture import SessionConfig, parse_capture
 from replaycheck.cli import main
-from replaycheck.models import load_model_file, save_model
-from replaycheck.pipeline import load_assessment_report
-from replaycheck.replay import QueueEntry, ResponseQueue, load_queue, write_queue
+from replaycheck.replay import QueueEntry, ResponseQueue
 from replaycheck.simdevices import (
     DEFAULT_APP_ENDPOINT,
     Behavior,
@@ -52,6 +51,23 @@ def write_attack_capture(device, path):
     path.write_bytes(records_to_capture(records))
     trigger_state(device, DeviceState.REVERSE)
     return str(path)
+
+
+def write_queue(path, *entries):
+    artifacts.write(path, artifacts.QUEUE, ResponseQueue(entries).to_dict())
+
+
+def write_none_model(path):
+    artifacts.write(path, artifacts.MODEL, {"kind": "none"})
+
+
+def assert_bad_input(result, path):
+    """Exit 2 with exactly one `error: <path>: <reason>` line, no traceback."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"error: {path}: ")
 
 
 def run_train(device, tmp_path, *extra):
@@ -123,7 +139,7 @@ class TestTrain:
         assert result.exit_code == 0, result.output
         assert "trained none model on 0 response payloads" in result.output
         assert json.loads(model_out.read_text())["kind"] == "none"
-        assert load_model_file(model_out) is None
+        assert artifacts.read(model_out, artifacts.MODEL) is None
 
     def test_wrong_endpoints_exit_no_connectivity(self, device_factory, tmp_path):
         device = device_factory(Behavior.CLEARTEXT_ECHO)
@@ -200,7 +216,7 @@ class TestAttack:
         assert result.exit_code == 0, result.output
         assert "replayed 1 flows" in result.output
         assert "collected 1 responses" in result.output
-        queue = load_queue(queue_out)
+        queue = artifacts.read(queue_out, artifacts.QUEUE)
         assert len(queue) == 1
         transcript = json.loads(transcript_out.read_text())
         assert transcript["schema"] == "attack-transcript/1"
@@ -213,7 +229,7 @@ class TestAttack:
         result, _, queue_out = run_attack(device, tmp_path)
         assert result.exit_code == 0, result.output
         assert "collected 0 responses" in result.output
-        assert len(load_queue(queue_out)) == 0
+        assert len(artifacts.read(queue_out, artifacts.QUEUE)) == 0
 
     def test_explicit_target_flag(self, device_factory, tmp_path):
         device = device_factory(Behavior.CLEARTEXT_ECHO)
@@ -221,7 +237,7 @@ class TestAttack:
             device, tmp_path, "--target", str(device.endpoint)
         )
         assert result.exit_code == 0, result.output
-        assert len(load_queue(queue_out)) == 1
+        assert len(artifacts.read(queue_out, artifacts.QUEUE)) == 1
 
     def test_non_loopback_target_needs_confirmation(self, device_factory, tmp_path):
         device = device_factory(Behavior.CLEARTEXT_ECHO)
@@ -275,9 +291,9 @@ class TestDetect:
         result, model_out, capture, queue_out = self.full_chain(device, tmp_path)
         session = SessionConfig(app=DEFAULT_APP_ENDPOINT, device=device.endpoint)
         verdict = decide(
-            load_queue(queue_out),
+            artifacts.read(queue_out, artifacts.QUEUE),
             parse_capture((tmp_path / "attack.pcap").read_bytes(), session),
-            load_model_file(model_out),
+            artifacts.read(model_out, artifacts.MODEL),
         )
         expected = 10 if verdict.outcome == Outcome.SUCCESSFUL else 11
         assert result.exit_code == expected
@@ -301,11 +317,9 @@ class TestDetect:
         device = device_factory(Behavior.CLEARTEXT_ECHO)
         capture = write_attack_capture(device, tmp_path / "attack.pcap")
         queue_out = tmp_path / "queue.json"
-        write_queue(
-            ResponseQueue(entries=(QueueEntry(0.01, 0, b"some reply"),)), queue_out
-        )
+        write_queue(queue_out, QueueEntry(0.01, 0, b"some reply"))
         model_out = tmp_path / "model.json"
-        save_model(None, model_out)
+        write_none_model(model_out)
         result = invoke(
             [
                 "detect",
@@ -318,6 +332,67 @@ class TestDetect:
         )
         assert result.exit_code == 1
         assert "error:" in result.stderr
+
+
+PCAPNG_HEADER = bytes.fromhex("0a0d0d0a") + bytes(28)
+TRUNCATED_HEADER = bytes.fromhex("d4c3b2a1") + bytes(6)
+
+
+class TestMalformedInput:
+    """Malformed captures and artifacts exit 2 with a one-line error."""
+
+    @pytest.mark.parametrize(
+        "data", [PCAPNG_HEADER, TRUNCATED_HEADER], ids=["pcapng", "truncated-10-bytes"]
+    )
+    @pytest.mark.parametrize("command", ["train", "attack", "detect"])
+    def test_malformed_capture(self, tmp_path, command, data):
+        capture = tmp_path / "bad.pcap"
+        capture.write_bytes(data)
+        queue_path, model_path = tmp_path / "queue.json", tmp_path / "model.json"
+        write_queue(queue_path)
+        write_none_model(model_path)
+        outputs = {
+            "train": ["--capture", str(capture), "--model-out", str(model_path)],
+            "attack": ["--capture", str(capture), "--queue-out", str(queue_path)],
+            "detect": [
+                "--attack-capture", str(capture),
+                "--queue", str(queue_path),
+                "--model", str(model_path),
+            ],
+        }
+        result = invoke(
+            [command, "--app", APP, "--device", "127.0.0.1:9", *outputs[command], *FAST_FLAGS]
+        )
+        assert_bad_input(result, capture)
+
+    @pytest.mark.parametrize(
+        "bad, text",
+        [
+            ("queue", '{"schema": "response-queue/1"}'),
+            ("model", "not json {"),
+            ("model", '{"schema": "novelty-model/2", "kind": "none"}'),
+            ("model", '{"schema": "response-queue/1", "responses": []}'),
+        ],
+        ids=["queue-without-responses", "non-json-model", "unknown-schema-model", "queue-as-model"],
+    )
+    def test_detect_malformed_artifact(self, tmp_path, bad, text):
+        capture = tmp_path / "attack.pcap"
+        capture.write_bytes(records_to_capture([]))
+        paths = {"queue": tmp_path / "queue.json", "model": tmp_path / "model.json"}
+        write_queue(paths["queue"], QueueEntry(0.01, 0, b"some reply"))
+        write_none_model(paths["model"])
+        paths[bad].write_text(text)
+        result = invoke(
+            [
+                "detect",
+                "--queue", str(paths["queue"]),
+                "--model", str(paths["model"]),
+                "--attack-capture", str(capture),
+                "--app", APP,
+                "--device", "127.0.0.1:9",
+            ]
+        )
+        assert_bad_input(result, paths[bad])
 
 
 class TestAssess:
@@ -342,7 +417,7 @@ class TestAssess:
         assert "VULNERABLE: cleartext_echo@" in result.output
         assert "NOT VULNERABLE" not in result.output
         assert "RegularFound: 2" in result.output
-        body = load_assessment_report(report_out)
+        body = artifacts.read(report_out, artifacts.ASSESSMENT)
         assert body["vulnerable"] is True
         assert body["accuracy"] == 1.0
         assert body["reason_counts"] == {"RegularFound": 2}
@@ -352,7 +427,7 @@ class TestAssess:
         result, report_out = self.run_assess(tmp_path, "tls_like")
         assert result.exit_code == 11, result.output
         assert "NOT VULNERABLE: tls_like@" in result.output
-        body = load_assessment_report(report_out)
+        body = artifacts.read(report_out, artifacts.ASSESSMENT)
         assert body["vulnerable"] is False
         assert body["reason_counts"] == {"StandardProtocol": 2}
 
@@ -362,7 +437,7 @@ class TestAssess:
         )
         assert result.exit_code == 11, result.output
         assert "AllIrregular: 2" in result.output
-        assert load_assessment_report(report_out)["scenario"] == "restart"
+        assert artifacts.read(report_out, artifacts.ASSESSMENT)["scenario"] == "restart"
 
     def test_session_key_without_rekey_stays_vulnerable(self, tmp_path):
         result, _ = self.run_assess(
@@ -421,7 +496,7 @@ class TestReport:
 
     def test_describes_none_model(self, tmp_path):
         path = tmp_path / "model.json"
-        save_model(None, path)
+        write_none_model(path)
         result = invoke(["report", str(path)])
         assert result.exit_code == 0
         assert "kind none" in result.output
@@ -429,15 +504,7 @@ class TestReport:
 
     def test_describes_queue(self, tmp_path):
         path = tmp_path / "queue.json"
-        write_queue(
-            ResponseQueue(
-                entries=(
-                    QueueEntry(0.25, 0, b"abcdef"),
-                    QueueEntry(0.50, 1, b"ghij"),
-                )
-            ),
-            path,
-        )
+        write_queue(path, QueueEntry(0.25, 0, b"abcdef"), QueueEntry(0.50, 1, b"ghij"))
         result = invoke(["report", str(path)])
         assert result.exit_code == 0
         assert "response queue: 2 responses" in result.output
@@ -504,6 +571,12 @@ class TestReport:
         result = invoke(["report", self.write(tmp_path, {"schema": "mystery/9"})])
         assert result.exit_code == 2
         assert "unrecognized artifact schema" in result.stderr
+
+    def test_rejects_model_missing_fields(self, tmp_path):
+        path = self.write(tmp_path, {"schema": "novelty-model/1", "kind": "lof"})
+        result = invoke(["report", path])
+        assert_bad_input(result, path)
+        assert "missing field" in result.stderr
 
     def test_rejects_non_json(self, tmp_path):
         path = tmp_path / "artifact.json"

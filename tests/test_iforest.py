@@ -6,14 +6,12 @@ import random
 
 import pytest
 
+from replaycheck import artifacts
 from replaycheck.models import (
     DEFAULT_ANOMALY_CUTOFF,
     InsufficientTrainingError,
     Label,
     classify,
-    dump_model,
-    isolation_forest_score,
-    load_model,
     train_isolation_forest,
 )
 from replaycheck.models import _average_path_length
@@ -30,8 +28,8 @@ class TestScores:
         model = train_isolation_forest([[4.0, 4.0]] * 10, trees=25, seed=1)
         # no split can separate identical rows, so every path has length 0
         # and the score is exactly 2^0 at the normalization midpoint
-        assert isolation_forest_score(model, [4.0, 4.0]) == 0.5
-        assert isolation_forest_score(model, [123.0, -5.0]) == 0.5
+        assert model.score([4.0, 4.0]) == 0.5
+        assert model.score([123.0, -5.0]) == 0.5
 
     def test_half_is_below_default_cutoff(self):
         assert 0.5 <= DEFAULT_ANOMALY_CUTOFF
@@ -41,8 +39,8 @@ class TestScores:
     def test_outlier_scores_above_cluster_member(self):
         training = cluster_with_outlier()
         model = train_isolation_forest(training, trees=100, seed=5)
-        inlier = isolation_forest_score(model, training[0])
-        outlier = isolation_forest_score(model, [25.0, -25.0])
+        inlier = model.score(training[0])
+        outlier = model.score([25.0, -25.0])
         assert outlier > inlier
         assert outlier > DEFAULT_ANOMALY_CUTOFF
 
@@ -52,7 +50,7 @@ class TestScores:
         rng = random.Random(0)
         for _ in range(50):
             q = [rng.uniform(-30, 30), rng.uniform(-30, 30)]
-            assert 0.0 < isolation_forest_score(model, q) <= 1.0
+            assert 0.0 < model.score(q) <= 1.0
 
 
 class TestDeterminism:
@@ -109,21 +107,25 @@ class TestPathLengthNormalizer:
 
 
 class TestSerialization:
-    def test_round_trip_scores_bit_identical(self):
+    def test_round_trip_scores_bit_identical(self, tmp_path):
         training = cluster_with_outlier(seed=21)
         model = train_isolation_forest(training, trees=30, seed=8)
-        loaded = load_model(dump_model(model))
+        path = tmp_path / "model.json"
+        artifacts.write(path, artifacts.MODEL, model.to_dict())
+        loaded = artifacts.read(path, artifacts.MODEL)
         rng = random.Random(77)
         for _ in range(40):
             q = [rng.uniform(-10, 10), rng.uniform(-10, 10)]
-            assert isolation_forest_score(loaded, q) == isolation_forest_score(model, q)
+            assert loaded.score(q) == model.score(q)
         assert loaded.subsample == model.subsample
         assert loaded.anomaly_cutoff == model.anomaly_cutoff
         assert loaded.seed == model.seed
 
-    def test_tree_shape_is_plain_json(self):
+    def test_tree_shape_is_plain_json(self, tmp_path):
         model = train_isolation_forest(cluster_with_outlier(), trees=3, seed=0)
-        doc = json.loads(dump_model(model))
+        path = tmp_path / "model.json"
+        artifacts.write(path, artifacts.MODEL, model.to_dict())
+        doc = json.loads(path.read_text())
         assert doc["kind"] == "isolation_forest"
 
         def walk(node):

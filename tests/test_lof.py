@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_lof
+from replaycheck import artifacts
+from replaycheck.artifacts import ArtifactError
 from replaycheck.features import featurize
 from replaycheck.models import (
     DEFAULT_LOF_K,
@@ -16,9 +18,6 @@ from replaycheck.models import (
     InsufficientTrainingError,
     Label,
     classify,
-    dump_model,
-    load_model,
-    lof_score,
     train_lof,
 )
 
@@ -30,13 +29,13 @@ class TestFrozenValues:
 
     def test_interior_query_on_line(self):
         model = train_lof(LINE, k=2)
-        assert lof_score(model, [2.5]) == pytest.approx(
+        assert model.score([2.5]) == pytest.approx(
             0.8333333333333333, abs=1e-12
         )
 
     def test_far_query_on_line(self):
         model = train_lof(LINE, k=2)
-        assert lof_score(model, [100.0]) == pytest.approx(
+        assert model.score([100.0]) == pytest.approx(
             64.33333333333333, abs=1e-12
         )
 
@@ -48,7 +47,7 @@ class TestFrozenValues:
 class TestDegenerateCases:
     def test_query_coinciding_with_training_point_is_exactly_one(self):
         model = train_lof(LINE, k=2)
-        assert lof_score(model, [3.0]) == 1.0
+        assert model.score([3.0]) == 1.0
 
     def test_k_clamped_to_n_minus_one(self):
         model = train_lof([[0.0], [10.0]], k=5)
@@ -63,13 +62,13 @@ class TestDegenerateCases:
         # coincide with the training cluster
         model = train_lof([[7.0, 7.0]] * 4, k=2)
         assert model.points.shape == (4, 0)
-        assert lof_score(model, [7.0, 7.0]) == 1.0
-        assert lof_score(model, [-999.0, 123.0]) == 1.0
+        assert model.score([7.0, 7.0]) == 1.0
+        assert model.score([-999.0, 123.0]) == 1.0
 
     def test_duplicate_cluster_does_not_divide_by_zero(self):
         training = [[0.0], [0.0], [0.0], [5.0]]
         model = train_lof(training, k=2)
-        score = lof_score(model, [0.2])
+        score = model.score([0.2])
         assert np.isfinite(score)
         assert score == pytest.approx(brute_force_lof(training, 2, [0.2]), abs=1e-9)
 
@@ -78,7 +77,7 @@ class TestDegenerateCases:
         # neighborhood must include both, not an arbitrary one of them
         training = [[-1.0], [1.0], [4.0]]
         model = train_lof(training, k=1)
-        assert lof_score(model, [0.0]) == pytest.approx(
+        assert model.score([0.0]) == pytest.approx(
             brute_force_lof(training, 1, [0.0]), abs=1e-12
         )
 
@@ -101,7 +100,7 @@ class TestDegenerateCases:
     def test_query_dimension_mismatch_rejected(self):
         model = train_lof(LINE, k=2)
         with pytest.raises(ValueError):
-            lof_score(model, [1.0, 2.0])
+            model.score([1.0, 2.0])
 
 
 class TestClassify:
@@ -140,7 +139,7 @@ class TestAgainstReference:
     def test_matches_brute_force(self, seed):
         training, k, query = _make_training(seed, max_n=12, max_dims=4)
         model = train_lof(training, k=k)
-        assert lof_score(model, query) == pytest.approx(
+        assert model.score(query) == pytest.approx(
             brute_force_lof(training, k, query), abs=1e-9
         )
 
@@ -150,8 +149,8 @@ class TestAgainstReference:
         training, k, query = _make_training(seed, max_n=10, max_dims=3)
         shuffled = list(training)
         shuffler.shuffle(shuffled)
-        a = lof_score(train_lof(training, k=k), query)
-        b = lof_score(train_lof(shuffled, k=k), query)
+        a = train_lof(training, k=k).score(query)
+        b = train_lof(shuffled, k=k).score(query)
         assert a == pytest.approx(b, abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
@@ -170,34 +169,43 @@ class TestAgainstReference:
             assert classify(high, query) == Label.REGULAR
 
 
+def round_trip(model, tmp_path):
+    """Write a model artifact and read it back through the codec."""
+    path = tmp_path / "model.json"
+    artifacts.write(path, artifacts.MODEL, model.to_dict() if model else {"kind": "none"})
+    return artifacts.read(path, artifacts.MODEL)
+
+
 class TestSerialization:
-    def test_round_trip_preserves_scores(self):
+    def test_round_trip_preserves_scores(self, tmp_path):
         rng = random.Random(7)
         training = [[rng.uniform(0, 9) for _ in range(3)] for _ in range(8)]
         model = train_lof(training, k=3, threshold=1.7)
-        loaded = load_model(dump_model(model))
+        loaded = round_trip(model, tmp_path)
         for _ in range(25):
             query = [rng.uniform(-2, 11) for _ in range(3)]
-            assert lof_score(loaded, query) == lof_score(model, query)
+            assert loaded.score(query) == model.score(query)
         assert loaded.k == model.k
         assert loaded.k_eff == model.k_eff
         assert loaded.threshold == model.threshold
 
-    def test_round_trip_of_degenerate_model(self):
+    def test_round_trip_of_degenerate_model(self, tmp_path):
         model = train_lof([[1.0, 2.0]] * 3, k=1)
-        loaded = load_model(dump_model(model))
+        loaded = round_trip(model, tmp_path)
         assert loaded.points.shape[0] == 3
-        assert lof_score(loaded, [0.0, 0.0]) == 1.0
+        assert loaded.score([0.0, 0.0]) == 1.0
 
-    def test_schema_tag_checked(self):
-        doc = json.loads(dump_model(train_lof(LINE, k=2)))
-        doc["schema"] = "novelty-model/999"
-        with pytest.raises(ValueError, match="schema"):
-            load_model(json.dumps(doc))
+    def test_schema_tag_checked(self, tmp_path):
+        path = tmp_path / "model.json"
+        artifacts.write(path, "novelty-model/999", train_lof(LINE, k=2).to_dict())
+        with pytest.raises(ArtifactError, match="schema"):
+            artifacts.read(path, artifacts.MODEL)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            load_model(json.dumps({"schema": "novelty-model/1", "kind": "svm"}))
+    def test_unknown_kind_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"schema": "novelty-model/1", "kind": "svm"}))
+        with pytest.raises(ArtifactError, match="kind"):
+            artifacts.read(path, artifacts.MODEL)
 
-    def test_none_model_round_trip(self):
-        assert load_model(dump_model(None)) is None
+    def test_none_model_round_trip(self, tmp_path):
+        assert round_trip(None, tmp_path) is None

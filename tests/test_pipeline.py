@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from replaycheck import artifacts
+from replaycheck.artifacts import ArtifactError
 from replaycheck.capture import Endpoint, SessionConfig
 from replaycheck.models import IsolationForestModel, LofModel
 from replaycheck.pipeline import (
@@ -14,10 +16,8 @@ from replaycheck.pipeline import (
     PipelineSettings,
     assess_device,
     attack_from_capture,
-    load_assessment_report,
     load_settings,
     train_from_capture,
-    write_assessment_report,
 )
 from replaycheck.protocols import ResponseClass
 from replaycheck.simdevices import (
@@ -213,8 +213,8 @@ class TestAssessmentReport:
             device, SCENARIO_NON_RESTART, reps=2, settings=fast_settings
         )
         path = tmp_path / "assessment.json"
-        write_assessment_report(result, path)
-        body = load_assessment_report(path)
+        artifacts.write(path, artifacts.ASSESSMENT, result.to_dict())
+        body = artifacts.read(path, artifacts.ASSESSMENT)
         assert body["schema"] == "assessment-report/1"
         assert body["scenario"] == "non_restart"
         assert body["reps"] == 2
@@ -227,5 +227,5 @@ class TestAssessmentReport:
     def test_schema_checked(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "assessment-report/0"}')
-        with pytest.raises(ValueError):
-            load_assessment_report(path)
+        with pytest.raises(ArtifactError):
+            artifacts.read(path, artifacts.ASSESSMENT)

@@ -1,23 +1,22 @@
 """Replay engine tests over real loopback sockets."""
 
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
 
+from replaycheck import artifacts
+from replaycheck.artifacts import ArtifactError
 from replaycheck.capture import Endpoint, Flow, PacketRecord, Transport
 from replaycheck.replay import (
-    AttackResult,
     FlowReplayReport,
     QueueEntry,
     ReplayConfig,
     ResponseQueue,
-    load_queue,
     replay_flow,
     run_attack,
     schedule,
-    write_queue,
-    write_transcript,
 )
 from replaycheck.simdevices import ScriptedResponder
 
@@ -180,31 +179,26 @@ class TestArtifacts:
             )
         )
         path = tmp_path / "queue.json"
-        write_queue(queue, path)
-        assert load_queue(path) == queue
+        artifacts.write(path, artifacts.QUEUE, queue.to_dict())
+        assert artifacts.read(path, artifacts.QUEUE) == queue
 
     def test_queue_schema_checked(self, tmp_path):
         path = tmp_path / "queue.json"
         path.write_text('{"schema": "response-queue/9", "responses": []}')
-        with pytest.raises(ValueError):
-            load_queue(path)
+        with pytest.raises(ArtifactError):
+            artifacts.read(path, artifacts.QUEUE)
 
     def test_transcript_written(self, tmp_path):
-        result = AttackResult(
-            queue=ResponseQueue(()),
-            flows=(
-                FlowReplayReport(
-                    scheduled_position=0,
-                    original_index=2,
-                    transport=Transport.UDP,
-                    request_lengths=(4,),
-                    response_count=0,
-                    note="",
-                ),
-            ),
+        report = FlowReplayReport(
+            scheduled_position=0,
+            original_index=2,
+            transport=Transport.UDP,
+            request_lengths=(4,),
+            response_count=0,
+            note="",
         )
         path = tmp_path / "transcript.json"
-        write_transcript(result, path)
+        artifacts.write(path, artifacts.TRANSCRIPT, {"flows": [asdict(report)]})
         text = path.read_text()
         assert '"attack-transcript/1"' in text
         assert '"original_index": 2' in text

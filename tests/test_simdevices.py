@@ -186,11 +186,12 @@ class TestCompanionSession:
         assert len(capture) == 24
         assert list(pcap.read_frames(capture)) == []
 
-    def test_deterministic_across_fresh_spawns(self):
+    @pytest.mark.parametrize("behavior", list(Behavior), ids=lambda b: b.value)
+    def test_deterministic_across_fresh_spawns(self, behavior):
         captures = []
         port = 0
         for _ in range(2):
-            profile = DeviceProfile(behavior=Behavior.SIGNED_CLEARTEXT, seed=42, port=port)
+            profile = DeviceProfile(behavior=behavior, seed=42, port=port)
             with spawn_device(profile) as device:
                 port = device.endpoint.port  # second spawn reuses the first port
                 captures.append(companion_session(device))

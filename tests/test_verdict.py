@@ -5,9 +5,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from replaycheck import artifacts
+from replaycheck.artifacts import ArtifactError
 from replaycheck.capture import Endpoint, PacketRecord, Transport
 from replaycheck.features import featurize
 from replaycheck.models import Label, train_lof
+from replaycheck.pipeline import AssessmentResult
 from replaycheck.replay import QueueEntry, ResponseQueue
 from replaycheck.verdict import (
     DetectionConfig,
@@ -15,11 +18,8 @@ from replaycheck.verdict import (
     Reason,
     Verdict,
     decide,
-    evaluate_accuracy,
-    load_verdict_report,
     protocol_check,
     response_check,
-    write_verdict_report,
 )
 
 APP = Endpoint("10.77.0.2", 38200)
@@ -166,38 +166,45 @@ class TestVerdictValidation:
 
 
 class TestEvaluateAccuracy:
+    """AssessmentResult.accuracy: the share of verdicts matching the truth."""
+
     def mk(self, outcome):
         if outcome == Outcome.SUCCESSFUL:
             return Verdict(outcome, Reason.REGULAR_FOUND, (Label.REGULAR,))
         return Verdict(outcome, Reason.NO_RESPONSE, ())
 
+    def accuracy(self, verdicts, vulnerable):
+        return AssessmentResult(
+            "d", "non_restart", verdicts, [vulnerable] * len(verdicts), None, None
+        ).accuracy
+
     def test_all_correct(self):
         verdicts = [self.mk(Outcome.SUCCESSFUL)] * 10
-        assert evaluate_accuracy(verdicts, vulnerable=True) == 1.0
-        assert evaluate_accuracy(verdicts, vulnerable=False) == 0.0
+        assert self.accuracy(verdicts, vulnerable=True) == 1.0
+        assert self.accuracy(verdicts, vulnerable=False) == 0.0
 
     def test_mixed(self):
         verdicts = [self.mk(Outcome.SUCCESSFUL)] * 49 + [self.mk(Outcome.FAILED)]
-        assert evaluate_accuracy(verdicts, vulnerable=True) == pytest.approx(0.98)
+        assert self.accuracy(verdicts, vulnerable=True) == pytest.approx(0.98)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_accuracy([], vulnerable=True)
+
+def write_report(path, verdict, **fields):
+    artifacts.write(path, artifacts.VERDICT, {**verdict.to_dict(), **fields})
 
 
 class TestReport:
     def test_round_trip(self, tmp_path, model):
         verdict = decide(queue_of(REGULAR), [], model)
         path = tmp_path / "verdict.json"
-        write_verdict_report(
-            verdict,
+        write_report(
             path,
+            verdict,
             device_id="cleartext_echo@127.0.0.1:4000",
             scenario="non_restart",
-            response_window=3,
+            j=3,
             model_kind="lof",
         )
-        body = load_verdict_report(path)
+        body = artifacts.read(path, artifacts.VERDICT)
         assert body["schema"] == "verdict-report/1"
         assert body["outcome"] == "SUCCESSFUL"
         assert body["reason"] == "RegularFound"
@@ -210,18 +217,11 @@ class TestReport:
     def test_restart_scenario_value(self, tmp_path):
         verdict = Verdict(Outcome.FAILED, Reason.NO_RESPONSE, ())
         path = tmp_path / "verdict.json"
-        write_verdict_report(
-            verdict,
-            path,
-            device_id="d",
-            scenario="restart",
-            response_window=3,
-            model_kind=None,
-        )
-        assert load_verdict_report(path)["scenario"] == "restart"
+        write_report(path, verdict, device_id="d", scenario="restart", j=3, model_kind=None)
+        assert artifacts.read(path, artifacts.VERDICT)["scenario"] == "restart"
 
     def test_schema_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"schema": "verdict-report/2"}')
-        with pytest.raises(ValueError):
-            load_verdict_report(path)
+        with pytest.raises(ArtifactError):
+            artifacts.read(path, artifacts.VERDICT)
