@@ -15,7 +15,6 @@ from .capture import (
     PacketRecord,
     SessionConfig,
     Transport,
-    check_local_connectivity,
     parse_capture,
     parse_capture_with_notes,
     parse_endpoint,

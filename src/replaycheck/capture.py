@@ -265,11 +265,3 @@ def segment_flows(records: list[PacketRecord], config: SessionConfig) -> list[Fl
         flows.append(Flow(tuple(requests), tuple(responses)))
     return flows
 
-
-def check_local_connectivity(records: list[PacketRecord]) -> bool:
-    """True iff the capture contains any app/device traffic at all.
-
-    When this fails there is nothing on the local network to assess and
-    the pipeline stops before training.
-    """
-    return len(records) > 0

@@ -23,6 +23,7 @@ import click
 from . import __version__, artifacts
 from .artifacts import ArtifactError
 from .capture import SessionConfig, parse_capture, parse_endpoint
+from .features import DIMENSIONS
 from .models import IsolationForestModel, LofModel
 from .pcap import PcapError
 from .protocols import ResponseClass
@@ -247,6 +248,11 @@ def detect(queue_path, model_path, capture_path, app, device, report_out, device
     except PcapError as exc:
         _fail(f"{capture_path}: {exc}")
     try:
+        if model is not None:
+            model.check_width(DIMENSIONS)
+    except ValueError as exc:
+        _fail(f"{model_path}: {exc}")
+    try:
         verdict = decide(queue, records, model, settings.detection_config())
     except ValueError as exc:
         _fail(exc, EXIT_NO_MODEL)
@@ -279,7 +285,7 @@ def detect(queue_path, model_path, capture_path, app, device, report_out, device
 @main.command()
 @click.option("--behavior", required=True, type=click.Choice([b.value for b in Behavior]), help="Simulated device profile to assess.")
 @click.option("--scenario", type=click.Choice(SCENARIOS), default=SCENARIO_NON_RESTART, show_default=True)
-@click.option("--reps", type=int, default=50, show_default=True, help="Capture/replay repetitions.")
+@click.option("--reps", type=click.IntRange(min=1), default=50, show_default=True, help="Capture/replay repetitions.")
 @click.option("--device-seed", type=int, default=0, show_default=True)
 @click.option("--port", type=int, default=0, help="Device port (default: OS-assigned).")
 @click.option("--rekey-on-restart/--no-rekey-on-restart", default=True, show_default=True, help="Whether the session_key profile rotates its key on restart.")

@@ -116,6 +116,13 @@ class LofModel:
     def cutoff(self) -> float:
         return self.threshold
 
+    def check_width(self, dimensions: int) -> None:
+        """Raise ValueError unless the model scores dimensions-wide vectors."""
+        if self.mean.shape[0] != dimensions:
+            raise ValueError(
+                f"model expects {self.mean.shape[0]}-dimension vectors, not {dimensions}"
+            )
+
     def score(self, query: FeatureVector | Sequence[float] | np.ndarray) -> float:
         """LOF of a query against the trained model; higher is more anomalous.
 
@@ -290,6 +297,14 @@ class IsolationForestModel:
     def cutoff(self) -> float:
         return self.anomaly_cutoff
 
+    def check_width(self, dimensions: int) -> None:
+        """Raise ValueError unless every split reads a feature below dimensions."""
+        widest = max(_widest_split(tree) for tree in self.trees)
+        if widest >= dimensions:
+            raise ValueError(
+                f"model splits on feature {widest}, vectors have {dimensions} dimensions"
+            )
+
     def score(self, query: FeatureVector | Sequence[float] | np.ndarray) -> float:
         """Anomaly score 2^(-E[path length]/c(subsample)), in (0, 1]."""
         row = query.as_array() if isinstance(query, FeatureVector) else np.asarray(query, dtype=np.float64)
@@ -332,6 +347,13 @@ def _check_tree(node) -> None:
         raise ValueError("isolation tree node is neither a leaf nor a split")
     _check_tree(node["l"])
     _check_tree(node["r"])
+
+
+def _widest_split(node: dict) -> int:
+    """Largest feature index a split in the tree reads; -1 for a lone leaf."""
+    if "f" not in node:
+        return -1
+    return max(node["f"], _widest_split(node["l"]), _widest_split(node["r"]))
 
 
 def _grow_tree(matrix: np.ndarray, rng: np.random.Generator, depth: int, limit: int) -> dict:

@@ -19,7 +19,6 @@ from .capture import (
     Flow,
     PacketRecord,
     SessionConfig,
-    check_local_connectivity,
     parse_capture,
     parse_capture_with_notes,
     segment_flows,
@@ -146,6 +145,15 @@ class TrainedDetector:
         return sum(len(flow.responses) for flow in self.flows)
 
 
+def require_local_traffic(records: list[PacketRecord], session: SessionConfig) -> None:
+    """Stop before training or replay when the capture holds no app/device
+    traffic: there is nothing on the local network to assess."""
+    if not records:
+        raise NoLocalConnectivityError(
+            f"no traffic between {session.app} and {session.device} in the capture"
+        )
+
+
 def train_from_capture(
     capture: bytes,
     session: SessionConfig,
@@ -154,10 +162,7 @@ def train_from_capture(
     """Learn legitimate response behavior from a command-session capture."""
     settings = settings or PipelineSettings()
     records, notes = parse_capture_with_notes(capture, session)
-    if not check_local_connectivity(records):
-        raise NoLocalConnectivityError(
-            f"no traffic between {session.app} and {session.device} in the capture"
-        )
+    require_local_traffic(records, session)
     flows = segment_flows(records, session)
     responses = [record for flow in flows for record in flow.responses]
     model: NoveltyModel | None = None
@@ -203,10 +208,7 @@ def attack_from_capture(
     """
     settings = settings or PipelineSettings()
     records = parse_capture(capture, session)
-    if not check_local_connectivity(records):
-        raise NoLocalConnectivityError(
-            f"no traffic between {session.app} and {session.device} in the capture"
-        )
+    require_local_traffic(records, session)
     flows = segment_flows(records, session)
     result = run_attack(flows, target or session.device, settings.replay_config())
     return result, records

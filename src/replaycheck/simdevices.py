@@ -538,16 +538,18 @@ _ENGINES = {
 # ---------------------------------------------------------------------------
 
 
-class _DeviceServer(threading.Thread):
-    def __init__(self, device: "SimulatedDevice", port: int):
-        super().__init__(daemon=True)
-        self.device = device
-        self.stop_event = threading.Event()
-        kind = (
-            socket.SOCK_STREAM
-            if device.profile.transport == Transport.TCP
-            else socket.SOCK_DGRAM
-        )
+class _LoopbackServer:
+    """One thread serving a loopback TCP or UDP socket until stop().
+
+    new_handler() is called once per TCP connection (once in all for UDP)
+    and returns handle(data) -> (responses, close_connection). TCP
+    connections are served one at a time, in accept order. The thread
+    blocks in select on its socket plus a wakeup socket whose other end
+    stop() closes, so stopping never waits out a poll.
+    """
+
+    def __init__(self, transport: Transport, port: int, new_handler):
+        kind = socket.SOCK_STREAM if transport == Transport.TCP else socket.SOCK_DGRAM
         self.sock = socket.socket(socket.AF_INET, kind)
         self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -558,76 +560,63 @@ class _DeviceServer(threading.Thread):
             self.sock.close()
             raise SpawnError(f"cannot bind 127.0.0.1:{port}: {exc}") from exc
         self.port = self.sock.getsockname()[1]
+        self._new_handler = new_handler
+        self._wake, self._waker = socket.socketpair()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
 
-    def run(self):
-        if self.device.profile.transport == Transport.TCP:
-            self._serve_tcp()
-        else:
-            self._serve_udp()
+    def _readable(self, sock: socket.socket) -> bool:
+        """Block until sock is readable (True) or stop() is called (False)."""
+        readable, _, _ = select.select([sock, self._wake], [], [])
+        return self._wake not in readable
 
-    def _serve_tcp(self):
-        while not self.stop_event.is_set():
-            readable, _, _ = select.select([self.sock], [], [], 0.05)
-            if not readable:
-                continue
-            try:
-                connection, _ = self.sock.accept()
-            except OSError:
-                break
-            self._serve_connection(connection)
-        self.sock.close()
+    @staticmethod
+    def _send(responses: list[bytes], send) -> None:
+        for index, response in enumerate(responses):
+            if index:
+                time.sleep(_RESPONSE_SPACING_S)
+            send(response)
 
-    def _serve_connection(self, connection: socket.socket):
-        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        session = _Session(self.device.engine)
+    def _serve(self):
         try:
-            while not self.stop_event.is_set():
-                readable, _, _ = select.select([connection], [], [], 0.05)
-                if not readable:
-                    continue
-                data = connection.recv(65536)
-                if not data:
-                    break
-                with self.device.lock:
-                    responses = session.feed(data)
-                for index, response in enumerate(responses):
-                    if index:
-                        time.sleep(_RESPONSE_SPACING_S)
-                    connection.sendall(response)
-                if session.close_connection:
-                    break
+            if self.sock.type == socket.SOCK_STREAM:
+                while self._readable(self.sock):
+                    connection, _ = self.sock.accept()
+                    with connection:
+                        self._serve_connection(connection)
+            else:
+                handle = self._new_handler()
+                while self._readable(self.sock):
+                    data, address = self.sock.recvfrom(65536)
+                    responses, _ = handle(data)
+                    try:
+                        self._send(responses, lambda r: self.sock.sendto(r, address))
+                    except OSError:
+                        pass
         except OSError:
             pass
         finally:
-            connection.close()
-
-    def _serve_udp(self):
-        while not self.stop_event.is_set():
-            readable, _, _ = select.select([self.sock], [], [], 0.05)
-            if not readable:
-                continue
-            try:
-                data, address = self.sock.recvfrom(65536)
-            except OSError:
-                break
-            with self.device.lock:
-                responses = self.device.engine.handle_message(data, None)
-            for index, response in enumerate(responses):
-                if index:
-                    time.sleep(_RESPONSE_SPACING_S)
-                try:
-                    self.sock.sendto(response, address)
-                except OSError:
-                    break
-        self.sock.close()
-
-    def stop(self):
-        self.stop_event.set()
-        self.join(timeout=2.0)
-        try:
             self.sock.close()
+            self._wake.close()
+
+    def _serve_connection(self, connection: socket.socket):
+        handle = self._new_handler()
+        try:
+            connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            while self._readable(connection):
+                data = connection.recv(65536)
+                if not data:
+                    return
+                responses, close_connection = handle(data)
+                self._send(responses, connection.sendall)
+                if close_connection:
+                    return
         except OSError:
             pass
+
+    def stop(self):
+        self._waker.close()
+        self._thread.join(timeout=2.0)
 
 
 class _CompanionClient:
@@ -699,10 +688,21 @@ class SimulatedDevice:
         self.companion_sequence = 0  # silent-profile anti-replay counter
         self._clock_us = 0
         self.engine = _ENGINES[profile.behavior](self)
-        self._server = _DeviceServer(self, profile.port)
-        self._server.start()
+        self._server = _LoopbackServer(profile.transport, profile.port, self._new_handler)
         self.endpoint = Endpoint("127.0.0.1", self._server.port)
         self.closed = False
+
+    def _new_handler(self):
+        """TCP connections feed a framing session; UDP datagrams go whole."""
+        session = _Session(self.engine) if self.profile.transport == Transport.TCP else None
+
+        def handle(data: bytes) -> tuple[list[bytes], bool]:
+            with self.lock:
+                if session is None:
+                    return self.engine.handle_message(data, None), False
+                return session.feed(data), session.close_connection
+
+        return handle
 
     # -- companion plumbing --------------------------------------------------
     def next_serial(self) -> str:
@@ -811,8 +811,7 @@ def restart_device(device: SimulatedDevice) -> None:
         with device.lock:
             device.state = DeviceState.REVERSE
             device.engine.reset_volatile()
-        device._server = _DeviceServer(device, port)
-        device._server.start()
+        device._server = _LoopbackServer(device.profile.transport, port, device._new_handler)
     time.sleep(device.profile.post_restart_delay_s)
 
 
@@ -911,66 +910,15 @@ class ScriptedResponder:
         self.script = dict(script)
         self.transport = transport
         self.received: list[bytes] = []
-        self.stop_event = threading.Event()
-        kind = socket.SOCK_STREAM if transport == Transport.TCP else socket.SOCK_DGRAM
-        self.sock = socket.socket(socket.AF_INET, kind)
-        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.sock.bind(("127.0.0.1", port))
-        if transport == Transport.TCP:
-            self.sock.listen(8)
-        self.endpoint = Endpoint("127.0.0.1", self.sock.getsockname()[1])
-        self.thread = threading.Thread(target=self._serve, daemon=True)
-        self.thread.start()
+        self._server = _LoopbackServer(transport, port, lambda: self._handle)
+        self.endpoint = Endpoint("127.0.0.1", self._server.port)
 
-    def _respond(self, send, request: bytes):
+    def _handle(self, request: bytes) -> tuple[list[bytes], bool]:
         self.received.append(request)
-        for index, response in enumerate(self.script.get(request, [])):
-            if index:
-                time.sleep(_RESPONSE_SPACING_S)
-            send(response)
-
-    def _serve(self):
-        if self.transport == Transport.UDP:
-            while not self.stop_event.is_set():
-                readable, _, _ = select.select([self.sock], [], [], 0.05)
-                if not readable:
-                    continue
-                try:
-                    data, address = self.sock.recvfrom(65536)
-                except OSError:
-                    break
-                self._respond(lambda r: self.sock.sendto(r, address), data)
-        else:
-            while not self.stop_event.is_set():
-                readable, _, _ = select.select([self.sock], [], [], 0.05)
-                if not readable:
-                    continue
-                try:
-                    connection, _ = self.sock.accept()
-                except OSError:
-                    break
-                try:
-                    while not self.stop_event.is_set():
-                        readable, _, _ = select.select([connection], [], [], 0.05)
-                        if not readable:
-                            continue
-                        data = connection.recv(65536)
-                        if not data:
-                            break
-                        self._respond(connection.sendall, data)
-                except OSError:
-                    pass
-                finally:
-                    connection.close()
-        self.sock.close()
+        return self.script.get(request, []), False
 
     def shutdown(self):
-        self.stop_event.set()
-        self.thread.join(timeout=2.0)
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        self._server.stop()
 
     def __enter__(self):
         return self

@@ -12,13 +12,13 @@ from replaycheck.capture import (
     PacketRecord,
     SessionConfig,
     Transport,
-    check_local_connectivity,
     classify_direction,
     parse_capture,
     parse_capture_with_notes,
     parse_endpoint,
     segment_flows,
 )
+from replaycheck.pipeline import NoLocalConnectivityError, require_local_traffic
 
 APP = Endpoint("10.77.0.2", 38200)
 DEV = Endpoint("127.0.0.1", 40000)
@@ -180,10 +180,11 @@ class TestParseCapture:
         data = pcap.write_capture([])
         records = parse_capture(data, CONFIG)
         assert records == []
-        assert check_local_connectivity(records) is False
+        with pytest.raises(NoLocalConnectivityError):
+            require_local_traffic(records, CONFIG)
 
     def test_connectivity_with_any_record(self):
-        assert check_local_connectivity([rec(0, APP, DEV, b"x")]) is True
+        require_local_traffic([rec(0, APP, DEV, b"x")], CONFIG)
 
     def test_notes_summary_counts_frames(self):
         data = capture_of((0, APP, DEV, b"x", pcap.PROTO_TCP, 1))

@@ -7,6 +7,7 @@ the conftest factory and answer on loopback.
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -14,6 +15,7 @@ import replaycheck
 from replaycheck import artifacts
 from replaycheck.capture import SessionConfig, parse_capture
 from replaycheck.cli import main
+from replaycheck.models import train_lof
 from replaycheck.replay import QueueEntry, ResponseQueue
 from replaycheck.simdevices import (
     DEFAULT_APP_ENDPOINT,
@@ -394,6 +396,38 @@ class TestMalformedInput:
         )
         assert_bad_input(result, paths[bad])
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            train_lof(np.arange(15, dtype=float).reshape(5, 3) ** 2).to_dict(),
+            {
+                "kind": "isolation_forest",
+                "trees": [{"f": 24, "t": 0.5, "l": {"n": 1}, "r": {"n": 1}}],
+                "subsample": 2,
+                "seed": 0,
+                "anomaly_cutoff": 0.6,
+            },
+        ],
+        ids=["lof-3-dimensions", "forest-split-on-feature-24"],
+    )
+    def test_detect_model_for_another_feature_width(self, tmp_path, body):
+        capture = tmp_path / "attack.pcap"
+        capture.write_bytes(records_to_capture([]))
+        queue_path, model_path = tmp_path / "queue.json", tmp_path / "model.json"
+        write_queue(queue_path, QueueEntry(0.01, 0, b"some reply"))
+        artifacts.write(model_path, artifacts.MODEL, body)
+        result = invoke(
+            [
+                "detect",
+                "--queue", str(queue_path),
+                "--model", str(model_path),
+                "--attack-capture", str(capture),
+                "--app", APP,
+                "--device", "127.0.0.1:9",
+            ]
+        )
+        assert_bad_input(result, model_path)
+
 
 class TestAssess:
     def run_assess(self, tmp_path, behavior, *extra):
@@ -451,8 +485,9 @@ class TestAssess:
 
     def test_zero_reps_is_an_error(self, tmp_path):
         result = invoke(["assess", "--behavior", "silent", "--reps", "0", *FAST_FLAGS])
-        assert result.exit_code != 0
-        assert isinstance(result.exception, ValueError)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--reps'" in result.stderr
 
 
 class TestSimulate:

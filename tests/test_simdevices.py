@@ -1,8 +1,11 @@
 """Simulated-device harness tests: state machines, replay semantics of each
 behavior, restart handling, and capture synthesis."""
 
+import gc
 import json
+import os
 import socket
+import statistics
 import time
 
 import pytest
@@ -16,6 +19,7 @@ from replaycheck.simdevices import (
     Behavior,
     DeviceProfile,
     DeviceState,
+    ScriptedResponder,
     SpawnError,
     TriggerError,
     companion_session,
@@ -90,14 +94,26 @@ class TestSpawn:
         assert device.endpoint.address == "127.0.0.1"
         assert device.endpoint.port > 0
 
-    def test_busy_port_raises_spawn_error(self, device_factory):
-        holder = socket.socket()
+    @pytest.mark.parametrize(
+        "transport, serve",
+        [
+            (Transport.TCP, lambda port: spawn_device(
+                DeviceProfile(behavior=Behavior.CLEARTEXT_ECHO, port=port))),
+            (Transport.TCP, lambda port: ScriptedResponder({}, Transport.TCP, port)),
+            (Transport.UDP, lambda port: ScriptedResponder({}, Transport.UDP, port)),
+        ],
+        ids=["device", "tcp_responder", "udp_responder"],
+    )
+    def test_busy_port_raises_spawn_error(self, transport, serve):
+        kind = socket.SOCK_STREAM if transport == Transport.TCP else socket.SOCK_DGRAM
+        holder = socket.socket(socket.AF_INET, kind)
         holder.bind(("127.0.0.1", 0))
-        holder.listen(1)
+        if transport == Transport.TCP:
+            holder.listen(1)
         port = holder.getsockname()[1]
         try:
             with pytest.raises(SpawnError):
-                spawn_device(DeviceProfile(behavior=Behavior.CLEARTEXT_ECHO, port=port))
+                serve(port)
         finally:
             holder.close()
 
@@ -237,6 +253,36 @@ class TestRestart:
         before = device.inspect_secrets()["signing_secret"]
         restart_device(device)
         assert device.inspect_secrets()["signing_secret"] == before
+
+    @pytest.mark.parametrize("behavior", [Behavior.CLEARTEXT_ECHO, Behavior.SILENT])
+    def test_zero_delay_restart_is_immediate(self, device_factory, behavior):
+        """Stopping the server never waits out a poll, so a restart costs
+        only the modelled boot delay (here none)."""
+        device = device_factory(behavior, post_restart_delay_s=0)
+        timings = []
+        for _ in range(5):
+            start = time.perf_counter()
+            restart_device(device)
+            timings.append(time.perf_counter() - start)
+        assert statistics.median(timings) < 0.025
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_restarts_and_shutdowns_leak_no_descriptors(self):
+        gc.collect()  # sockets other tests dropped must not close mid-count
+        before = len(os.listdir("/proc/self/fd"))
+        for behavior in (Behavior.CLEARTEXT_ECHO, Behavior.SILENT):
+            with spawn_device(default_profile(behavior, post_restart_delay_s=0)) as device:
+                for _ in range(20):
+                    trigger_state(device, DeviceState.OBVERSE)
+                    restart_device(device)
+        for _ in range(20):
+            with ScriptedResponder({b"ping": [b"pong"]}, Transport.TCP) as responder:
+                endpoint = (responder.endpoint.address, responder.endpoint.port)
+                with socket.create_connection(endpoint, timeout=1.0) as client:
+                    client.sendall(b"ping")
+                    assert client.recv(16) == b"pong"
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestCleartextEchoReplay:
