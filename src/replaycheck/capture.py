@@ -10,9 +10,9 @@ replay engine works with.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO
 
 from . import pcap
 
@@ -28,7 +28,6 @@ class Direction(Enum):
     UNRELATED = "unrelated"
 
 
-_PROTO_FOR = {Transport.TCP: pcap.PROTO_TCP, Transport.UDP: pcap.PROTO_UDP}
 _TRANSPORT_FOR = {pcap.PROTO_TCP: Transport.TCP, pcap.PROTO_UDP: Transport.UDP}
 
 
@@ -86,7 +85,6 @@ class SessionConfig:
 
     app: Endpoint
     device: Endpoint
-    transport_filter: Transport | None = None
 
     def __post_init__(self):
         if self.app == self.device:
@@ -139,34 +137,32 @@ class CaptureNotes:
         return ", ".join(parts)
 
 
-def classify_direction(record: PacketRecord, config: SessionConfig) -> Direction:
-    if record.src == config.app and record.dst == config.device:
+def classify_direction(src: Endpoint, dst: Endpoint, config: SessionConfig) -> Direction:
+    if src == config.app and dst == config.device:
         return Direction.REQUEST
-    if record.src == config.device and record.dst == config.app:
+    if src == config.device and dst == config.app:
         return Direction.RESPONSE
     return Direction.UNRELATED
 
 
-def iter_records(
-    frames: Iterable[tuple[int, bytes]],
-    config: SessionConfig,
-    notes: CaptureNotes | None = None,
-) -> Iterator[PacketRecord]:
-    """Pull-based record stream over (timestamp_us, frame) pairs.
+def parse_capture_with_notes(
+    capture: bytes | BinaryIO, config: SessionConfig
+) -> tuple[list[PacketRecord], CaptureNotes]:
+    """parse_capture plus the diagnostics collected along the way.
 
-    This is the live-source entry point: any iterable of raw frames works,
-    not just a pcap file. The first frame (matched or not) defines the
-    capture epoch. Identical TCP retransmissions (same endpoints, same
-    sequence number, same payload) are dropped on the fly.
+    The first frame (matched or not) defines the capture epoch. Identical
+    TCP retransmissions (same endpoints, same sequence number, same
+    payload) are dropped.
     """
-    notes = notes if notes is not None else CaptureNotes()
+    notes = CaptureNotes()
+    records: list[PacketRecord] = []
     epoch: int | None = None
     seen_tcp: set[tuple[Endpoint, Endpoint, int, bytes]] = set()
     # Highest sequence byte seen so far per direction, to flag captures in
     # which several connections were merged into one record stream.
     seq_high: dict[tuple[Endpoint, Endpoint], int] = {}
 
-    for ts_us, frame in frames:
+    for ts_us, frame in pcap.read_frames(capture):
         notes.frames_total += 1
         if epoch is None:
             epoch = ts_us
@@ -178,19 +174,13 @@ def iter_records(
         if transport is None:
             notes.frames_skipped += 1
             continue
-        if config.transport_filter is not None and transport != config.transport_filter:
-            notes.frames_skipped += 1
-            continue
         try:
             src = Endpoint(segment.src_addr, segment.src_port)
             dst = Endpoint(segment.dst_addr, segment.dst_port)
         except ValueError:
             notes.frames_skipped += 1
             continue
-        if not (
-            (src == config.app and dst == config.device)
-            or (src == config.device and dst == config.app)
-        ):
+        if classify_direction(src, dst, config) == Direction.UNRELATED:
             notes.frames_skipped += 1
             continue
         if not segment.payload:
@@ -215,15 +205,7 @@ def iter_records(
             payload=segment.payload,
         )
         notes.records_matched += 1
-        yield record
-
-
-def parse_capture_with_notes(
-    capture: bytes | BinaryIO, config: SessionConfig
-) -> tuple[list[PacketRecord], CaptureNotes]:
-    """parse_capture plus the diagnostics collected along the way."""
-    notes = CaptureNotes()
-    records = list(iter_records(pcap.read_frames(capture), config, notes))
+        records.append(record)
     records.sort(key=lambda r: r.timestamp)  # stable; upholds ordering invariant
     return records, notes
 
@@ -249,7 +231,7 @@ def segment_flows(records: list[PacketRecord], config: SessionConfig) -> list[Fl
     requests: list[PacketRecord] = []
     responses: list[PacketRecord] = []
     for record in records:
-        direction = classify_direction(record, config)
+        direction = classify_direction(record.src, record.dst, config)
         if direction == Direction.UNRELATED:
             continue
         if direction == Direction.REQUEST:

@@ -38,6 +38,7 @@ from .pipeline import (
     train_from_capture,
 )
 from .simdevices import (
+    DEFAULT_APP_ENDPOINT,
     Behavior,
     companion_session,
     default_profile,
@@ -144,6 +145,8 @@ def train(capture_path, app, device, model_out, config_path, **overrides):
         _fail(f"{capture_path}: {exc}")
     except NoLocalConnectivityError as exc:
         _fail(exc, EXIT_NO_CONNECTIVITY)
+    except ValueError as exc:  # a model parameter the trainer rejects
+        _fail(exc)
     body = detector.model.to_dict() if detector.model is not None else {"kind": "none"}
     artifacts.write(model_out, artifacts.MODEL, body)
     click.echo(
@@ -304,7 +307,10 @@ def assess(behavior, scenario, reps, device_seed, port, rekey_on_restart, post_r
     )
     with spawn_device(profile) as device:
         click.echo(f"assessing {behavior} at {device.endpoint}, scenario {scenario}, {reps} reps")
-        result = assess_device(device, scenario, reps, settings)
+        try:
+            result = assess_device(device, scenario, reps, settings)
+        except ValueError as exc:  # a model parameter the trainer rejects
+            _fail(exc)
     call = "VULNERABLE" if result.vulnerable else "NOT VULNERABLE"
     click.echo(f"{call}: {result.device_id} under {scenario}")
     click.echo(f"verdict accuracy against observed device state: {result.accuracy:.3f}")
@@ -343,7 +349,7 @@ def simulate(behavior, port, device_seed, rekey_on_restart, training_capture_out
             Path(training_capture_out).write_bytes(capture)
             click.echo(
                 f"training capture written to {training_capture_out} "
-                f"(app endpoint 10.77.0.2:38200)"
+                f"(app endpoint {DEFAULT_APP_ENDPOINT})"
             )
         try:
             if duration is not None:

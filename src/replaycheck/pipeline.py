@@ -82,6 +82,10 @@ class PipelineSettings:
             raise ValueError(
                 f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}"
             )
+        # Both configs check their own fields; building them here turns a bad
+        # timing or window into an error at load time, before any work runs.
+        self.replay_config()
+        self.detection_config()
 
     def replay_config(self) -> ReplayConfig:
         return ReplayConfig(

@@ -34,17 +34,19 @@ __all__ = [
 ]
 
 _RECV_CHUNK = 65536
-_POLL_INTERVAL = 0.02
 
 
 @dataclass(frozen=True)
 class ReplayConfig:
-    """Timing knobs for the replay engine (all in milliseconds)."""
+    """Timing knobs for the replay engine (all in milliseconds).
 
-    per_flow_response_timeout_ms: int = 2000
-    inter_request_delay_ms: int = 50
-    inter_flow_delay_ms: int = 200
-    connect_timeout_ms: int = 1000
+    The defaults live in PipelineSettings; build one with its replay_config().
+    """
+
+    per_flow_response_timeout_ms: int
+    inter_request_delay_ms: int
+    inter_flow_delay_ms: int
+    connect_timeout_ms: int
 
     def __post_init__(self):
         for name in (
@@ -197,11 +199,10 @@ def replay_flow(
             if sent == len(payloads) and now - last_event >= timeout_s:
                 break
 
-            wait = _POLL_INTERVAL
             if sent < len(payloads):
-                wait = min(wait, max(send_times[sent] - now, 0.0))
+                wait = max(send_times[sent] - now, 0.0)
             else:
-                wait = min(wait, max(last_event + timeout_s - now, 0.0))
+                wait = max(last_event + timeout_s - now, 0.0)
             try:
                 readable, _, _ = select.select([sock], [], [], wait)
             except OSError as exc:
@@ -229,7 +230,7 @@ def replay_flow(
 
 
 def run_attack(
-    flows: list[Flow], device: Endpoint, config: ReplayConfig | None = None
+    flows: list[Flow], device: Endpoint, config: ReplayConfig
 ) -> AttackResult:
     """Replay every flow (newest first) and merge responses into one queue.
 
@@ -237,7 +238,6 @@ def run_attack(
     keep replay order. Each entry is tagged with its source flow's index
     in the original capture order.
     """
-    config = config or ReplayConfig()
     ordered = schedule(flows)
     attack_started = time.monotonic()
     entries: list[QueueEntry] = []

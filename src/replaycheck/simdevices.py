@@ -133,12 +133,12 @@ _RESPONSE_SPACING_S = 0.008  # keeps consecutive responses in separate segments
 _COMPANION_TIMEOUT_S = 3.0
 
 
-def _json_line(obj) -> bytes:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True).encode() + b"\n"
-
-
 def _canonical(obj) -> bytes:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True).encode()
+
+
+def _json_line(obj) -> bytes:
+    return _canonical(obj) + b"\n"
 
 
 def _keystream(key: bytes, length: int) -> bytes:
@@ -651,7 +651,7 @@ class _CompanionClient:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TriggerError("device did not answer the companion in time")
-            readable, _, _ = select.select([self.sock], [], [], min(remaining, 0.1))
+            readable, _, _ = select.select([self.sock], [], [], remaining)
             if not readable:
                 continue
             data = self.sock.recv(65536)

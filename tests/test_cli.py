@@ -429,6 +429,60 @@ class TestMalformedInput:
         assert_bad_input(result, model_path)
 
 
+INVALID_SETTINGS = [
+    ("train", ["--lof-k", "0"], "k must be"),
+    ("train", ["--lof-threshold", "1.0"], "threshold must"),
+    ("train", ["--model-kind", "isolation_forest", "--trees", "0"], "trees must"),
+    ("train", ["--model-kind", "isolation_forest", "--anomaly-cutoff", "1.5"], "anomaly_cutoff"),
+    ("train", ["--model-kind", "isolation_forest", "--subsample", "1"], "subsample"),
+    ("attack", ["--response-timeout-ms", "0"], "per_flow_response_timeout_ms"),
+    ("assess", ["--lof-k", "0"], "k must be"),
+    ("assess", ["--model-kind", "isolation_forest", "--subsample", "50"], "subsample"),
+    ("detect", ["--response-window", "0"], "response_window"),
+]
+
+
+class TestInvalidSettings:
+    """Every setting a check rejects is exit 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "command, flags, reason",
+        INVALID_SETTINGS,
+        ids=["-".join([command] + [f.lstrip("-") for f in flags]) for command, flags, _ in INVALID_SETTINGS],
+    )
+    def test_exits_2_without_traceback(self, device_factory, tmp_path, command, flags, reason):
+        device = device_factory(Behavior.CLEARTEXT_ECHO)
+        if command == "train":
+            result, _ = run_train(device, tmp_path, *flags)
+        elif command == "attack":
+            result, _, _ = run_attack(device, tmp_path, *flags)
+        elif command == "assess":
+            args = ["assess", "--behavior", "cleartext_echo", "--reps", "1", *FAST_FLAGS]
+            result = invoke([*args, *flags])
+        else:
+            # Valid inputs, so the window is the only thing wrong.
+            queue, model = tmp_path / "queue.json", tmp_path / "model.json"
+            write_queue(queue)
+            write_none_model(model)
+            result = invoke(
+                [
+                    "detect",
+                    "--queue", str(queue),
+                    "--model", str(model),
+                    "--attack-capture", write_attack_capture(device, tmp_path / "a.pcap"),
+                    "--app", APP,
+                    "--device", str(device.endpoint),
+                    *flags,
+                ]
+            )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = [line for line in result.stderr.splitlines() if line.lower().startswith("error:")]
+        assert len(errors) == 1, result.stderr
+        assert reason in errors[0]
+
+
 class TestAssess:
     def run_assess(self, tmp_path, behavior, *extra):
         report_out = tmp_path / "assessment.json"

@@ -2,9 +2,12 @@
 captures of each profile, and short assessment loops."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import replaycheck
 from replaycheck import artifacts
 from replaycheck.artifacts import ArtifactError
 from replaycheck.capture import Endpoint, SessionConfig
@@ -37,6 +40,20 @@ def session_for(device):
     return SessionConfig(app=APP, device=device.endpoint)
 
 
+def test_package_root_is_the_readme_surface():
+    """The root exports README's library import block, plus Endpoint (which
+    a SessionConfig needs) and __version__; the rest lives in submodules."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    library_use = readme.split("## Library use", 1)[1]
+    block = re.search(r"from replaycheck import \((.*?)\)", library_use, re.S).group(1)
+    documented = {name.strip() for name in block.split(",") if name.strip()}
+    assert len(documented) == 9
+    assert set(replaycheck.__all__) == documented | {"Endpoint", "__version__"}
+    assert len(replaycheck.__all__) == 11
+    for name in replaycheck.__all__:
+        assert getattr(replaycheck, name) is not None
+
+
 class TestSettings:
     def test_defaults(self):
         settings = PipelineSettings()
@@ -48,6 +65,13 @@ class TestSettings:
     def test_unknown_model_kind_rejected(self):
         with pytest.raises(ValueError):
             PipelineSettings(model_kind="autoencoder")
+
+    @pytest.mark.parametrize(
+        "field", ["per_flow_response_timeout_ms", "connect_timeout_ms", "response_window"]
+    )
+    def test_replay_and_detection_fields_checked_at_construction(self, field):
+        with pytest.raises(ValueError, match=field):
+            PipelineSettings(**{field: 0})
 
     def test_file_then_overrides(self, tmp_path):
         config = tmp_path / "settings.json"

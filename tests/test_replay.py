@@ -1,7 +1,7 @@
 """Replay engine tests over real loopback sockets."""
 
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from replaycheck import artifacts
 from replaycheck.artifacts import ArtifactError
 from replaycheck.capture import Endpoint, Flow, PacketRecord, Transport
+from replaycheck.pipeline import PipelineSettings
 from replaycheck.replay import (
     FlowReplayReport,
     QueueEntry,
@@ -55,15 +56,17 @@ class TestSchedule:
 
 class TestReplayConfig:
     def test_defaults(self):
-        config = ReplayConfig()
+        config = PipelineSettings().replay_config()
         assert config.per_flow_response_timeout_ms == 2000
         assert config.inter_request_delay_ms == 50
+        assert config.inter_flow_delay_ms == 200
+        assert config.connect_timeout_ms == 1000
 
     def test_positive_required(self):
         with pytest.raises(ValueError):
-            ReplayConfig(per_flow_response_timeout_ms=0)
+            replace(FAST, per_flow_response_timeout_ms=0)
         with pytest.raises(ValueError):
-            ReplayConfig(inter_flow_delay_ms=-5)
+            replace(FAST, inter_flow_delay_ms=-5)
 
 
 class TestReplayFlow:
