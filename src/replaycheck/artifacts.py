@@ -114,6 +114,8 @@ def _decode_transcript(body: dict) -> dict:
         if not isinstance(flow, dict):
             raise TypeError("field 'flows' must hold objects")
         _checked(flow, _FLOW_FIELDS)
+        if "expected_responses" in flow:  # transcripts written before it was recorded lack it
+            _checked(flow, dict(expected_responses=int))
     return body
 
 

@@ -400,10 +400,11 @@ def report(path):
         click.echo(f"attack transcript: {len(value['flows'])} flows replayed")
         for item in value["flows"]:
             note = f" ({item['note']})" if item.get("note") else ""
+            expected = f" of {item['expected_responses']} captured" if "expected_responses" in item else ""
             click.echo(
                 f"  position {item['scheduled_position']} <- capture flow "
                 f"{item['original_index']}: {len(item['request_lengths'])} requests, "
-                f"{item['response_count']} responses{note}"
+                f"{item['response_count']}{expected} responses{note}"
             )
     elif schema == artifacts.VERDICT:
         click.echo(

@@ -33,6 +33,8 @@ __all__ = [
     "InsufficientTrainingError",
     "train_lof",
     "train_isolation_forest",
+    "check_lof_parameters",
+    "check_forest_parameters",
     "classify",
     "DEFAULT_LOF_K",
     "DEFAULT_LOF_THRESHOLD",
@@ -209,6 +211,14 @@ def _lrd_from_neighbors(
     return len(neighbors) / total
 
 
+def check_lof_parameters(k: int, threshold: float) -> None:
+    """Raise ValueError for LOF parameters no training set could use."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if threshold <= 1.0:
+        raise ValueError("threshold must exceed 1, the LOF inlier level")
+
+
 def train_lof(
     training: Sequence[FeatureVector] | Sequence[Sequence[float]] | np.ndarray,
     k: int = DEFAULT_LOF_K,
@@ -227,10 +237,7 @@ def train_lof(
         raise InsufficientTrainingError(
             f"need at least 2 training vectors, got {n}"
         )
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if threshold <= 1.0:
-        raise ValueError("threshold must exceed 1, the LOF inlier level")
+    check_lof_parameters(k, threshold)
     k_eff = min(k, n - 1)
 
     mean = matrix.mean(axis=0)
@@ -378,6 +385,21 @@ def _grow_tree(matrix: np.ndarray, rng: np.random.Generator, depth: int, limit: 
     }
 
 
+def check_forest_parameters(
+    trees: int, subsample: int | None, anomaly_cutoff: float
+) -> None:
+    """Raise ValueError for forest parameters no training set could use.
+
+    The trainer also bounds subsample by the training-set size.
+    """
+    if trees < 1:
+        raise ValueError("trees must be >= 1")
+    if not 0.0 < anomaly_cutoff < 1.0:
+        raise ValueError("anomaly_cutoff must lie in (0, 1)")
+    if subsample is not None and subsample < 2:
+        raise ValueError(f"subsample must be >= 2, got {subsample}")
+
+
 def train_isolation_forest(
     training: Sequence[FeatureVector] | Sequence[Sequence[float]] | np.ndarray,
     trees: int = DEFAULT_TREES,
@@ -395,13 +417,10 @@ def train_isolation_forest(
         raise InsufficientTrainingError(
             f"need at least 2 training vectors, got {n}"
         )
-    if trees < 1:
-        raise ValueError("trees must be >= 1")
-    if not 0.0 < anomaly_cutoff < 1.0:
-        raise ValueError("anomaly_cutoff must lie in (0, 1)")
+    check_forest_parameters(trees, subsample, anomaly_cutoff)
     if subsample is None:
         subsample = min(MAX_SUBSAMPLE, n)
-    if not 2 <= subsample <= n:
+    if subsample > n:
         raise ValueError(f"subsample must be in [2, {n}], got {subsample}")
 
     rng = np.random.default_rng(seed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 from .capture import (
@@ -30,6 +31,8 @@ from .models import (
     DEFAULT_LOF_THRESHOLD,
     DEFAULT_TREES,
     NoveltyModel,
+    check_forest_parameters,
+    check_lof_parameters,
     train_isolation_forest,
     train_lof,
 )
@@ -158,32 +161,39 @@ def require_local_traffic(records: list[PacketRecord], session: SessionConfig) -
         )
 
 
+def _checked_trainer(settings: PipelineSettings):
+    """The trainer the settings select, bound to their model parameters.
+
+    The parameters are checked here, before any capture is read, so a bad
+    one is an error even when the capture holds too few responses to train.
+    """
+    if settings.model_kind == "lof":
+        check_lof_parameters(settings.lof_k, settings.lof_threshold)
+        return partial(train_lof, k=settings.lof_k, threshold=settings.lof_threshold)
+    check_forest_parameters(settings.trees, settings.subsample, settings.anomaly_cutoff)
+    return partial(
+        train_isolation_forest,
+        trees=settings.trees,
+        subsample=settings.subsample,
+        seed=settings.seed,
+        anomaly_cutoff=settings.anomaly_cutoff,
+    )
+
+
 def train_from_capture(
     capture: bytes,
     session: SessionConfig,
     settings: PipelineSettings | None = None,
 ) -> TrainedDetector:
     """Learn legitimate response behavior from a command-session capture."""
-    settings = settings or PipelineSettings()
+    train = _checked_trainer(settings or PipelineSettings())
     records, notes = parse_capture_with_notes(capture, session)
     require_local_traffic(records, session)
     flows = segment_flows(records, session)
     responses = [record for flow in flows for record in flow.responses]
     model: NoveltyModel | None = None
     if len(responses) >= 2:
-        vectors = [featurize(record.payload) for record in responses]
-        if settings.model_kind == "lof":
-            model = train_lof(
-                vectors, k=settings.lof_k, threshold=settings.lof_threshold
-            )
-        else:
-            model = train_isolation_forest(
-                vectors,
-                trees=settings.trees,
-                subsample=settings.subsample,
-                seed=settings.seed,
-                anomaly_cutoff=settings.anomaly_cutoff,
-            )
+        model = train([featurize(record.payload) for record in responses])
     return TrainedDetector(
         model=model,
         response_class=classify_training_responses(flows),

@@ -7,6 +7,13 @@ never gated on responses; whatever the device sends back is collected
 into one queue ordered by arrival time. Network failures are recorded,
 never raised: a dead or refusing device is itself a finding.
 
+The capture is the evidence for how long to listen. Once a flow has
+drawn as many responses as the capture shows for it, collection ends
+after the capture's own largest response gap (the linger) instead of
+the full per-flow window. A flow the capture shows unanswered, or one
+still short of its count, keeps the full window: concluding that a
+device stayed silent needs it.
+
 Source addresses are not spoofed: replay traffic originates from this
 host. None of the simulated profiles key on source identity, but a real
 device that does would see the difference.
@@ -29,6 +36,7 @@ __all__ = [
     "FlowReplayReport",
     "AttackResult",
     "schedule",
+    "capture_linger_s",
     "replay_flow",
     "run_attack",
 ]
@@ -114,6 +122,7 @@ class FlowReplayReport:
     original_index: int
     transport: Transport
     request_lengths: tuple[int, ...]
+    expected_responses: int  # the capture's response count for this flow
     response_count: int
     note: str = ""
 
@@ -127,6 +136,21 @@ class AttackResult:
 def schedule(flows: list[Flow]) -> list[Flow]:
     """Replay order: exact reverse of capture order (last flow first)."""
     return list(reversed(flows))
+
+
+def capture_linger_s(flows: list[Flow], config: ReplayConfig) -> float:
+    """How long collection lingers once a flow's captured responses arrived.
+
+    The largest gap between consecutive records inside any captured flow
+    (last request to first response, and response to response), capped
+    at the full per-flow window.
+    """
+    gaps = [0]
+    for flow in flows:
+        if flow.responses:
+            stamps = [flow.requests[-1].timestamp] + [r.timestamp for r in flow.responses]
+            gaps.extend(later - earlier for earlier, later in zip(stamps, stamps[1:]))
+    return min(max(gaps) / 1e6, config.per_flow_response_timeout_ms / 1000.0)
 
 
 def _open_socket(
@@ -153,14 +177,21 @@ def _open_socket(
 
 
 def replay_flow(
-    flow: Flow, device: Endpoint, transport: Transport, config: ReplayConfig
+    flow: Flow,
+    device: Endpoint,
+    transport: Transport,
+    config: ReplayConfig,
+    linger_s: float | None = None,
 ) -> tuple[list[tuple[float, bytes]], str]:
     """Send one flow's requests to the device and collect what comes back.
 
     A fresh connection (TCP) or ephemeral-port socket (UDP) is used per
     call. Requests go out inter_request_delay apart without waiting for
-    responses; collection stops per_flow_response_timeout after the last
-    send or last arrival, whichever is later, or when the peer closes.
+    responses. Collection stops when the peer closes, or after a quiet
+    period following the last send or last arrival, whichever is later.
+    The quiet period is per_flow_response_timeout, shortened to linger_s
+    once every request is sent and at least len(flow.responses) responses
+    have arrived. linger_s defaults to capture_linger_s([flow], config).
 
     Returns (responses, note): responses are (monotonic timestamp,
     payload) in arrival order; note is non-empty when the connection
@@ -171,8 +202,11 @@ def replay_flow(
         return [], note
 
     payloads = [record.payload for record in flow.requests]
+    expected = len(flow.responses)
     delay_s = config.inter_request_delay_ms / 1000.0
     timeout_s = config.per_flow_response_timeout_ms / 1000.0
+    if linger_s is None:
+        linger_s = capture_linger_s([flow], config)
 
     responses: list[tuple[float, bytes]] = []
     note = ""
@@ -196,13 +230,13 @@ def replay_flow(
                 last_event = time.monotonic()
                 continue
 
-            if sent == len(payloads) and now - last_event >= timeout_s:
-                break
-
             if sent < len(payloads):
                 wait = max(send_times[sent] - now, 0.0)
             else:
-                wait = max(last_event + timeout_s - now, 0.0)
+                evidenced = expected and len(responses) >= expected
+                wait = last_event + (linger_s if evidenced else timeout_s) - now
+                if wait <= 0:
+                    break
             try:
                 readable, _, _ = select.select([sock], [], [], wait)
             except OSError as exc:
@@ -239,13 +273,14 @@ def run_attack(
     in the original capture order.
     """
     ordered = schedule(flows)
+    linger_s = capture_linger_s(flows, config)
     attack_started = time.monotonic()
     entries: list[QueueEntry] = []
     reports: list[FlowReplayReport] = []
     for position, flow in enumerate(ordered):
         original_index = len(flows) - 1 - position
         transport = flow.requests[0].transport
-        responses, note = replay_flow(flow, device, transport, config)
+        responses, note = replay_flow(flow, device, transport, config, linger_s)
         entries.extend(
             QueueEntry(
                 timestamp=ts - attack_started,
@@ -260,6 +295,7 @@ def run_attack(
                 original_index=original_index,
                 transport=transport,
                 request_lengths=tuple(len(r.payload) for r in flow.requests),
+                expected_responses=len(flow.responses),
                 response_count=len(responses),
                 note=note,
             )

@@ -31,7 +31,7 @@ FIELD_NAMES = [
     "kind", "k", "k_eff", "threshold", "standardization", "mean", "std", "points",
     "k_distance", "lrd", "trees", "subsample", "seed", "anomaly_cutoff", "f", "t",
     "l", "r", "n", "responses", "timestamp", "flow_index", "payload_b64", "flows",
-    "scheduled_position", "original_index", "request_lengths", "response_count",
+    "scheduled_position", "original_index", "request_lengths", "expected_responses", "response_count",
     "note", "device_id", "scenario", "outcome", "reason", "labels", "j", "vulnerable",
     "reps", "accuracy", "reason_counts",
 ]
@@ -62,7 +62,7 @@ VALID = {
     ],
     artifacts.QUEUE: [ResponseQueue((QueueEntry(0.5, 0, b"ack"),)).to_dict()],
     artifacts.TRANSCRIPT: [
-        {"flows": [asdict(FlowReplayReport(0, 1, Transport.TCP, (4, 8), 1, ""))]}
+        {"flows": [asdict(FlowReplayReport(0, 1, Transport.TCP, (4, 8), 2, 1, ""))]}
     ],
     artifacts.VERDICT: [
         {"outcome": "FAILED", "reason": "AllIrregular", "labels": ["irregular"],

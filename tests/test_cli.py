@@ -72,6 +72,16 @@ def assert_bad_input(result, path):
     assert lines[0].startswith(f"error: {path}: ")
 
 
+def assert_one_error(result, reason):
+    """Exit 2 with exactly one `error:` line naming reason, no traceback."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.stderr.splitlines() if line.lower().startswith("error:")]
+    assert len(errors) == 1, result.stderr
+    assert reason in errors[0]
+
+
 def run_train(device, tmp_path, *extra):
     capture = write_training_capture(device, tmp_path / "train.pcap")
     model_out = tmp_path / "model.json"
@@ -223,6 +233,11 @@ class TestAttack:
         transcript = json.loads(transcript_out.read_text())
         assert transcript["schema"] == "attack-transcript/1"
         assert len(transcript["flows"]) == 1
+        assert transcript["flows"][0]["expected_responses"] == 1
+        assert transcript["flows"][0]["response_count"] == 1
+        summary = invoke(["report", str(transcript_out)])
+        assert summary.exit_code == 0, summary.output
+        assert "1 of 1 captured responses" in summary.output
 
     def test_empty_queue_is_persisted(self, device_factory, tmp_path):
         # A silent device drops the stale replay; the queue file must
@@ -475,12 +490,26 @@ class TestInvalidSettings:
                     *flags,
                 ]
             )
-        assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert "Traceback" not in result.output
-        errors = [line for line in result.stderr.splitlines() if line.lower().startswith("error:")]
-        assert len(errors) == 1, result.stderr
-        assert reason in errors[0]
+        assert_one_error(result, reason)
+
+    @pytest.mark.parametrize("command", ["train", "assess"])
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--lof-k", "0"], "k must be"),
+            (["--model-kind", "isolation_forest", "--subsample", "1"], "subsample"),
+        ],
+        ids=["lof-k-0", "subsample-1"],
+    )
+    def test_checked_with_nothing_to_train_on(self, device_factory, tmp_path, command, flags, reason):
+        # A silent capture holds no responses, so no trainer runs.
+        if command == "train":
+            result, model_out = run_train(device_factory(Behavior.SILENT), tmp_path, *flags)
+            assert not model_out.exists()
+        else:
+            args = ["assess", "--behavior", "silent", "--reps", "1", *FAST_FLAGS]
+            result = invoke([*args, *flags])
+        assert_one_error(result, reason)
 
 
 class TestAssess:
@@ -618,7 +647,8 @@ class TestReport:
         result = invoke(["report", path])
         assert result.exit_code == 0
         assert "attack transcript: 1 flows replayed" in result.output
-        assert "position 0 <- capture flow 2" in result.output
+        # Written before flows recorded expected_responses; still summarized.
+        assert "position 0 <- capture flow 2: 2 requests, 1 responses" in result.output
 
     def test_describes_verdict_report(self, tmp_path):
         path = self.write(

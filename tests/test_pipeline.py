@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 import replaycheck
-from replaycheck import artifacts
+from replaycheck import artifacts, pipeline, replay
 from replaycheck.artifacts import ArtifactError
-from replaycheck.capture import Endpoint, SessionConfig
+from replaycheck.capture import Endpoint, Flow, SessionConfig
 from replaycheck.models import IsolationForestModel, LofModel
 from replaycheck.pipeline import (
     SCENARIO_NON_RESTART,
     SCENARIO_RESTART,
+    SCENARIOS,
     NoLocalConnectivityError,
     PipelineSettings,
     assess_device,
@@ -218,6 +219,31 @@ class TestAssessDevice:
         assert result.vulnerable is False
         assert result.model_kind is None
         assert {v.reason for v in result.verdicts} == {Reason.NO_RESPONSE}
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("behavior", list(Behavior), ids=lambda b: b.value)
+    def test_evidence_collection_gives_full_window_verdicts(
+        self, device_factory, fast_settings, monkeypatch, behavior, scenario
+    ):
+        """Ending a flow's collection on the capture's evidence changes no
+        verdict: a twin device spawned from the same seed, attacked with the
+        captured responses dropped from every flow (so every flow waits out
+        the full window), gets the same verdict and state on every rep."""
+        reps = 10
+        evidence = assess_device(
+            device_factory(behavior), scenario, reps=reps, settings=fast_settings
+        )
+
+        def full_window(flows, device, config):
+            return replay.run_attack([Flow(f.requests, ()) for f in flows], device, config)
+
+        monkeypatch.setattr(pipeline, "run_attack", full_window)
+        full = assess_device(
+            device_factory(behavior), scenario, reps=reps, settings=fast_settings
+        )
+        assert evidence.verdicts == full.verdicts
+        assert evidence.truths == full.truths
+        assert evidence.accuracy == 1.0
 
     def test_bad_scenario_rejected(self, device_factory):
         device = device_factory(Behavior.SILENT)

@@ -1,6 +1,7 @@
 """Replay engine tests over real loopback sockets."""
 
 import random
+import time
 from dataclasses import asdict, replace
 
 import pytest
@@ -15,6 +16,7 @@ from replaycheck.replay import (
     QueueEntry,
     ReplayConfig,
     ResponseQueue,
+    capture_linger_s,
     replay_flow,
     run_attack,
     schedule,
@@ -32,12 +34,25 @@ FAST = ReplayConfig(
 )
 
 
-def flow_of(*requests, transport=Transport.UDP, at=0):
+def flow_of(*requests, transport=Transport.UDP, at=0, responses=(), gap_us=1000):
+    """A captured flow; its responses follow the last request gap_us apart."""
     records = tuple(
         PacketRecord(at + i, APP, DEV, transport, payload)
         for i, payload in enumerate(requests)
     )
-    return Flow(records, ())
+    last = records[-1].timestamp
+    answers = tuple(
+        PacketRecord(last + (i + 1) * gap_us, DEV, APP, transport, payload)
+        for i, payload in enumerate(responses)
+    )
+    return Flow(records, answers)
+
+
+def timed_replay(flow, endpoint, config, **kwargs):
+    started = time.monotonic()
+    responses, note = replay_flow(flow, endpoint, Transport.UDP, config, **kwargs)
+    assert note == ""
+    return [p for _, p in responses], time.monotonic() - started
 
 
 class TestSchedule:
@@ -130,6 +145,68 @@ class TestReplayFlow:
         assert "connect" in note and "failed" in note
 
 
+WINDOW = replace(FAST, per_flow_response_timeout_ms=400)
+WINDOW_S = WINDOW.per_flow_response_timeout_ms / 1000
+
+
+class TestEvidenceCollection:
+    """Collection ends a linger after a flow's captured responses arrive."""
+
+    def test_linger_is_the_largest_gap_inside_any_flow(self):
+        flows = [
+            flow_of(b"a", responses=[b"A"], gap_us=3_000),
+            flow_of(b"b", at=10_000, responses=[b"B1", b"B2"], gap_us=7_000),
+            flow_of(b"c", at=50_000),  # unanswered: no gap to learn
+        ]
+        assert capture_linger_s(flows, WINDOW) == pytest.approx(0.007)
+        assert capture_linger_s(flows[2:], WINDOW) == 0.0
+        slow = flow_of(b"d", responses=[b"D"], gap_us=9_000_000)
+        assert capture_linger_s([slow], WINDOW) == WINDOW_S
+
+    def test_captured_responses_end_collection_well_inside_the_window(self):
+        with ScriptedResponder({b"ping": [b"pong"]}) as responder:
+            flow = flow_of(b"ping", responses=[b"pong"])
+            payloads, elapsed = timed_replay(flow, responder.endpoint, WINDOW)
+        assert payloads == [b"pong"]
+        assert elapsed < WINDOW_S / 4
+
+    def test_extra_response_within_the_linger_is_collected(self):
+        # The capture shows one response 80 ms after the request; the device
+        # now sends three, 8 ms apart. Each arrival restarts the linger.
+        with ScriptedResponder({b"burst": [b"one", b"two", b"three"]}) as responder:
+            flow = flow_of(b"burst", responses=[b"one"], gap_us=80_000)
+            payloads, elapsed = timed_replay(flow, responder.endpoint, WINDOW)
+        assert payloads == [b"one", b"two", b"three"]
+        assert elapsed < WINDOW_S
+
+    def test_linger_is_learned_from_the_whole_capture(self):
+        # The burst flow's own gap is 1 ms, too short for the device's 8 ms
+        # spacing; the other flow's 80 ms gap sets the linger for both.
+        script = {b"burst": [b"one", b"two"], b"slow": [b"s"]}
+        with ScriptedResponder(script) as responder:
+            flows = [
+                flow_of(b"burst", responses=[b"one"]),
+                flow_of(b"slow", at=10_000, responses=[b"s"], gap_us=80_000),
+            ]
+            result = run_attack(flows, responder.endpoint, WINDOW)
+        assert result.queue.payloads() == [b"s", b"one", b"two"]
+        assert [(r.expected_responses, r.response_count) for r in result.flows] == [(1, 1), (1, 2)]
+
+    def test_flow_without_captured_responses_waits_the_full_window(self):
+        # The device answers, but the capture gives no evidence it would.
+        with ScriptedResponder({b"ping": [b"pong"]}) as responder:
+            payloads, elapsed = timed_replay(flow_of(b"ping"), responder.endpoint, WINDOW)
+        assert payloads == [b"pong"]
+        assert elapsed >= WINDOW_S
+
+    def test_flow_short_of_its_captured_count_waits_the_full_window(self):
+        with ScriptedResponder({b"ping": [b"pong"]}) as responder:
+            flow = flow_of(b"ping", responses=[b"pong", b"more"])
+            payloads, elapsed = timed_replay(flow, responder.endpoint, WINDOW, linger_s=0.0)
+        assert payloads == [b"pong"]
+        assert elapsed >= WINDOW_S
+
+
 class TestRunAttack:
     def test_newest_flow_replayed_first(self):
         script = {b"F1": [b"R1"], b"F2": [b"R2"], b"F3": [b"R3"]}
@@ -153,6 +230,7 @@ class TestRunAttack:
                 [flow_of(b"ab", b"cdef")], responder.endpoint, FAST
             )
         assert result.flows[0].request_lengths == (2, 4)
+        assert result.flows[0].expected_responses == 0
         assert result.flows[0].response_count == 0
 
     def test_no_flows(self):
@@ -197,6 +275,7 @@ class TestArtifacts:
             original_index=2,
             transport=Transport.UDP,
             request_lengths=(4,),
+            expected_responses=1,
             response_count=0,
             note="",
         )
