@@ -112,19 +112,29 @@ class CaptureNotes:
     """Diagnostics from one parse, for operator-facing summaries."""
 
     frames_total: int = 0
-    frames_skipped: int = 0
+    frames_undecodable: int = 0  # link/IP/transport headers did not decode
+    frames_other_protocol: int = 0  # IP, but neither TCP nor UDP
+    frames_other_endpoints: int = 0  # not between the app and the device
     records_matched: int = 0
     zero_payload_dropped: int = 0
     retransmissions_dropped: int = 0
     sequence_regressions: int = 0
+
+    @property
+    def frames_skipped(self) -> int:
+        return self.frames_undecodable + self.frames_other_protocol + self.frames_other_endpoints
 
     def summary(self) -> str:
         parts = [
             f"{self.frames_total} frames",
             f"{self.records_matched} matched payload records",
         ]
-        if self.frames_skipped:
-            parts.append(f"{self.frames_skipped} undecodable/unrelated-layer frames")
+        if self.frames_undecodable:
+            parts.append(f"{self.frames_undecodable} undecodable frames")
+        if self.frames_other_protocol:
+            parts.append(f"{self.frames_other_protocol} non-TCP/UDP frames")
+        if self.frames_other_endpoints:
+            parts.append(f"{self.frames_other_endpoints} frames between other endpoints")
         if self.zero_payload_dropped:
             parts.append(f"{self.zero_payload_dropped} empty-payload segments dropped")
         if self.retransmissions_dropped:
@@ -168,20 +178,20 @@ def parse_capture_with_notes(
             epoch = ts_us
         segment = pcap.decode_frame(frame)
         if segment is None:
-            notes.frames_skipped += 1
+            if pcap.ip_protocol(frame) in (None, pcap.PROTO_TCP, pcap.PROTO_UDP):
+                notes.frames_undecodable += 1
+            else:
+                notes.frames_other_protocol += 1
             continue
-        transport = _TRANSPORT_FOR.get(segment.protocol)
-        if transport is None:
-            notes.frames_skipped += 1
-            continue
+        transport = _TRANSPORT_FOR[segment.protocol]
         try:
             src = Endpoint(segment.src_addr, segment.src_port)
             dst = Endpoint(segment.dst_addr, segment.dst_port)
         except ValueError:
-            notes.frames_skipped += 1
+            notes.frames_undecodable += 1
             continue
         if classify_direction(src, dst, config) == Direction.UNRELATED:
-            notes.frames_skipped += 1
+            notes.frames_other_endpoints += 1
             continue
         if not segment.payload:
             notes.zero_payload_dropped += 1
@@ -223,9 +233,11 @@ def parse_capture(capture: bytes | BinaryIO, config: SessionConfig) -> list[Pack
 def segment_flows(records: list[PacketRecord], config: SessionConfig) -> list[Flow]:
     """Split a record list into request-run/response-run flows.
 
-    A new flow begins at every request that follows a response (or at the
-    first request). Unrelated records are dropped, as are responses seen
-    before any request. Input must already be in timestamp order.
+    A new flow begins at every request that follows a response, or whose
+    transport differs from the current flow's (or at the first request),
+    so every request of a flow rides one transport. Unrelated records are
+    dropped, as are responses seen before any request. Input must already
+    be in timestamp order.
     """
     flows: list[Flow] = []
     requests: list[PacketRecord] = []
@@ -235,7 +247,7 @@ def segment_flows(records: list[PacketRecord], config: SessionConfig) -> list[Fl
         if direction == Direction.UNRELATED:
             continue
         if direction == Direction.REQUEST:
-            if responses:
+            if responses or (requests and record.transport != requests[0].transport):
                 flows.append(Flow(tuple(requests), tuple(responses)))
                 requests, responses = [], []
             requests.append(record)

@@ -150,6 +150,10 @@ def _ipv6_to_str(raw: bytes) -> str:
     return str(ipaddress.IPv6Address(raw))
 
 
+# IPv6 next-header values that open an extension header, not a transport.
+_IPV6_EXTENSION_HEADERS = frozenset({0, 43, 44, 60, 135, 139, 140, 253, 254})
+
+
 def decode_frame(frame: bytes) -> DecodedSegment | None:
     """Decode one Ethernet frame down to its transport payload.
 
@@ -157,17 +161,33 @@ def decode_frame(frame: bytes) -> DecodedSegment | None:
     IPv6 extension chains, non-TCP/UDP, or frames cut short by the snap
     length); the caller counts those as skips.
     """
+    packet = _ip_packet(frame)
+    return None if packet is None else _decode_transport(*packet)
+
+
+def ip_protocol(frame: bytes) -> int | None:
+    """The IP protocol number of a frame whose IP layer decodes, else None.
+
+    Tells a frame decode_frame skipped for its transport (ICMP, say)
+    from one whose link or IP layer is out of scope.
+    """
+    packet = _ip_packet(frame)
+    return None if packet is None else packet[1]
+
+
+def _ip_packet(frame: bytes) -> tuple[bytes, int, str, str] | None:
+    """(transport bytes, protocol, src, dst) of an unfragmented IP frame."""
     if len(frame) < ETHERNET_HEADER_LEN:
         return None
     ethertype = struct.unpack_from(">H", frame, 12)[0]
     if ethertype == ETHERTYPE_IPV4:
-        return _decode_ipv4(frame[ETHERNET_HEADER_LEN:])
+        return _ipv4_payload(frame[ETHERNET_HEADER_LEN:])
     if ethertype == ETHERTYPE_IPV6:
-        return _decode_ipv6(frame[ETHERNET_HEADER_LEN:])
+        return _ipv6_payload(frame[ETHERNET_HEADER_LEN:])
     return None
 
 
-def _decode_ipv4(packet: bytes) -> DecodedSegment | None:
+def _ipv4_payload(packet: bytes) -> tuple[bytes, int, str, str] | None:
     if len(packet) < 20:
         return None
     version_ihl = packet[0]
@@ -185,23 +205,25 @@ def _decode_ipv4(packet: bytes) -> DecodedSegment | None:
     dst = _ipv4_to_str(packet[16:20])
     if total_len < header_len or total_len > len(packet):
         return None
-    return _decode_transport(packet[header_len:total_len], protocol, src, dst)
+    return packet[header_len:total_len], protocol, src, dst
 
 
-def _decode_ipv6(packet: bytes) -> DecodedSegment | None:
+def _ipv6_payload(packet: bytes) -> tuple[bytes, int, str, str] | None:
     if len(packet) < 40:
         return None
     if packet[0] >> 4 != 6:
         return None
     payload_len = struct.unpack_from(">H", packet, 4)[0]
     next_header = packet[6]
+    # Extension-header chains are out of scope; only a direct upper-layer
+    # next-header is decoded.
+    if next_header in _IPV6_EXTENSION_HEADERS:
+        return None
     src = _ipv6_to_str(packet[8:24])
     dst = _ipv6_to_str(packet[24:40])
     if len(packet) < 40 + payload_len:
         return None
-    # Extension-header chains are out of scope; only a direct TCP/UDP
-    # next-header is decoded.
-    return _decode_transport(packet[40 : 40 + payload_len], next_header, src, dst)
+    return packet[40 : 40 + payload_len], next_header, src, dst
 
 
 def _decode_transport(

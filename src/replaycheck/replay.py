@@ -2,10 +2,16 @@
 
 Flows are replayed newest-first (a stack: the last flow captured is the
 first replayed), each on its own fresh connection to the device's
-original port. Requests inside a flow are paced by a fixed delay and
-never gated on responses; whatever the device sends back is collected
-into one queue ordered by arrival time. Network failures are recorded,
-never raised: a dead or refusing device is itself a finding.
+original port, one after another. Requests inside a flow are paced by a
+fixed delay and never gated on responses; whatever the device sends back
+is collected into one queue ordered by arrival time. Network failures
+are recorded, never raised: a dead or refusing device is itself a
+finding.
+
+One pacing rule spaces the flows: a flow starts once the previous
+flow's collection has ended and at least the inter-flow delay has
+passed since the previous flow's last request was due. The delay
+overlaps the previous flow's collection instead of adding to it.
 
 The capture is the evidence for how long to listen. Once a flow has
 drawn as many responses as the capture shows for it, collection ends
@@ -268,19 +274,30 @@ def run_attack(
 ) -> AttackResult:
     """Replay every flow (newest first) and merge responses into one queue.
 
-    Queue entries are ordered by arrival time; entries with equal stamps
-    keep replay order. Each entry is tagged with its source flow's index
-    in the original capture order.
+    A flow starts at whichever comes later: the end of the previous
+    flow's collection, or inter_flow_delay after the previous flow's last
+    request was due (its start plus inter_request_delay per request after
+    the first). Queue entries are ordered by arrival time; entries with
+    equal stamps keep replay order. Each entry is tagged with its source
+    flow's index in the original capture order.
     """
     ordered = schedule(flows)
     linger_s = capture_linger_s(flows, config)
+    request_delay_s = config.inter_request_delay_ms / 1000.0
+    flow_delay_s = config.inter_flow_delay_ms / 1000.0
     attack_started = time.monotonic()
+    next_start = attack_started
     entries: list[QueueEntry] = []
     reports: list[FlowReplayReport] = []
     for position, flow in enumerate(ordered):
+        pause = next_start - time.monotonic()
+        if pause > 0:
+            time.sleep(pause)
+        flow_started = time.monotonic()
         original_index = len(flows) - 1 - position
         transport = flow.requests[0].transport
         responses, note = replay_flow(flow, device, transport, config, linger_s)
+        next_start = flow_started + (len(flow.requests) - 1) * request_delay_s + flow_delay_s
         entries.extend(
             QueueEntry(
                 timestamp=ts - attack_started,
@@ -300,7 +317,5 @@ def run_attack(
                 note=note,
             )
         )
-        if position < len(ordered) - 1:
-            time.sleep(config.inter_flow_delay_ms / 1000.0)
     entries.sort(key=lambda e: e.timestamp)  # stable: replay order breaks ties
     return AttackResult(queue=ResponseQueue(tuple(entries)), flows=tuple(reports))

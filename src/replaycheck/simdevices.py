@@ -130,6 +130,7 @@ _EVENT_GAP_US = 1_700
 _COMMAND_GAP_US = 25_000
 
 _RESPONSE_SPACING_S = 0.008  # keeps consecutive responses in separate segments
+_RESPONSE_SPACING_US = round(_RESPONSE_SPACING_S * 1e6)
 _COMPANION_TIMEOUT_S = 3.0
 
 
@@ -709,9 +710,9 @@ class SimulatedDevice:
         self.serial += 1
         return f"{self.serial:06d}"
 
-    def _tick(self, gap_us: int = _EVENT_GAP_US) -> int:
+    def _tick(self) -> int:
         stamp = self._clock_us
-        self._clock_us += gap_us
+        self._clock_us += _EVENT_GAP_US
         return stamp
 
     def _exchange_records(self, target: DeviceState, app: Endpoint) -> list[PacketRecord]:
@@ -722,7 +723,12 @@ class SimulatedDevice:
         finally:
             client.close()
         records = []
+        follows_response = False
         for is_request, payload in exchange:
+            if follows_response and not is_request:
+                # the server sends a device's consecutive responses this far apart
+                self._clock_us += _RESPONSE_SPACING_US - _EVENT_GAP_US
+            follows_response = not is_request
             src, dst = (app, self.endpoint) if is_request else (self.endpoint, app)
             records.append(
                 PacketRecord(
@@ -896,7 +902,8 @@ class ScriptedResponder:
     """Maps exact request payloads to fixed response lists.
 
     Unknown requests get nothing. Each received payload is logged to
-    .received for replay-fidelity checks. UDP treats each datagram as one
+    .received, and its monotonic arrival time to .received_at, for
+    replay-fidelity and pacing checks. UDP treats each datagram as one
     request; TCP treats each recv chunk as one (good enough for a test
     double on loopback).
     """
@@ -910,10 +917,12 @@ class ScriptedResponder:
         self.script = dict(script)
         self.transport = transport
         self.received: list[bytes] = []
+        self.received_at: list[float] = []
         self._server = _LoopbackServer(transport, port, lambda: self._handle)
         self.endpoint = Endpoint("127.0.0.1", self._server.port)
 
     def _handle(self, request: bytes) -> tuple[list[bytes], bool]:
+        self.received_at.append(time.monotonic())
         self.received.append(request)
         return self.script.get(request, []), False
 

@@ -19,6 +19,8 @@ from replaycheck.capture import (
     segment_flows,
 )
 from replaycheck.pipeline import NoLocalConnectivityError, require_local_traffic
+from replaycheck.replay import run_attack
+from replaycheck.simdevices import ScriptedResponder
 
 APP = Endpoint("10.77.0.2", 38200)
 DEV = Endpoint("127.0.0.1", 40000)
@@ -120,6 +122,36 @@ class TestParseCapture:
         assert [r.payload for r in records] == [b"keep"]
         assert notes.frames_skipped == 2
 
+    def test_skipped_frames_counted_by_reason(self):
+        icmp = bytearray(frame(APP, DEV, b"ping"))
+        icmp[14 + 9] = 1
+        arp = b"\x02" * 12 + b"\x08\x06" + b"\x00" * 28
+        other = Endpoint("172.16.0.1", 1234)
+        data = pcap.write_capture([
+            (0, frame(APP, DEV, b"keep", seq=1)),
+            (10, arp),
+            (20, bytes(icmp)),
+            (30, frame(other, DEV, b"drop", seq=2)),
+        ])
+        records, notes = parse_capture_with_notes(data, CONFIG)
+        assert [r.payload for r in records] == [b"keep"]
+        assert (
+            notes.frames_undecodable,
+            notes.frames_other_protocol,
+            notes.frames_other_endpoints,
+        ) == (1, 1, 1)
+        assert notes.frames_skipped == 3
+        summary = notes.summary()
+        assert "1 undecodable frames" in summary
+        assert "1 non-TCP/UDP frames" in summary
+        assert "1 frames between other endpoints" in summary
+
+    def test_summary_names_only_reasons_that_occurred(self):
+        _, notes = parse_capture_with_notes(capture_of((0, APP, DEV, b"x")), CONFIG)
+        assert notes.frames_skipped == 0
+        assert "undecodable" not in notes.summary()
+        assert "other endpoints" not in notes.summary()
+
     def test_udp_datagram_and_bare_tcp_ack_yield_one_record(self):
         # a payload-bearing UDP datagram plus a zero-payload TCP segment
         data = capture_of(
@@ -217,6 +249,35 @@ class TestSegmentFlows:
             ([b"B1"], [b"B2", b"B3"]),
             ([b"C1", b"C2"], [b"C3"]),
         ]
+
+    def test_transport_change_starts_a_new_flow(self, fast_settings):
+        # {T1 | } {U1 | u1} {U2 | } {T2 | t2}: U1 and T2 follow a request
+        # on the other transport, U2 follows a response
+        tcp, udp = Transport.TCP, Transport.UDP
+        records = [
+            rec(0, APP, DEV, b"T1", tcp),
+            rec(1, APP, DEV, b"U1", udp),
+            rec(2, DEV, APP, b"u1", udp),
+            rec(3, APP, DEV, b"U2", udp),
+            rec(4, APP, DEV, b"T2", tcp),
+            rec(5, DEV, APP, b"t2", tcp),
+        ]
+        flows = segment_flows(records, CONFIG)
+        shape = [
+            ([r.payload for r in f.requests], [r.payload for r in f.responses])
+            for f in flows
+        ]
+        assert shape == [([b"T1"], []), ([b"U1"], [b"u1"]), ([b"U2"], []), ([b"T2"], [b"t2"])]
+        assert [{r.transport for r in f.requests} for f in flows] == [{tcp}, {udp}, {udp}, {tcp}]
+
+        with ScriptedResponder({b"U1": [b"u1"]}, transport=udp) as over_udp:
+            port = over_udp.endpoint.port
+            with ScriptedResponder({b"T2": [b"t2"]}, transport=tcp, port=port) as over_tcp:
+                result = run_attack(flows, over_udp.endpoint, fast_settings.replay_config())
+        assert over_udp.received == [b"U2", b"U1"]
+        assert b"".join(over_tcp.received) == b"T2T1"
+        assert [r.transport for r in result.flows] == [tcp, udp, udp, tcp]
+        assert sorted(result.queue.payloads()) == [b"t2", b"u1"]
 
     def test_trailing_unanswered_request_kept(self):
         flows = self.flows_of(("q", b"A"), ("r", b"B"), ("q", b"C"))

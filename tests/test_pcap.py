@@ -138,6 +138,22 @@ class TestDecodeFrame:
         frame[14 + 9] = 1  # ICMP
         assert pcap.decode_frame(bytes(frame)) is None
 
+    def test_ip_protocol_names_the_transport_of_a_decodable_ip_layer(self):
+        icmp = bytearray(tcp_frame())
+        icmp[14 + 9] = 1
+        fragment = bytearray(tcp_frame())
+        fragment[14 + 6] = 0x20
+        v6 = pcap.encode_frame("fd00::1", "fd00::2", 1, 2, pcap.PROTO_UDP, b"x")
+        v6_extension = bytearray(v6)
+        v6_extension[14 + 6] = 44  # fragment header
+        assert pcap.ip_protocol(tcp_frame()) == pcap.PROTO_TCP
+        assert pcap.ip_protocol(v6) == pcap.PROTO_UDP
+        assert pcap.ip_protocol(bytes(icmp)) == 1
+        assert pcap.ip_protocol(bytes(fragment)) is None
+        assert pcap.ip_protocol(bytes(v6_extension)) is None
+        assert pcap.decode_frame(bytes(v6_extension)) is None
+        assert pcap.ip_protocol(b"\x02" * 12 + b"\x08\x06" + b"\x00" * 28) is None
+
 
 class TestChecksums:
     def ones_complement_sum(self, data):

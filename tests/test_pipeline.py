@@ -3,6 +3,7 @@ captures of each profile, and short assessment loops."""
 
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -29,10 +30,12 @@ from replaycheck.simdevices import (
     Behavior,
     DeviceState,
     companion_session,
+    default_profile,
+    expected_vulnerable,
     query_state,
     trigger_state,
 )
-from replaycheck.verdict import Outcome, Reason
+from replaycheck.verdict import Outcome, Reason, decide
 
 APP = DEFAULT_APP_ENDPOINT
 
@@ -254,6 +257,49 @@ class TestAssessDevice:
         device = device_factory(Behavior.SILENT)
         with pytest.raises(ValueError, match="reps"):
             assess_device(device, SCENARIO_NON_RESTART, reps=0)
+
+
+class TestSessionReplay:
+    @pytest.mark.parametrize("behavior", list(Behavior), ids=lambda b: b.value)
+    def test_deadline_pacing_gives_trailing_sleep_results(
+        self, device_factory, fast_settings, monkeypatch, behavior
+    ):
+        """Pacing flows from the previous flow's last request changes no
+        verdict, device state or per-flow response count against a twin
+        device from the same seed whose every replay_flow call is followed
+        by the full inter-flow delay, as flows were paced before."""
+        reps = 3
+
+        def session_replay(device):
+            session = session_for(device)
+            capture = companion_session(device)
+            model = train_from_capture(capture, session, fast_settings).model
+            runs = []
+            for _ in range(reps):
+                trigger_state(device, DeviceState.REVERSE)
+                result, records = attack_from_capture(
+                    capture, session, device.endpoint, fast_settings
+                )
+                verdict = decide(result.queue, records, model, fast_settings.detection_config())
+                counts = [flow.response_count for flow in result.flows]
+                runs.append((verdict, query_state(device), counts))
+            return runs
+
+        deadline = session_replay(device_factory(behavior))
+        replay_flow = replay.replay_flow
+
+        def trailing_sleep(*args, **kwargs):
+            answer = replay_flow(*args, **kwargs)
+            time.sleep(fast_settings.inter_flow_delay_ms / 1000)
+            return answer
+
+        monkeypatch.setattr(replay, "replay_flow", trailing_sleep)
+        trailing = session_replay(device_factory(behavior))
+        assert deadline == trailing
+        vulnerable = expected_vulnerable(default_profile(behavior), restarted=False)
+        for verdict, state, _ in deadline:
+            assert (verdict.outcome == Outcome.SUCCESSFUL) == vulnerable
+            assert (state == DeviceState.OBVERSE) == vulnerable
 
 
 class TestAssessmentReport:

@@ -207,6 +207,59 @@ class TestEvidenceCollection:
         assert elapsed >= WINDOW_S
 
 
+PACED = replace(FAST, per_flow_response_timeout_ms=150, inter_request_delay_ms=15, inter_flow_delay_ms=60)
+FLOW_GAP_S = PACED.inter_flow_delay_ms / 1000
+SCHEDULING_TOLERANCE_S = 0.001
+
+
+def request_gaps(flows, endpoint_script):
+    """Replay flows; for each flow but the last in replay order, seconds from
+    its last request to the next flow's first, as the responder saw them
+    arrive, and how late that last request came after the flow's first."""
+    with ScriptedResponder(endpoint_script) as responder:
+        run_attack(flows, responder.endpoint, PACED)
+    arrivals = responder.received_at
+    sizes = [len(flow.requests) for flow in schedule(flows)]
+    assert len(arrivals) == sum(sizes)
+    gaps, first = [], 0
+    for size in sizes[:-1]:
+        last, first = first + size - 1, first + size
+        due = arrivals[first - size] + (size - 1) * PACED.inter_request_delay_ms / 1000
+        gaps.append((arrivals[first] - arrivals[last], max(arrivals[last] - due, 0.0)))
+    return gaps
+
+
+class TestPacing:
+    """A flow starts once the previous flow's collection has ended and the
+    inter-flow delay has passed since its last request was due. A last
+    request the host sent late shortens the gap by that lateness, which the
+    responder sees against the flow's first request."""
+
+    def test_flows_are_at_least_the_delay_apart(self):
+        script = {b"F1": [b"R1"], b"F2": [b"R2"], b"F3": [b"R3"]}
+        flows = [flow_of(name, responses=script[name]) for name in (b"F1", b"F2", b"F3")]
+        for gap, late in request_gaps(flows, script):
+            assert gap >= FLOW_GAP_S - SCHEDULING_TOLERANCE_S - late
+
+    def test_collection_longer_than_the_delay_is_followed_at_once(self):
+        # The newest flow shows no captured response, so it waits out the
+        # whole window; the delay has passed by then and adds nothing.
+        window_s = PACED.per_flow_response_timeout_ms / 1000
+        flows = [flow_of(b"answered", responses=[b"yes"]), flow_of(b"unanswered")]
+        ((gap, _),) = request_gaps(flows, {b"answered": [b"yes"]})
+        assert window_s <= gap < window_s + FLOW_GAP_S / 2
+
+    def test_delay_counts_from_the_last_request_of_a_flow(self):
+        # 45 ms from the first request to the last, less than the 60 ms delay
+        script = {b"c4": [b"C"], b"d": [b"D"]}
+        flows = [
+            flow_of(b"d", responses=[b"D"]),
+            flow_of(b"c1", b"c2", b"c3", b"c4", responses=[b"C"]),
+        ]
+        ((gap, late),) = request_gaps(flows, script)
+        assert gap >= FLOW_GAP_S - SCHEDULING_TOLERANCE_S - late
+
+
 class TestRunAttack:
     def test_newest_flow_replayed_first(self):
         script = {b"F1": [b"R1"], b"F2": [b"R2"], b"F3": [b"R3"]}

@@ -13,7 +13,9 @@ import pytest
 from replaycheck import pcap
 from replaycheck.capture import Endpoint, SessionConfig, Transport, parse_capture, segment_flows
 from replaycheck.protocols import detect_standard_security_protocol
+from replaycheck.replay import capture_linger_s
 from replaycheck.simdevices import (
+    _RESPONSE_SPACING_S,
     DEFAULT_APP_ENDPOINT,
     DEFAULT_TRAINING_SCRIPT,
     Behavior,
@@ -212,6 +214,27 @@ class TestCompanionSession:
                 port = device.endpoint.port  # second spawn reuses the first port
                 captures.append(companion_session(device))
         assert captures[0] == captures[1]
+
+    def test_consecutive_device_records_keep_the_servers_response_spacing(
+        self, device_factory, fast_settings, monkeypatch
+    ):
+        """A capture stamps a device's back-to-back responses as far apart as
+        the server sends them, so a linger learned from it collects both."""
+        device = device_factory(Behavior.CLEARTEXT_ECHO)
+        exchange = device.engine.companion_exchange
+
+        def answered_twice(client, target):
+            return exchange(client, target) + [(False, b"second\n")]
+
+        monkeypatch.setattr(device.engine, "companion_exchange", answered_twice)
+        capture = companion_session(device, script=(DeviceState.OBVERSE, DeviceState.REVERSE))
+        config = SessionConfig(app=DEFAULT_APP_ENDPOINT, device=device.endpoint)
+        flows = segment_flows(parse_capture(capture, config), config)
+        assert [len(f.responses) for f in flows] == [2, 2]
+        for flow in flows:
+            first, second = flow.responses
+            assert second.timestamp - first.timestamp >= 8_000
+        assert capture_linger_s(flows, fast_settings.replay_config()) >= _RESPONSE_SPACING_S
 
     def test_different_seed_different_capture(self):
         captures = []
