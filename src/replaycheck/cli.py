@@ -5,8 +5,9 @@ the all-in-one assess loop and a simulate helper that serves the
 built-in device profiles for manual experiments.
 
 Exit codes: 0 success, 10 device judged vulnerable (attack SUCCESSFUL),
-11 not vulnerable (attack FAILED), 2 usage error or a malformed artifact
-or capture, 3 the capture shows no traffic between the given endpoints,
+11 not vulnerable (attack FAILED), 2 usage error (a bad setting among
+them), a malformed artifact or capture, or a device port that cannot be
+bound, 3 the capture shows no traffic between the given endpoints,
 1 detect needed a model but none was trained.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import ipaddress
 import time
+from itertools import chain
 from dataclasses import asdict
 from pathlib import Path
 from typing import NoReturn
@@ -40,6 +42,7 @@ from .pipeline import (
 from .simdevices import (
     DEFAULT_APP_ENDPOINT,
     Behavior,
+    SpawnError,
     companion_session,
     default_profile,
     spawn_device,
@@ -53,36 +56,49 @@ EXIT_BAD_INPUT = 2
 EXIT_NO_CONNECTIVITY = 3
 
 
-def _settings_options(fn):
-    options = [
-        click.option(
-            "--config",
-            "config_path",
-            type=click.Path(exists=True, dir_okay=False),
-            default=None,
-            help="JSON settings file; explicit flags override its keys.",
-        ),
-        click.option("--model-kind", type=click.Choice(MODEL_KINDS), default=None),
-        click.option("--lof-k", type=int, default=None, help="LOF neighbor count."),
-        click.option("--lof-threshold", type=float, default=None),
-        click.option("--trees", type=int, default=None, help="Isolation forest size."),
-        click.option("--subsample", type=int, default=None),
-        click.option("--anomaly-cutoff", type=float, default=None),
-        click.option("--seed", type=int, default=None, help="Forest RNG seed."),
-        click.option(
-            "--response-window",
-            type=int,
-            default=None,
-            help="How many leading attack responses the model inspects.",
-        ),
-        click.option("--response-timeout-ms", "per_flow_response_timeout_ms", type=int, default=None),
-        click.option("--inter-request-delay-ms", type=int, default=None),
-        click.option("--inter-flow-delay-ms", type=int, default=None),
-        click.option("--connect-timeout-ms", type=int, default=None),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+# Each phase reads its own slice of the settings, and a command offers the
+# flags of the phases it runs. --config may hold any key: one file serves all.
+_CONFIG_OPTION = click.option(
+    "--config",
+    "config_path",
+    type=click.Path(exists=True, dir_okay=False),
+    default=None,
+    help="JSON settings file (any settings key); explicit flags override its keys.",
+)
+_MODEL_OPTIONS = (
+    click.option("--model-kind", type=click.Choice(MODEL_KINDS), default=None),
+    click.option("--lof-k", type=int, default=None, help="LOF neighbor count."),
+    click.option("--lof-threshold", type=float, default=None),
+    click.option("--trees", type=int, default=None, help="Isolation forest size."),
+    click.option("--subsample", type=int, default=None),
+    click.option("--anomaly-cutoff", type=float, default=None),
+    click.option("--seed", type=int, default=None, help="Forest RNG seed."),
+)
+_TIMING_OPTIONS = (
+    click.option("--response-timeout-ms", "per_flow_response_timeout_ms", type=int, default=None),
+    click.option("--inter-request-delay-ms", type=int, default=None),
+    click.option("--inter-flow-delay-ms", type=int, default=None),
+    click.option("--connect-timeout-ms", type=int, default=None),
+)
+_DETECTION_OPTIONS = (
+    click.option(
+        "--response-window",
+        type=int,
+        default=None,
+        help="How many leading attack responses the model inspects.",
+    ),
+)
+
+
+def _settings_options(*groups):
+    """--config plus the settings flags of the given option groups."""
+
+    def apply(fn):
+        for option in reversed((_CONFIG_OPTION, *chain(*groups))):
+            fn = option(fn)
+        return fn
+
+    return apply
 
 
 def _build_settings(config_path, **overrides):
@@ -107,6 +123,13 @@ def _fail(message: object, code: int = EXIT_BAD_INPUT) -> NoReturn:
     """One `error:` line on stderr, then exit; exit 2 is a malformed input."""
     click.echo(f"error: {message}", err=True)
     raise SystemExit(code)
+
+
+def _spawn(profile):
+    try:
+        return spawn_device(profile)
+    except SpawnError as exc:  # e.g. --port already in use
+        _fail(exc)
 
 
 def _guard_target(address: str, authorized: bool):
@@ -134,7 +157,7 @@ def main():
 @click.option("--app", required=True, help="Companion app endpoint in the capture, HOST:PORT.")
 @click.option("--device", required=True, help="Device endpoint in the capture, HOST:PORT.")
 @click.option("--model-out", required=True, type=click.Path(dir_okay=False), help="Where to write the trained model JSON.")
-@_settings_options
+@_settings_options(_MODEL_OPTIONS)
 def train(capture_path, app, device, model_out, config_path, **overrides):
     """Learn legitimate response behavior from a capture."""
     settings = _build_settings(config_path, **overrides)
@@ -145,7 +168,7 @@ def train(capture_path, app, device, model_out, config_path, **overrides):
         _fail(f"{capture_path}: {exc}")
     except NoLocalConnectivityError as exc:
         _fail(exc, EXIT_NO_CONNECTIVITY)
-    except ValueError as exc:  # a model parameter the trainer rejects
+    except ValueError as exc:  # a subsample larger than the training set
         _fail(exc)
     body = detector.model.to_dict() if detector.model is not None else {"kind": "none"}
     artifacts.write(model_out, artifacts.MODEL, body)
@@ -188,7 +211,7 @@ def train(capture_path, app, device, model_out, config_path, **overrides):
 @click.option("--queue-out", required=True, type=click.Path(dir_okay=False), help="Where to write the response queue JSON.")
 @click.option("--transcript-out", type=click.Path(dir_okay=False), default=None, help="Optional per-flow replay transcript JSON.")
 @click.option("--i-own-this-device", is_flag=True, help="Confirm authorization for a non-loopback target.")
-@_settings_options
+@_settings_options(_TIMING_OPTIONS)
 def attack(capture_path, app, device, target, queue_out, transcript_out, i_own_this_device, config_path, **overrides):
     """Replay captured command flows at a device, newest flow first."""
     settings = _build_settings(config_path, **overrides)
@@ -237,7 +260,7 @@ def attack(capture_path, app, device, target, queue_out, transcript_out, i_own_t
 @click.option("--report-out", type=click.Path(dir_okay=False), default=None, help="Optional verdict report JSON.")
 @click.option("--device-id", default=None, help="Identifier recorded in the report (default: device endpoint).")
 @click.option("--scenario", type=click.Choice(SCENARIOS), default=SCENARIO_NON_RESTART, show_default=True, help="Label recorded in the report.")
-@_settings_options
+@_settings_options(_DETECTION_OPTIONS)
 def detect(queue_path, model_path, capture_path, app, device, report_out, device_id, scenario, config_path, **overrides):
     """Judge an attack: exit 10 if it succeeded, 11 if it failed."""
     settings = _build_settings(config_path, **overrides)
@@ -290,11 +313,11 @@ def detect(queue_path, model_path, capture_path, app, device, report_out, device
 @click.option("--scenario", type=click.Choice(SCENARIOS), default=SCENARIO_NON_RESTART, show_default=True)
 @click.option("--reps", type=click.IntRange(min=1), default=50, show_default=True, help="Capture/replay repetitions.")
 @click.option("--device-seed", type=int, default=0, show_default=True)
-@click.option("--port", type=int, default=0, help="Device port (default: OS-assigned).")
+@click.option("--port", type=click.IntRange(0, 65535), default=0, help="Device port (default: OS-assigned).")
 @click.option("--rekey-on-restart/--no-rekey-on-restart", default=True, show_default=True, help="Whether the session_key profile rotates its key on restart.")
-@click.option("--post-restart-delay", type=float, default=1.0, show_default=True, help="Seconds to wait after each simulated restart.")
+@click.option("--post-restart-delay", type=click.FloatRange(min=0), default=1.0, show_default=True, help="Seconds to wait after each simulated restart.")
 @click.option("--report-out", type=click.Path(dir_okay=False), default=None, help="Optional assessment report JSON.")
-@_settings_options
+@_settings_options(_MODEL_OPTIONS, _TIMING_OPTIONS, _DETECTION_OPTIONS)
 def assess(behavior, scenario, reps, device_seed, port, rekey_on_restart, post_restart_delay, report_out, config_path, **overrides):
     """Full loop against a built-in simulated device; exit 10/11."""
     settings = _build_settings(config_path, **overrides)
@@ -305,11 +328,11 @@ def assess(behavior, scenario, reps, device_seed, port, rekey_on_restart, post_r
         rekey_on_restart=rekey_on_restart,
         post_restart_delay_s=post_restart_delay,
     )
-    with spawn_device(profile) as device:
+    with _spawn(profile) as device:
         click.echo(f"assessing {behavior} at {device.endpoint}, scenario {scenario}, {reps} reps")
         try:
             result = assess_device(device, scenario, reps, settings)
-        except ValueError as exc:  # a model parameter the trainer rejects
+        except ValueError as exc:  # a subsample larger than the training set
             _fail(exc)
     call = "VULNERABLE" if result.vulnerable else "NOT VULNERABLE"
     click.echo(f"{call}: {result.device_id} under {scenario}")
@@ -329,17 +352,17 @@ def assess(behavior, scenario, reps, device_seed, port, rekey_on_restart, post_r
 
 @main.command()
 @click.option("--behavior", required=True, type=click.Choice([b.value for b in Behavior]))
-@click.option("--port", type=int, default=0, help="Port to listen on (default: OS-assigned).")
+@click.option("--port", type=click.IntRange(0, 65535), default=0, help="Port to listen on (default: OS-assigned).")
 @click.option("--device-seed", type=int, default=0, show_default=True)
 @click.option("--rekey-on-restart/--no-rekey-on-restart", default=True, show_default=True)
 @click.option("--training-capture-out", type=click.Path(dir_okay=False), default=None, help="Run the default companion script and write it as pcap first.")
-@click.option("--duration", type=float, default=None, help="Seconds to keep serving (default: until Ctrl-C).")
+@click.option("--duration", type=click.FloatRange(min=0), default=None, help="Seconds to keep serving (default: until Ctrl-C).")
 def simulate(behavior, port, device_seed, rekey_on_restart, training_capture_out, duration):
     """Serve one simulated device for manual train/attack experiments."""
     profile = default_profile(
         Behavior(behavior), seed=device_seed, port=port, rekey_on_restart=rekey_on_restart
     )
-    with spawn_device(profile) as device:
+    with _spawn(profile) as device:
         click.echo(
             f"{behavior} device listening on {device.endpoint} "
             f"({profile.transport.value}), initial state reverse"

@@ -215,7 +215,7 @@ def check_lof_parameters(k: int, threshold: float) -> None:
     """Raise ValueError for LOF parameters no training set could use."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if threshold <= 1.0:
+    if not threshold > 1.0:  # also rejects NaN
         raise ValueError("threshold must exceed 1, the LOF inlier level")
 
 

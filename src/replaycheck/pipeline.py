@@ -58,6 +58,14 @@ from .verdict import (
 
 MODEL_KINDS = ("lof", "isolation_forest")
 
+# What each PipelineSettings annotation accepts, and how an error names it.
+_FIELD_TYPES = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "int | None": ((int, type(None)), "an integer or null"),
+}
+
 
 class NoLocalConnectivityError(RuntimeError):
     """The capture holds no traffic between the configured endpoints."""
@@ -65,7 +73,11 @@ class NoLocalConnectivityError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineSettings:
-    """Every tunable in one place; defaults match the documented values."""
+    """Every tunable in one place; defaults match the documented values.
+
+    Construction checks every field's type and range. Only the forest
+    trainer, which knows the training set, checks that subsample fits it.
+    """
 
     model_kind: str = "lof"
     lof_k: int = DEFAULT_LOF_K
@@ -81,12 +93,21 @@ class PipelineSettings:
     connect_timeout_ms: int = 1000
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            accepted, described = _FIELD_TYPES[field.type]
+            # bool is an int to Python, but True is never a count or a timing.
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(f"{field.name} must be {described}, got {value!r}")
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(
                 f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}"
             )
-        # Both configs check their own fields; building them here turns a bad
-        # timing or window into an error at load time, before any work runs.
+        # Every model parameter is checked whatever model_kind is: one file
+        # serves every phase, so a bad value is an error wherever it is read.
+        check_lof_parameters(self.lof_k, self.lof_threshold)
+        check_forest_parameters(self.trees, self.subsample, self.anomaly_cutoff)
+        # Both configs check their own fields.
         self.replay_config()
         self.detection_config()
 
@@ -161,16 +182,10 @@ def require_local_traffic(records: list[PacketRecord], session: SessionConfig) -
         )
 
 
-def _checked_trainer(settings: PipelineSettings):
-    """The trainer the settings select, bound to their model parameters.
-
-    The parameters are checked here, before any capture is read, so a bad
-    one is an error even when the capture holds too few responses to train.
-    """
+def _trainer(settings: PipelineSettings):
+    """The trainer the settings select, bound to their model parameters."""
     if settings.model_kind == "lof":
-        check_lof_parameters(settings.lof_k, settings.lof_threshold)
         return partial(train_lof, k=settings.lof_k, threshold=settings.lof_threshold)
-    check_forest_parameters(settings.trees, settings.subsample, settings.anomaly_cutoff)
     return partial(
         train_isolation_forest,
         trees=settings.trees,
@@ -186,7 +201,7 @@ def train_from_capture(
     settings: PipelineSettings | None = None,
 ) -> TrainedDetector:
     """Learn legitimate response behavior from a command-session capture."""
-    train = _checked_trainer(settings or PipelineSettings())
+    train = _trainer(settings or PipelineSettings())
     records, notes = parse_capture_with_notes(capture, session)
     require_local_traffic(records, session)
     flows = segment_flows(records, session)

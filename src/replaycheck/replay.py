@@ -11,7 +11,10 @@ finding.
 One pacing rule spaces the flows: a flow starts once the previous
 flow's collection has ended and at least the inter-flow delay has
 passed since the previous flow's last request was due. The delay
-overlaps the previous flow's collection instead of adding to it.
+overlaps the previous flow's collection instead of adding to it. It
+counts from when that request was due, not from when it went out: a
+send the host runs late shortens the gap the device sees by that
+lateness.
 
 The capture is the evidence for how long to listen. Once a flow has
 drawn as many responses as the capture shows for it, collection ends
@@ -187,7 +190,7 @@ def replay_flow(
     device: Endpoint,
     transport: Transport,
     config: ReplayConfig,
-    linger_s: float | None = None,
+    linger_s: float,
 ) -> tuple[list[tuple[float, bytes]], str]:
     """Send one flow's requests to the device and collect what comes back.
 
@@ -197,7 +200,7 @@ def replay_flow(
     period following the last send or last arrival, whichever is later.
     The quiet period is per_flow_response_timeout, shortened to linger_s
     once every request is sent and at least len(flow.responses) responses
-    have arrived. linger_s defaults to capture_linger_s([flow], config).
+    have arrived; run_attack passes capture_linger_s over the whole capture.
 
     Returns (responses, note): responses are (monotonic timestamp,
     payload) in arrival order; note is non-empty when the connection
@@ -211,8 +214,6 @@ def replay_flow(
     expected = len(flow.responses)
     delay_s = config.inter_request_delay_ms / 1000.0
     timeout_s = config.per_flow_response_timeout_ms / 1000.0
-    if linger_s is None:
-        linger_s = capture_linger_s([flow], config)
 
     responses: list[tuple[float, bytes]] = []
     note = ""
@@ -277,9 +278,10 @@ def run_attack(
     A flow starts at whichever comes later: the end of the previous
     flow's collection, or inter_flow_delay after the previous flow's last
     request was due (its start plus inter_request_delay per request after
-    the first). Queue entries are ordered by arrival time; entries with
-    equal stamps keep replay order. Each entry is tagged with its source
-    flow's index in the original capture order.
+    the first). A last request the host sent late therefore shortens the
+    gap by its lateness. Queue entries are ordered by arrival time;
+    entries with equal stamps keep replay order. Each entry is tagged with
+    its source flow's index in the original capture order.
     """
     ordered = schedule(flows)
     linger_s = capture_linger_s(flows, config)

@@ -270,9 +270,11 @@ class TestSegmentFlows:
         assert shape == [([b"T1"], []), ([b"U1"], [b"u1"]), ([b"U2"], []), ([b"T2"], [b"t2"])]
         assert [{r.transport for r in f.requests} for f in flows] == [{tcp}, {udp}, {udp}, {tcp}]
 
-        with ScriptedResponder({b"U1": [b"u1"]}, transport=udp) as over_udp:
-            port = over_udp.endpoint.port
-            with ScriptedResponder({b"T2": [b"t2"]}, transport=tcp, port=port) as over_tcp:
+        # TCP picks the port: a UDP-chosen one can still be held over TCP by an
+        # earlier test's connection in TIME_WAIT.
+        with ScriptedResponder({b"T2": [b"t2"]}, transport=tcp) as over_tcp:
+            port = over_tcp.endpoint.port
+            with ScriptedResponder({b"U1": [b"u1"]}, transport=udp, port=port) as over_udp:
                 result = run_attack(flows, over_udp.endpoint, fast_settings.replay_config())
         assert over_udp.received == [b"U2", b"U1"]
         assert b"".join(over_tcp.received) == b"T2T1"

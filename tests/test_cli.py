@@ -6,6 +6,7 @@ the conftest factory and answer on loopback.
 """
 
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -370,16 +371,14 @@ class TestMalformedInput:
         write_none_model(model_path)
         outputs = {
             "train": ["--capture", str(capture), "--model-out", str(model_path)],
-            "attack": ["--capture", str(capture), "--queue-out", str(queue_path)],
+            "attack": ["--capture", str(capture), "--queue-out", str(queue_path), *FAST_FLAGS],
             "detect": [
                 "--attack-capture", str(capture),
                 "--queue", str(queue_path),
                 "--model", str(model_path),
             ],
         }
-        result = invoke(
-            [command, "--app", APP, "--device", "127.0.0.1:9", *outputs[command], *FAST_FLAGS]
-        )
+        result = invoke([command, "--app", APP, "--device", "127.0.0.1:9", *outputs[command]])
         assert_bad_input(result, capture)
 
     @pytest.mark.parametrize(
@@ -457,6 +456,83 @@ INVALID_SETTINGS = [
 ]
 
 
+def run_command(command, device, tmp_path, *flags):
+    """Run one command on valid inputs, so only the given flags can be wrong.
+
+    attack runs at the library's real-device timings unless the flags set
+    faster ones.
+    """
+    if command == "train":
+        return run_train(device, tmp_path, *flags)[0]
+    if command == "attack":
+        capture = write_attack_capture(device, tmp_path / "attack.pcap")
+        return invoke(
+            [
+                "attack",
+                "--capture", capture,
+                "--app", APP,
+                "--device", str(device.endpoint),
+                "--queue-out", str(tmp_path / "queue.json"),
+                *flags,
+            ]
+        )
+    if command == "assess":
+        return invoke(["assess", "--behavior", "cleartext_echo", "--reps", "1", *FAST_FLAGS, *flags])
+    queue, model = tmp_path / "queue.json", tmp_path / "model.json"
+    write_queue(queue)
+    write_none_model(model)
+    return invoke(
+        [
+            "detect",
+            "--queue", str(queue),
+            "--model", str(model),
+            "--attack-capture", write_attack_capture(device, tmp_path / "a.pcap"),
+            "--app", APP,
+            "--device", str(device.endpoint),
+            *flags,
+        ]
+    )
+
+
+def write_config(tmp_path, **values):
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps(values))
+    return str(config)
+
+
+MODEL_SETTINGS = {"model_kind", "lof_k", "lof_threshold", "trees", "subsample", "anomaly_cutoff", "seed"}
+TIMING_SETTINGS = {
+    "per_flow_response_timeout_ms",
+    "inter_request_delay_ms",
+    "inter_flow_delay_ms",
+    "connect_timeout_ms",
+}
+# Valid values for all twelve keys, at the suite's fast loopback timings.
+ALL_SETTINGS = dict(
+    model_kind="lof",
+    lof_k=3,
+    lof_threshold=1.5,
+    trees=10,
+    subsample=8,
+    anomaly_cutoff=0.6,
+    seed=1,
+    response_window=3,
+    per_flow_response_timeout_ms=120,
+    inter_request_delay_ms=20,
+    inter_flow_delay_ms=30,
+    connect_timeout_ms=400,
+)
+MISTYPED_SETTINGS = [
+    ({"lof_k": "5"}, "lof_k must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"per_flow_response_timeout_ms": "x"}, "per_flow_response_timeout_ms must be an integer"),
+    ({"response_window": 2.5}, "response_window must be an integer"),
+    ({"lof_threshold": None}, "lof_threshold must be a number"),
+    ({"subsample": "all"}, "subsample must be an integer or null"),
+    ({"model_kind": ["lof"]}, "model_kind must be a string"),
+]
+
+
 class TestInvalidSettings:
     """Every setting a check rejects is exit 2 with one error line."""
 
@@ -466,31 +542,31 @@ class TestInvalidSettings:
         ids=["-".join([command] + [f.lstrip("-") for f in flags]) for command, flags, _ in INVALID_SETTINGS],
     )
     def test_exits_2_without_traceback(self, device_factory, tmp_path, command, flags, reason):
-        device = device_factory(Behavior.CLEARTEXT_ECHO)
-        if command == "train":
-            result, _ = run_train(device, tmp_path, *flags)
-        elif command == "attack":
-            result, _, _ = run_attack(device, tmp_path, *flags)
-        elif command == "assess":
-            args = ["assess", "--behavior", "cleartext_echo", "--reps", "1", *FAST_FLAGS]
-            result = invoke([*args, *flags])
-        else:
-            # Valid inputs, so the window is the only thing wrong.
-            queue, model = tmp_path / "queue.json", tmp_path / "model.json"
-            write_queue(queue)
-            write_none_model(model)
-            result = invoke(
-                [
-                    "detect",
-                    "--queue", str(queue),
-                    "--model", str(model),
-                    "--attack-capture", write_attack_capture(device, tmp_path / "a.pcap"),
-                    "--app", APP,
-                    "--device", str(device.endpoint),
-                    *flags,
-                ]
-            )
+        result = run_command(command, device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, *flags)
         assert_one_error(result, reason)
+
+    @pytest.mark.parametrize("command", ["train", "attack", "detect"])
+    @pytest.mark.parametrize(
+        "values, reason",
+        MISTYPED_SETTINGS,
+        ids=[next(iter(values)) for values, _ in MISTYPED_SETTINGS],
+    )
+    def test_mistyped_config_value_exits_2(self, device_factory, tmp_path, command, values, reason):
+        config = write_config(tmp_path, **{**ALL_SETTINGS, **values})
+        result = run_command(command, device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, "--config", config)
+        assert_one_error(result, reason)
+
+    def test_config_key_checked_by_a_command_that_does_not_read_it(self, device_factory, tmp_path):
+        device = device_factory(Behavior.CLEARTEXT_ECHO)
+        result = run_command("attack", device, tmp_path, "--config", write_config(tmp_path, trees=0))
+        assert_one_error(result, "trees must")
+        assert not (tmp_path / "queue.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "attack", "detect"])
+    def test_config_may_hold_every_key(self, device_factory, tmp_path, command):
+        config = write_config(tmp_path, **ALL_SETTINGS)
+        result = run_command(command, device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, "--config", config)
+        assert result.exit_code in (0, 10, 11), result.output
 
     @pytest.mark.parametrize("command", ["train", "assess"])
     @pytest.mark.parametrize(
@@ -510,6 +586,38 @@ class TestInvalidSettings:
             args = ["assess", "--behavior", "silent", "--reps", "1", *FAST_FLAGS]
             result = invoke([*args, *flags])
         assert_one_error(result, reason)
+
+
+class TestSettingsFlags:
+    """Each command offers --config and the settings flags of the phases it runs."""
+
+    def test_each_command_offers_only_the_settings_it_reads(self):
+        detection = {"response_window"}
+        expected = {
+            "train": MODEL_SETTINGS,
+            "attack": TIMING_SETTINGS,
+            "detect": detection,
+            "assess": MODEL_SETTINGS | TIMING_SETTINGS | detection,
+        }
+        for command, settings in expected.items():
+            names = {param.name for param in main.commands[command].params}
+            assert names & set(ALL_SETTINGS) == settings, command
+            assert "config_path" in names, command
+        assert sum(map(len, expected.values())) == 24
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("train", ["--inter-flow-delay-ms", "5"]),
+            ("attack", ["--lof-k", "3"]),
+            ("detect", ["--model-kind", "lof"]),
+            ("detect", ["--connect-timeout-ms", "5"]),
+        ],
+        ids=["train-inter-flow-delay-ms", "attack-lof-k", "detect-model-kind", "detect-connect-timeout-ms"],
+    )
+    def test_settings_flag_a_command_does_not_read_is_rejected(self, device_factory, tmp_path, command, flag):
+        result = run_command(command, device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, *flag)
+        assert_one_error(result, f"No such option '{flag[0]}'")
 
 
 class TestAssess:
@@ -595,6 +703,38 @@ class TestSimulate:
         )
         records = parse_capture(capture_out.read_bytes(), session)
         assert len(records) == 20
+
+
+DEVICE_COMMANDS = {
+    "assess": ["assess", "--behavior", "cleartext_echo", "--reps", "1", *FAST_FLAGS],
+    "simulate": ["simulate", "--behavior", "cleartext_echo", "--duration", "0"],
+}
+
+
+class TestDeviceFlags:
+    """A device flag that cannot be served is exit 2 with one error line."""
+
+    @pytest.mark.parametrize("command", DEVICE_COMMANDS)
+    def test_port_out_of_range(self, command):
+        result = invoke([*DEVICE_COMMANDS[command], "--port", "70000"])
+        assert_one_error(result, "Invalid value for '--port'")
+
+    @pytest.mark.parametrize("command", DEVICE_COMMANDS)
+    def test_busy_port(self, command):
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            port = busy.getsockname()[1]
+            result = invoke([*DEVICE_COMMANDS[command], "--port", str(port)])
+        assert_one_error(result, f"cannot bind 127.0.0.1:{port}")
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("assess", "--post-restart-delay"), ("simulate", "--duration")],
+    )
+    def test_negative_seconds(self, command, flag):
+        result = invoke([*DEVICE_COMMANDS[command], flag, "-1"])
+        assert_one_error(result, f"Invalid value for '{flag}'")
 
 
 class TestReport:

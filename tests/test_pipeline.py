@@ -77,6 +77,17 @@ class TestSettings:
         with pytest.raises(ValueError, match=field):
             PipelineSettings(**{field: 0})
 
+    @pytest.mark.parametrize("field", ["lof_k", "response_window", "inter_flow_delay_ms", "seed"])
+    def test_bool_is_not_an_integer(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got True"):
+            PipelineSettings(**{field: True})
+
+    def test_every_model_parameter_checked_whatever_the_kind(self):
+        with pytest.raises(ValueError, match="trees"):
+            PipelineSettings(model_kind="lof", trees=0)
+        with pytest.raises(ValueError, match="threshold"):
+            PipelineSettings(model_kind="isolation_forest", lof_threshold=float("nan"))
+
     def test_file_then_overrides(self, tmp_path):
         config = tmp_path / "settings.json"
         config.write_text(json.dumps({"lof_k": 7, "response_window": 4}))

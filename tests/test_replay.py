@@ -48,9 +48,9 @@ def flow_of(*requests, transport=Transport.UDP, at=0, responses=(), gap_us=1000)
     return Flow(records, answers)
 
 
-def timed_replay(flow, endpoint, config, **kwargs):
+def timed_replay(flow, endpoint, config, linger_s):
     started = time.monotonic()
-    responses, note = replay_flow(flow, endpoint, Transport.UDP, config, **kwargs)
+    responses, note = replay_flow(flow, endpoint, Transport.UDP, config, linger_s)
     assert note == ""
     return [p for _, p in responses], time.monotonic() - started
 
@@ -87,8 +87,9 @@ class TestReplayConfig:
 class TestReplayFlow:
     def test_udp_request_response(self):
         with ScriptedResponder({b"ping": [b"pong"]}) as responder:
+            flow = flow_of(b"ping")
             responses, note = replay_flow(
-                flow_of(b"ping"), responder.endpoint, Transport.UDP, FAST
+                flow, responder.endpoint, Transport.UDP, FAST, capture_linger_s([flow], FAST)
             )
         assert [p for _, p in responses] == [b"pong"]
         assert note == ""
@@ -97,8 +98,9 @@ class TestReplayFlow:
     def test_multiple_responses_collected_in_order(self):
         script = {b"burst": [b"one", b"two", b"three"]}
         with ScriptedResponder(script) as responder:
+            flow = flow_of(b"burst")
             responses, _ = replay_flow(
-                flow_of(b"burst"), responder.endpoint, Transport.UDP, FAST
+                flow, responder.endpoint, Transport.UDP, FAST, capture_linger_s([flow], FAST)
             )
         assert [p for _, p in responses] == [b"one", b"two", b"three"]
         stamps = [ts for ts, _ in responses]
@@ -107,8 +109,9 @@ class TestReplayFlow:
     def test_all_requests_sent_without_waiting_for_responses(self):
         # silent responder: sends must still all go out
         with ScriptedResponder({}) as responder:
+            flow = flow_of(b"a", b"b", b"c")
             responses, note = replay_flow(
-                flow_of(b"a", b"b", b"c"), responder.endpoint, Transport.UDP, FAST
+                flow, responder.endpoint, Transport.UDP, FAST, capture_linger_s([flow], FAST)
             )
             assert responses == []
             assert note == ""
@@ -118,11 +121,9 @@ class TestReplayFlow:
         with ScriptedResponder(
             {b"hello": [b"world"]}, transport=Transport.TCP
         ) as responder:
+            flow = flow_of(b"hello", transport=Transport.TCP)
             responses, note = replay_flow(
-                flow_of(b"hello", transport=Transport.TCP),
-                responder.endpoint,
-                Transport.TCP,
-                FAST,
+                flow, responder.endpoint, Transport.TCP, FAST, capture_linger_s([flow], FAST)
             )
         assert [p for _, p in responses] == [b"world"]
         assert note == ""
@@ -135,11 +136,9 @@ class TestReplayFlow:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
+        flow = flow_of(b"x", transport=Transport.TCP)
         responses, note = replay_flow(
-            flow_of(b"x", transport=Transport.TCP),
-            Endpoint("127.0.0.1", port),
-            Transport.TCP,
-            FAST,
+            flow, Endpoint("127.0.0.1", port), Transport.TCP, FAST, capture_linger_s([flow], FAST)
         )
         assert responses == []
         assert "connect" in note and "failed" in note
@@ -166,7 +165,9 @@ class TestEvidenceCollection:
     def test_captured_responses_end_collection_well_inside_the_window(self):
         with ScriptedResponder({b"ping": [b"pong"]}) as responder:
             flow = flow_of(b"ping", responses=[b"pong"])
-            payloads, elapsed = timed_replay(flow, responder.endpoint, WINDOW)
+            payloads, elapsed = timed_replay(
+                flow, responder.endpoint, WINDOW, capture_linger_s([flow], WINDOW)
+            )
         assert payloads == [b"pong"]
         assert elapsed < WINDOW_S / 4
 
@@ -175,7 +176,9 @@ class TestEvidenceCollection:
         # now sends three, 8 ms apart. Each arrival restarts the linger.
         with ScriptedResponder({b"burst": [b"one", b"two", b"three"]}) as responder:
             flow = flow_of(b"burst", responses=[b"one"], gap_us=80_000)
-            payloads, elapsed = timed_replay(flow, responder.endpoint, WINDOW)
+            payloads, elapsed = timed_replay(
+                flow, responder.endpoint, WINDOW, capture_linger_s([flow], WINDOW)
+            )
         assert payloads == [b"one", b"two", b"three"]
         assert elapsed < WINDOW_S
 
@@ -195,14 +198,17 @@ class TestEvidenceCollection:
     def test_flow_without_captured_responses_waits_the_full_window(self):
         # The device answers, but the capture gives no evidence it would.
         with ScriptedResponder({b"ping": [b"pong"]}) as responder:
-            payloads, elapsed = timed_replay(flow_of(b"ping"), responder.endpoint, WINDOW)
+            flow = flow_of(b"ping")
+            payloads, elapsed = timed_replay(
+                flow, responder.endpoint, WINDOW, capture_linger_s([flow], WINDOW)
+            )
         assert payloads == [b"pong"]
         assert elapsed >= WINDOW_S
 
     def test_flow_short_of_its_captured_count_waits_the_full_window(self):
         with ScriptedResponder({b"ping": [b"pong"]}) as responder:
             flow = flow_of(b"ping", responses=[b"pong", b"more"])
-            payloads, elapsed = timed_replay(flow, responder.endpoint, WINDOW, linger_s=0.0)
+            payloads, elapsed = timed_replay(flow, responder.endpoint, WINDOW, 0.0)
         assert payloads == [b"pong"]
         assert elapsed >= WINDOW_S
 
