@@ -14,6 +14,7 @@ bound, 3 the capture shows no traffic between the given endpoints,
 from __future__ import annotations
 
 import ipaddress
+import math
 import time
 from itertools import chain
 from dataclasses import asdict
@@ -29,6 +30,7 @@ from .features import DIMENSIONS
 from .models import IsolationForestModel, LofModel
 from .pcap import PcapError
 from .protocols import ResponseClass
+from .replay import MAX_TIMING_MS
 from .pipeline import (
     MODEL_KINDS,
     SCENARIO_NON_RESTART,
@@ -88,6 +90,19 @@ _DETECTION_OPTIONS = (
         help="How many leading attack responses the model inspects.",
     ),
 )
+
+
+class _Seconds(click.FloatRange):
+    """Seconds from 0 up to a day, like every replay timing; never NaN."""
+
+    def __init__(self):
+        super().__init__(min=0, max=MAX_TIMING_MS / 1000)
+
+    def convert(self, value, param, ctx):
+        seconds = super().convert(value, param, ctx)
+        if math.isnan(seconds):
+            self.fail("nan is not a number of seconds.", param, ctx)
+        return seconds
 
 
 def _settings_options(*groups):
@@ -315,7 +330,7 @@ def detect(queue_path, model_path, capture_path, app, device, report_out, device
 @click.option("--device-seed", type=int, default=0, show_default=True)
 @click.option("--port", type=click.IntRange(0, 65535), default=0, help="Device port (default: OS-assigned).")
 @click.option("--rekey-on-restart/--no-rekey-on-restart", default=True, show_default=True, help="Whether the session_key profile rotates its key on restart.")
-@click.option("--post-restart-delay", type=click.FloatRange(min=0), default=1.0, show_default=True, help="Seconds to wait after each simulated restart.")
+@click.option("--post-restart-delay", type=_Seconds(), default=1.0, show_default=True, help="Seconds to wait after each simulated restart.")
 @click.option("--report-out", type=click.Path(dir_okay=False), default=None, help="Optional assessment report JSON.")
 @_settings_options(_MODEL_OPTIONS, _TIMING_OPTIONS, _DETECTION_OPTIONS)
 def assess(behavior, scenario, reps, device_seed, port, rekey_on_restart, post_restart_delay, report_out, config_path, **overrides):
@@ -356,7 +371,7 @@ def assess(behavior, scenario, reps, device_seed, port, rekey_on_restart, post_r
 @click.option("--device-seed", type=int, default=0, show_default=True)
 @click.option("--rekey-on-restart/--no-rekey-on-restart", default=True, show_default=True)
 @click.option("--training-capture-out", type=click.Path(dir_okay=False), default=None, help="Run the default companion script and write it as pcap first.")
-@click.option("--duration", type=click.FloatRange(min=0), default=None, help="Seconds to keep serving (default: until Ctrl-C).")
+@click.option("--duration", type=_Seconds(), default=None, help="Seconds to keep serving (default: until Ctrl-C).")
 def simulate(behavior, port, device_seed, rekey_on_restart, training_capture_out, duration):
     """Serve one simulated device for manual train/attack experiments."""
     profile = default_profile(

@@ -2,10 +2,11 @@
 
 A device already speaking TLS, DTLS, or QUIC gets its replay protection
 from the protocol itself, so spotting those record headers in a capture
-short-circuits the whole assessment. The response-family classifier is a
-coarse heuristic for operator context (is this thing cleartext, a fixed
-encoded blob, or something encrypted we do not recognize); verdicts never
-depend on it beyond the standard-protocol case.
+(TLS on TCP, DTLS or QUIC on UDP) short-circuits the whole assessment.
+The response-family classifier is a coarse heuristic for operator
+context (is this thing cleartext, a fixed encoded blob, or something
+encrypted we do not recognize); verdicts never depend on it beyond the
+standard-protocol case, which training and detection judge by one rule.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ __all__ = [
     "looks_like_tls_record",
     "looks_like_dtls_record",
     "looks_like_quic_long_header",
-    "matches_standard_security_protocol",
+    "rides_standard_security_protocol",
     "detect_standard_security_protocol",
     "hamming_similarity",
     "classify_response_type",
@@ -70,26 +71,19 @@ def looks_like_quic_long_header(payload: bytes) -> bool:
     )
 
 
-def matches_standard_security_protocol(payload: bytes) -> bool:
-    return (
-        looks_like_tls_record(payload)
-        or looks_like_dtls_record(payload)
-        or looks_like_quic_long_header(payload)
-    )
+def rides_standard_security_protocol(payload: bytes, transport: Transport) -> bool:
+    """True iff the payload opens a TLS record (TCP) or a DTLS/QUIC one (UDP)."""
+    if transport == Transport.TCP:
+        return looks_like_tls_record(payload)
+    return looks_like_dtls_record(payload) or looks_like_quic_long_header(payload)
 
 
 def detect_standard_security_protocol(records: Iterable[PacketRecord]) -> bool:
-    """True iff any record looks like TLS (TCP) or QUIC/DTLS (UDP) traffic."""
-    for record in records:
-        if record.transport == Transport.TCP:
-            if looks_like_tls_record(record.payload):
-                return True
-        else:
-            if looks_like_quic_long_header(record.payload) or looks_like_dtls_record(
-                record.payload
-            ):
-                return True
-    return False
+    """True iff any record rides a standard security protocol."""
+    return any(
+        rides_standard_security_protocol(record.payload, record.transport)
+        for record in records
+    )
 
 
 def hamming_similarity(a: bytes, b: bytes) -> float:
@@ -100,19 +94,19 @@ def hamming_similarity(a: bytes, b: bytes) -> float:
     return matches / max(len(a), len(b))
 
 
-def classify_response_type(samples: Sequence[bytes]) -> ResponseClass:
+def classify_response_type(samples: Sequence[bytes], transport: Transport) -> ResponseClass:
     """Coarse family of a group of responses to one repeated command.
 
-    Checks run in order: standard protocol header anywhere, then mean
-    printable ratio >= 0.85 (cleartext), then byte-identical samples or
-    mean pairwise Hamming similarity >= 0.9 (a fixed encoded blob),
-    otherwise nonstandard-encrypted. The Encoded/NonStandard boundary is a
-    heuristic; callers must feed responses to *identical* commands or the
-    Hamming test is meaningless.
+    Checks run in order: the transport's standard protocol header on any
+    sample, then mean printable ratio >= 0.85 (cleartext), then
+    byte-identical samples or mean pairwise Hamming similarity >= 0.9 (a
+    fixed encoded blob), otherwise nonstandard-encrypted. The
+    Encoded/NonStandard boundary is a heuristic; callers must feed
+    responses to *identical* commands or the Hamming test is meaningless.
     """
     if not samples:
         raise ValueError("need at least one response sample")
-    if any(matches_standard_security_protocol(s) for s in samples):
+    if any(rides_standard_security_protocol(s, transport) for s in samples):
         return ResponseClass.STANDARD_ENCRYPTED
     mean_printable = sum(featurize(s).printable_ratio for s in samples) / len(samples)
     if mean_printable >= CLEARTEXT_PRINTABLE_THRESHOLD:
@@ -129,22 +123,22 @@ def classify_response_type(samples: Sequence[bytes]) -> ResponseClass:
 def classify_training_responses(flows) -> ResponseClass | None:
     """Classify a training capture's responses, grouped per command.
 
-    Flows whose request byte sequences are identical are answers to the
-    same command and form one sample group. Any standard-protocol group
-    decides immediately; otherwise the most common group class wins (ties
-    break toward cleartext, then encoded). None when no flow has any
-    response to classify.
+    Flows on one transport whose request byte sequences are identical are
+    answers to the same command and form one sample group. Any
+    standard-protocol group decides immediately; otherwise the most common
+    group class wins (ties break toward cleartext, then encoded). None
+    when no flow has any response to classify.
     """
-    groups: dict[tuple[bytes, ...], list[bytes]] = {}
+    groups: dict[tuple[Transport, tuple[bytes, ...]], list[bytes]] = {}
     for flow in flows:
-        key = tuple(r.payload for r in flow.requests)
+        key = (flow.requests[0].transport, tuple(r.payload for r in flow.requests))
         groups.setdefault(key, []).extend(r.payload for r in flow.responses)
 
     votes = Counter()
-    for samples in groups.values():
+    for (transport, _), samples in groups.items():
         if not samples:
             continue
-        verdict = classify_response_type(samples)
+        verdict = classify_response_type(samples, transport)
         if verdict == ResponseClass.STANDARD_ENCRYPTED:
             return verdict
         votes[verdict] += 1

@@ -46,16 +46,18 @@ __all__ = [
     "AttackResult",
     "schedule",
     "capture_linger_s",
+    "connect",
     "replay_flow",
     "run_attack",
 ]
 
 _RECV_CHUNK = 65536
+MAX_TIMING_MS = 86_400_000  # one day, far below where select and sleep overflow
 
 
 @dataclass(frozen=True)
 class ReplayConfig:
-    """Timing knobs for the replay engine (all in milliseconds).
+    """Timing knobs for the replay engine (all in milliseconds, at most a day).
 
     The defaults live in PipelineSettings; build one with its replay_config().
     """
@@ -72,8 +74,8 @@ class ReplayConfig:
             "inter_flow_delay_ms",
             "connect_timeout_ms",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) <= MAX_TIMING_MS:
+                raise ValueError(f"{name} must be positive and at most {MAX_TIMING_MS}")
 
 
 @dataclass(frozen=True)
@@ -162,53 +164,50 @@ def capture_linger_s(flows: list[Flow], config: ReplayConfig) -> float:
     return min(max(gaps) / 1e6, config.per_flow_response_timeout_ms / 1000.0)
 
 
-def _open_socket(
-    device: Endpoint, transport: Transport, config: ReplayConfig
-) -> tuple[socket.socket | None, str]:
-    family = socket.AF_INET6 if ":" in device.address else socket.AF_INET
+def connect(endpoint: Endpoint, transport: Transport, timeout_s: float) -> socket.socket:
+    """Open a client socket to the endpoint; raises OSError.
+
+    TCP connects within timeout_s, with Nagle off. UDP gets a connected
+    datagram socket, so sendall sends each payload as one datagram.
+    """
+    address = (endpoint.address, endpoint.port)
     if transport == Transport.TCP:
-        try:
-            sock = socket.create_connection(
-                (device.address, device.port),
-                timeout=config.connect_timeout_ms / 1000.0,
-            )
-        except OSError as exc:
-            return None, f"connect to {device} failed: {exc}"
+        sock = socket.create_connection(address, timeout=timeout_s)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock, ""
+        return sock
+    family = socket.AF_INET6 if ":" in endpoint.address else socket.AF_INET
     sock = socket.socket(family, socket.SOCK_DGRAM)
     try:
-        sock.connect((device.address, device.port))
-    except OSError as exc:
+        sock.connect(address)
+    except OSError:
         sock.close()
-        return None, f"connect to {device} failed: {exc}"
-    return sock, ""
+        raise
+    return sock
 
 
 def replay_flow(
-    flow: Flow,
-    device: Endpoint,
-    transport: Transport,
-    config: ReplayConfig,
-    linger_s: float,
+    flow: Flow, device: Endpoint, config: ReplayConfig, linger_s: float
 ) -> tuple[list[tuple[float, bytes]], str]:
     """Send one flow's requests to the device and collect what comes back.
 
-    A fresh connection (TCP) or ephemeral-port socket (UDP) is used per
-    call. Requests go out inter_request_delay apart without waiting for
-    responses. Collection stops when the peer closes, or after a quiet
-    period following the last send or last arrival, whichever is later.
-    The quiet period is per_flow_response_timeout, shortened to linger_s
-    once every request is sent and at least len(flow.responses) responses
-    have arrived; run_attack passes capture_linger_s over the whole capture.
+    A fresh connection (TCP) or ephemeral-port socket (UDP), as the flow
+    rode, is used per call. Requests go out inter_request_delay apart
+    without waiting for responses. Collection stops when the peer closes,
+    or after a quiet period following the last send or last arrival,
+    whichever is later. The quiet period is per_flow_response_timeout,
+    shortened to linger_s once every request is sent and at least
+    len(flow.responses) responses have arrived; run_attack passes
+    capture_linger_s over the whole capture.
 
     Returns (responses, note): responses are (monotonic timestamp,
     payload) in arrival order; note is non-empty when the connection
     failed or was cut short. Never raises on network errors.
     """
-    sock, note = _open_socket(device, transport, config)
-    if sock is None:
-        return [], note
+    transport = flow.requests[0].transport
+    try:
+        sock = connect(device, transport, config.connect_timeout_ms / 1000.0)
+    except OSError as exc:
+        return [], f"connect to {device} failed: {exc}"
 
     payloads = [record.payload for record in flow.requests]
     expected = len(flow.responses)
@@ -226,10 +225,7 @@ def replay_flow(
             now = time.monotonic()
             if sent < len(payloads) and now >= send_times[sent]:
                 try:
-                    if transport == Transport.TCP:
-                        sock.sendall(payloads[sent])
-                    else:
-                        sock.send(payloads[sent])
+                    sock.sendall(payloads[sent])
                 except OSError as exc:
                     note = f"send failed after {sent} of {len(payloads)} requests: {exc}"
                     break
@@ -297,8 +293,7 @@ def run_attack(
             time.sleep(pause)
         flow_started = time.monotonic()
         original_index = len(flows) - 1 - position
-        transport = flow.requests[0].transport
-        responses, note = replay_flow(flow, device, transport, config, linger_s)
+        responses, note = replay_flow(flow, device, config, linger_s)
         next_start = flow_started + (len(flow.requests) - 1) * request_delay_s + flow_delay_s
         entries.extend(
             QueueEntry(
@@ -312,7 +307,7 @@ def run_attack(
             FlowReplayReport(
                 scheduled_position=position,
                 original_index=original_index,
-                transport=transport,
+                transport=flow.requests[0].transport,
                 request_lengths=tuple(len(r.payload) for r in flow.requests),
                 expected_responses=len(flow.responses),
                 response_count=len(responses),

@@ -3,9 +3,9 @@
 Six behavior families cover the response styles seen on real consumer
 gear: plain JSON command/ack, signed cleartext, fixed opaque byte blobs,
 a session-key cipher that can rotate on reboot, a TLS-shaped handshake
-protocol, and a device that never answers. Each runs as a real TCP or
-UDP server on loopback, so the replay engine talks to it exactly as it
-would to hardware.
+protocol, and a device that never answers. Each runs as a real server on
+loopback, the silent one over UDP and the rest over TCP, so the replay
+engine talks to it exactly as it would to hardware.
 
 The companion client plays the paired app: it triggers state changes over
 the same sockets and records every payload it sends or receives with a
@@ -35,7 +35,8 @@ from enum import Enum
 
 from . import pcap
 from .capture import Endpoint, PacketRecord, Transport
-from .protocols import matches_standard_security_protocol
+from .protocols import rides_standard_security_protocol
+from .replay import MAX_TIMING_MS, connect
 
 __all__ = [
     "Behavior",
@@ -84,34 +85,32 @@ class DeviceProfile:
     """Static description of one simulated device.
 
     port 0 lets the OS pick. post_restart_delay_s models boot time and is
-    pure waiting; the simulated restart itself is immediate.
+    pure waiting, at most a day; the simulated restart itself is
+    immediate. The transport is the behavior's own, not a setting.
     """
 
     behavior: Behavior
-    transport: Transport = Transport.TCP
     port: int = 0
     rekey_on_restart: bool = True
     seed: int = 0
     post_restart_delay_s: float = 1.0
 
     def __post_init__(self):
-        if self.behavior == Behavior.TLS_LIKE and self.transport != Transport.TCP:
-            raise ValueError("the TLS-like behavior runs over TCP only")
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port {self.port} out of range")
-        if self.post_restart_delay_s < 0:
-            raise ValueError("post_restart_delay_s must be >= 0")
+        most_s = MAX_TIMING_MS // 1000
+        if not 0 <= self.post_restart_delay_s <= most_s:  # refuses NaN too
+            raise ValueError(f"post_restart_delay_s must be from 0 to {most_s}")
 
-
-_BEHAVIOR_TRANSPORT_DEFAULTS = {Behavior.SILENT: Transport.UDP}
+    @property
+    def transport(self) -> Transport:
+        """The behavior's own transport: UDP for silent, TCP for the rest."""
+        return Transport.UDP if self.behavior == Behavior.SILENT else Transport.TCP
 
 
 def default_profile(behavior: Behavior, **overrides) -> DeviceProfile:
-    """Profile with the behavior's customary transport (UDP for silent)."""
-    transport = overrides.pop(
-        "transport", _BEHAVIOR_TRANSPORT_DEFAULTS.get(behavior, Transport.TCP)
-    )
-    return DeviceProfile(behavior=behavior, transport=transport, **overrides)
+    """Profile for the behavior, with any field overridden."""
+    return DeviceProfile(behavior=behavior, **overrides)
 
 
 DEFAULT_TRAINING_SCRIPT: tuple[DeviceState, ...] = (
@@ -204,7 +203,7 @@ class _EngineBase:
     def companion_exchange(self, client: "_CompanionClient", target: DeviceState):
         """Send one command and read its single response."""
         command = self.build_command(target)
-        client.send(command)
+        client.sock.sendall(command)
         response = client.read_message(self)
         return [(True, command), (False, response)]
 
@@ -217,6 +216,20 @@ class _LineEngine(_EngineBase):
         if index == -1:
             return None, buffer
         return buffer[: index + 1], buffer[index + 1 :]
+
+
+class _FixedLengthEngine(_EngineBase):
+    """Shared framing for the behaviors whose messages are MESSAGE_LEN bytes."""
+
+    def extract_message(self, buffer: bytes) -> tuple[bytes | None, bytes]:
+        if len(buffer) < self.MESSAGE_LEN:
+            return None, buffer
+        return buffer[: self.MESSAGE_LEN], buffer[self.MESSAGE_LEN :]
+
+
+# The one byte that names a target state in the binary protocols.
+_STATE_BYTES = {DeviceState.OBVERSE: b"\x01", DeviceState.REVERSE: b"\x02"}
+_BYTE_STATES = {byte: state for state, byte in _STATE_BYTES.items()}
 
 
 class _CleartextEchoEngine(_LineEngine):
@@ -314,12 +327,13 @@ class _SignedCleartextEngine(_LineEngine):
         return _json_line(body)
 
 
-class _EncodedFixedEngine(_EngineBase):
+class _EncodedFixedEngine(_FixedLengthEngine):
     """Fixed 24-byte opaque command and ack blobs, one pair per state.
 
     The blobs are drawn once at spawn (firmware constants, effectively)
     and re-drawn if they happen to collide with a standard-protocol
-    header, so the protocol check never misfires on this profile.
+    header on either transport, so the protocol check never misfires on
+    this profile.
     """
 
     MESSAGE_LEN = 24
@@ -334,13 +348,8 @@ class _EncodedFixedEngine(_EngineBase):
     def _draw_blob(self, rng: random.Random) -> bytes:
         while True:
             blob = rng.randbytes(self.MESSAGE_LEN)
-            if not matches_standard_security_protocol(blob):
+            if not any(rides_standard_security_protocol(blob, t) for t in Transport):
                 return blob
-
-    def extract_message(self, buffer):
-        if len(buffer) < self.MESSAGE_LEN:
-            return None, buffer
-        return buffer[: self.MESSAGE_LEN], buffer[self.MESSAGE_LEN :]
 
     def handle_message(self, message, session):
         for state, command in self.commands.items():
@@ -452,37 +461,33 @@ class _TlsLikeEngine(_EngineBase):
             session.nonce = rng.randbytes(16)
             reply = b"\x02" + rng.randbytes(32) + session.nonce
             return [self._record(self.HANDSHAKE, b"\x03\x03", reply)]
+        state = _BYTE_STATES.get(body[16:17])
         if (
             record_type == self.APPDATA
-            and session is not None
             and session.nonce is not None
             and body[:16] == session.nonce
-            and body[16:17] in (b"\x01", b"\x02")
+            and state is not None
         ):
-            self.device.state = (
-                DeviceState.OBVERSE if body[16] == 0x01 else DeviceState.REVERSE
-            )
+            self.device.state = state
             return [self._record(self.APPDATA, b"\x03\x03", rng.randbytes(16))]
-        if session is not None:
-            session.close_connection = True
+        session.close_connection = True
         return [self._record(self.ALERT, b"\x03\x03", b"\x02\x28")]
 
     def companion_exchange(self, client, target):
         rng = self.device.companion_rng
         hello = self._record(self.HANDSHAKE, b"\x03\x01", b"\x01" + rng.randbytes(32))
-        client.send(hello)
+        client.sock.sendall(hello)
         server_hello = client.read_message(self)
         nonce = server_hello[5 + 33 : 5 + 49]
-        state_byte = b"\x01" if target == DeviceState.OBVERSE else b"\x02"
         command = self._record(
-            self.APPDATA, b"\x03\x03", nonce + state_byte + rng.randbytes(15)
+            self.APPDATA, b"\x03\x03", nonce + _STATE_BYTES[target] + rng.randbytes(15)
         )
-        client.send(command)
+        client.sock.sendall(command)
         ack = client.read_message(self)
         return [(True, hello), (False, server_hello), (True, command), (False, ack)]
 
 
-class _SilentEngine(_EngineBase):
+class _SilentEngine(_FixedLengthEngine):
     """Executes fresh commands, never answers anything.
 
     Commands carry a strictly increasing sequence number that the device
@@ -497,30 +502,23 @@ class _SilentEngine(_EngineBase):
         self.tag = device.device_rng.randbytes(7)  # static protocol marker
         self.last_sequence = 0  # survives restart by design
 
-    def extract_message(self, buffer):
-        if len(buffer) < self.MESSAGE_LEN:
-            return None, buffer
-        return buffer[: self.MESSAGE_LEN], buffer[self.MESSAGE_LEN :]
-
     def handle_message(self, message, session):
         if len(message) == self.MESSAGE_LEN and message[9:] == self.tag:
             sequence = int.from_bytes(message[:8], "big")
-            state_byte = message[8]
-            if sequence > self.last_sequence and state_byte in (1, 2):
+            state = _BYTE_STATES.get(message[8:9])
+            if sequence > self.last_sequence and state is not None:
                 self.last_sequence = sequence
-                self.device.state = (
-                    DeviceState.OBVERSE if state_byte == 1 else DeviceState.REVERSE
-                )
+                self.device.state = state
         return []
 
     def build_command(self, target: DeviceState) -> bytes:
         self.device.companion_sequence += 1
-        state_byte = b"\x01" if target == DeviceState.OBVERSE else b"\x02"
-        return self.device.companion_sequence.to_bytes(8, "big") + state_byte + self.tag
+        sequence = self.device.companion_sequence.to_bytes(8, "big")
+        return sequence + _STATE_BYTES[target] + self.tag
 
     def companion_exchange(self, client, target):
         command = self.build_command(target)
-        client.send(command)
+        client.sock.sendall(command)
         return [(True, command)]
 
 
@@ -624,23 +622,9 @@ class _CompanionClient:
     """The paired app's side of one command exchange (real sockets)."""
 
     def __init__(self, device: "SimulatedDevice"):
-        endpoint = device.endpoint
-        if device.profile.transport == Transport.TCP:
-            self.sock = socket.create_connection(
-                (endpoint.address, endpoint.port), timeout=_COMPANION_TIMEOUT_S
-            )
-            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        else:
-            self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            self.sock.connect((endpoint.address, endpoint.port))
         self.transport = device.profile.transport
+        self.sock = connect(device.endpoint, self.transport, _COMPANION_TIMEOUT_S)
         self.buffer = b""
-
-    def send(self, payload: bytes):
-        if self.transport == Transport.TCP:
-            self.sock.sendall(payload)
-        else:
-            self.sock.send(payload)
 
     def read_message(self, engine, timeout: float = _COMPANION_TIMEOUT_S) -> bytes:
         deadline = time.monotonic() + timeout

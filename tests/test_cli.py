@@ -450,6 +450,7 @@ INVALID_SETTINGS = [
     ("train", ["--model-kind", "isolation_forest", "--anomaly-cutoff", "1.5"], "anomaly_cutoff"),
     ("train", ["--model-kind", "isolation_forest", "--subsample", "1"], "subsample"),
     ("attack", ["--response-timeout-ms", "0"], "per_flow_response_timeout_ms"),
+    ("attack", ["--connect-timeout-ms", "100000000000000000000"], "connect_timeout_ms"),
     ("assess", ["--lof-k", "0"], "k must be"),
     ("assess", ["--model-kind", "isolation_forest", "--subsample", "50"], "subsample"),
     ("detect", ["--response-window", "0"], "response_window"),
@@ -733,8 +734,9 @@ class TestDeviceFlags:
         [("assess", "--post-restart-delay"), ("simulate", "--duration")],
     )
     def test_negative_seconds(self, command, flag):
-        result = invoke([*DEVICE_COMMANDS[command], flag, "-1"])
-        assert_one_error(result, f"Invalid value for '{flag}'")
+        for value in ("-1", "nan", "inf"):
+            result = invoke([*DEVICE_COMMANDS[command], flag, value])
+            assert_one_error(result, f"Invalid value for '{flag}'")
 
 
 class TestReport:

@@ -16,7 +16,7 @@ from replaycheck.protocols import (
     looks_like_dtls_record,
     looks_like_quic_long_header,
     looks_like_tls_record,
-    matches_standard_security_protocol,
+    rides_standard_security_protocol,
 )
 
 APP = Endpoint("10.77.0.2", 38200)
@@ -131,20 +131,20 @@ class TestHammingSimilarity:
 class TestClassifyResponseType:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
-            classify_response_type([])
+            classify_response_type([], Transport.TCP)
 
     def test_standard_protocol_wins_over_everything(self):
         samples = [b'{"ok": true}', b"\x17\x03\x03\x00\x01\x00"]
-        assert classify_response_type(samples) == ResponseClass.STANDARD_ENCRYPTED
+        assert classify_response_type(samples, Transport.TCP) == ResponseClass.STANDARD_ENCRYPTED
 
     def test_json_responses_are_cleartext(self):
         samples = [b'{"id": %d, "result": ["ok"]}' % i for i in range(5)]
-        assert classify_response_type(samples) == ResponseClass.CLEARTEXT
+        assert classify_response_type(samples, Transport.TCP) == ResponseClass.CLEARTEXT
 
     def test_identical_binary_blobs_are_encoded(self):
         blob = b"\x00" + random.Random(1).randbytes(23)
-        assert not matches_standard_security_protocol(blob)
-        assert classify_response_type([blob] * 4) == ResponseClass.ENCODED
+        assert not any(rides_standard_security_protocol(blob, t) for t in Transport)
+        assert classify_response_type([blob] * 4, Transport.TCP) == ResponseClass.ENCODED
 
     def test_near_identical_blobs_are_encoded(self):
         base = bytearray(random.Random(2).randbytes(40))
@@ -154,7 +154,7 @@ class TestClassifyResponseType:
             v = bytearray(base)
             v[-1] = i  # one differing byte out of 40
             variants.append(bytes(v))
-        assert classify_response_type(variants) == ResponseClass.ENCODED
+        assert classify_response_type(variants, Transport.TCP) == ResponseClass.ENCODED
 
     def test_unrelated_random_blobs_are_nonstandard_encrypted(self):
         rng = random.Random(3)
@@ -163,13 +163,13 @@ class TestClassifyResponseType:
             blob = bytearray(rng.randrange(256) for _ in range(48))
             blob[0] = 0x00
             samples.append(bytes(blob))
-        assert classify_response_type(samples) == ResponseClass.NONSTANDARD_ENCRYPTED
+        assert classify_response_type(samples, Transport.TCP) == ResponseClass.NONSTANDARD_ENCRYPTED
 
     def test_mostly_printable_mixed_group_is_cleartext(self):
         # mean printable ratio across samples decides, not each alone:
         # 1.0 and 0.75 average to 0.875, past the 0.85 bar
         samples = [b"all printable text here", b"ab\x00c"]
-        got = classify_response_type(samples)
+        got = classify_response_type(samples, Transport.TCP)
         assert got == ResponseClass.CLEARTEXT
 
     def test_sample_order_irrelevant(self):
@@ -179,15 +179,15 @@ class TestClassifyResponseType:
             blob = bytearray(rng.randrange(256) for _ in range(30))
             blob[0] = 0x00
             samples.append(bytes(blob))
-        first = classify_response_type(samples)
-        assert classify_response_type(list(reversed(samples))) == first
+        first = classify_response_type(samples, Transport.TCP)
+        assert classify_response_type(list(reversed(samples)), Transport.TCP) == first
 
 
 class TestClassifyTrainingResponses:
-    def flow(self, request, responses):
-        req = PacketRecord(0, APP, DEV, Transport.TCP, request)
+    def flow(self, request, responses, transport=Transport.TCP):
+        req = PacketRecord(0, APP, DEV, transport, request)
         resp = tuple(
-            PacketRecord(i + 1, DEV, APP, Transport.TCP, r)
+            PacketRecord(i + 1, DEV, APP, transport, r)
             for i, r in enumerate(responses)
         )
         return Flow((req,), resp)
@@ -211,6 +211,19 @@ class TestClassifyTrainingResponses:
             self.flow(b"y", [b"\x16\x03\x03\x00\x02\x01\x00"]),
         ]
         assert classify_training_responses(flows) == ResponseClass.STANDARD_ENCRYPTED
+
+    @pytest.mark.parametrize(
+        "transport, payload",
+        [
+            (Transport.UDP, b"\x16\x03\x01\x00\x02\x01\x00"),  # TLS header on UDP
+            (Transport.TCP, b"\x17\xfe\xfd\x00\x01\x00"),  # DTLS header on TCP
+        ],
+        ids=["tls-on-udp", "dtls-on-tcp"],
+    )
+    def test_judges_the_header_by_its_transport_like_detection(self, transport, payload):
+        flows = [self.flow(b"x", [payload], transport)]
+        assert not detect_standard_security_protocol(flows[0].responses)
+        assert classify_training_responses(flows) != ResponseClass.STANDARD_ENCRYPTED
 
     def test_majority_vote(self):
         rng = random.Random(7)

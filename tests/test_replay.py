@@ -50,7 +50,7 @@ def flow_of(*requests, transport=Transport.UDP, at=0, responses=(), gap_us=1000)
 
 def timed_replay(flow, endpoint, config, linger_s):
     started = time.monotonic()
-    responses, note = replay_flow(flow, endpoint, Transport.UDP, config, linger_s)
+    responses, note = replay_flow(flow, endpoint, config, linger_s)
     assert note == ""
     return [p for _, p in responses], time.monotonic() - started
 
@@ -89,7 +89,7 @@ class TestReplayFlow:
         with ScriptedResponder({b"ping": [b"pong"]}) as responder:
             flow = flow_of(b"ping")
             responses, note = replay_flow(
-                flow, responder.endpoint, Transport.UDP, FAST, capture_linger_s([flow], FAST)
+                flow, responder.endpoint, FAST, capture_linger_s([flow], FAST)
             )
         assert [p for _, p in responses] == [b"pong"]
         assert note == ""
@@ -100,7 +100,7 @@ class TestReplayFlow:
         with ScriptedResponder(script) as responder:
             flow = flow_of(b"burst")
             responses, _ = replay_flow(
-                flow, responder.endpoint, Transport.UDP, FAST, capture_linger_s([flow], FAST)
+                flow, responder.endpoint, FAST, capture_linger_s([flow], FAST)
             )
         assert [p for _, p in responses] == [b"one", b"two", b"three"]
         stamps = [ts for ts, _ in responses]
@@ -111,7 +111,7 @@ class TestReplayFlow:
         with ScriptedResponder({}) as responder:
             flow = flow_of(b"a", b"b", b"c")
             responses, note = replay_flow(
-                flow, responder.endpoint, Transport.UDP, FAST, capture_linger_s([flow], FAST)
+                flow, responder.endpoint, FAST, capture_linger_s([flow], FAST)
             )
             assert responses == []
             assert note == ""
@@ -123,7 +123,7 @@ class TestReplayFlow:
         ) as responder:
             flow = flow_of(b"hello", transport=Transport.TCP)
             responses, note = replay_flow(
-                flow, responder.endpoint, Transport.TCP, FAST, capture_linger_s([flow], FAST)
+                flow, responder.endpoint, FAST, capture_linger_s([flow], FAST)
             )
         assert [p for _, p in responses] == [b"world"]
         assert note == ""
@@ -138,7 +138,7 @@ class TestReplayFlow:
         probe.close()
         flow = flow_of(b"x", transport=Transport.TCP)
         responses, note = replay_flow(
-            flow, Endpoint("127.0.0.1", port), Transport.TCP, FAST, capture_linger_s([flow], FAST)
+            flow, Endpoint("127.0.0.1", port), FAST, capture_linger_s([flow], FAST)
         )
         assert responses == []
         assert "connect" in note and "failed" in note

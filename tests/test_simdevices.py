@@ -68,13 +68,10 @@ def raw_exchange(endpoint, payload, transport=Transport.TCP, deadline_s=1.0):
 
 
 class TestProfile:
-    def test_tls_like_requires_tcp(self):
-        with pytest.raises(ValueError):
-            DeviceProfile(behavior=Behavior.TLS_LIKE, transport=Transport.UDP)
-
     def test_default_profile_transport(self):
         assert default_profile(Behavior.SILENT).transport == Transport.UDP
         assert default_profile(Behavior.CLEARTEXT_ECHO).transport == Transport.TCP
+        assert DeviceProfile(behavior=Behavior.SILENT).transport == Transport.UDP
 
     def test_port_range(self):
         with pytest.raises(ValueError):
@@ -83,6 +80,8 @@ class TestProfile:
     def test_negative_restart_delay(self):
         with pytest.raises(ValueError):
             DeviceProfile(behavior=Behavior.SILENT, post_restart_delay_s=-1)
+        with pytest.raises(ValueError):
+            DeviceProfile(behavior=Behavior.SILENT, post_restart_delay_s=float("nan"))
 
 
 class TestSpawn:
