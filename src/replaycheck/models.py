@@ -215,8 +215,8 @@ def check_lof_parameters(k: int, threshold: float) -> None:
     """Raise ValueError for LOF parameters no training set could use."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not threshold > 1.0:  # also rejects NaN
-        raise ValueError("threshold must exceed 1, the LOF inlier level")
+    if not 1.0 < threshold < math.inf:  # also rejects NaN
+        raise ValueError("threshold must be finite and exceed 1, the LOF inlier level")
 
 
 def train_lof(
@@ -386,7 +386,7 @@ def _grow_tree(matrix: np.ndarray, rng: np.random.Generator, depth: int, limit: 
 
 
 def check_forest_parameters(
-    trees: int, subsample: int | None, anomaly_cutoff: float
+    trees: int, subsample: int | None, anomaly_cutoff: float, seed: int
 ) -> None:
     """Raise ValueError for forest parameters no training set could use.
 
@@ -398,6 +398,8 @@ def check_forest_parameters(
         raise ValueError("anomaly_cutoff must lie in (0, 1)")
     if subsample is not None and subsample < 2:
         raise ValueError(f"subsample must be >= 2, got {subsample}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def train_isolation_forest(
@@ -417,7 +419,7 @@ def train_isolation_forest(
         raise InsufficientTrainingError(
             f"need at least 2 training vectors, got {n}"
         )
-    check_forest_parameters(trees, subsample, anomaly_cutoff)
+    check_forest_parameters(trees, subsample, anomaly_cutoff, seed)
     if subsample is None:
         subsample = min(MAX_SUBSAMPLE, n)
     if subsample > n:

@@ -106,7 +106,7 @@ class PipelineSettings:
         # Every model parameter is checked whatever model_kind is: one file
         # serves every phase, so a bad value is an error wherever it is read.
         check_lof_parameters(self.lof_k, self.lof_threshold)
-        check_forest_parameters(self.trees, self.subsample, self.anomaly_cutoff)
+        check_forest_parameters(self.trees, self.subsample, self.anomaly_cutoff, self.seed)
         # Both configs check their own fields.
         self.replay_config()
         self.detection_config()
@@ -135,7 +135,10 @@ def load_settings(config_path: str | Path | None = None, **overrides) -> Pipelin
     """
     values: dict = {}
     if config_path is not None:
-        loaded = json.loads(Path(config_path).read_text())
+        try:
+            loaded = json.loads(Path(config_path).read_text())
+        except RecursionError as exc:  # nesting too deep for the decoder
+            raise ValueError(f"settings file is not JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ValueError("settings file must hold a JSON object")
         unknown = set(loaded) - _SETTING_NAMES

@@ -7,9 +7,11 @@ protocol, and a device that never answers. Each runs as a real server on
 loopback, the silent one over UDP and the rest over TCP, so the replay
 engine talks to it exactly as it would to hardware.
 
-The companion client plays the paired app: it triggers state changes over
-the same sockets and records every payload it sends or receives with a
-logical clock, so captures are byte-identical across runs for a fixed
+The companion plays the paired app: it triggers state changes in-process,
+handing each command to the handler the server builds per connection, so
+a command meets the same framing, engine code and random draws as one
+that crossed a socket. It records every payload it sends or receives with
+a logical clock, so captures are byte-identical across runs for a fixed
 seed and port. Devices boot in the REVERSE state; restart clears volatile
 state only (the silent profile's anti-replay counter and the static
 secrets survive, like anything kept in flash).
@@ -36,7 +38,7 @@ from enum import Enum
 from . import pcap
 from .capture import Endpoint, PacketRecord, Transport
 from .protocols import rides_standard_security_protocol
-from .replay import MAX_TIMING_MS, connect
+from .replay import MAX_TIMING_MS
 
 __all__ = [
     "Behavior",
@@ -118,9 +120,8 @@ DEFAULT_TRAINING_SCRIPT: tuple[DeviceState, ...] = (
     DeviceState.REVERSE,
 ) * 5
 
-# Virtual identity of the companion app inside synthesized captures. The
-# companion's real socket uses an ephemeral loopback port; captures would
-# differ across runs if they recorded it.
+# Identity of the companion app inside synthesized captures; the companion
+# opens no socket, so it has no real one.
 DEFAULT_APP_ENDPOINT = Endpoint("10.77.0.2", 38200)
 
 # Absolute base for capture timestamps (logical clocks start here).
@@ -130,7 +131,6 @@ _COMMAND_GAP_US = 25_000
 
 _RESPONSE_SPACING_S = 0.008  # keeps consecutive responses in separate segments
 _RESPONSE_SPACING_US = round(_RESPONSE_SPACING_S * 1e6)
-_COMPANION_TIMEOUT_S = 3.0
 
 
 def _canonical(obj) -> bytes:
@@ -161,7 +161,7 @@ def _xor(data: bytes, key: bytes) -> bytes:
 
 
 class _Session:
-    """Per-connection framing buffer for the stream servers."""
+    """Per-connection framing buffer for TCP (companion exchanges get one each)."""
 
     def __init__(self, engine):
         self.engine = engine
@@ -200,12 +200,11 @@ class _EngineBase:
         raise NotImplementedError
 
     # companion side ---------------------------------------------------------
-    def companion_exchange(self, client: "_CompanionClient", target: DeviceState):
-        """Send one command and read its single response."""
+    def companion_exchange(self, deliver, target: DeviceState):
+        """Deliver one command; returns it and the device's responses as
+        (is_request, payload) pairs."""
         command = self.build_command(target)
-        client.sock.sendall(command)
-        response = client.read_message(self)
-        return [(True, command), (False, response)]
+        return [(True, command)] + [(False, r) for r in deliver(command)]
 
 
 class _LineEngine(_EngineBase):
@@ -473,18 +472,17 @@ class _TlsLikeEngine(_EngineBase):
         session.close_connection = True
         return [self._record(self.ALERT, b"\x03\x03", b"\x02\x28")]
 
-    def companion_exchange(self, client, target):
+    def companion_exchange(self, deliver, target):
         rng = self.device.companion_rng
         hello = self._record(self.HANDSHAKE, b"\x03\x01", b"\x01" + rng.randbytes(32))
-        client.sock.sendall(hello)
-        server_hello = client.read_message(self)
+        server_hello = b"".join(deliver(hello))
         nonce = server_hello[5 + 33 : 5 + 49]
         command = self._record(
             self.APPDATA, b"\x03\x03", nonce + _STATE_BYTES[target] + rng.randbytes(15)
         )
-        client.sock.sendall(command)
-        ack = client.read_message(self)
-        return [(True, hello), (False, server_hello), (True, command), (False, ack)]
+        return [(True, hello), (False, server_hello), (True, command)] + [
+            (False, r) for r in deliver(command)
+        ]
 
 
 class _SilentEngine(_FixedLengthEngine):
@@ -515,11 +513,6 @@ class _SilentEngine(_FixedLengthEngine):
         self.device.companion_sequence += 1
         sequence = self.device.companion_sequence.to_bytes(8, "big")
         return sequence + _STATE_BYTES[target] + self.tag
-
-    def companion_exchange(self, client, target):
-        command = self.build_command(target)
-        client.sock.sendall(command)
-        return [(True, command)]
 
 
 _ENGINES = {
@@ -618,36 +611,6 @@ class _LoopbackServer:
         self._thread.join(timeout=2.0)
 
 
-class _CompanionClient:
-    """The paired app's side of one command exchange (real sockets)."""
-
-    def __init__(self, device: "SimulatedDevice"):
-        self.transport = device.profile.transport
-        self.sock = connect(device.endpoint, self.transport, _COMPANION_TIMEOUT_S)
-        self.buffer = b""
-
-    def read_message(self, engine, timeout: float = _COMPANION_TIMEOUT_S) -> bytes:
-        deadline = time.monotonic() + timeout
-        while True:
-            message, rest = engine.extract_message(self.buffer)
-            if message is not None:
-                self.buffer = rest
-                return message
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TriggerError("device did not answer the companion in time")
-            readable, _, _ = select.select([self.sock], [], [], remaining)
-            if not readable:
-                continue
-            data = self.sock.recv(65536)
-            if not data and self.transport == Transport.TCP:
-                raise TriggerError("device closed the companion connection")
-            self.buffer += data
-
-    def close(self):
-        self.sock.close()
-
-
 # ---------------------------------------------------------------------------
 # device handle and module-level operations
 # ---------------------------------------------------------------------------
@@ -656,10 +619,11 @@ class _CompanionClient:
 class SimulatedDevice:
     """Handle to one running simulated device.
 
-    Handle operations (trigger/restart/query/companion_session) are
-    serialized by a control lock; the server thread shares only the state
-    lock. Companion-side counters live here so they survive restarts the
-    way a paired app's would.
+    The server thread serves replays over a real socket; the companion
+    drives the same per-connection handler in-process. Handle operations
+    (trigger/restart/query/companion_session) are serialized by a control
+    lock; the handler takes the state lock. Companion-side counters live
+    here so they survive restarts the way a paired app's would.
     """
 
     def __init__(self, profile: DeviceProfile):
@@ -701,11 +665,8 @@ class SimulatedDevice:
 
     def _exchange_records(self, target: DeviceState, app: Endpoint) -> list[PacketRecord]:
         self._clock_us += _COMMAND_GAP_US
-        client = _CompanionClient(self)
-        try:
-            exchange = self.engine.companion_exchange(client, target)
-        finally:
-            client.close()
+        handle = self._new_handler()  # a fresh session, as a new connection gets
+        exchange = self.engine.companion_exchange(lambda data: handle(data)[0], target)
         records = []
         follows_response = False
         for is_request, payload in exchange:
@@ -763,17 +724,6 @@ def query_state(device: SimulatedDevice) -> DeviceState:
         return device.state
 
 
-def _wait_for_state(device: SimulatedDevice, target: DeviceState, timeout: float = 2.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if query_state(device) == target:
-            return
-        time.sleep(0.002)
-    raise TriggerError(
-        f"device state is {query_state(device).value}, expected {target.value}"
-    )
-
-
 def trigger_state(
     device: SimulatedDevice, target: DeviceState, app: Endpoint = DEFAULT_APP_ENDPOINT
 ) -> list[PacketRecord]:
@@ -787,7 +737,9 @@ def trigger_state(
         if device.closed:
             raise TriggerError("device has been shut down")
         records = device._exchange_records(target, app)
-        _wait_for_state(device, target)
+        state = query_state(device)
+        if state != target:
+            raise TriggerError(f"device state is {state.value}, expected {target.value}")
         return records
 
 

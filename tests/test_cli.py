@@ -446,6 +446,9 @@ class TestMalformedInput:
 INVALID_SETTINGS = [
     ("train", ["--lof-k", "0"], "k must be"),
     ("train", ["--lof-threshold", "1.0"], "threshold must"),
+    ("train", ["--lof-threshold", "inf"], "threshold must"),
+    ("assess", ["--lof-threshold", "Infinity"], "threshold must"),
+    ("train", ["--model-kind", "isolation_forest", "--seed", "-1"], "seed must"),
     ("train", ["--model-kind", "isolation_forest", "--trees", "0"], "trees must"),
     ("train", ["--model-kind", "isolation_forest", "--anomaly-cutoff", "1.5"], "anomaly_cutoff"),
     ("train", ["--model-kind", "isolation_forest", "--subsample", "1"], "subsample"),
@@ -556,6 +559,19 @@ class TestInvalidSettings:
         config = write_config(tmp_path, **{**ALL_SETTINGS, **values})
         result = run_command(command, device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, "--config", config)
         assert_one_error(result, reason)
+
+    @pytest.mark.parametrize("command", ["train", "attack", "detect", "assess"])
+    def test_deeply_nested_config_exits_2(self, device_factory, tmp_path, command):
+        config = tmp_path / "settings.json"
+        config.write_text("[" * 200_000)
+        result = run_command(command, device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, "--config", str(config))
+        assert_one_error(result, "settings file is not JSON")
+
+    def test_infinite_threshold_in_config_exits_2(self, device_factory, tmp_path):
+        config = tmp_path / "settings.json"
+        config.write_text('{"lof_threshold": Infinity}')
+        result = run_command("train", device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, "--config", str(config))
+        assert_one_error(result, "threshold must")
 
     def test_config_key_checked_by_a_command_that_does_not_read_it(self, device_factory, tmp_path):
         device = device_factory(Behavior.CLEARTEXT_ECHO)

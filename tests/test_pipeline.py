@@ -88,6 +88,26 @@ class TestSettings:
         with pytest.raises(ValueError, match="threshold"):
             PipelineSettings(model_kind="isolation_forest", lof_threshold=float("nan"))
 
+    @pytest.mark.parametrize("model_kind", ["lof", "isolation_forest"])
+    def test_infinite_lof_threshold_rejected(self, tmp_path, model_kind):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            PipelineSettings(model_kind=model_kind, lof_threshold=float("inf"))
+        config = tmp_path / "settings.json"
+        config.write_text('{"lof_threshold": Infinity}')
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            load_settings(config)
+
+    @pytest.mark.parametrize("model_kind", ["lof", "isolation_forest"])
+    def test_negative_seed_rejected_by_name(self, model_kind):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            PipelineSettings(model_kind=model_kind, seed=-1)
+
+    def test_deeply_nested_file_is_a_settings_error(self, tmp_path):
+        config = tmp_path / "settings.json"
+        config.write_text("[" * 200_000)
+        with pytest.raises(ValueError, match="settings file is not JSON"):
+            load_settings(config)
+
     def test_file_then_overrides(self, tmp_path):
         config = tmp_path / "settings.json"
         config.write_text(json.dumps({"lof_k": 7, "response_window": 4}))

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from replaycheck import pcap
+from replaycheck import pcap, replay
 from replaycheck.capture import Endpoint, SessionConfig, Transport, parse_capture, segment_flows
 from replaycheck.protocols import detect_standard_security_protocol
 from replaycheck.replay import capture_linger_s
@@ -39,6 +39,16 @@ LINE_BEHAVIORS = (
     Behavior.SIGNED_CLEARTEXT,
     Behavior.SESSION_KEY,
 )
+
+# Capture records one companion command yields, per behavior.
+EXCHANGE_RECORDS = {
+    Behavior.CLEARTEXT_ECHO: 2,
+    Behavior.SIGNED_CLEARTEXT: 2,
+    Behavior.ENCODED_FIXED: 2,
+    Behavior.SESSION_KEY: 2,
+    Behavior.TLS_LIKE: 4,
+    Behavior.SILENT: 1,
+}
 
 
 def raw_exchange(endpoint, payload, transport=Transport.TCP, deadline_s=1.0):
@@ -138,17 +148,7 @@ class TestTrigger:
         trigger_state(device, DeviceState.REVERSE)
         assert query_state(device) == DeviceState.REVERSE
 
-    @pytest.mark.parametrize(
-        "behavior,record_count",
-        [
-            (Behavior.CLEARTEXT_ECHO, 2),
-            (Behavior.SIGNED_CLEARTEXT, 2),
-            (Behavior.ENCODED_FIXED, 2),
-            (Behavior.SESSION_KEY, 2),
-            (Behavior.TLS_LIKE, 4),
-            (Behavior.SILENT, 1),
-        ],
-    )
+    @pytest.mark.parametrize("behavior,record_count", list(EXCHANGE_RECORDS.items()))
     def test_exchange_record_counts(self, device_factory, behavior, record_count):
         device = device_factory(behavior)
         records = trigger_state(device, DeviceState.OBVERSE)
@@ -175,6 +175,32 @@ class TestTrigger:
         device = spawn_device(default_profile(Behavior.CLEARTEXT_ECHO))
         device.shutdown()
         with pytest.raises(TriggerError):
+            trigger_state(device, DeviceState.OBVERSE)
+
+    def test_companion_opens_no_client_socket(self, device_factory, monkeypatch):
+        """The companion drives each device in-process, through the handler
+        its server builds per connection, not over a loopback connection."""
+        devices = {behavior: device_factory(behavior) for behavior in Behavior}
+
+        def refuse(*args, **kwargs):
+            raise OSError("no client sockets in this test")
+
+        monkeypatch.setattr(replay, "connect", refuse)
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        for behavior, device in devices.items():
+            records = trigger_state(device, DeviceState.OBVERSE)
+            assert query_state(device) == DeviceState.OBVERSE
+            assert len(records) == EXCHANGE_RECORDS[behavior]
+            frames = list(pcap.read_frames(companion_session(device)))
+            assert len(frames) == len(DEFAULT_TRAINING_SCRIPT) * EXCHANGE_RECORDS[behavior]
+            assert query_state(device) == DeviceState.REVERSE  # the script ends on reverse
+
+    def test_ack_without_state_change_raises(self, device_factory, monkeypatch):
+        """The state is checked once, right after the exchange."""
+        device = device_factory(Behavior.CLEARTEXT_ECHO)
+        ack = b'{"result":["ok"]}\n'
+        monkeypatch.setattr(device.engine, "handle_message", lambda message, session: [ack])
+        with pytest.raises(TriggerError, match="state is reverse, expected obverse"):
             trigger_state(device, DeviceState.OBVERSE)
 
 
@@ -222,8 +248,8 @@ class TestCompanionSession:
         device = device_factory(Behavior.CLEARTEXT_ECHO)
         exchange = device.engine.companion_exchange
 
-        def answered_twice(client, target):
-            return exchange(client, target) + [(False, b"second\n")]
+        def answered_twice(deliver, target):
+            return exchange(deliver, target) + [(False, b"second\n")]
 
         monkeypatch.setattr(device.engine, "companion_exchange", answered_twice)
         capture = companion_session(device, script=(DeviceState.OBVERSE, DeviceState.REVERSE))
