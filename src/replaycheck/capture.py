@@ -166,6 +166,12 @@ def parse_capture_with_notes(
     """
     notes = CaptureNotes()
     records: list[PacketRecord] = []
+    # Decoded addresses are canonical text, as the session's are, so a
+    # frame's direction is found by comparing plain tuples; no Endpoint is
+    # built per frame.
+    app, device = config.app, config.device
+    request = (app.address, app.port, device.address, device.port)
+    response = (device.address, device.port, app.address, app.port)
     epoch: int | None = None
     seen_tcp: set[tuple[Endpoint, Endpoint, int, bytes]] = set()
     # Highest sequence byte seen so far per direction, to flag captures in
@@ -183,16 +189,15 @@ def parse_capture_with_notes(
             else:
                 notes.frames_other_protocol += 1
             continue
-        transport = _TRANSPORT_FOR[segment.protocol]
-        try:
-            src = Endpoint(segment.src_addr, segment.src_port)
-            dst = Endpoint(segment.dst_addr, segment.dst_port)
-        except ValueError:
-            notes.frames_undecodable += 1
-            continue
-        if classify_direction(src, dst, config) == Direction.UNRELATED:
+        endpoints = (segment.src_addr, segment.src_port, segment.dst_addr, segment.dst_port)
+        if endpoints == request:
+            src, dst = app, device
+        elif endpoints == response:
+            src, dst = device, app
+        else:
             notes.frames_other_endpoints += 1
             continue
+        transport = _TRANSPORT_FOR[segment.protocol]
         if not segment.payload:
             notes.zero_payload_dropped += 1
             continue

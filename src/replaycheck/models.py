@@ -181,6 +181,7 @@ class LofModel:
             and isinstance(threshold, (int, float))
         ):
             raise ValueError("LOF model fields have inconsistent shapes or types")
+        check_lof_parameters(k, threshold)
         return cls(
             k=k,
             k_eff=k_eff,
@@ -328,13 +329,12 @@ class IsolationForestModel:
         seed, anomaly_cutoff = body["seed"], body["anomaly_cutoff"]
         if not (
             isinstance(trees, list)
-            and trees
             and isinstance(subsample, int)
-            and subsample >= 2
             and isinstance(seed, int)
             and isinstance(anomaly_cutoff, (int, float))
         ):
-            raise ValueError("isolation forest needs trees, subsample >= 2, seed and cutoff")
+            raise ValueError("isolation forest needs a tree list, subsample, seed and cutoff")
+        check_forest_parameters(len(trees), subsample, anomaly_cutoff, seed)
         for tree in trees:
             _check_tree(tree)
         return cls(trees=trees, subsample=subsample, seed=seed, anomaly_cutoff=anomaly_cutoff)

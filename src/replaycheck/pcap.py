@@ -13,8 +13,10 @@ truncated snapshots are reported to the caller as skips, not errors.
 
 from __future__ import annotations
 
+import ipaddress
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import BinaryIO, Iterator
 
 PCAP_MAGIC = 0xA1B2C3D4
@@ -140,13 +142,18 @@ class DecodedSegment:
     tcp_seq: int | None
 
 
+# Captures repeat a few endpoints over many frames, so each address form is
+# converted once; the bound keeps a capture of many hosts from growing it.
+_ADDRESS_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_ADDRESS_CACHE_SIZE)
 def _ipv4_to_str(raw: bytes) -> str:
     return ".".join(str(b) for b in raw)
 
 
+@lru_cache(maxsize=_ADDRESS_CACHE_SIZE)
 def _ipv6_to_str(raw: bytes) -> str:
-    import ipaddress
-
     return str(ipaddress.IPv6Address(raw))
 
 
@@ -257,12 +264,24 @@ def _decode_transport(
 
 
 def _checksum(data: bytes) -> int:
+    """The RFC 1071 Internet checksum of data (zero-padded to whole words).
+
+    Since 2**16 == 1 mod 0xFFFF, the bytes read as one big-endian integer
+    are congruent to the sum of their 16-bit words, so one remainder does
+    the end-around-carry fold: a nonzero multiple of 0xFFFF folds to 0xFFFF
+    and only all-zero words fold to 0.
+    """
     if len(data) % 2:
         data += b"\x00"
-    total = sum(struct.unpack(f">{len(data) // 2}H", data))
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+    value = int.from_bytes(data, "big")
+    folded = (value - 1) % 0xFFFF + 1 if value else 0
+    return ~folded & 0xFFFF
+
+
+@lru_cache(maxsize=_ADDRESS_CACHE_SIZE)
+def _packed_address(address: str) -> bytes:
+    """The 4- or 16-byte network form of an IPv4 or IPv6 address."""
+    return ipaddress.ip_address(address).packed
 
 
 def _mac_for(addr_raw: bytes) -> bytes:
@@ -287,11 +306,9 @@ def encode_frame(
     Checksums are computed for real; parsers downstream may rely on them.
     IPv4 or IPv6 is chosen from the address form.
     """
-    import ipaddress
-
-    src_ip = ipaddress.ip_address(src_addr)
-    dst_ip = ipaddress.ip_address(dst_addr)
-    if src_ip.version != dst_ip.version:
+    src_raw = _packed_address(src_addr)
+    dst_raw = _packed_address(dst_addr)
+    if len(src_raw) != len(dst_raw):
         raise ValueError("mixed IPv4/IPv6 endpoints in one frame")
 
     if protocol == PROTO_TCP:
@@ -314,9 +331,7 @@ def encode_frame(
     else:
         raise ValueError(f"unsupported transport protocol {protocol}")
 
-    src_raw = src_ip.packed
-    dst_raw = dst_ip.packed
-    if src_ip.version == 4:
+    if len(src_raw) == 4:
         pseudo = src_raw + dst_raw + struct.pack(">BBH", 0, protocol, len(transport))
         transport = _fill_transport_checksum(transport, protocol, pseudo)
         ip_header = struct.pack(

@@ -10,11 +10,11 @@ finding.
 
 One pacing rule spaces the flows: a flow starts once the previous
 flow's collection has ended and at least the inter-flow delay has
-passed since the previous flow's last request was due. The delay
-overlaps the previous flow's collection instead of adding to it. It
-counts from when that request was due, not from when it went out: a
-send the host runs late shortens the gap the device sees by that
-lateness.
+passed since the previous flow's last request actually went out. The
+delay overlaps the previous flow's collection instead of adding to it.
+Because it counts from the send itself, a send the host runs late, or a
+slow connect, delays the next flow rather than shortening the gap the
+device sees.
 
 The capture is the evidence for how long to listen. Once a flow has
 drawn as many responses as the capture shows for it, collection ends
@@ -43,6 +43,7 @@ __all__ = [
     "QueueEntry",
     "ResponseQueue",
     "FlowReplayReport",
+    "FlowReplay",
     "AttackResult",
     "schedule",
     "capture_linger_s",
@@ -139,6 +140,25 @@ class FlowReplayReport:
 
 
 @dataclass(frozen=True)
+class FlowReplay:
+    """What one replay_flow call sent and drew; unpacks as (responses, note).
+
+    responses are (monotonic arrival, payload) in arrival order; note is
+    non-empty when the connection failed or was cut short. first_sent and
+    last_sent are the monotonic times the first and last requests went out,
+    None when none did.
+    """
+
+    responses: list[tuple[float, bytes]]
+    note: str
+    first_sent: float | None = None
+    last_sent: float | None = None
+
+    def __iter__(self):
+        return iter((self.responses, self.note))
+
+
+@dataclass(frozen=True)
 class AttackResult:
     queue: ResponseQueue
     flows: tuple[FlowReplayReport, ...]
@@ -187,7 +207,7 @@ def connect(endpoint: Endpoint, transport: Transport, timeout_s: float) -> socke
 
 def replay_flow(
     flow: Flow, device: Endpoint, config: ReplayConfig, linger_s: float
-) -> tuple[list[tuple[float, bytes]], str]:
+) -> FlowReplay:
     """Send one flow's requests to the device and collect what comes back.
 
     A fresh connection (TCP) or ephemeral-port socket (UDP), as the flow
@@ -199,15 +219,15 @@ def replay_flow(
     len(flow.responses) responses have arrived; run_attack passes
     capture_linger_s over the whole capture.
 
-    Returns (responses, note): responses are (monotonic timestamp,
-    payload) in arrival order; note is non-empty when the connection
-    failed or was cut short. Never raises on network errors.
+    A request has gone out once sendall returns for it; the FlowReplay
+    carries those times for the first and last request. Never raises on
+    network errors.
     """
     transport = flow.requests[0].transport
     try:
         sock = connect(device, transport, config.connect_timeout_ms / 1000.0)
     except OSError as exc:
-        return [], f"connect to {device} failed: {exc}"
+        return FlowReplay([], f"connect to {device} failed: {exc}")
 
     payloads = [record.payload for record in flow.requests]
     expected = len(flow.responses)
@@ -215,6 +235,7 @@ def replay_flow(
     timeout_s = config.per_flow_response_timeout_ms / 1000.0
 
     responses: list[tuple[float, bytes]] = []
+    sent_at: list[float] = []
     note = ""
     try:
         start = time.monotonic()
@@ -231,6 +252,7 @@ def replay_flow(
                     break
                 sent += 1
                 last_event = time.monotonic()
+                sent_at.append(last_event)
                 continue
 
             if sent < len(payloads):
@@ -263,7 +285,8 @@ def replay_flow(
                 last_event = arrival
     finally:
         sock.close()
-    return responses, note
+    first_sent, last_sent = (sent_at[0], sent_at[-1]) if sent_at else (None, None)
+    return FlowReplay(responses, note, first_sent, last_sent)
 
 
 def run_attack(
@@ -273,15 +296,14 @@ def run_attack(
 
     A flow starts at whichever comes later: the end of the previous
     flow's collection, or inter_flow_delay after the previous flow's last
-    request was due (its start plus inter_request_delay per request after
-    the first). A last request the host sent late therefore shortens the
-    gap by its lateness. Queue entries are ordered by arrival time;
+    request went out (after the previous flow began, if it sent none). A
+    late send or slow connect therefore never shortens the gap the device
+    sees. Queue entries are ordered by arrival time;
     entries with equal stamps keep replay order. Each entry is tagged with
     its source flow's index in the original capture order.
     """
     ordered = schedule(flows)
     linger_s = capture_linger_s(flows, config)
-    request_delay_s = config.inter_request_delay_ms / 1000.0
     flow_delay_s = config.inter_flow_delay_ms / 1000.0
     attack_started = time.monotonic()
     next_start = attack_started
@@ -293,15 +315,16 @@ def run_attack(
             time.sleep(pause)
         flow_started = time.monotonic()
         original_index = len(flows) - 1 - position
-        responses, note = replay_flow(flow, device, config, linger_s)
-        next_start = flow_started + (len(flow.requests) - 1) * request_delay_s + flow_delay_s
+        replayed = replay_flow(flow, device, config, linger_s)
+        anchor = flow_started if replayed.last_sent is None else replayed.last_sent
+        next_start = anchor + flow_delay_s
         entries.extend(
             QueueEntry(
                 timestamp=ts - attack_started,
                 flow_index=original_index,
                 payload=data,
             )
-            for ts, data in responses
+            for ts, data in replayed.responses
         )
         reports.append(
             FlowReplayReport(
@@ -310,8 +333,8 @@ def run_attack(
                 transport=flow.requests[0].transport,
                 request_lengths=tuple(len(r.payload) for r in flow.requests),
                 expected_responses=len(flow.responses),
-                response_count=len(responses),
-                note=note,
+                response_count=len(replayed.responses),
+                note=replayed.note,
             )
         )
     entries.sort(key=lambda e: e.timestamp)  # stable: replay order breaks ties

@@ -30,6 +30,7 @@ import random
 import select
 import socket
 import struct
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -152,7 +153,8 @@ def _keystream(key: bytes, length: int) -> bytes:
 
 def _xor(data: bytes, key: bytes) -> bytes:
     stream = _keystream(key, len(data))
-    return bytes(a ^ b for a, b in zip(data, stream))
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    return mixed.to_bytes(len(data), "big")
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +532,28 @@ _ENGINES = {
 # ---------------------------------------------------------------------------
 
 
+# Linux's SO_TIMESTAMPNS, which the socket module does not name: each
+# datagram then carries the kernel's CLOCK_REALTIME receive time.
+_SO_TIMESTAMPNS = 35
+_KERNEL_STAMPS = sys.platform == "linux"
+
+
+def _receive(sock: socket.socket) -> tuple[bytes, tuple, float]:
+    """One datagram, its sender, and the monotonic time it reached the
+    socket: from its kernel receive stamp where there is one, so a late
+    wakeup of the serving thread is not counted, else when it is read."""
+    if not _KERNEL_STAMPS:
+        data, address = sock.recvfrom(65536)
+        return data, address, time.monotonic()
+    data, ancillary, _, address = sock.recvmsg(65536, socket.CMSG_SPACE(16))
+    now = time.monotonic()
+    for level, kind, stamp in ancillary:
+        if level == socket.SOL_SOCKET and kind == _SO_TIMESTAMPNS:
+            seconds, nanoseconds = struct.unpack("ll", stamp)  # struct timespec
+            return data, address, now - (time.time() - seconds - nanoseconds / 1e9)
+    return data, address, now
+
+
 class _LoopbackServer:
     """One thread serving a loopback TCP or UDP socket until stop().
 
@@ -537,7 +561,8 @@ class _LoopbackServer:
     and returns handle(data) -> (responses, close_connection). TCP
     connections are served one at a time, in accept order. The thread
     blocks in select on its socket plus a wakeup socket whose other end
-    stop() closes, so stopping never waits out a poll.
+    stop() closes, so stopping never waits out a poll. .arrival is the
+    monotonic time the request being handled arrived.
     """
 
     def __init__(self, transport: Transport, port: int, new_handler):
@@ -551,7 +576,10 @@ class _LoopbackServer:
         except OSError as exc:
             self.sock.close()
             raise SpawnError(f"cannot bind 127.0.0.1:{port}: {exc}") from exc
+        if kind == socket.SOCK_DGRAM and _KERNEL_STAMPS:
+            self.sock.setsockopt(socket.SOL_SOCKET, _SO_TIMESTAMPNS, 1)
         self.port = self.sock.getsockname()[1]
+        self.arrival = 0.0
         self._new_handler = new_handler
         self._wake, self._waker = socket.socketpair()
         self._thread = threading.Thread(target=self._serve, daemon=True)
@@ -579,7 +607,7 @@ class _LoopbackServer:
             else:
                 handle = self._new_handler()
                 while self._readable(self.sock):
-                    data, address = self.sock.recvfrom(65536)
+                    data, address, self.arrival = _receive(self.sock)
                     responses, _ = handle(data)
                     try:
                         self._send(responses, lambda r: self.sock.sendto(r, address))
@@ -599,6 +627,7 @@ class _LoopbackServer:
                 data = connection.recv(65536)
                 if not data:
                     return
+                self.arrival = time.monotonic()
                 responses, close_connection = handle(data)
                 self._send(responses, connection.sendall)
                 if close_connection:
@@ -838,10 +867,10 @@ class ScriptedResponder:
     """Maps exact request payloads to fixed response lists.
 
     Unknown requests get nothing. Each received payload is logged to
-    .received, and its monotonic arrival time to .received_at, for
-    replay-fidelity and pacing checks. UDP treats each datagram as one
-    request; TCP treats each recv chunk as one (good enough for a test
-    double on loopback).
+    .received, and the monotonic time it reached the socket (the kernel's
+    receive stamp, for UDP on Linux) to .received_at, for replay-fidelity
+    and pacing checks. UDP treats each datagram as one request; TCP treats
+    each recv chunk as one (good enough for a test double on loopback).
     """
 
     def __init__(
@@ -858,7 +887,7 @@ class ScriptedResponder:
         self.endpoint = Endpoint("127.0.0.1", self._server.port)
 
     def _handle(self, request: bytes) -> tuple[list[bytes], bool]:
-        self.received_at.append(time.monotonic())
+        self.received_at.append(self._server.arrival)
         self.received.append(request)
         return self.script.get(request, []), False
 

@@ -154,3 +154,17 @@ def hamming_similarity(a: bytes, b: bytes) -> float:
     longer = max(len(a), len(b))
     matches = sum(1 for x, y in zip(a, b) if x == y)
     return matches / longer
+
+
+def internet_checksum(data: bytes) -> int:
+    """RFC 1071 checksum, word by word: add each 16-bit big-endian word
+    (an odd last byte padded with a zero byte), fold the carry back in
+    after every addition, and return the ones' complement of the sum."""
+    total = 0
+    for i in range(0, len(data), 2):
+        word = data[i] << 8
+        if i + 1 < len(data):
+            word |= data[i + 1]
+        total += word
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF

@@ -2,6 +2,7 @@
 and whatever decodes can be summarized by `replaycheck report`."""
 
 import json
+import math
 from dataclasses import asdict
 
 import pytest
@@ -15,6 +16,7 @@ from replaycheck.cli import main
 from replaycheck.models import train_isolation_forest, train_lof
 from replaycheck.pipeline import AssessmentResult
 from replaycheck.replay import FlowReplayReport, QueueEntry, ResponseQueue
+from replaycheck.simdevices import DEFAULT_APP_ENDPOINT, records_to_capture
 from replaycheck.verdict import Outcome, Reason, Verdict
 
 SCHEMAS = [
@@ -153,3 +155,42 @@ def test_rejects_non_artifacts(path, data):
     path.write_bytes(data)
     with pytest.raises(ArtifactError):
         artifacts.read(path, artifacts.MODEL)
+
+
+# Each model kind's cutoff field, and the one of CUTOFFS its settings accept.
+CUTOFF_FIELDS = [
+    (VALID[artifacts.MODEL][0], "threshold", 1.5),
+    (VALID[artifacts.MODEL][1], "anomaly_cutoff", 0.5),
+]
+CUTOFFS = [math.inf, math.nan, 0.5, 1.5]
+
+
+@pytest.mark.parametrize("value", CUTOFFS, ids=["Infinity", "NaN", "0.5", "1.5"])
+@pytest.mark.parametrize("body, field, accepted", CUTOFF_FIELDS, ids=["lof", "isolation_forest"])
+def test_model_cutoff_is_checked_by_the_settings_rule(tmp_path, body, field, accepted, value):
+    """A model file holds only a cutoff the settings would accept; detect
+    refuses any other with one `error: <path>: <reason>` line, exit 2."""
+    model_path = tmp_path / "model.json"
+    artifacts.write(model_path, artifacts.MODEL, {**body, field: value})
+    if value == accepted:
+        assert getattr(artifacts.read(model_path, artifacts.MODEL), field) == value
+        return
+    with pytest.raises(ArtifactError, match=field):
+        artifacts.read(model_path, artifacts.MODEL)
+    capture, queue_path = tmp_path / "attack.pcap", tmp_path / "queue.json"
+    capture.write_bytes(records_to_capture([]))
+    artifacts.write(queue_path, artifacts.QUEUE, ResponseQueue((QueueEntry(0.01, 0, b"ack"),)).to_dict())
+    result = CliRunner().invoke(
+        main,
+        [
+            "detect",
+            "--queue", str(queue_path),
+            "--model", str(model_path),
+            "--attack-capture", str(capture),
+            "--app", str(DEFAULT_APP_ENDPOINT),
+            "--device", "127.0.0.1:9",
+        ],
+    )
+    assert result.exit_code == 2, result.output
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"error: {model_path}: {field} must")

@@ -322,6 +322,94 @@ class TestSegmentFlows:
             assert times == sorted(times)
 
 
+def reference_parse(capture, config):
+    """parse_capture_with_notes as written when every frame built its two
+    Endpoints through ipaddress and classify_direction compared them."""
+    notes = CaptureNotes()
+    records, seen_tcp, seq_high, epoch = [], set(), {}, None
+    for ts_us, data in pcap.read_frames(capture):
+        notes.frames_total += 1
+        epoch = ts_us if epoch is None else epoch
+        segment = pcap.decode_frame(data)
+        if segment is None:
+            if pcap.ip_protocol(data) in (None, pcap.PROTO_TCP, pcap.PROTO_UDP):
+                notes.frames_undecodable += 1
+            else:
+                notes.frames_other_protocol += 1
+            continue
+        src = Endpoint(segment.src_addr, segment.src_port)
+        dst = Endpoint(segment.dst_addr, segment.dst_port)
+        if classify_direction(src, dst, config) == Direction.UNRELATED:
+            notes.frames_other_endpoints += 1
+            continue
+        if not segment.payload:
+            notes.zero_payload_dropped += 1
+            continue
+        if segment.protocol == pcap.PROTO_TCP:
+            key = (src, dst, segment.tcp_seq, segment.payload)
+            if key in seen_tcp:
+                notes.retransmissions_dropped += 1
+                continue
+            seen_tcp.add(key)
+            if (src, dst) in seq_high and segment.tcp_seq < seq_high[(src, dst)]:
+                notes.sequence_regressions += 1
+            end = segment.tcp_seq + len(segment.payload)
+            seq_high[(src, dst)] = max(seq_high.get((src, dst), 0), end)
+        transport = Transport.TCP if segment.protocol == pcap.PROTO_TCP else Transport.UDP
+        records.append(PacketRecord(ts_us - epoch, src, dst, transport, segment.payload))
+        notes.records_matched += 1
+    records.sort(key=lambda r: r.timestamp)
+    return records, notes
+
+
+# Sessions given in non-canonical text too; frames draw their hosts from
+# the session's addresses and one other, per family.
+SESSIONS = [
+    SessionConfig(Endpoint("10.77.0.2", 38200), Endpoint("127.0.0.1", 40000)),
+    SessionConfig(Endpoint("FD00:0::2", 38200), Endpoint("fd00:0:0::1", 40000)),
+]
+HOSTS = [("10.77.0.2", "127.0.0.1", "10.77.0.3"), ("fd00::2", "fd00::1", "fd00::3")]
+PORTS = (38200, 40000, 5)
+
+
+@st.composite
+def mixed_captures(draw):
+    """A session and a capture of its frames both ways among other hosts'
+    frames, swapped ports, IPv4 and IPv6, repeated TCP sequence numbers,
+    empty payloads and frames that do not decode."""
+    session = draw(st.sampled_from(SESSIONS))
+    frames = []
+    for _ in range(draw(st.integers(0, 16))):
+        shape = draw(st.sampled_from(["request", "response", "other", "other", "icmp", "cut"]))
+        if shape == "request":
+            src, dst = session.app, session.device
+        elif shape == "response":
+            src, dst = session.device, session.app
+        else:
+            hosts = draw(st.sampled_from(HOSTS))
+            src, dst = (
+                Endpoint(draw(st.sampled_from(hosts)), draw(st.sampled_from(PORTS))) for _ in range(2)
+            )
+        protocol = draw(st.sampled_from([pcap.PROTO_TCP, pcap.PROTO_UDP]))
+        payload = draw(st.sampled_from([b"", b"a", b"ab", b"\x00\xff\x10"]))
+        data = frame(src, dst, payload, protocol, draw(st.integers(0, 6)))
+        if shape == "icmp":
+            data = bytearray(data)
+            data[14 + (9 if ":" not in src.address else 6)] = 1
+            data = bytes(data)
+        elif shape == "cut":
+            data = data[: draw(st.integers(0, len(data) - 1))]
+        frames.append((draw(st.integers(0, 10**6)), data))
+    return session, pcap.write_capture(frames)
+
+
+class TestParseDifferential:
+    @given(mixed_captures())
+    def test_same_records_and_notes_as_the_endpoint_reference(self, drawn):
+        session, capture = drawn
+        assert parse_capture_with_notes(capture, session) == reference_parse(capture, session)
+
+
 class TestPacketRecord:
     def test_empty_payload_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,9 @@
 import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
+from oracles import internet_checksum
 from replaycheck import pcap
 
 
@@ -181,3 +183,73 @@ class TestChecksums:
         transport = frame[34:]
         pseudo = ip[12:16] + ip[16:20] + struct.pack(">BBH", 0, 17, len(transport))
         assert self.ones_complement_sum(pseudo + transport) == 0xFFFF
+
+    @given(st.binary(max_size=600))
+    def test_checksum_matches_the_word_by_word_reference(self, data):
+        assert pcap._checksum(data) == internet_checksum(data)
+
+    @given(st.binary(max_size=600).map(lambda data: data[: len(data) // 2 * 2]))
+    def test_appending_the_checksum_sums_to_zero(self, data):
+        # The sum then is a nonzero multiple of 0xFFFF, or zero words only.
+        assert pcap._checksum(data + struct.pack(">H", pcap._checksum(data))) == 0
+
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            (b"", 0xFFFF),
+            (b"\x00" * 6, 0xFFFF),
+            (b"\x01", 0xFEFF),  # odd length: padded to the word 0x0100
+            (b"\x12\x34\x56", 0x97CB),
+            (b"\xff\xff", 0x0000),
+            (b"\xff" * 7, 0x00FF),
+            (b"\x80\x00\x7f\xff", 0x0000),  # words sum to 0xFFFF
+            (b"\xff\xfe\xff\xfe\x00\x02", 0x0000),  # words sum to 2 * 0xFFFF
+            (b"\x00\x01\xff\xff", 0xFFFE),  # 0x10000 folds to 1
+        ],
+        ids=["empty", "zero-words", "odd-length", "odd-length-3", "all-ff", "all-ff-odd",
+             "sum-0xffff", "sum-2x0xffff", "carry"],
+    )
+    def test_checksum_edge_cases(self, data, expected):
+        assert internet_checksum(data) == expected
+        assert pcap._checksum(data) == expected
+
+
+# A well-formed frame of each family and transport, to damage.
+SAMPLE_FRAMES = [
+    tcp_frame(),
+    pcap.encode_frame("10.1.1.1", "10.1.1.2", 53, 53, pcap.PROTO_UDP, b"q"),
+    pcap.encode_frame("fd00::1", "fd00::2", 1, 2, pcap.PROTO_TCP, b"v6 payload", tcp_seq=9),
+    pcap.encode_frame("fd00::1", "fd00::2", 1, 2, pcap.PROTO_UDP, b"x"),
+]
+
+
+@st.composite
+def damaged_frames(draw):
+    """A sample frame with a few bytes overwritten, then cut short."""
+    frame = bytearray(draw(st.sampled_from(SAMPLE_FRAMES)))
+    for _ in range(draw(st.integers(0, 4))):
+        frame[draw(st.integers(0, len(frame) - 1))] = draw(st.integers(0, 255))
+    return bytes(frame[: draw(st.integers(0, len(frame)))])
+
+
+class TestFuzz:
+    @given(
+        st.binary(max_size=200)
+        | st.binary(max_size=200).map(lambda tail: make_header() + tail)
+        | st.binary(max_size=200).map(lambda tail: make_header(endian=">") + tail)
+    )
+    def test_read_frames_raises_only_pcap_errors(self, data):
+        try:
+            for timestamp, frame in pcap.read_frames(data):
+                assert timestamp >= 0 and isinstance(frame, bytes)
+        except pcap.PcapError:
+            pass
+
+    @given(st.binary(max_size=120) | damaged_frames())
+    def test_frame_decoders_never_raise(self, frame):
+        segment = pcap.decode_frame(frame)
+        protocol = pcap.ip_protocol(frame)
+        assert protocol is None or isinstance(protocol, int)
+        if segment is not None:
+            assert isinstance(segment, pcap.DecodedSegment)
+            assert protocol == segment.protocol

@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 import pytest
 from hypothesis import given, strategies as st
 
-from replaycheck import artifacts
+from replaycheck import artifacts, replay
 from replaycheck.artifacts import ArtifactError
 from replaycheck.capture import Endpoint, Flow, PacketRecord, Transport
 from replaycheck.pipeline import PipelineSettings
@@ -137,11 +137,22 @@ class TestReplayFlow:
         port = probe.getsockname()[1]
         probe.close()
         flow = flow_of(b"x", transport=Transport.TCP)
-        responses, note = replay_flow(
+        replayed = replay_flow(
             flow, Endpoint("127.0.0.1", port), FAST, capture_linger_s([flow], FAST)
         )
+        responses, note = replayed
         assert responses == []
         assert "connect" in note and "failed" in note
+        assert replayed.first_sent is None and replayed.last_sent is None
+
+    def test_reports_when_its_first_and_last_requests_went_out(self):
+        with ScriptedResponder({}) as responder:
+            replayed = replay_flow(flow_of(b"a", b"b", b"c"), responder.endpoint, FAST, 0.0)
+        first, last = replayed.first_sent, replayed.last_sent
+        # A request has reached the responder by the time its send returns.
+        arrivals = responder.received_at
+        assert arrivals[0] <= first < arrivals[1] <= arrivals[2] <= last
+        assert last - first >= 2 * FAST.inter_request_delay_ms / 1000
 
 
 WINDOW = replace(FAST, per_flow_response_timeout_ms=400)
@@ -237,9 +248,9 @@ def request_gaps(flows, endpoint_script):
 
 class TestPacing:
     """A flow starts once the previous flow's collection has ended and the
-    inter-flow delay has passed since its last request was due. A last
-    request the host sent late shortens the gap by that lateness, which the
-    responder sees against the flow's first request."""
+    inter-flow delay has passed since its last request went out. Gaps are
+    read from the responder's arrival stamps; the checks still allow for a
+    last request that arrived late against the flow's first request."""
 
     def test_flows_are_at_least_the_delay_apart(self):
         script = {b"F1": [b"R1"], b"F2": [b"R2"], b"F3": [b"R3"]}
@@ -291,6 +302,22 @@ class TestRunAttack:
         assert result.flows[0].request_lengths == (2, 4)
         assert result.flows[0].expected_responses == 0
         assert result.flows[0].response_count == 0
+
+    def test_a_slow_connect_does_not_shorten_the_gap(self, monkeypatch):
+        # The first flow replayed takes 20 ms to connect; the delay still
+        # counts from its request, not from when it began connecting.
+        connect, slow = replay.connect, [0.02]
+
+        def delayed(*args):
+            if slow:
+                time.sleep(slow.pop())
+            return connect(*args)
+
+        monkeypatch.setattr(replay, "connect", delayed)
+        script = {b"F1": [b"R1"], b"F2": [b"R2"]}
+        flows = [flow_of(name, responses=script[name]) for name in (b"F1", b"F2")]
+        ((gap, _),) = request_gaps(flows, script)
+        assert gap >= FLOW_GAP_S - SCHEDULING_TOLERANCE_S
 
     def test_no_flows(self):
         result = run_attack([], Endpoint("127.0.0.1", 1), FAST)

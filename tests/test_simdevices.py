@@ -2,6 +2,7 @@
 behavior, restart handling, and capture synthesis."""
 
 import gc
+import hashlib
 import json
 import os
 import socket
@@ -11,7 +12,14 @@ import time
 import pytest
 
 from replaycheck import pcap, replay
-from replaycheck.capture import Endpoint, SessionConfig, Transport, parse_capture, segment_flows
+from replaycheck.capture import (
+    Endpoint,
+    PacketRecord,
+    SessionConfig,
+    Transport,
+    parse_capture,
+    segment_flows,
+)
 from replaycheck.protocols import detect_standard_security_protocol
 from replaycheck.replay import capture_linger_s
 from replaycheck.simdevices import (
@@ -553,8 +561,6 @@ class TestRecordsToCapture:
         # identical bytes in the same direction must advance the synthetic
         # TCP sequence, or parsing would drop them as retransmissions
         app, dev = DEFAULT_APP_ENDPOINT, Endpoint("127.0.0.1", 50000)
-        from replaycheck.capture import PacketRecord
-
         records = [
             PacketRecord(0, app, dev, Transport.TCP, b"same"),
             PacketRecord(10, app, dev, Transport.TCP, b"same"),
@@ -563,3 +569,20 @@ class TestRecordsToCapture:
             records_to_capture(records), SessionConfig(app=app, device=dev)
         )
         assert len(parsed) == 2
+
+    def test_capture_bytes_are_pinned(self):
+        """Every byte of the synthesized framing (addresses, checksums,
+        sequence numbers) against a digest of a known-good encoder."""
+        app4, dev4 = Endpoint("10.77.0.2", 38200), Endpoint("192.168.7.20", 4001)
+        app6, dev6 = Endpoint("fd00::2", 38201), Endpoint("2001:db8::1:0:0:7", 5683)
+        records = [
+            PacketRecord(0, app4, dev4, Transport.TCP, b"hello"),
+            PacketRecord(10, dev4, app4, Transport.TCP, b"ack!"),
+            PacketRecord(20, app4, dev4, Transport.UDP, b"\xff" * 33),
+            PacketRecord(30, app6, dev6, Transport.TCP, bytes(range(255))),
+            PacketRecord(40, dev6, app6, Transport.UDP, b"x"),
+            PacketRecord(50, app6, dev6, Transport.UDP, b"\x00\x01\x02"),
+            PacketRecord(60, app4, dev4, Transport.TCP, b"hello"),
+        ]
+        digest = hashlib.sha256(records_to_capture(records)).hexdigest()
+        assert digest == "2c7630a154c6744cdcc1d8fd5557a999faeb2462f8ab36b365b76a95cf0ff420"
