@@ -18,6 +18,7 @@ in-distribution queries; the isolation-forest score lives in (0, 1] with
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Sequence
@@ -51,6 +52,10 @@ MAX_SUBSAMPLE = 256
 # Local reachability density for a neighborhood whose reachability sum is
 # zero (a cluster of duplicates): 1/epsilon rather than infinity.
 LRD_DUPLICATE_EPSILON = 1e-12
+
+# Byte budget for one row block's difference tensor while train_lof fills
+# its distance matrix, so training memory grows as n^2, not n^2 * d.
+LOF_BLOCK_BYTES = 8 << 20
 
 
 class Label(Enum):
@@ -199,7 +204,8 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] == 0:
         return np.zeros((a.shape[0], b.shape[0]))
     diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    diff *= diff
+    return np.sqrt(diff.sum(axis=2))
 
 
 def _lrd_from_neighbors(
@@ -230,7 +236,8 @@ def train_lof(
     k is clamped to n-1 (k_eff). Training vectors are z-score standardized
     per dimension; zero-variance dimensions are dropped. Duplicate points
     are fine: a neighborhood of exact duplicates gets lrd 1/1e-12 instead
-    of a division by zero.
+    of a division by zero. The n x n distance matrix is filled a block of
+    rows at a time, each block's difference tensor within LOF_BLOCK_BYTES.
     """
     matrix = _as_matrix(training)
     n = matrix.shape[0]
@@ -246,10 +253,15 @@ def train_lof(
     kept = std > 0.0
     points = (matrix[:, kept] - mean[kept]) / std[kept]
 
-    distances = _pairwise_distances(points, points)
-    np.fill_diagonal(distances, np.inf)  # a point is not its own neighbor
+    distances = np.empty((n, n))
+    k_distance = np.empty(n)
+    block = max(1, LOF_BLOCK_BYTES // (8 * n * max(1, points.shape[1])))
+    for start in range(0, n, block):
+        rows = distances[start : start + block]
+        rows[...] = _pairwise_distances(points[start : start + block], points)
+        np.fill_diagonal(rows[:, start:], np.inf)  # a point is not its own neighbor
+        k_distance[start : start + block] = np.partition(rows, k_eff - 1, axis=1)[:, k_eff - 1]
 
-    k_distance = np.partition(distances, k_eff - 1, axis=1)[:, k_eff - 1]
     lrd = np.empty(n)
     neighbor_sets = [np.flatnonzero(distances[i] <= k_distance[i]) for i in range(n)]
     for i, neighbors in enumerate(neighbor_sets):
@@ -316,7 +328,8 @@ class IsolationForestModel:
     def score(self, query: FeatureVector | Sequence[float] | np.ndarray) -> float:
         """Anomaly score 2^(-E[path length]/c(subsample)), in (0, 1]."""
         row = query.as_array() if isinstance(query, FeatureVector) else np.asarray(query, dtype=np.float64)
-        mean_path = math.fsum(_path_length(tree, row, 0) for tree in self.trees) / len(self.trees)
+        values = row.tolist()  # Python floats compare faster than numpy scalars
+        mean_path = math.fsum(_path_length(tree, values, 0) for tree in self.trees) / len(self.trees)
         return float(2.0 ** (-mean_path / _average_path_length(self.subsample)))
 
     def to_dict(self) -> dict:
@@ -363,7 +376,7 @@ def _widest_split(node: dict) -> int:
     return max(node["f"], _widest_split(node["l"]), _widest_split(node["r"]))
 
 
-def _grow_tree(matrix: np.ndarray, rng: np.random.Generator, depth: int, limit: int) -> dict:
+def _grow_tree(matrix: np.ndarray, rng: random.Random, depth: int, limit: int) -> dict:
     n = matrix.shape[0]
     if n <= 1 or depth >= limit:
         return {"n": int(n)}
@@ -373,7 +386,7 @@ def _grow_tree(matrix: np.ndarray, rng: np.random.Generator, depth: int, limit: 
     if splittable.size == 0:
         return {"n": int(n)}  # all rows identical; cannot isolate further
     dim = int(rng.choice(splittable))
-    threshold = float(rng.uniform(low[dim], high[dim]))
+    threshold = rng.uniform(float(low[dim]), float(high[dim]))
     left = matrix[:, dim] < threshold
     if not left.any() or left.all():
         return {"n": int(n)}  # degenerate draw at the range edge
@@ -411,6 +424,9 @@ def train_isolation_forest(
 ) -> IsolationForestModel:
     """Fit an isolation forest; deterministic for a fixed seed.
 
+    Draws come from random.Random(seed), so a seed grows the same trees
+    on a given Python version.
+
     subsample defaults to min(256, n) and must not exceed n.
     """
     matrix = _as_matrix(training)
@@ -425,18 +441,18 @@ def train_isolation_forest(
     if subsample > n:
         raise ValueError(f"subsample must be in [2, {n}], got {subsample}")
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     limit = math.ceil(math.log2(subsample))
     grown = []
     for _ in range(trees):
-        rows = rng.choice(n, size=subsample, replace=False)
+        rows = rng.sample(range(n), subsample)
         grown.append(_grow_tree(matrix[rows], rng, 0, limit))
     return IsolationForestModel(
         trees=grown, subsample=subsample, seed=seed, anomaly_cutoff=anomaly_cutoff
     )
 
 
-def _path_length(tree: dict, row: np.ndarray, depth: int) -> float:
+def _path_length(tree: dict, row: list[float], depth: int) -> float:
     while "f" in tree:
         tree = tree["l"] if row[tree["f"]] < tree["t"] else tree["r"]
         depth += 1

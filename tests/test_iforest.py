@@ -2,10 +2,15 @@
 serialization fidelity."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import replaycheck
 from replaycheck import artifacts
 from replaycheck.models import (
     DEFAULT_ANOMALY_CUTOFF,
@@ -65,6 +70,40 @@ class TestDeterminism:
         a = train_isolation_forest(training, trees=20, seed=1)
         b = train_isolation_forest(training, trees=20, seed=2)
         assert a.trees != b.trees
+
+    @pytest.mark.parametrize("hash_seed", ["0", "4242"])
+    def test_forest_grows_without_numpy_random(self, hash_seed):
+        # A fresh interpreter, since the test process may have loaded
+        # numpy.random through a plugin. The trees must not depend on the
+        # hash seed either.
+        training = cluster_with_outlier(seed=13, n=40)
+        expected = train_isolation_forest(training, trees=20, seed=6).trees
+        script = (
+            "import json, sys\n"
+            "import numpy\n"
+            "preloaded = 'numpy.random' in sys.modules\n"
+            "import replaycheck\n"
+            "from replaycheck.models import train_isolation_forest, train_lof\n"
+            "training = json.load(sys.stdin)\n"
+            "forest = train_isolation_forest(training, trees=20, seed=6)\n"
+            "forest.score(training[0])\n"
+            "train_lof(training, k=3).score(training[0])\n"
+            "print(json.dumps({'preloaded': preloaded,\n"
+            "                  'loaded': 'numpy.random' in sys.modules,\n"
+            "                  'trees': forest.trees}))\n"
+        )
+        src = str(Path(replaycheck.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=json.dumps(training), capture_output=True, text=True,
+            env=env, check=True, timeout=60,
+        )
+        report = json.loads(done.stdout)
+        if report["preloaded"]:
+            pytest.skip("this numpy loads numpy.random when it is imported")
+        assert not report["loaded"]
+        assert report["trees"] == expected
 
     def test_subsample_defaults_to_min_256_n(self):
         small = train_isolation_forest(cluster_with_outlier(n=40), trees=5, seed=0)

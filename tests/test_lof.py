@@ -3,13 +3,15 @@ agreement with the naive reference implementation."""
 
 import json
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import brute_force_lof
-from replaycheck import artifacts
+from replaycheck import artifacts, models
 from replaycheck.artifacts import ArtifactError
 from replaycheck.features import featurize
 from replaycheck.models import (
@@ -167,6 +169,91 @@ class TestAgainstReference:
         high = train_lof(training, k=k, threshold=threshold + bump)
         if classify(low, query) == Label.REGULAR:
             assert classify(high, query) == Label.REGULAR
+
+
+def full_broadcast_reference(points, k_eff):
+    """k-distances and lrds from one n x n x d broadcast, the unblocked way."""
+    diff = points[:, None, :] - points[None, :, :]
+    distances = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(distances, np.inf)
+    k_distance = np.partition(distances, k_eff - 1, axis=1)[:, k_eff - 1]
+    lrd = np.empty(len(points))
+    for i, row in enumerate(distances):
+        neighbors = np.flatnonzero(row <= k_distance[i])
+        total = float(np.maximum(k_distance[neighbors], row[neighbors]).sum())
+        lrd[i] = 1.0 / models.LRD_DUPLICATE_EPSILON if total == 0.0 else len(neighbors) / total
+    return k_distance, lrd
+
+
+@st.composite
+def training_sets(draw):
+    """Training rows with duplicate rows and constant columns, either on a
+    coarse grid (many exactly tied distances) or off it."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    dims = draw(st.integers(min_value=1, max_value=4))
+    constant = draw(st.lists(st.booleans(), min_size=dims, max_size=dims))
+    distinct = draw(st.integers(min_value=1, max_value=n))
+    on_grid = draw(st.booleans())
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    def coordinate():
+        return float(rng.randint(-4, 4)) if on_grid else rng.uniform(-5.0, 5.0)
+
+    base = [[0.5 if constant[j] else coordinate() for j in range(dims)] for _ in range(distinct)]
+    rows = [list(rng.choice(base)) for _ in range(n)]
+    k = draw(st.integers(min_value=1, max_value=n))
+    query = [coordinate() + 0.25 for _ in range(dims)]
+    return rows, k, query, on_grid
+
+
+class TestBlockedDistances:
+    """train_lof fills its distance matrix in row blocks; blocking changes no bit."""
+
+    @pytest.mark.parametrize("blocking", ["one-row", "ragged", "single"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=training_sets(), pick=st.randoms(use_true_random=False))
+    @example(case=([[1.0, 2.0]] * 5, 3, [0.0, 0.0], True), pick=random.Random(0))
+    def test_blocks_match_full_broadcast(self, blocking, case, pick):
+        training, k, query, on_grid = case
+        n = len(training)
+        varying = sum(len({row[j] for row in training}) > 1 for j in range(len(training[0])))
+        if blocking == "ragged":
+            sizes = [b for b in range(2, n) if n % b]
+            if not sizes:
+                return  # n <= 2 has no ragged split
+            block = pick.choice(sizes)
+        else:
+            block = 1 if blocking == "one-row" else n
+        # the budget that makes train_lof take exactly `block` rows at a time
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "LOF_BLOCK_BYTES", block * 8 * n * max(1, varying))
+            model = train_lof(training, k=k)
+
+        k_distance, lrd = full_broadcast_reference(model.points, model.k_eff)
+        assert model.k_distance.tobytes() == k_distance.tobytes()
+        assert model.lrd.tobytes() == lrd.tobytes()
+        # The oracle's 1e-9 is absolute, so it holds where no duplicate
+        # cluster puts an lrd at 1/epsilon. On the grid, distances that tie
+        # exactly in real arithmetic may round apart differently in numpy
+        # and in the oracle's fsum, and tie-inclusive neighbor sets follow.
+        if not on_grid and (model.lrd < 1.0 / models.LRD_DUPLICATE_EPSILON).all():
+            assert model.score(query) == pytest.approx(
+                brute_force_lof(training, k, query), abs=1e-9
+            )
+
+    def test_training_memory_is_bounded(self):
+        rng = random.Random(2000)
+        training = np.array([[rng.gauss(0.0, 1.0) for _ in range(19)] for _ in range(2000)])
+        started = time.perf_counter()
+        tracemalloc.start()
+        try:
+            train_lof(training)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n x n x d broadcast alone would be 608 MB
+        assert peak < 50e6
+        assert time.perf_counter() - started < 1.0
 
 
 def round_trip(model, tmp_path):
