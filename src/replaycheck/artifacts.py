@@ -125,10 +125,16 @@ def _decode_verdict(body: dict) -> dict:
     return body
 
 
+def _decode_assessment(body: dict) -> dict:
+    if not 0 <= _checked(body, _ASSESSMENT_FIELDS)["accuracy"] <= 1:  # refuses NaN too
+        raise ValueError("field 'accuracy' must lie in [0, 1]")
+    return body
+
+
 _DECODERS = {
     MODEL: _decode_model,
     QUEUE: ResponseQueue.from_dict,
     TRANSCRIPT: _decode_transcript,
     VERDICT: _decode_verdict,
-    ASSESSMENT: lambda body: _checked(body, _ASSESSMENT_FIELDS),
+    ASSESSMENT: _decode_assessment,
 }

@@ -91,6 +91,11 @@ class SessionConfig:
             raise ValueError("app and device endpoints must differ")
 
 
+# The app side of a session when none is given: the identity the simulated
+# companion stamps on its captures (it opens no socket, so has no real one).
+DEFAULT_APP_ENDPOINT = Endpoint("10.77.0.2", 38200)
+
+
 @dataclass(frozen=True)
 class Flow:
     """A maximal run of requests followed by the responses to them.

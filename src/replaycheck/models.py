@@ -12,14 +12,15 @@ epsilons of their own choosing.
 
 Scores: both kinds map higher to more anomalous. LOF is ~1.0 for
 in-distribution queries; the isolation-forest score lives in (0, 1] with
-0.5 the all-identical baseline.
+0.5 the all-identical baseline, and is 1.0 for a query that differs on a
+feature the training set never varied.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -304,12 +305,19 @@ class IsolationForestModel:
     Trees are nested dicts, {"f": dim, "t": threshold, "l": ..., "r": ...}
     for splits and {"n": size} for leaves, so they serialize to the model
     file untouched and scoring after a load is bit-identical.
+
+    constant_features lists [dim, value] for every feature that has one
+    value across the whole training set. No split can read such a feature,
+    so a query that differs on one is isolated at the root instead. Model
+    files written before the field existed load with none and score as
+    they always did.
     """
 
     trees: list[dict]
     subsample: int
     seed: int
     anomaly_cutoff: float
+    constant_features: list[list] = field(default_factory=list)
 
     kind = "isolation_forest"
 
@@ -318,17 +326,21 @@ class IsolationForestModel:
         return self.anomaly_cutoff
 
     def check_width(self, dimensions: int) -> None:
-        """Raise ValueError unless every split reads a feature below dimensions."""
+        """Raise ValueError unless every feature the model reads is below dimensions."""
         widest = max(_widest_split(tree) for tree in self.trees)
+        widest = max([widest] + [dim for dim, _ in self.constant_features])
         if widest >= dimensions:
             raise ValueError(
-                f"model splits on feature {widest}, vectors have {dimensions} dimensions"
+                f"model reads feature {widest}, vectors have {dimensions} dimensions"
             )
 
     def score(self, query: FeatureVector | Sequence[float] | np.ndarray) -> float:
-        """Anomaly score 2^(-E[path length]/c(subsample)), in (0, 1]."""
+        """Anomaly score 2^(-E[path length]/c(subsample)), in (0, 1]; 1.0
+        when the query differs on a constant training feature."""
         row = query.as_array() if isinstance(query, FeatureVector) else np.asarray(query, dtype=np.float64)
         values = row.tolist()  # Python floats compare faster than numpy scalars
+        if any(values[dim] != value for dim, value in self.constant_features):
+            return 1.0
         mean_path = math.fsum(_path_length(tree, values, 0) for tree in self.trees) / len(self.trees)
         return float(2.0 ** (-mean_path / _average_path_length(self.subsample)))
 
@@ -340,17 +352,29 @@ class IsolationForestModel:
         """Inverse of to_dict; raises on a missing or malformed field."""
         trees, subsample = body["trees"], body["subsample"]
         seed, anomaly_cutoff = body["seed"], body["anomaly_cutoff"]
+        constant_features = body.get("constant_features", [])
         if not (
             isinstance(trees, list)
             and isinstance(subsample, int)
             and isinstance(seed, int)
             and isinstance(anomaly_cutoff, (int, float))
+            and isinstance(constant_features, list)
         ):
             raise ValueError("isolation forest needs a tree list, subsample, seed and cutoff")
         check_forest_parameters(len(trees), subsample, anomaly_cutoff, seed)
         for tree in trees:
             _check_tree(tree)
-        return cls(trees=trees, subsample=subsample, seed=seed, anomaly_cutoff=anomaly_cutoff)
+        for pair in constant_features:
+            if not (
+                isinstance(pair, list)
+                and len(pair) == 2
+                and isinstance(pair[0], int)
+                and pair[0] >= 0
+                and isinstance(pair[1], (int, float))
+                and math.isfinite(pair[1])
+            ):
+                raise ValueError("constant feature is not a [dimension, value] pair")
+        return cls(trees, subsample, seed, anomaly_cutoff, constant_features)
 
 
 def _check_tree(node) -> None:
@@ -425,7 +449,8 @@ def train_isolation_forest(
     """Fit an isolation forest; deterministic for a fixed seed.
 
     Draws come from random.Random(seed), so a seed grows the same trees
-    on a given Python version.
+    on a given Python version. Features with one value across the whole
+    training set are recorded with it (see IsolationForestModel).
 
     subsample defaults to min(256, n) and must not exceed n.
     """
@@ -447,9 +472,9 @@ def train_isolation_forest(
     for _ in range(trees):
         rows = rng.sample(range(n), subsample)
         grown.append(_grow_tree(matrix[rows], rng, 0, limit))
-    return IsolationForestModel(
-        trees=grown, subsample=subsample, seed=seed, anomaly_cutoff=anomaly_cutoff
-    )
+    low = matrix.min(axis=0)
+    constant = [[int(dim), float(low[dim])] for dim in np.flatnonzero(low == matrix.max(axis=0))]
+    return IsolationForestModel(grown, subsample, seed, anomaly_cutoff, constant)
 
 
 def _path_length(tree: dict, row: list[float], depth: int) -> float:

@@ -2,9 +2,9 @@
 
 This module glues the layers together in the order an assessment uses
 them. It owns the tunables (PipelineSettings), the trained-detector
-bundle, and the repeated trigger/restart/replay/decide loop against a
-simulated device. Nothing here knows socket or pcap details beyond the
-functions it calls.
+bundle, and the repeated capture/restart/replay/decide loop against a
+device under assessment, which it reaches only through AssessedDevice.
+Nothing here knows socket or pcap details beyond the functions it calls.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ import json
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
+from typing import Protocol
 
 from .capture import (
+    DEFAULT_APP_ENDPOINT,
     CaptureNotes,
     Endpoint,
     Flow,
@@ -38,16 +40,9 @@ from .models import (
 )
 from .protocols import ResponseClass, classify_training_responses
 from .replay import AttackResult, ReplayConfig, run_attack
-from .simdevices import (
-    DEFAULT_APP_ENDPOINT,
-    DeviceState,
-    SimulatedDevice,
-    companion_session,
-    query_state,
-    records_to_capture,
-    restart_device,
-    trigger_state,
-)
+# Unused here: bench/spans.py times the simulator by wrapping these names
+# in this module as well as in simdevices, so they must stay importable.
+from .simdevices import companion_session, restart_device, trigger_state  # noqa: F401
 from .verdict import (
     DEFAULT_RESPONSE_WINDOW,
     DetectionConfig,
@@ -247,8 +242,34 @@ def attack_from_capture(
 
 
 # ---------------------------------------------------------------------------
-# repeated assessment against a simulated device
+# repeated assessment against a device
 # ---------------------------------------------------------------------------
+
+
+class AssessedDevice(Protocol):
+    """What assess_device needs from a device; captures are pcap bytes of
+    its traffic with app, and its protocol stays opaque."""
+
+    endpoint: Endpoint
+
+    @property
+    def name(self) -> str: ...  # names the device in reports, before "@endpoint"
+
+    def training_capture(self, app: Endpoint) -> bytes:
+        """A session of legitimate commands and the device's responses."""
+
+    def command_capture(self, app: Endpoint) -> bytes:
+        """One legitimate command, sent now, that puts the device in a state."""
+
+    def arm(self, app: Endpoint) -> None:
+        """Put the device in the opposite state, so a replay can show."""
+
+    def restart(self) -> None:
+        """Power-cycle the device and wait until it serves again."""
+
+    def replay_took_effect(self) -> bool:
+        """Ground truth: is the device in the recorded command's state?"""
+
 
 SCENARIO_NON_RESTART = "non_restart"
 SCENARIO_RESTART = "restart"
@@ -313,7 +334,7 @@ class AssessmentResult:
 
 
 def assess_device(
-    device: SimulatedDevice,
+    device: AssessedDevice,
     scenario: str = SCENARIO_NON_RESTART,
     reps: int = 50,
     settings: PipelineSettings | None = None,
@@ -334,16 +355,15 @@ def assess_device(
     settings = settings or PipelineSettings()
     session = SessionConfig(app=app, device=device.endpoint)
 
-    detector = train_from_capture(companion_session(device, app), session, settings)
+    detector = train_from_capture(device.training_capture(app), session, settings)
 
     verdicts: list[Verdict] = []
     truths: list[bool] = []
     for _ in range(reps):
-        command_records = trigger_state(device, DeviceState.OBVERSE, app)
-        attack_capture = records_to_capture(command_records)
+        attack_capture = device.command_capture(app)
         if scenario == SCENARIO_RESTART:
-            restart_device(device)
-        trigger_state(device, DeviceState.REVERSE, app)
+            device.restart()
+        device.arm(app)
         result, attack_records = attack_from_capture(
             attack_capture, session, device.endpoint, settings
         )
@@ -355,10 +375,10 @@ def assess_device(
                 settings.detection_config(),
             )
         )
-        truths.append(query_state(device) == DeviceState.OBVERSE)
+        truths.append(device.replay_took_effect())
 
     return AssessmentResult(
-        device_id=f"{device.profile.behavior.value}@{device.endpoint}",
+        device_id=f"{device.name}@{device.endpoint}",
         scenario=scenario,
         verdicts=verdicts,
         truths=truths,

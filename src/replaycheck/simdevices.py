@@ -16,8 +16,8 @@ seed and port. Devices boot in the REVERSE state; restart clears volatile
 state only (the silent profile's anti-replay counter and the static
 secrets survive, like anything kept in flash).
 
-query_state and inspect_secrets exist for tests and ground truth; a real
-assessment never gets either.
+SimulatedDevice implements pipeline.AssessedDevice with the functions
+below. query_state is ground truth that a real assessment never gets.
 """
 
 from __future__ import annotations
@@ -30,14 +30,13 @@ import random
 import select
 import socket
 import struct
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 
 from . import pcap
-from .capture import Endpoint, PacketRecord, Transport
+from .capture import DEFAULT_APP_ENDPOINT, Endpoint, PacketRecord, Transport
 from .protocols import rides_standard_security_protocol
 from .replay import MAX_TIMING_MS
 
@@ -55,7 +54,6 @@ __all__ = [
     "companion_session",
     "default_profile",
     "expected_vulnerable",
-    "ScriptedResponder",
     "DEFAULT_TRAINING_SCRIPT",
     "DEFAULT_APP_ENDPOINT",
 ]
@@ -121,17 +119,12 @@ DEFAULT_TRAINING_SCRIPT: tuple[DeviceState, ...] = (
     DeviceState.REVERSE,
 ) * 5
 
-# Identity of the companion app inside synthesized captures; the companion
-# opens no socket, so it has no real one.
-DEFAULT_APP_ENDPOINT = Endpoint("10.77.0.2", 38200)
-
 # Absolute base for capture timestamps (logical clocks start here).
 _CAPTURE_BASE_US = 1_690_000_000 * 1_000_000
 _EVENT_GAP_US = 1_700
 _COMMAND_GAP_US = 25_000
 
 _RESPONSE_SPACING_S = 0.008  # keeps consecutive responses in separate segments
-_RESPONSE_SPACING_US = round(_RESPONSE_SPACING_S * 1e6)
 
 
 def _canonical(obj) -> bytes:
@@ -532,28 +525,6 @@ _ENGINES = {
 # ---------------------------------------------------------------------------
 
 
-# Linux's SO_TIMESTAMPNS, which the socket module does not name: each
-# datagram then carries the kernel's CLOCK_REALTIME receive time.
-_SO_TIMESTAMPNS = 35
-_KERNEL_STAMPS = sys.platform == "linux"
-
-
-def _receive(sock: socket.socket) -> tuple[bytes, tuple, float]:
-    """One datagram, its sender, and the monotonic time it reached the
-    socket: from its kernel receive stamp where there is one, so a late
-    wakeup of the serving thread is not counted, else when it is read."""
-    if not _KERNEL_STAMPS:
-        data, address = sock.recvfrom(65536)
-        return data, address, time.monotonic()
-    data, ancillary, _, address = sock.recvmsg(65536, socket.CMSG_SPACE(16))
-    now = time.monotonic()
-    for level, kind, stamp in ancillary:
-        if level == socket.SOL_SOCKET and kind == _SO_TIMESTAMPNS:
-            seconds, nanoseconds = struct.unpack("ll", stamp)  # struct timespec
-            return data, address, now - (time.time() - seconds - nanoseconds / 1e9)
-    return data, address, now
-
-
 class _LoopbackServer:
     """One thread serving a loopback TCP or UDP socket until stop().
 
@@ -561,8 +532,7 @@ class _LoopbackServer:
     and returns handle(data) -> (responses, close_connection). TCP
     connections are served one at a time, in accept order. The thread
     blocks in select on its socket plus a wakeup socket whose other end
-    stop() closes, so stopping never waits out a poll. .arrival is the
-    monotonic time the request being handled arrived.
+    stop() closes, so stopping never waits out a poll.
     """
 
     def __init__(self, transport: Transport, port: int, new_handler):
@@ -576,10 +546,7 @@ class _LoopbackServer:
         except OSError as exc:
             self.sock.close()
             raise SpawnError(f"cannot bind 127.0.0.1:{port}: {exc}") from exc
-        if kind == socket.SOCK_DGRAM and _KERNEL_STAMPS:
-            self.sock.setsockopt(socket.SOL_SOCKET, _SO_TIMESTAMPNS, 1)
         self.port = self.sock.getsockname()[1]
-        self.arrival = 0.0
         self._new_handler = new_handler
         self._wake, self._waker = socket.socketpair()
         self._thread = threading.Thread(target=self._serve, daemon=True)
@@ -589,6 +556,10 @@ class _LoopbackServer:
         """Block until sock is readable (True) or stop() is called (False)."""
         readable, _, _ = select.select([sock, self._wake], [], [])
         return self._wake not in readable
+
+    def _receive(self) -> tuple[bytes, tuple]:
+        """One datagram and its sender."""
+        return self.sock.recvfrom(65536)
 
     @staticmethod
     def _send(responses: list[bytes], send) -> None:
@@ -607,7 +578,7 @@ class _LoopbackServer:
             else:
                 handle = self._new_handler()
                 while self._readable(self.sock):
-                    data, address, self.arrival = _receive(self.sock)
+                    data, address = self._receive()
                     responses, _ = handle(data)
                     try:
                         self._send(responses, lambda r: self.sock.sendto(r, address))
@@ -627,7 +598,6 @@ class _LoopbackServer:
                 data = connection.recv(65536)
                 if not data:
                     return
-                self.arrival = time.monotonic()
                 responses, close_connection = handle(data)
                 self._send(responses, connection.sendall)
                 if close_connection:
@@ -696,44 +666,41 @@ class SimulatedDevice:
         self._clock_us += _COMMAND_GAP_US
         handle = self._new_handler()  # a fresh session, as a new connection gets
         exchange = self.engine.companion_exchange(lambda data: handle(data)[0], target)
-        records = []
-        follows_response = False
-        for is_request, payload in exchange:
-            if follows_response and not is_request:
-                # the server sends a device's consecutive responses this far apart
-                self._clock_us += _RESPONSE_SPACING_US - _EVENT_GAP_US
-            follows_response = not is_request
-            src, dst = (app, self.endpoint) if is_request else (self.endpoint, app)
-            records.append(
-                PacketRecord(
-                    timestamp=self._tick(),
-                    src=src,
-                    dst=dst,
-                    transport=self.profile.transport,
-                    payload=payload,
-                )
+        return [
+            PacketRecord(
+                timestamp=self._tick(),
+                src=app if is_request else self.endpoint,
+                dst=self.endpoint if is_request else app,
+                transport=self.profile.transport,
+                payload=payload,
             )
-        return records
+            for is_request, payload in exchange
+        ]
 
     def shutdown(self):
         if not self.closed:
             self._server.stop()
             self.closed = True
 
-    def inspect_secrets(self) -> dict:
-        """Test-only view of internal key material; never used by the pipeline."""
-        engine = self.engine
-        secrets: dict = {"behavior": self.profile.behavior.value}
-        if isinstance(engine, _SessionKeyEngine):
-            secrets["session_key"] = engine.key.hex()
-        if isinstance(engine, _SignedCleartextEngine):
-            secrets["signing_secret"] = engine.secret.hex()
-        if isinstance(engine, _EncodedFixedEngine):
-            secrets["commands"] = {s.value: c.hex() for s, c in engine.commands.items()}
-            secrets["acks"] = {s.value: a.hex() for s, a in engine.acks.items()}
-        if isinstance(engine, _SilentEngine):
-            secrets["last_sequence"] = engine.last_sequence
-        return secrets
+    # -- the device under assessment (pipeline.AssessedDevice) ---------------
+    @property
+    def name(self) -> str:
+        return self.profile.behavior.value
+
+    def training_capture(self, app: Endpoint) -> bytes:
+        return companion_session(self, app)
+
+    def command_capture(self, app: Endpoint) -> bytes:
+        return records_to_capture(trigger_state(self, DeviceState.OBVERSE, app))
+
+    def arm(self, app: Endpoint) -> None:
+        trigger_state(self, DeviceState.REVERSE, app)
+
+    def restart(self) -> None:
+        restart_device(self)
+
+    def replay_took_effect(self) -> bool:
+        return query_state(self) == DeviceState.OBVERSE
 
     def __enter__(self):
         return self
@@ -856,46 +823,3 @@ def records_to_capture(records: list[PacketRecord]) -> bytes:
         sequences[forward] = seq + len(record.payload)
         frames.append((_CAPTURE_BASE_US + record.timestamp, frame))
     return pcap.write_capture(frames)
-
-
-# ---------------------------------------------------------------------------
-# scripted responder (test double for exact multi-response choreography)
-# ---------------------------------------------------------------------------
-
-
-class ScriptedResponder:
-    """Maps exact request payloads to fixed response lists.
-
-    Unknown requests get nothing. Each received payload is logged to
-    .received, and the monotonic time it reached the socket (the kernel's
-    receive stamp, for UDP on Linux) to .received_at, for replay-fidelity
-    and pacing checks. UDP treats each datagram as one request; TCP treats
-    each recv chunk as one (good enough for a test double on loopback).
-    """
-
-    def __init__(
-        self,
-        script: dict[bytes, list[bytes]],
-        transport: Transport = Transport.UDP,
-        port: int = 0,
-    ):
-        self.script = dict(script)
-        self.transport = transport
-        self.received: list[bytes] = []
-        self.received_at: list[float] = []
-        self._server = _LoopbackServer(transport, port, lambda: self._handle)
-        self.endpoint = Endpoint("127.0.0.1", self._server.port)
-
-    def _handle(self, request: bytes) -> tuple[list[bytes], bool]:
-        self.received_at.append(self._server.arrival)
-        self.received.append(request)
-        return self.script.get(request, []), False
-
-    def shutdown(self):
-        self._server.stop()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.shutdown()

@@ -13,7 +13,7 @@ import time
 
 import pytest
 from click.testing import CliRunner
-
+from doubles import ScriptedResponder
 from oracles import brute_force_lof
 from replaycheck.capture import (
     Endpoint,
@@ -32,7 +32,6 @@ from replaycheck.simdevices import (
     DEFAULT_APP_ENDPOINT,
     DEFAULT_TRAINING_SCRIPT,
     Behavior,
-    ScriptedResponder,
     companion_session,
     default_profile,
     expected_vulnerable,

@@ -31,7 +31,8 @@ SCHEMAS = [
 # first missing-field check often enough to exercise the type checks.
 FIELD_NAMES = [
     "kind", "k", "k_eff", "threshold", "standardization", "mean", "std", "points",
-    "k_distance", "lrd", "trees", "subsample", "seed", "anomaly_cutoff", "f", "t",
+    "k_distance", "lrd", "trees", "subsample", "seed", "anomaly_cutoff",
+    "constant_features", "f", "t",
     "l", "r", "n", "responses", "timestamp", "flow_index", "payload_b64", "flows",
     "scheduled_position", "original_index", "request_lengths", "expected_responses", "response_count",
     "note", "device_id", "scenario", "outcome", "reason", "labels", "j", "vulnerable",
@@ -194,3 +195,14 @@ def test_model_cutoff_is_checked_by_the_settings_rule(tmp_path, body, field, acc
     assert result.exit_code == 2, result.output
     (line,) = result.stderr.splitlines()
     assert line.startswith(f"error: {model_path}: {field} must")
+
+
+@pytest.mark.parametrize("accuracy", [10**400, 1.5, -0.5, math.nan], ids=["huge-int", "1.5", "negative", "NaN"])
+def test_assessment_accuracy_outside_unit_interval_rejected(path, accuracy):
+    """report prints accuracy as a float; a value no assessment can have is
+    an ArtifactError, not an OverflowError traceback."""
+    artifacts.write(path, artifacts.ASSESSMENT, {**VALID[artifacts.ASSESSMENT][0], "accuracy": accuracy})
+    with pytest.raises(ArtifactError, match="accuracy"):
+        artifacts.read(path, artifacts.ASSESSMENT)
+    result = CliRunner().invoke(main, ["report", str(path)])
+    assert result.exit_code == 2, result.output

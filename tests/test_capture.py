@@ -20,7 +20,7 @@ from replaycheck.capture import (
 )
 from replaycheck.pipeline import NoLocalConnectivityError, require_local_traffic
 from replaycheck.replay import run_attack
-from replaycheck.simdevices import ScriptedResponder
+from doubles import ScriptedResponder
 
 APP = Endpoint("10.77.0.2", 38200)
 DEV = Endpoint("127.0.0.1", 40000)

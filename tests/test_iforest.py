@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,14 +33,17 @@ class TestScores:
     def test_all_identical_training_scores_half(self):
         model = train_isolation_forest([[4.0, 4.0]] * 10, trees=25, seed=1)
         # no split can separate identical rows, so every path has length 0
-        # and the score is exactly 2^0 at the normalization midpoint
+        # and a query equal on the constant features scores exactly 2^0 at
+        # the normalization midpoint; one that differs is isolated at the root
         assert model.score([4.0, 4.0]) == 0.5
-        assert model.score([123.0, -5.0]) == 0.5
+        assert model.score([123.0, -5.0]) == 1.0
+        assert model.score([4.0, -5.0]) == 1.0
 
     def test_half_is_below_default_cutoff(self):
         assert 0.5 <= DEFAULT_ANOMALY_CUTOFF
         model = train_isolation_forest([[4.0, 4.0]] * 10, trees=25, seed=1)
-        assert classify(model, [99.0, 99.0]) == Label.REGULAR
+        assert classify(model, [4.0, 4.0]) == Label.REGULAR
+        assert classify(model, [99.0, 99.0]) == Label.IRREGULAR
 
     def test_outlier_scores_above_cluster_member(self):
         training = cluster_with_outlier()
@@ -56,6 +60,65 @@ class TestScores:
         for _ in range(50):
             q = [rng.uniform(-30, 30), rng.uniform(-30, 30)]
             assert 0.0 < model.score(q) <= 1.0
+
+
+class TestConstantFeatures:
+    """A feature the training set never varied isolates a query that differs on it."""
+
+    def training(self):
+        rng = random.Random(4)
+        return [[rng.gauss(0, 1), 7.0, rng.gauss(0, 1), 0.0] for _ in range(30)]
+
+    def test_constant_features_recorded_with_values(self):
+        model = train_isolation_forest(self.training(), trees=10, seed=3)
+        assert model.constant_features == [[1, 7.0], [3, 0.0]]
+
+    def test_query_differing_on_a_constant_feature_is_isolated(self):
+        model = train_isolation_forest(self.training(), trees=50, seed=3)
+        assert model.score([0.0, 7.5, 0.0, 0.0]) == 1.0
+        assert model.score([0.0, 7.0, 0.0, 1e-9]) == 1.0
+        assert classify(model, [0.0, 7.5, 0.0, 0.0]) == Label.IRREGULAR
+
+    def test_query_equal_on_constant_features_scores_by_path_length(self):
+        model = train_isolation_forest(self.training(), trees=50, seed=3)
+        without = replace(model, constant_features=[])
+        rng = random.Random(8)
+        for _ in range(20):
+            query = [rng.uniform(-3, 3), 7.0, rng.uniform(-3, 3), 0.0]
+            assert model.score(query) == without.score(query) < 1.0
+
+    def test_model_files_without_the_field_score_as_before(self, tmp_path):
+        model = train_isolation_forest(self.training(), trees=20, seed=3)
+        body = model.to_dict()
+        del body["constant_features"]
+        path = tmp_path / "model.json"
+        artifacts.write(path, artifacts.MODEL, body)
+        loaded = artifacts.read(path, artifacts.MODEL)
+        assert loaded.constant_features == []
+        without = replace(model, constant_features=[])
+        for query in ([0.0, 7.5, 0.0, 0.0], [0.0, 7.0, 0.0, 0.0], [9.0, -1.0, 2.0, 3.0]):
+            assert loaded.score(query) == without.score(query)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [{"1": 7.0}, [[1]], [[1, 7.0, 0]], [[-1, 7.0]], [[1.5, 7.0]], [[1, "7"]],
+         [[1, float("nan")]], [[1, float("inf")]]],
+        ids=["object", "short", "long", "negative", "float-index", "string", "nan", "inf"],
+    )
+    def test_malformed_constant_features_rejected(self, tmp_path, pairs):
+        body = {**train_isolation_forest(self.training(), trees=2, seed=3).to_dict(),
+                "constant_features": pairs}
+        path = tmp_path / "model.json"
+        artifacts.write(path, artifacts.MODEL, body)
+        with pytest.raises(artifacts.ArtifactError):
+            artifacts.read(path, artifacts.MODEL)
+
+    def test_width_covers_constant_features(self):
+        model = train_isolation_forest([[1.0, 5.0], [2.0, 5.0]], trees=2, seed=0)
+        model.check_width(2)
+        wide = replace(model, constant_features=[[24, 0.0]])
+        with pytest.raises(ValueError, match="feature 24"):
+            wide.check_width(19)
 
 
 class TestDeterminism:

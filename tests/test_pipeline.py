@@ -4,6 +4,7 @@ captures of each profile, and short assessment loops."""
 import json
 import re
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -278,6 +279,18 @@ class TestAssessDevice:
         assert evidence.verdicts == full.verdicts
         assert evidence.truths == full.truths
         assert evidence.accuracy == 1.0
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("behavior", list(Behavior), ids=lambda b: b.value)
+    def test_isolation_forest_matrix(self, device_factory, fast_settings, behavior, scenario):
+        """Every cell of the profile matrix is called right by the forest too,
+        the session_key restart cell (AllIrregular) included."""
+        settings = replace(fast_settings, model_kind="isolation_forest")
+        result = assess_device(device_factory(behavior), scenario, reps=2, settings=settings)
+        expected = expected_vulnerable(default_profile(behavior), scenario == SCENARIO_RESTART)
+        assert result.accuracy == 1.0
+        assert result.vulnerable is expected
+        assert result.model_kind == (None if behavior == Behavior.SILENT else "isolation_forest")
 
     def test_bad_scenario_rejected(self, device_factory):
         device = device_factory(Behavior.SILENT)

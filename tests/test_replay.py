@@ -21,7 +21,7 @@ from replaycheck.replay import (
     run_attack,
     schedule,
 )
-from replaycheck.simdevices import ScriptedResponder
+from doubles import ScriptedResponder
 
 APP = Endpoint("10.77.0.2", 38200)
 DEV = Endpoint("127.0.0.1", 4000)

@@ -10,6 +10,7 @@ import statistics
 import time
 
 import pytest
+from doubles import ScriptedResponder
 
 from replaycheck import pcap, replay
 from replaycheck.capture import (
@@ -21,15 +22,12 @@ from replaycheck.capture import (
     segment_flows,
 )
 from replaycheck.protocols import detect_standard_security_protocol
-from replaycheck.replay import capture_linger_s
 from replaycheck.simdevices import (
-    _RESPONSE_SPACING_S,
     DEFAULT_APP_ENDPOINT,
     DEFAULT_TRAINING_SCRIPT,
     Behavior,
     DeviceProfile,
     DeviceState,
-    ScriptedResponder,
     SpawnError,
     TriggerError,
     companion_session,
@@ -145,7 +143,7 @@ class TestSpawn:
     def test_distinct_seeds_distinct_secrets(self, device_factory):
         a = device_factory(Behavior.SESSION_KEY, seed=101)
         b = device_factory(Behavior.SESSION_KEY, seed=102)
-        assert a.inspect_secrets()["session_key"] != b.inspect_secrets()["session_key"]
+        assert a.engine.key != b.engine.key
 
 
 class TestTrigger:
@@ -248,27 +246,6 @@ class TestCompanionSession:
                 captures.append(companion_session(device))
         assert captures[0] == captures[1]
 
-    def test_consecutive_device_records_keep_the_servers_response_spacing(
-        self, device_factory, fast_settings, monkeypatch
-    ):
-        """A capture stamps a device's back-to-back responses as far apart as
-        the server sends them, so a linger learned from it collects both."""
-        device = device_factory(Behavior.CLEARTEXT_ECHO)
-        exchange = device.engine.companion_exchange
-
-        def answered_twice(deliver, target):
-            return exchange(deliver, target) + [(False, b"second\n")]
-
-        monkeypatch.setattr(device.engine, "companion_exchange", answered_twice)
-        capture = companion_session(device, script=(DeviceState.OBVERSE, DeviceState.REVERSE))
-        config = SessionConfig(app=DEFAULT_APP_ENDPOINT, device=device.endpoint)
-        flows = segment_flows(parse_capture(capture, config), config)
-        assert [len(f.responses) for f in flows] == [2, 2]
-        for flow in flows:
-            first, second = flow.responses
-            assert second.timestamp - first.timestamp >= 8_000
-        assert capture_linger_s(flows, fast_settings.replay_config()) >= _RESPONSE_SPACING_S
-
     def test_different_seed_different_capture(self):
         captures = []
         port = 0
@@ -292,23 +269,40 @@ class TestRestart:
         trigger_state(device, DeviceState.OBVERSE)
         assert query_state(device) == DeviceState.OBVERSE
 
+    @pytest.mark.parametrize("behavior", [Behavior.CLEARTEXT_ECHO, Behavior.SILENT])
+    def test_listener_serves_a_socket_after_restart(self, device_factory, behavior):
+        """A command sent over a real socket after the restart lands: the
+        listener is back on the same port, not just the in-process handler."""
+        device = device_factory(behavior, post_restart_delay_s=0)
+        trigger_state(device, DeviceState.OBVERSE)
+        restart_device(device)
+        assert query_state(device) == DeviceState.REVERSE
+        command = device.engine.build_command(DeviceState.OBVERSE)  # fresh, not sent
+        reply = raw_exchange(
+            device.endpoint, command, device.profile.transport, deadline_s=0.3
+        )
+        time.sleep(0.05)  # datagram handling is asynchronous
+        assert query_state(device) == DeviceState.OBVERSE
+        if behavior == Behavior.CLEARTEXT_ECHO:
+            assert json.loads(reply)["state"] == "obverse"
+
     def test_session_key_rekeys_on_restart(self, device_factory):
         device = device_factory(Behavior.SESSION_KEY)
-        before = device.inspect_secrets()["session_key"]
+        before = device.engine.key
         restart_device(device)
-        assert device.inspect_secrets()["session_key"] != before
+        assert device.engine.key != before
 
     def test_session_key_kept_when_configured(self, device_factory):
         device = device_factory(Behavior.SESSION_KEY, rekey_on_restart=False)
-        before = device.inspect_secrets()["session_key"]
+        before = device.engine.key
         restart_device(device)
-        assert device.inspect_secrets()["session_key"] == before
+        assert device.engine.key == before
 
     def test_signing_secret_survives_restart(self, device_factory):
         device = device_factory(Behavior.SIGNED_CLEARTEXT)
-        before = device.inspect_secrets()["signing_secret"]
+        before = device.engine.secret
         restart_device(device)
-        assert device.inspect_secrets()["signing_secret"] == before
+        assert device.engine.secret == before
 
     @pytest.mark.parametrize("behavior", [Behavior.CLEARTEXT_ECHO, Behavior.SILENT])
     def test_zero_delay_restart_is_immediate(self, device_factory, behavior):
@@ -411,8 +405,7 @@ class TestEncodedFixedReplay:
         device = device_factory(Behavior.ENCODED_FIXED)
         reply = raw_exchange(device.endpoint, bytes(24))
         assert len(reply) == 24
-        secrets = device.inspect_secrets()
-        assert reply.hex() not in secrets["acks"].values()
+        assert reply not in device.engine.acks.values()
         assert query_state(device) == DeviceState.REVERSE
 
 
@@ -513,7 +506,7 @@ class TestSilentReplay:
         records = trigger_state(device, DeviceState.OBVERSE)
         trigger_state(device, DeviceState.REVERSE)
         restart_device(device)
-        assert device.inspect_secrets()["last_sequence"] == 2
+        assert device.engine.last_sequence == 2
         raw_exchange(
             device.endpoint, records[0].payload, transport=Transport.UDP, deadline_s=0.3
         )
