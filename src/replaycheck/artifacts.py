@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
-from .models import IsolationForestModel, LofModel, NoveltyModel
+from .models import model_from_dict
 from .replay import ResponseQueue
 
 __all__ = ["ArtifactError", "write", "read", "read_any"]
@@ -88,19 +88,6 @@ def _checked(body: dict, fields: dict[str, type | tuple[type, ...]]) -> dict:
     return body
 
 
-_MODEL_KINDS = {cls.kind: cls for cls in (LofModel, IsolationForestModel)}
-
-
-def _decode_model(body: dict) -> NoveltyModel | None:
-    """Kind "none" is no model: the capture held no responses to learn from."""
-    kind = body["kind"]
-    if kind == "none":
-        return None
-    if not isinstance(kind, str) or kind not in _MODEL_KINDS:
-        raise ValueError(f"unrecognized model kind {kind!r}")
-    return _MODEL_KINDS[kind].from_dict(body)
-
-
 # The fields each report summary reads, with the JSON type each must have.
 _FLOW_FIELDS = dict(scheduled_position=int, original_index=int, request_lengths=list, response_count=int)
 _VERDICT_FIELDS = dict(device_id=str, scenario=str, outcome=str, reason=str, labels=list, j=int)
@@ -132,7 +119,7 @@ def _decode_assessment(body: dict) -> dict:
 
 
 _DECODERS = {
-    MODEL: _decode_model,
+    MODEL: model_from_dict,
     QUEUE: ResponseQueue.from_dict,
     TRANSCRIPT: _decode_transcript,
     VERDICT: _decode_verdict,

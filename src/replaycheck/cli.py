@@ -6,9 +6,10 @@ built-in device profiles for manual experiments.
 
 Exit codes: 0 success, 10 device judged vulnerable (attack SUCCESSFUL),
 11 not vulnerable (attack FAILED), 2 usage error (a bad setting among
-them), a malformed artifact or capture, or a device port that cannot be
-bound, 3 the capture shows no traffic between the given endpoints,
-1 detect needed a model but none was trained.
+them), a malformed artifact or capture, a device port that cannot be
+bound, or an output path that cannot be written, 3 the capture shows no
+traffic between the given endpoints, 1 detect needed a model but none
+was trained.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from typing import NoReturn
 import click
 
 from . import __version__, artifacts
-from .artifacts import ArtifactError
 from .capture import SessionConfig, parse_capture, parse_endpoint
 from .features import DIMENSIONS
-from .models import IsolationForestModel, LofModel
+from .models import model_to_dict
 from .pcap import PcapError
 from .protocols import ResponseClass
 from .replay import MAX_TIMING_MS
@@ -49,7 +49,7 @@ from .simdevices import (
     default_profile,
     spawn_device,
 )
-from .verdict import Outcome, decide
+from .verdict import NoModelError, Outcome, decide
 
 EXIT_NO_MODEL = 1
 EXIT_VULNERABLE = 10
@@ -130,21 +130,36 @@ def _session(app: str, device: str) -> SessionConfig:
         raise click.UsageError(str(exc))
 
 
-def _read_capture(path: str) -> bytes:
-    return Path(path).read_bytes()
-
-
 def _fail(message: object, code: int = EXIT_BAD_INPUT) -> NoReturn:
     """One `error:` line on stderr, then exit; exit 2 is a malformed input."""
     click.echo(f"error: {message}", err=True)
     raise SystemExit(code)
 
 
-def _spawn(profile):
-    try:
-        return spawn_device(profile)
-    except SpawnError as exc:  # e.g. --port already in use
-        _fail(exc)
+class _Command(click.Command):
+    """Every command's one error boundary: a library failure becomes one
+    `error:` line and its exit code, never a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except NoLocalConnectivityError as exc:
+            _fail(exc, EXIT_NO_CONNECTIVITY)
+        except NoModelError as exc:
+            _fail(exc, EXIT_NO_MODEL)
+        except PcapError as exc:
+            _fail(f"{ctx.params['capture_path']}: {exc}")
+        except OSError as exc:
+            if exc.filename is None:  # not about a file, e.g. a reset connection
+                raise
+            _fail(f"{exc.filename}: {exc.strerror}")
+        # ValueError: an ArtifactError, or a subsample larger than the training set
+        except (SpawnError, ValueError) as exc:
+            _fail(exc)
+
+
+class _Group(click.Group):
+    command_class = _Command
 
 
 def _guard_target(address: str, authorized: bool):
@@ -156,7 +171,7 @@ def _guard_target(address: str, authorized: bool):
         )
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="replaycheck")
 def main():
     """Replay-attack vulnerability assessment for networked devices."""
@@ -177,15 +192,8 @@ def train(capture_path, app, device, model_out, config_path, **overrides):
     """Learn legitimate response behavior from a capture."""
     settings = _build_settings(config_path, **overrides)
     session = _session(app, device)
-    try:
-        detector = train_from_capture(_read_capture(capture_path), session, settings)
-    except PcapError as exc:
-        _fail(f"{capture_path}: {exc}")
-    except NoLocalConnectivityError as exc:
-        _fail(exc, EXIT_NO_CONNECTIVITY)
-    except ValueError as exc:  # a subsample larger than the training set
-        _fail(exc)
-    body = detector.model.to_dict() if detector.model is not None else {"kind": "none"}
+    detector = train_from_capture(Path(capture_path).read_bytes(), session, settings)
+    body = model_to_dict(detector.model)
     artifacts.write(model_out, artifacts.MODEL, body)
     click.echo(
         f"trained {body['kind']} model on {detector.training_responses} response payloads "
@@ -199,16 +207,6 @@ def train(capture_path, app, device, model_out, config_path, **overrides):
             "commands are expected to be rejected",
             err=True,
         )
-    if settings.model_kind == "isolation_forest":
-        distinct = len(
-            {record.payload for flow in detector.flows for record in flow.responses}
-        )
-        if distinct < 4:
-            click.echo(
-                f"warning: only {distinct} distinct response payloads; isolation "
-                "forest separates poorly on so few patterns, prefer lof",
-                err=True,
-            )
     click.echo(detector.notes.summary())
     click.echo(f"model written to {model_out}")
 
@@ -236,14 +234,7 @@ def attack(capture_path, app, device, target, queue_out, transcript_out, i_own_t
     except ValueError as exc:
         raise click.UsageError(str(exc))
     _guard_target(target_endpoint.address, i_own_this_device)
-    try:
-        result, _ = attack_from_capture(
-            _read_capture(capture_path), session, target_endpoint, settings
-        )
-    except PcapError as exc:
-        _fail(f"{capture_path}: {exc}")
-    except NoLocalConnectivityError as exc:
-        _fail(exc, EXIT_NO_CONNECTIVITY)
+    result, _ = attack_from_capture(Path(capture_path).read_bytes(), session, target_endpoint, settings)
     artifacts.write(queue_out, artifacts.QUEUE, result.queue.to_dict())
     if transcript_out:
         artifacts.write(
@@ -280,23 +271,15 @@ def detect(queue_path, model_path, capture_path, app, device, report_out, device
     """Judge an attack: exit 10 if it succeeded, 11 if it failed."""
     settings = _build_settings(config_path, **overrides)
     session = _session(app, device)
-    try:
-        queue = artifacts.read(queue_path, artifacts.QUEUE)
-        model = artifacts.read(model_path, artifacts.MODEL)
-        records = parse_capture(_read_capture(capture_path), session)
-    except ArtifactError as exc:
-        _fail(exc)
-    except PcapError as exc:
-        _fail(f"{capture_path}: {exc}")
+    queue = artifacts.read(queue_path, artifacts.QUEUE)
+    model = artifacts.read(model_path, artifacts.MODEL)
+    records = parse_capture(Path(capture_path).read_bytes(), session)
     try:
         if model is not None:
             model.check_width(DIMENSIONS)
     except ValueError as exc:
         _fail(f"{model_path}: {exc}")
-    try:
-        verdict = decide(queue, records, model, settings.detection_config())
-    except ValueError as exc:
-        _fail(exc, EXIT_NO_MODEL)
+    verdict = decide(queue, records, model, settings.detection_config())
     labels = ", ".join(label.value for label in verdict.labels) or "n/a"
     click.echo(f"attack {verdict.outcome.value} ({verdict.reason.value})")
     click.echo(f"inspected response labels: {labels}")
@@ -343,12 +326,9 @@ def assess(behavior, scenario, reps, device_seed, port, rekey_on_restart, post_r
         rekey_on_restart=rekey_on_restart,
         post_restart_delay_s=post_restart_delay,
     )
-    with _spawn(profile) as device:
+    with spawn_device(profile) as device:
         click.echo(f"assessing {behavior} at {device.endpoint}, scenario {scenario}, {reps} reps")
-        try:
-            result = assess_device(device, scenario, reps, settings)
-        except ValueError as exc:  # a subsample larger than the training set
-            _fail(exc)
+        result = assess_device(device, scenario, reps, settings)
     call = "VULNERABLE" if result.vulnerable else "NOT VULNERABLE"
     click.echo(f"{call}: {result.device_id} under {scenario}")
     click.echo(f"verdict accuracy against observed device state: {result.accuracy:.3f}")
@@ -377,7 +357,7 @@ def simulate(behavior, port, device_seed, rekey_on_restart, training_capture_out
     profile = default_profile(
         Behavior(behavior), seed=device_seed, port=port, rekey_on_restart=rekey_on_restart
     )
-    with _spawn(profile) as device:
+    with spawn_device(profile) as device:
         click.echo(
             f"{behavior} device listening on {device.endpoint} "
             f"({profile.transport.value}), initial state reverse"
@@ -408,24 +388,14 @@ def simulate(behavior, port, device_seed, rekey_on_restart, training_capture_out
 @click.argument("path", type=click.Path(exists=True, dir_okay=False))
 def report(path):
     """Summarize any artifact JSON (model, queue, transcript, verdict, assessment)."""
-    try:
-        schema, value = artifacts.read_any(path)
-    except ArtifactError as exc:
-        _fail(exc)
+    schema, value = artifacts.read_any(path)
     if schema == artifacts.MODEL:
-        click.echo(f"novelty model, kind {value.kind if value is not None else 'none'}")
-        if isinstance(value, LofModel):
-            click.echo(
-                f"  k={value.k} (effective {value.k_eff}), "
-                f"threshold {value.threshold}, {value.training_size} training points"
-            )
-        elif isinstance(value, IsolationForestModel):
-            click.echo(
-                f"  {len(value.trees)} trees, subsample {value.subsample}, "
-                f"cutoff {value.anomaly_cutoff}, seed {value.seed}"
-            )
-        else:
+        if value is None:
+            click.echo("novelty model, kind none")
             click.echo("  no trainable responses were found; cheap checks only")
+        else:
+            click.echo(f"novelty model, kind {value.kind}")
+            click.echo(f"  {value.summary()}")
     elif schema == artifacts.QUEUE:
         click.echo(f"response queue: {len(value)} responses")
         for entry in value.entries[:10]:

@@ -33,6 +33,9 @@ __all__ = [
     "LofModel",
     "IsolationForestModel",
     "InsufficientTrainingError",
+    "MODEL_KINDS",
+    "model_to_dict",
+    "model_from_dict",
     "train_lof",
     "train_isolation_forest",
     "check_lof_parameters",
@@ -148,6 +151,12 @@ class LofModel:
         lrd_q = _lrd_from_neighbors(distances, neighbors, self.k_distance)
         return float(self.lrd[neighbors].mean() / lrd_q)
 
+    def summary(self) -> str:
+        return (
+            f"k={self.k} (effective {self.k_eff}), threshold {self.threshold}, "
+            f"{self.training_size} training points"
+        )
+
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -188,6 +197,10 @@ class LofModel:
         ):
             raise ValueError("LOF model fields have inconsistent shapes or types")
         check_lof_parameters(k, threshold)
+        # As training leaves them: a NaN lrd scores every query NaN, never irregular.
+        finite = all(np.isfinite(a).all() for a in (mean, std, points, k_distance, lrd))
+        if not (finite and (std >= 0).all() and (k_distance >= 0).all() and (lrd > 0).all()):
+            raise ValueError("LOF numbers must be finite, std and k_distance >= 0 and lrd > 0")
         return cls(
             k=k,
             k_eff=k_eff,
@@ -344,6 +357,12 @@ class IsolationForestModel:
         mean_path = math.fsum(_path_length(tree, values, 0) for tree in self.trees) / len(self.trees)
         return float(2.0 ** (-mean_path / _average_path_length(self.subsample)))
 
+    def summary(self) -> str:
+        return (
+            f"{len(self.trees)} trees, subsample {self.subsample}, "
+            f"cutoff {self.anomaly_cutoff}, seed {self.seed}"
+        )
+
     def to_dict(self) -> dict:
         return {"kind": self.kind, **asdict(self)}
 
@@ -387,6 +406,7 @@ def _check_tree(node) -> None:
         and isinstance(node["f"], int)
         and node["f"] >= 0
         and isinstance(node["t"], (int, float))
+        and math.isfinite(node["t"])
     ):
         raise ValueError("isolation tree node is neither a leaf nor a split")
     _check_tree(node["l"])
@@ -489,6 +509,24 @@ def _path_length(tree: dict, row: list[float], depth: int) -> float:
 # ---------------------------------------------------------------------------
 
 NoveltyModel = LofModel | IsolationForestModel
+
+_KINDS = {cls.kind: cls for cls in (LofModel, IsolationForestModel)}
+MODEL_KINDS = tuple(_KINDS)
+
+
+def model_to_dict(model: NoveltyModel | None) -> dict:
+    """The model-file body; kind "none" when there is no model."""
+    return model.to_dict() if model is not None else {"kind": "none"}
+
+
+def model_from_dict(body: dict) -> NoveltyModel | None:
+    """Inverse of model_to_dict; raises on an unknown kind or a bad field."""
+    kind = body["kind"]
+    if kind == "none":
+        return None
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unrecognized model kind {kind!r}")
+    return _KINDS[kind].from_dict(body)
 
 
 def classify(model: NoveltyModel, query) -> Label:

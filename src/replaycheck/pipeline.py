@@ -32,6 +32,7 @@ from .models import (
     DEFAULT_LOF_K,
     DEFAULT_LOF_THRESHOLD,
     DEFAULT_TREES,
+    MODEL_KINDS,
     NoveltyModel,
     check_forest_parameters,
     check_lof_parameters,
@@ -50,8 +51,6 @@ from .verdict import (
     Verdict,
     decide,
 )
-
-MODEL_KINDS = ("lof", "isolation_forest")
 
 # What each PipelineSettings annotation accepts, and how an error names it.
 _FIELD_TYPES = {

@@ -25,6 +25,7 @@ __all__ = [
     "Reason",
     "DetectionConfig",
     "Verdict",
+    "NoModelError",
     "response_check",
     "protocol_check",
     "decide",
@@ -43,6 +44,10 @@ class Reason(Enum):
     STANDARD_PROTOCOL = "StandardProtocol"
     ALL_IRREGULAR = "AllIrregular"
     REGULAR_FOUND = "RegularFound"
+
+
+class NoModelError(ValueError):
+    """The model stage was reached, but no novelty model was trained."""
 
 
 _FAILED_REASONS = {Reason.NO_RESPONSE, Reason.STANDARD_PROTOCOL, Reason.ALL_IRREGULAR}
@@ -116,7 +121,7 @@ def decide(
     if not protocol_check(attack_records):
         return Verdict(Outcome.FAILED, Reason.STANDARD_PROTOCOL, ())
     if model is None:
-        raise ValueError(
+        raise NoModelError(
             "attack responses need model classification but no novelty model "
             "was trained (no training responses?)"
         )

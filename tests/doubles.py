@@ -103,12 +103,17 @@ class ScriptedResponder:
 ACCEPT_RULES = {"accepts_stale": True, "refuses_stale": False}
 
 # How a device answers: (ack to an executed command, answer to a refused
-# one; None sends nothing). Acks are formatted with the resulting state and
-# the number of commands the device has handled.
+# one; None sends nothing). Both are formatted with the state the command
+# asked for and the number of commands the device has handled. The last two
+# shapes are ones the paper's rule cannot see: a silent ack leaves nothing
+# to judge, and a rejection that permutes the ack's bytes has the ack's
+# feature vector, since every feature ignores byte order.
 RESPONSE_SHAPES = {
     "fixed_ack": ("OK {state}\n", None),
     "counter_ack": ("OK {state} n={count:06d}\n", None),
     "rejection": ("OK {state}\n", "ERR stale command\n"),
+    "silent_ack": (None, None),
+    "permuted_rejection": ("OK {state}\n", "KO {state}\n"),
 }
 
 _COMMAND_GAP_US = 25_000
@@ -152,11 +157,12 @@ class FakeDevice:
     def _answer(self, line: bytes) -> list[bytes]:
         self.handled += 1
         _, state, sequence = line.decode().split()
-        if int(sequence) <= self.last_sequence and not self.accepts_stale:
-            return [self.refusal.encode()] if self.refusal else []
-        self.state = state
-        self.last_sequence = max(self.last_sequence, int(sequence))
-        return [self.ack.format(state=state, count=self.handled).encode()]
+        refused = int(sequence) <= self.last_sequence and not self.accepts_stale
+        if not refused:
+            self.state = state
+            self.last_sequence = max(self.last_sequence, int(sequence))
+        answer = self.refusal if refused else self.ack
+        return [answer.format(state=state, count=self.handled).encode()] if answer else []
 
     def _command(self, state: str, app: Endpoint) -> list[PacketRecord]:
         self.sent += 1

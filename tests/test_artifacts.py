@@ -178,6 +178,11 @@ def test_model_cutoff_is_checked_by_the_settings_rule(tmp_path, body, field, acc
         return
     with pytest.raises(ArtifactError, match=field):
         artifacts.read(model_path, artifacts.MODEL)
+    assert detect_error(tmp_path, model_path).startswith(f"error: {model_path}: {field} must")
+
+
+def detect_error(tmp_path, model_path):
+    """The one stderr line of a detect that must refuse model_path, exit 2."""
     capture, queue_path = tmp_path / "attack.pcap", tmp_path / "queue.json"
     capture.write_bytes(records_to_capture([]))
     artifacts.write(queue_path, artifacts.QUEUE, ResponseQueue((QueueEntry(0.01, 0, b"ack"),)).to_dict())
@@ -194,7 +199,57 @@ def test_model_cutoff_is_checked_by_the_settings_rule(tmp_path, body, field, acc
     )
     assert result.exit_code == 2, result.output
     (line,) = result.stderr.splitlines()
-    assert line.startswith(f"error: {model_path}: {field} must")
+    return line
+
+
+def with_first_number(node, value):
+    """node with its first number, depth first, replaced by value."""
+    if isinstance(node, list):
+        return [with_first_number(node[0], value), *node[1:]]
+    return value
+
+
+# Every number array of an LOF body, and the forest's split thresholds, each
+# made NaN and infinite; then the signs a std, an lrd and a k_distance keep.
+LOF, FOREST = VALID[artifacts.MODEL]
+NUMBER_FIELDS = [
+    (LOF, ("standardization", "mean")),
+    (LOF, ("standardization", "std")),
+    (LOF, ("points",)),
+    (LOF, ("k_distance",)),
+    (LOF, ("lrd",)),
+    (FOREST, ("trees",)),
+]
+BAD_NUMBERS = [(*case, value) for case in NUMBER_FIELDS for value in (math.nan, math.inf)] + [
+    # points without the dimension a negative std drops, so the shapes agree
+    ({**LOF, "points": [row[1:] for row in LOF["points"]]}, ("standardization", "std"), -1.0),
+    (LOF, ("lrd",), 0.0),
+    (LOF, ("lrd",), -1.0),
+    (LOF, ("k_distance",), -1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "body, field, value", BAD_NUMBERS, ids=[f"{field[-1]}={value}" for _, field, value in BAD_NUMBERS]
+)
+def test_model_numbers_are_ones_training_can_write(tmp_path, body, field, value):
+    """A NaN lrd or k_distance would score an error reply NaN, which no
+    cutoff calls irregular; a model file holds only finite numbers, and
+    densities and distances of the right sign."""
+    body = json.loads(json.dumps(body))
+    *parents, name = field
+    holder = body
+    for parent in parents:
+        holder = holder[parent]
+    if name == "trees":
+        holder[name][0] = {"f": 0, "t": value, "l": {"n": 1}, "r": {"n": 1}}
+    else:
+        holder[name] = with_first_number(holder[name], value)
+    model_path = tmp_path / "model.json"
+    artifacts.write(model_path, artifacts.MODEL, body)
+    with pytest.raises(ArtifactError):
+        artifacts.read(model_path, artifacts.MODEL)
+    assert detect_error(tmp_path, model_path).startswith(f"error: {model_path}: ")
 
 
 @pytest.mark.parametrize("accuracy", [10**400, 1.5, -0.5, math.nan], ids=["huge-int", "1.5", "negative", "NaN"])

@@ -10,10 +10,13 @@ import pytest
 from doubles import ACCEPT_RULES, RESPONSE_SHAPES, FakeDevice
 
 from replaycheck import pipeline
-from replaycheck.pipeline import SCENARIOS, assess_device
-from replaycheck.verdict import Outcome
+from replaycheck.features import featurize
+from replaycheck.pipeline import MODEL_KINDS, SCENARIOS, assess_device
+from replaycheck.verdict import Outcome, Reason
 
-CELLS = list(product(ACCEPT_RULES, RESPONSE_SHAPES))
+# The shapes the rule claims to cover; BLIND_SHAPES are called wrong by design.
+BLIND_SHAPES = ("silent_ack", "permuted_rejection")
+CELLS = list(product(ACCEPT_RULES, [s for s in RESPONSE_SHAPES if s not in BLIND_SHAPES]))
 
 
 @pytest.fixture
@@ -60,6 +63,28 @@ def test_forest_verdicts_equal_the_observed_state(
     outcomes = [verdict.outcome == Outcome.SUCCESSFUL for verdict in result.verdicts]
     assert outcomes == result.truths
     assert result.model_kind == "isolation_forest"
+
+
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+def test_blind_shapes_are_called_by_response_alone(fake_factory, fast_settings, model_kind):
+    """Pins two limits of the rule. A rejection that permutes the ack's
+    bytes reads as the ack, so a refused replay is called SUCCESSFUL; a
+    device that executes silently leaves no response, so an accepted
+    replay is called FAILED (NoResponse). The other cell of each shape is
+    called right."""
+    assert featurize(b"KO obverse\n") == featurize(b"OK obverse\n")
+    settings = replace(fast_settings, model_kind=model_kind)
+    expected = {
+        ("refuses_stale", "permuted_rejection"): (Outcome.SUCCESSFUL, Reason.REGULAR_FOUND),
+        ("accepts_stale", "permuted_rejection"): (Outcome.SUCCESSFUL, Reason.REGULAR_FOUND),
+        ("accepts_stale", "silent_ack"): (Outcome.FAILED, Reason.NO_RESPONSE),
+        ("refuses_stale", "silent_ack"): (Outcome.FAILED, Reason.NO_RESPONSE),
+    }
+    for (accept_rule, shape), call in expected.items():
+        result = assess_fake(fake_factory(accept_rule, shape), "non_restart", settings)
+        assert [(v.outcome, v.reason) for v in result.verdicts] == [call] * 2, (accept_rule, shape)
+        called_right = (call[0] == Outcome.SUCCESSFUL) == ACCEPT_RULES[accept_rule]
+        assert result.accuracy == float(called_right)
 
 
 def test_pipeline_imports_only_the_hook_names_from_simdevices():

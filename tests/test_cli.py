@@ -135,17 +135,6 @@ class TestTrain:
         assert "standard security protocol" in result.stderr
         assert "expected to be rejected" in result.stderr
 
-    def test_isolation_forest_few_patterns_warning(self, device_factory, tmp_path):
-        # Two fixed acks is far too few patterns for a forest to split on.
-        device = device_factory(Behavior.CLEARTEXT_ECHO)
-        result, model_out = run_train(
-            device, tmp_path, "--model-kind", "isolation_forest"
-        )
-        assert result.exit_code == 0, result.output
-        assert "2 distinct response payloads" in result.stderr
-        assert "prefer lof" in result.stderr
-        assert json.loads(model_out.read_text())["kind"] == "isolation_forest"
-
     def test_silent_capture_trains_none_model(self, device_factory, tmp_path):
         device = device_factory(Behavior.SILENT)
         result, model_out = run_train(device, tmp_path)
@@ -753,6 +742,45 @@ class TestDeviceFlags:
         for value in ("-1", "nan", "inf"):
             result = invoke([*DEVICE_COMMANDS[command], flag, value])
             assert_one_error(result, f"Invalid value for '{flag}'")
+
+
+OUTPUT_FLAGS = [
+    ("train", "--model-out"),
+    ("attack", "--queue-out"),
+    ("attack", "--transcript-out"),
+    ("detect", "--report-out"),
+    ("assess", "--report-out"),
+    ("simulate", "--training-capture-out"),
+]
+
+
+@pytest.mark.parametrize("command, flag", OUTPUT_FLAGS)
+def test_unwritable_output_exits_2(device_factory, tmp_path, command, flag):
+    """An output path in a missing directory is one `error: <path>:` line."""
+    out = tmp_path / "missing" / "out"
+    if command == "simulate":
+        result = invoke([*DEVICE_COMMANDS["simulate"], flag, str(out)])
+    else:
+        timings = FAST_FLAGS if command == "attack" else []
+        device = device_factory(Behavior.CLEARTEXT_ECHO)
+        result = run_command(command, device, tmp_path, *timings, flag, str(out))
+    assert_bad_input(result, out)
+    assert "No such file or directory" in result.stderr
+
+
+def test_error_naming_no_file_is_not_turned_into_an_error_line(monkeypatch, tmp_path):
+    """The boundary names the file an OSError is about; one about no file,
+    such as a reset connection, is not a bad input and propagates."""
+    path = tmp_path / "model.json"
+    write_none_model(path)
+
+    def reset(_):
+        raise ConnectionResetError(104, "Connection reset by peer")
+
+    monkeypatch.setattr(artifacts, "read_any", reset)
+    result = invoke(["report", str(path)])
+    assert isinstance(result.exception, ConnectionResetError)
+    assert "error:" not in result.stderr
 
 
 class TestReport:

@@ -14,6 +14,7 @@ from replaycheck.pipeline import AssessmentResult
 from replaycheck.replay import QueueEntry, ResponseQueue
 from replaycheck.verdict import (
     DetectionConfig,
+    NoModelError,
     Outcome,
     Reason,
     Verdict,
@@ -117,7 +118,7 @@ class TestDecide:
         assert verdict.reason == Reason.ALL_IRREGULAR
 
     def test_model_required_once_cheap_checks_pass(self):
-        with pytest.raises(ValueError, match="model"):
+        with pytest.raises(NoModelError, match="model"):
             decide(queue_of(REGULAR), [], None)
 
     def test_more_regular_evidence_never_flips_success_to_failure(self, model):
