@@ -14,8 +14,10 @@ was trained.
 
 from __future__ import annotations
 
+import errno
 import ipaddress
 import math
+import os
 import time
 from itertools import chain
 from dataclasses import asdict
@@ -162,6 +164,19 @@ class _Group(click.Group):
     command_class = _Command
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Raise the OSError writing a given output path would, before the
+    command does any work: a device must not act on a replay whose
+    responses cannot be kept, nor an assessment run every rep for nothing."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
+        if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def _guard_target(address: str, authorized: bool):
     # Assessing gear you do not own is an attack, not an assessment.
     if not ipaddress.ip_address(address).is_loopback and not authorized:
@@ -192,6 +207,7 @@ def train(capture_path, app, device, model_out, config_path, **overrides):
     """Learn legitimate response behavior from a capture."""
     settings = _build_settings(config_path, **overrides)
     session = _session(app, device)
+    _check_writable(model_out)
     detector = train_from_capture(Path(capture_path).read_bytes(), session, settings)
     body = model_to_dict(detector.model)
     artifacts.write(model_out, artifacts.MODEL, body)
@@ -234,6 +250,7 @@ def attack(capture_path, app, device, target, queue_out, transcript_out, i_own_t
     except ValueError as exc:
         raise click.UsageError(str(exc))
     _guard_target(target_endpoint.address, i_own_this_device)
+    _check_writable(queue_out, transcript_out)
     result, _ = attack_from_capture(Path(capture_path).read_bytes(), session, target_endpoint, settings)
     artifacts.write(queue_out, artifacts.QUEUE, result.queue.to_dict())
     if transcript_out:
@@ -271,6 +288,7 @@ def detect(queue_path, model_path, capture_path, app, device, report_out, device
     """Judge an attack: exit 10 if it succeeded, 11 if it failed."""
     settings = _build_settings(config_path, **overrides)
     session = _session(app, device)
+    _check_writable(report_out)
     queue = artifacts.read(queue_path, artifacts.QUEUE)
     model = artifacts.read(model_path, artifacts.MODEL)
     records = parse_capture(Path(capture_path).read_bytes(), session)
@@ -319,6 +337,7 @@ def detect(queue_path, model_path, capture_path, app, device, report_out, device
 def assess(behavior, scenario, reps, device_seed, port, rekey_on_restart, post_restart_delay, report_out, config_path, **overrides):
     """Full loop against a built-in simulated device; exit 10/11."""
     settings = _build_settings(config_path, **overrides)
+    _check_writable(report_out)
     profile = default_profile(
         Behavior(behavior),
         seed=device_seed,

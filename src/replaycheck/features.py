@@ -3,14 +3,16 @@
 Every payload maps to the same 19 dimensions regardless of protocol:
 byte length, Shannon entropy, printable-byte ratio, and a 16-bucket
 byte-value histogram. The novelty detectors never look at payload bytes
-directly, only at these vectors.
+directly, only at these vectors. Featurizing is plain Python and loads
+no numpy: a payload is a few dozen bytes, where byte counting in the
+interpreter beats numpy's per-call overhead.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["FeatureVector", "featurize", "HISTOGRAM_BUCKETS", "DIMENSIONS"]
 
@@ -18,9 +20,7 @@ HISTOGRAM_BUCKETS = 16
 DIMENSIONS = 3 + HISTOGRAM_BUCKETS
 
 # Printable means the visible ASCII range plus tab, LF, and CR.
-_PRINTABLE_MASK = np.zeros(256, dtype=bool)
-_PRINTABLE_MASK[0x20:0x7F] = True
-_PRINTABLE_MASK[[0x09, 0x0A, 0x0D]] = True
+_PRINTABLE = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,9 @@ class FeatureVector:
         if total != 0.0 and abs(total - 1.0) > 1e-9:
             raise ValueError(f"histogram must sum to 1 or be all zero, got {total}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [float(self.length), self.entropy, self.printable_ratio, *self.byte_histogram],
-            dtype=np.float64,
-        )
+    def as_row(self) -> tuple[float, ...]:
+        """The DIMENSIONS floats the models read, in field order."""
+        return (float(self.length), self.entropy, self.printable_ratio, *self.byte_histogram)
 
 
 def featurize(payload: bytes) -> FeatureVector:
@@ -65,15 +63,15 @@ def featurize(payload: bytes) -> FeatureVector:
     if n == 0:
         return FeatureVector(0, 0.0, 0.0, (0.0,) * HISTOGRAM_BUCKETS)
 
-    values = np.frombuffer(payload, dtype=np.uint8)
-    counts = np.bincount(values, minlength=256)
+    counts = Counter(payload)
+    # fsum rounds the sum once, so the order of the byte counts cannot
+    # move the result; clamping keeps a rounded term inside [0, 8] and
+    # turns a one-symbol payload's -0.0 into 0.0.
+    entropy = -math.fsum(c / n * math.log2(c / n) for c in counts.values())
+    entropy = min(max(0.0, entropy), 8.0)
 
-    probabilities = counts[counts > 0] / n
-    entropy = float(-(probabilities * np.log2(probabilities)).sum())
-    # Float roundoff can nudge a one-symbol payload slightly off 0.0 or a
-    # uniform one slightly past 8.0; clamp to the documented range.
-    entropy = min(max(entropy, 0.0), 8.0)
-
-    printable_ratio = float(_PRINTABLE_MASK[values].sum() / n)
-    histogram = counts.reshape(HISTOGRAM_BUCKETS, 16).sum(axis=1) / n
-    return FeatureVector(n, entropy, printable_ratio, tuple(float(v) for v in histogram))
+    printable_ratio = (n - len(payload.translate(None, _PRINTABLE))) / n
+    buckets = [0] * HISTOGRAM_BUCKETS
+    for value, count in counts.items():
+        buckets[value >> 4] += count
+    return FeatureVector(n, entropy, printable_ratio, tuple(c / n for c in buckets))

@@ -14,19 +14,25 @@ Scores: both kinds map higher to more anomalous. LOF is ~1.0 for
 in-distribution queries; the isolation-forest score lives in (0, 1] with
 0.5 the all-identical baseline, and is 1.0 for a query that differs on a
 feature the training set never varied.
+
+numpy loads only where it pays: when an LOF model of more than
+LOF_PURE_MAX points is trained or scored, and when a forest is trained.
+Smaller LOF models, the training sets a companion session yields, train
+and score in plain Python, and forests score in plain Python.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import chain, repeat
 from typing import Sequence
 
-import numpy as np
-
-from .features import DIMENSIONS, FeatureVector
+from .features import FeatureVector
 
 __all__ = [
     "Label",
@@ -57,9 +63,19 @@ MAX_SUBSAMPLE = 256
 # zero (a cluster of duplicates): 1/epsilon rather than infinity.
 LRD_DUPLICATE_EPSILON = 1e-12
 
+# LOF models of at most this many training points train and score in plain
+# Python with the brute-force oracle's arithmetic, so their scores equal the
+# oracle's exactly and numpy stays unloaded; larger ones use numpy. Up to
+# this size the plain fit costs a few milliseconds (6-11 ms at n = 64
+# against numpy's 1 ms, on a 2-CPU x86 host), less than importing numpy
+# (about 60 ms and 14 MB); its n^2 pairwise loop takes 2.5 s at n = 1000.
+LOF_PURE_MAX = 64
+
 # Byte budget for one row block's difference tensor while train_lof fills
-# its distance matrix, so training memory grows as n^2, not n^2 * d.
+# a numpy distance matrix, so training memory grows as n^2, not n^2 * d.
 LOF_BLOCK_BYTES = 8 << 20
+
+Vectors = Sequence[FeatureVector] | Sequence[Sequence[float]]
 
 
 class Label(Enum):
@@ -71,25 +87,26 @@ class InsufficientTrainingError(ValueError):
     """Raised when fewer than two training vectors are supplied."""
 
 
-def _as_matrix(vectors: Sequence[FeatureVector] | Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
-    if isinstance(vectors, np.ndarray):
-        matrix = np.asarray(vectors, dtype=np.float64)
-    else:
-        rows = [
-            v.as_array() if isinstance(v, FeatureVector) else np.asarray(v, dtype=np.float64)
-            for v in vectors
-        ]
-        matrix = np.stack(rows) if rows else np.empty((0, DIMENSIONS))
+def _row(vector: FeatureVector | Sequence[float]) -> tuple[float, ...]:
+    return vector.as_row() if isinstance(vector, FeatureVector) else tuple(map(float, vector))
+
+
+def _as_rows(vectors: Vectors) -> list:
+    """Each training vector as a row: a FeatureVector as its as_row(), any
+    other as given. Each fit converts the rows itself, the plain-Python
+    one to float tuples and the numpy one to one array, so a large numpy
+    training set never becomes a Python float per number."""
+    return [v.as_row() if isinstance(v, FeatureVector) else v for v in vectors]
+
+
+def _as_matrix(rows: list):
+    """The rows as one float64 numpy array; the fits that need numpy load it here."""
+    import numpy as np
+
+    matrix = np.array(rows, dtype=np.float64)  # ValueError for rows of unequal width
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D training matrix, got shape {matrix.shape}")
     return matrix
-
-
-def _as_row(query: FeatureVector | Sequence[float] | np.ndarray, dims: int) -> np.ndarray:
-    row = query.as_array() if isinstance(query, FeatureVector) else np.asarray(query, dtype=np.float64)
-    if row.shape != (dims,):
-        raise ValueError(f"query has shape {row.shape}, model expects ({dims},)")
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -101,27 +118,27 @@ def _as_row(query: FeatureVector | Sequence[float] | np.ndarray, dims: int) -> n
 class LofModel:
     """Trained LOF state: the standardized training set plus neighbor stats.
 
-    kept is the boolean mask of dimensions with nonzero training variance;
-    points holds only those dimensions. k_distance and lrd are the
-    per-training-point k-distances and local reachability densities,
-    precomputed so queries are a single pass.
+    mean and std cover every input dimension; kept lists the dimensions
+    with nonzero training variance, and each row of points holds only
+    those. k_distance and lrd are the per-training-point k-distances and
+    local reachability densities, precomputed so queries are a single pass.
     """
 
     k: int
     k_eff: int
     threshold: float
-    mean: np.ndarray
-    std: np.ndarray
-    kept: np.ndarray
-    points: np.ndarray
-    k_distance: np.ndarray
-    lrd: np.ndarray
+    mean: tuple[float, ...]
+    std: tuple[float, ...]
+    kept: tuple[int, ...]
+    points: tuple[tuple[float, ...], ...]
+    k_distance: tuple[float, ...]
+    lrd: tuple[float, ...]
 
     kind = "lof"
 
     @property
     def training_size(self) -> int:
-        return self.points.shape[0]
+        return len(self.points)
 
     @property
     def cutoff(self) -> float:
@@ -129,27 +146,56 @@ class LofModel:
 
     def check_width(self, dimensions: int) -> None:
         """Raise ValueError unless the model scores dimensions-wide vectors."""
-        if self.mean.shape[0] != dimensions:
-            raise ValueError(
-                f"model expects {self.mean.shape[0]}-dimension vectors, not {dimensions}"
-            )
+        if len(self.mean) != dimensions:
+            raise ValueError(f"model expects {len(self.mean)}-dimension vectors, not {dimensions}")
 
-    def score(self, query: FeatureVector | Sequence[float] | np.ndarray) -> float:
+    def score(self, query: FeatureVector | Sequence[float]) -> float:
         """LOF of a query against the trained model; higher is more anomalous.
 
         Exactly 1.0 when the query coincides with a training point (including
         the all-dimensions-dropped degenerate model, where every query does).
         """
-        row = _as_row(query, self.mean.shape[0])
-        query_std = (row[self.kept] - self.mean[self.kept]) / self.std[self.kept]
-        distances = _pairwise_distances(query_std[None, :], self.points)[0]
+        row = _row(query)
+        if len(row) != len(self.mean):
+            raise ValueError(f"query has {len(row)} dimensions, model expects {len(self.mean)}")
+        query_std = [(row[d] - self.mean[d]) / self.std[d] for d in self.kept]
+        if self.training_size > LOF_PURE_MAX:
+            return self._dense_score(query_std)
+
+        distances = [_distance(query_std, point) for point in self.points]
+        if 0.0 in distances:
+            return 1.0
+        k_distance_q = sorted(distances)[self.k_eff - 1]
+        neighbors = [j for j, d in enumerate(distances) if d <= k_distance_q]
+        lrd_q = _reach_density(distances, neighbors, self.k_distance)
+        if lrd_q == 0.0:  # every neighbor infinitely far: a distance overflowed
+            return math.inf
+        return math.fsum(self.lrd[j] for j in neighbors) / len(neighbors) / lrd_q
+
+    @cached_property
+    def _dense(self):
+        """points, k_distance and lrd as numpy arrays, built once per model.
+
+        points are column-major, as training computes them: numpy's sums
+        follow the layout, so a loaded model scores exactly as it did
+        when it was trained.
+        """
+        import numpy as np
+
+        return np.asfortranarray(self.points), np.array(self.k_distance), np.array(self.lrd)
+
+    def _dense_score(self, query_std: list[float]) -> float:
+        import numpy as np
+
+        points, k_distance, lrd = self._dense
+        distances = _pairwise_distances(np.array(query_std)[None, :], points)[0]
         if (distances == 0.0).any():
             return 1.0
 
         k_distance_q = np.partition(distances, self.k_eff - 1)[self.k_eff - 1]
         neighbors = np.flatnonzero(distances <= k_distance_q)
-        lrd_q = _lrd_from_neighbors(distances, neighbors, self.k_distance)
-        return float(self.lrd[neighbors].mean() / lrd_q)
+        lrd_q = _lrd_from_neighbors(distances, neighbors, k_distance)
+        return float(lrd[neighbors].mean() / lrd_q)
 
     def summary(self) -> str:
         return (
@@ -164,32 +210,29 @@ class LofModel:
             "k_eff": self.k_eff,
             "threshold": self.threshold,
             "standardization": {
-                "mean": self.mean.tolist(),
-                "std": self.std.tolist(),
+                "mean": list(self.mean),
+                "std": list(self.std),
             },
-            "points": self.points.tolist(),
-            "k_distance": self.k_distance.tolist(),
-            "lrd": self.lrd.tolist(),
+            # An all-dimensions-dropped model writes its points as empty rows.
+            "points": [list(point) for point in self.points],
+            "k_distance": list(self.k_distance),
+            "lrd": list(self.lrd),
         }
 
     @classmethod
     def from_dict(cls, body: dict) -> "LofModel":
         """Inverse of to_dict; raises on a missing or malformed field."""
-        mean = np.asarray(body["standardization"]["mean"], dtype=np.float64)
-        std = np.asarray(body["standardization"]["std"], dtype=np.float64)
-        kept = std > 0.0
-        # An all-dimensions-dropped model serializes its points as rows of
-        # empty lists; asarray still yields the right (n, 0) shape.
-        points = np.asarray(body["points"], dtype=np.float64)
-        k_distance = np.asarray(body["k_distance"], dtype=np.float64)
-        lrd = np.asarray(body["lrd"], dtype=np.float64)
+        mean = _numbers(body["standardization"]["mean"])
+        std = _numbers(body["standardization"]["std"])
+        kept = _kept(std)
+        points = tuple(_numbers(point) for point in body["points"])
+        k_distance = _numbers(body["k_distance"])
+        lrd = _numbers(body["lrd"])
         k, k_eff, threshold = body["k"], body["k_eff"], body["threshold"]
         if not (
-            mean.ndim == 1
-            and std.shape == mean.shape
-            and points.ndim == 2
-            and points.shape[1] == kept.sum()
-            and k_distance.shape == lrd.shape == points.shape[:1]
+            len(std) == len(mean)
+            and all(len(point) == len(kept) for point in points)
+            and len(k_distance) == len(lrd) == len(points)
             and isinstance(k, int)
             and isinstance(k_eff, int)
             and 1 <= k_eff < len(points)
@@ -198,23 +241,46 @@ class LofModel:
             raise ValueError("LOF model fields have inconsistent shapes or types")
         check_lof_parameters(k, threshold)
         # As training leaves them: a NaN lrd scores every query NaN, never irregular.
-        finite = all(np.isfinite(a).all() for a in (mean, std, points, k_distance, lrd))
-        if not (finite and (std >= 0).all() and (k_distance >= 0).all() and (lrd > 0).all()):
+        finite = all(map(math.isfinite, chain(mean, std, k_distance, lrd, *points)))
+        if not (finite and min(std, default=0.0) >= 0 and min(k_distance) >= 0 and min(lrd) > 0):
             raise ValueError("LOF numbers must be finite, std and k_distance >= 0 and lrd > 0")
-        return cls(
-            k=k,
-            k_eff=k_eff,
-            threshold=threshold,
-            mean=mean,
-            std=std,
-            kept=kept,
-            points=points,
-            k_distance=k_distance,
-            lrd=lrd,
-        )
+        return cls(k, k_eff, threshold, mean, std, kept, points, k_distance, lrd)
 
 
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _numbers(value) -> tuple[float, ...]:
+    """A JSON array of numbers as floats; TypeError for anything else."""
+    if not (isinstance(value, list) and all(isinstance(x, (int, float)) for x in value)):
+        raise TypeError("LOF model arrays must hold numbers")
+    return tuple(map(float, value))  # OverflowError for an int past the float range
+
+
+def _kept(std: Sequence[float]) -> tuple[int, ...]:
+    """The dimensions with nonzero training variance."""
+    return tuple(d for d, s in enumerate(std) if s > 0.0)
+
+
+def _distance(a: Sequence[float], b: Sequence[float]) -> float:
+    """Euclidean distance with the brute-force oracle's rounding: each
+    difference squared by pow, as x ** 2 does, and the squares summed with
+    fsum. (x - y) * (x - y) can round differently."""
+    try:
+        return math.sqrt(math.fsum(map(pow, map(operator.sub, a, b), repeat(2.0))))
+    except OverflowError:  # numbers no training writes, from a model file
+        return math.inf
+
+
+def _reach_density(
+    distances: Sequence[float], neighbors: Sequence[int], k_distance: Sequence[float]
+) -> float:
+    total = math.fsum(max(k_distance[j], distances[j]) for j in neighbors)
+    if total == 0.0:
+        return 1.0 / LRD_DUPLICATE_EPSILON
+    return len(neighbors) / total
+
+
+def _pairwise_distances(a, b):
+    import numpy as np
+
     if a.shape[1] == 0:
         return np.zeros((a.shape[0], b.shape[0]))
     diff = a[:, None, :] - b[None, :, :]
@@ -222,9 +288,9 @@ def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(diff.sum(axis=2))
 
 
-def _lrd_from_neighbors(
-    distances: np.ndarray, neighbors: np.ndarray, k_distance: np.ndarray
-) -> float:
+def _lrd_from_neighbors(distances, neighbors, k_distance) -> float:
+    import numpy as np
+
     reach = np.maximum(k_distance[neighbors], distances[neighbors])
     total = float(reach.sum())
     if total == 0.0:
@@ -241,7 +307,7 @@ def check_lof_parameters(k: int, threshold: float) -> None:
 
 
 def train_lof(
-    training: Sequence[FeatureVector] | Sequence[Sequence[float]] | np.ndarray,
+    training: Vectors,
     k: int = DEFAULT_LOF_K,
     threshold: float = DEFAULT_LOF_THRESHOLD,
 ) -> LofModel:
@@ -250,18 +316,66 @@ def train_lof(
     k is clamped to n-1 (k_eff). Training vectors are z-score standardized
     per dimension; zero-variance dimensions are dropped. Duplicate points
     are fine: a neighborhood of exact duplicates gets lrd 1/1e-12 instead
-    of a division by zero. The n x n distance matrix is filled a block of
-    rows at a time, each block's difference tensor within LOF_BLOCK_BYTES.
+    of a division by zero. Up to LOF_PURE_MAX vectors the fit is plain
+    Python; above it numpy fills the n x n distance matrix a block of rows
+    at a time, each block's difference tensor within LOF_BLOCK_BYTES.
     """
-    matrix = _as_matrix(training)
-    n = matrix.shape[0]
+    rows = _as_rows(training)
+    n = len(rows)
     if n < 2:
         raise InsufficientTrainingError(
             f"need at least 2 training vectors, got {n}"
         )
     check_lof_parameters(k, threshold)
     k_eff = min(k, n - 1)
+    fit = _fit_lof_pure if n <= LOF_PURE_MAX else _fit_lof_dense
+    mean, std, points, k_distance, lrd = fit(rows, k_eff)
+    return LofModel(
+        k=k,
+        k_eff=k_eff,
+        threshold=threshold,
+        mean=tuple(mean),
+        std=tuple(std),
+        kept=_kept(std),
+        points=tuple(map(tuple, points)),
+        k_distance=tuple(k_distance),
+        lrd=tuple(lrd),
+    )
 
+
+def _fit_lof_pure(vectors: list, k_eff: int):
+    """mean, std, points, k_distance and lrd, with the oracle's arithmetic."""
+    rows = [tuple(map(float, vector)) for vector in vectors]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("training vectors differ in width")
+    n = len(rows)
+    columns = list(zip(*rows))
+    mean = [math.fsum(column) / n for column in columns]
+    std = [
+        math.sqrt(math.fsum((x - m) ** 2 for x in column) / n)
+        for column, m in zip(columns, mean)
+    ]
+    kept = _kept(std)
+    points = [[(row[d] - mean[d]) / std[d] for d in kept] for row in rows]
+
+    distances = [[math.inf] * n for _ in range(n)]  # a point is not its own neighbor
+    for i in range(n):
+        for j in range(i):
+            distances[i][j] = distances[j][i] = _distance(points[i], points[j])
+    k_distance = [sorted(row)[k_eff - 1] for row in distances]
+    lrd = [
+        _reach_density(row, [j for j, d in enumerate(row) if d <= k_distance[i]], k_distance)
+        for i, row in enumerate(distances)
+    ]
+    return mean, std, points, k_distance, lrd
+
+
+def _fit_lof_dense(vectors: list, k_eff: int):
+    """mean, std, points, k_distance and lrd, as lists, computed with numpy."""
+    import numpy as np
+
+    matrix = _as_matrix(vectors)
+    n = matrix.shape[0]
     mean = matrix.mean(axis=0)
     std = matrix.std(axis=0)
     kept = std > 0.0
@@ -280,25 +394,14 @@ def train_lof(
     neighbor_sets = [np.flatnonzero(distances[i] <= k_distance[i]) for i in range(n)]
     for i, neighbors in enumerate(neighbor_sets):
         lrd[i] = _lrd_from_neighbors(distances[i], neighbors, k_distance)
-
-    return LofModel(
-        k=k,
-        k_eff=k_eff,
-        threshold=threshold,
-        mean=mean,
-        std=std,
-        kept=kept,
-        points=points,
-        k_distance=k_distance,
-        lrd=lrd,
-    )
+    return mean.tolist(), std.tolist(), points.tolist(), k_distance.tolist(), lrd.tolist()
 
 
 # ---------------------------------------------------------------------------
 # isolation forest
 # ---------------------------------------------------------------------------
 
-_EULER_GAMMA = float(np.euler_gamma)
+_EULER_GAMMA = 0.5772156649015329  # the Euler-Mascheroni constant
 
 
 def _average_path_length(n: int) -> float:
@@ -347,11 +450,10 @@ class IsolationForestModel:
                 f"model reads feature {widest}, vectors have {dimensions} dimensions"
             )
 
-    def score(self, query: FeatureVector | Sequence[float] | np.ndarray) -> float:
+    def score(self, query: FeatureVector | Sequence[float]) -> float:
         """Anomaly score 2^(-E[path length]/c(subsample)), in (0, 1]; 1.0
         when the query differs on a constant training feature."""
-        row = query.as_array() if isinstance(query, FeatureVector) else np.asarray(query, dtype=np.float64)
-        values = row.tolist()  # Python floats compare faster than numpy scalars
+        values = _row(query)
         if any(values[dim] != value for dim, value in self.constant_features):
             return 1.0
         mean_path = math.fsum(_path_length(tree, values, 0) for tree in self.trees) / len(self.trees)
@@ -420,13 +522,13 @@ def _widest_split(node: dict) -> int:
     return max(node["f"], _widest_split(node["l"]), _widest_split(node["r"]))
 
 
-def _grow_tree(matrix: np.ndarray, rng: random.Random, depth: int, limit: int) -> dict:
+def _grow_tree(matrix, rng: random.Random, depth: int, limit: int) -> dict:
     n = matrix.shape[0]
     if n <= 1 or depth >= limit:
         return {"n": int(n)}
     low = matrix.min(axis=0)
     high = matrix.max(axis=0)
-    splittable = np.flatnonzero(high > low)
+    splittable = (high > low).nonzero()[0]
     if splittable.size == 0:
         return {"n": int(n)}  # all rows identical; cannot isolate further
     dim = int(rng.choice(splittable))
@@ -460,7 +562,7 @@ def check_forest_parameters(
 
 
 def train_isolation_forest(
-    training: Sequence[FeatureVector] | Sequence[Sequence[float]] | np.ndarray,
+    training: Vectors,
     trees: int = DEFAULT_TREES,
     subsample: int | None = None,
     seed: int = 0,
@@ -474,8 +576,8 @@ def train_isolation_forest(
 
     subsample defaults to min(256, n) and must not exceed n.
     """
-    matrix = _as_matrix(training)
-    n = matrix.shape[0]
+    vectors = _as_rows(training)
+    n = len(vectors)
     if n < 2:
         raise InsufficientTrainingError(
             f"need at least 2 training vectors, got {n}"
@@ -486,6 +588,7 @@ def train_isolation_forest(
     if subsample > n:
         raise ValueError(f"subsample must be in [2, {n}], got {subsample}")
 
+    matrix = _as_matrix(vectors)
     rng = random.Random(seed)
     limit = math.ceil(math.log2(subsample))
     grown = []
@@ -493,11 +596,11 @@ def train_isolation_forest(
         rows = rng.sample(range(n), subsample)
         grown.append(_grow_tree(matrix[rows], rng, 0, limit))
     low = matrix.min(axis=0)
-    constant = [[int(dim), float(low[dim])] for dim in np.flatnonzero(low == matrix.max(axis=0))]
+    constant = [[int(dim), float(low[dim])] for dim in (low == matrix.max(axis=0)).nonzero()[0]]
     return IsolationForestModel(grown, subsample, seed, anomaly_cutoff, constant)
 
 
-def _path_length(tree: dict, row: list[float], depth: int) -> float:
+def _path_length(tree: dict, row: Sequence[float], depth: int) -> float:
     while "f" in tree:
         tree = tree["l"] if row[tree["f"]] < tree["t"] else tree["r"]
         depth += 1

@@ -23,6 +23,7 @@ from replaycheck.simdevices import (
     Behavior,
     DeviceState,
     companion_session,
+    query_state,
     records_to_capture,
     trigger_state,
 )
@@ -237,6 +238,15 @@ class TestAttack:
         assert result.exit_code == 0, result.output
         assert "collected 0 responses" in result.output
         assert len(artifacts.read(queue_out, artifacts.QUEUE)) == 0
+
+    def test_unwritable_queue_out_replays_nothing(self, device_factory, tmp_path):
+        """The output path is checked before any flow is sent, so the device
+        does not act on a replay whose responses could not be kept."""
+        device = device_factory(Behavior.CLEARTEXT_ECHO)
+        out = tmp_path / "missing" / "queue.json"
+        result, _, _ = run_attack(device, tmp_path, "--queue-out", str(out))
+        assert_bad_input(result, out)
+        assert query_state(device) == DeviceState.REVERSE
 
     def test_explicit_target_flag(self, device_factory, tmp_path):
         device = device_factory(Behavior.CLEARTEXT_ECHO)
@@ -766,6 +776,8 @@ def test_unwritable_output_exits_2(device_factory, tmp_path, command, flag):
         result = run_command(command, device, tmp_path, *timings, flag, str(out))
     assert_bad_input(result, out)
     assert "No such file or directory" in result.stderr
+    if command != "simulate":  # checked before any work, so nothing is reported done
+        assert result.stdout == ""
 
 
 def test_error_naming_no_file_is_not_turned_into_an_error_line(monkeypatch, tmp_path):

@@ -1,8 +1,12 @@
 """Pipeline orchestration tests: settings resolution, training from
 captures of each profile, and short assessment loops."""
 
+import base64
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +17,13 @@ import replaycheck
 from replaycheck import artifacts, pipeline, replay
 from replaycheck.artifacts import ArtifactError
 from replaycheck.capture import Endpoint, Flow, SessionConfig
-from replaycheck.models import IsolationForestModel, LofModel
+from replaycheck.models import (
+    LOF_PURE_MAX,
+    IsolationForestModel,
+    LofModel,
+    train_isolation_forest,
+    train_lof,
+)
 from replaycheck.pipeline import (
     SCENARIO_NON_RESTART,
     SCENARIO_RESTART,
@@ -149,6 +159,71 @@ class TestTrainFromCapture:
         assert detector.training_responses == 10
         assert detector.response_class == ResponseClass.CLEARTEXT
         assert len(detector.flows) == 10
+
+    def test_small_lof_run_loads_no_numpy(self, device_factory, tmp_path):
+        # A fresh interpreter, since the test process has loaded numpy. From
+        # the CLI import through training, a verdict and a model file, a
+        # companion session's LOF needs no numpy; a forest and an LOF of
+        # LOF_PURE_MAX + 1 vectors load it and still train and score.
+        device = device_factory(Behavior.CLEARTEXT_ECHO)
+        rows = [[float(i % 7), float(i * i % 11), i % 4 + 0.5] for i in range(LOF_PURE_MAX + 1)]
+        query = [3.5, 2.5, 1.0]
+        script = (
+            "import base64, json, sys\n"
+            "preloaded = 'numpy' in sys.modules\n"
+            "import replaycheck.cli\n"
+            "from replaycheck import artifacts\n"
+            "from replaycheck.capture import Endpoint, SessionConfig, parse_capture\n"
+            "from replaycheck.features import featurize\n"
+            "from replaycheck.models import train_isolation_forest, train_lof\n"
+            "from replaycheck.pipeline import train_from_capture\n"
+            "from replaycheck.replay import QueueEntry, ResponseQueue\n"
+            "from replaycheck.simdevices import DEFAULT_APP_ENDPOINT\n"
+            "from replaycheck.verdict import decide\n"
+            "given = json.load(sys.stdin)\n"
+            "capture = base64.b64decode(given['capture'])\n"
+            "session = SessionConfig(DEFAULT_APP_ENDPOINT, Endpoint(*given['device']))\n"
+            "detector = train_from_capture(capture, session)\n"
+            "payloads = [b'ERR unauthorized'] + [r.payload for f in detector.flows for r in f.responses]\n"
+            "queue = ResponseQueue(tuple(QueueEntry(0.01 * i, i, p) for i, p in enumerate(payloads)))\n"
+            "verdict = decide(queue, parse_capture(capture, session), detector.model)\n"
+            "artifacts.write(given['path'], artifacts.MODEL, detector.model.to_dict())\n"
+            "loaded = artifacts.read(given['path'], artifacts.MODEL)\n"
+            "report = {'kind': loaded.kind, 'size': loaded.training_size,\n"
+            "          'outcome': verdict.outcome.value,\n"
+            "          'scores': [loaded.score(featurize(p)) for p in payloads],\n"
+            "          'trained_scores': [detector.model.score(featurize(p)) for p in payloads],\n"
+            "          'preloaded': preloaded, 'numpy': 'numpy' in sys.modules}\n"
+            "rows, query = given['rows'], given['query']\n"
+            "report['forest'] = train_isolation_forest(rows, trees=10, seed=3).score(query)\n"
+            "report['lof'] = train_lof(rows).score(query)\n"
+            "report['numpy_after'] = 'numpy' in sys.modules\n"
+            "print(json.dumps(report))\n"
+        )
+        given = {
+            "capture": base64.b64encode(companion_session(device)).decode(),
+            "device": [device.endpoint.address, device.endpoint.port],
+            "path": str(tmp_path / "model.json"),
+            "rows": rows,
+            "query": query,
+        }
+        src = str(Path(replaycheck.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=json.dumps(given), capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
+        )
+        report = json.loads(done.stdout)
+        if report["preloaded"]:
+            pytest.skip("this interpreter loads numpy before any test code runs")
+        assert (report["kind"], report["size"]) == ("lof", 10)
+        assert report["outcome"] == Outcome.SUCCESSFUL.value
+        assert report["scores"] == report["trained_scores"]
+        assert report["scores"][0] > report["scores"][1]
+        assert not report["numpy"]
+        assert report["numpy_after"]
+        assert report["forest"] == train_isolation_forest(rows, trees=10, seed=3).score(query)
+        assert report["lof"] == train_lof(rows).score(query)
 
     def test_isolation_forest_kind(self, device_factory):
         device = device_factory(Behavior.CLEARTEXT_ECHO)
