@@ -373,6 +373,7 @@ def assess(behavior, scenario, reps, device_seed, port, rekey_on_restart, post_r
 @click.option("--duration", type=_Seconds(), default=None, help="Seconds to keep serving (default: until Ctrl-C).")
 def simulate(behavior, port, device_seed, rekey_on_restart, training_capture_out, duration):
     """Serve one simulated device for manual train/attack experiments."""
+    _check_writable(training_capture_out)
     profile = default_profile(
         Behavior(behavior), seed=device_seed, port=port, rekey_on_restart=rekey_on_restart
     )

@@ -776,8 +776,7 @@ def test_unwritable_output_exits_2(device_factory, tmp_path, command, flag):
         result = run_command(command, device, tmp_path, *timings, flag, str(out))
     assert_bad_input(result, out)
     assert "No such file or directory" in result.stderr
-    if command != "simulate":  # checked before any work, so nothing is reported done
-        assert result.stdout == ""
+    assert result.stdout == ""  # checked before any work, so nothing is reported done
 
 
 def test_error_naming_no_file_is_not_turned_into_an_error_line(monkeypatch, tmp_path):

@@ -1,7 +1,9 @@
 """Isolation forest tests: determinism, pinned degenerate scores, and
 serialization fidelity."""
 
+import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -27,6 +29,31 @@ def cluster_with_outlier(seed=3, n=60):
     rng = random.Random(seed)
     training = [[rng.gauss(0, 0.3), rng.gauss(0, 0.3)] for _ in range(n)]
     return training
+
+
+# featurize() rows of the two JSON acks an echo-style device answers a
+# companion session with, written out so the golden digests below depend
+# on no libm's log2.
+TWO_ACKS = (
+    (29.0, 3.7193758224153695, 1.0, 0.0, 0.0, 0.2413793103448276, 0.06896551724137931, 0.0, 0.0,
+     0.3103448275862069, 0.3793103448275862, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (29.0, 3.4569744267451346, 1.0, 0.0, 0.0, 0.2413793103448276, 0.06896551724137931, 0.0, 0.0,
+     0.27586206896551724, 0.41379310344827586, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+)
+
+
+def golden_rows(data, n):
+    """Training rows drawn with arithmetic only: random rows with one constant
+    column, or a companion session's two distinct acks."""
+    rng = random.Random(n)
+    if data == "two-ack":
+        return [TWO_ACKS[rng.randrange(2)] for _ in range(n)]
+    return [[rng.uniform(-3.0, 3.0), rng.random(), 2.0, rng.uniform(0.0, 100.0)] for _ in range(n)]
+
+
+def forest_digest(model):
+    body = json.dumps([model.trees, model.constant_features], sort_keys=True)
+    return hashlib.sha256(body.encode()).hexdigest()
 
 
 class TestScores:
@@ -175,6 +202,32 @@ class TestDeterminism:
         assert big.subsample == 256
 
 
+# SHA-256 of json.dumps([trees, constant_features], sort_keys=True) for
+# train_isolation_forest(golden_rows(data, n), trees=50, seed=seed), computed
+# with the numpy tree grower this package used before the plain-Python one:
+# the grower changed, the trees did not.
+GOLDEN_FORESTS = {
+    ("random", 10, 0): "e1bdace0a0859410e41dd0da299651747fb87751641008f4d8ea5505d5d4f2bc",
+    ("random", 10, 3): "3444a88d410224ded74bcbaf384462632dae91629514358e38815f9d470d4acd",
+    ("random", 64, 0): "3f274cd8f4c985019fdd753ea2b312cf14b9ad41f0be86e9c4c2ac3b193dae5a",
+    ("random", 64, 3): "046de797a1086abbab5ed9cd388fb3609afddab7318d4686c1483fb571c2e5af",
+    ("random", 300, 0): "c5fa780d9fbe09f8f94544c53a5e13950d765893c34ebb8ef1cf609c6a76179c",
+    ("random", 300, 3): "f429d55cfedffba520f77c94b7aa54f5c6b0f578dba18d8db657853ccb9351c2",
+    ("two-ack", 10, 0): "cf23e437da954d72806392f67521a00eee081b8789a4d92b3b5d039a44d5b3ba",
+    ("two-ack", 10, 3): "3f38b0e6559f5757def5568eacd47c8f66e630a5e08116500bb253857c3b7a03",
+    ("two-ack", 64, 0): "517cd3b00d5ffc836cb57fb38b3917aaef8e158cebf76c073f89a60b530ac5ae",
+    ("two-ack", 64, 3): "b39e931d25dde64e3af41df8a63a11c2f8a4e36b4f559a80103fa0ad24d67c0e",
+    ("two-ack", 300, 0): "6f4de946e0ac5792e9dc09d2e9134be9deb186a3f6162d75325d092c7480e2b8",
+    ("two-ack", 300, 3): "b538490c77fc0f7087d421a3fb54cb0be676e1f0897f82d791fd969ae987d809",
+}
+
+
+@pytest.mark.parametrize("data, n, seed", sorted(GOLDEN_FORESTS))
+def test_trees_match_golden_digest(data, n, seed):
+    model = train_isolation_forest(golden_rows(data, n), trees=50, seed=seed)
+    assert forest_digest(model) == GOLDEN_FORESTS[data, n, seed]
+
+
 class TestValidation:
     def test_insufficient_training(self):
         with pytest.raises(InsufficientTrainingError):
@@ -194,6 +247,15 @@ class TestValidation:
             train_isolation_forest([[1.0], [2.0]], subsample=3)
         with pytest.raises(ValueError):
             train_isolation_forest([[1.0], [2.0]], subsample=1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_training_value_rejected(self, value):
+        # A model file holds finite numbers only, and a column's min and max
+        # over a NaN would depend on the order of the rows.
+        training = [[float(i), 1.0] for i in range(10)]
+        training[5][1] = value
+        with pytest.raises(ValueError, match="finite"):
+            train_isolation_forest(training, trees=2)
 
 
 class TestPathLengthNormalizer:

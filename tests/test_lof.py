@@ -112,6 +112,16 @@ class TestDegenerateCases:
         with pytest.raises(ValueError):
             model.score([1.0, 2.0])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("n", [5, models.LOF_PURE_MAX + 1], ids=["plain", "numpy"])
+    def test_non_finite_training_value_rejected(self, n, value):
+        # A model file holds finite numbers only: training must not write
+        # one its own codec refuses to read back.
+        training = [[float(i), 1.0] for i in range(n)]
+        training[n // 2][1] = value
+        with pytest.raises(ValueError, match="finite"):
+            train_lof(training)
+
 
 class TestClassify:
     def test_inlier_is_regular(self):

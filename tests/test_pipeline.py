@@ -163,8 +163,9 @@ class TestTrainFromCapture:
     def test_small_lof_run_loads_no_numpy(self, device_factory, tmp_path):
         # A fresh interpreter, since the test process has loaded numpy. From
         # the CLI import through training, a verdict and a model file, a
-        # companion session's LOF needs no numpy; a forest and an LOF of
-        # LOF_PURE_MAX + 1 vectors load it and still train and score.
+        # companion session's LOF or forest needs no numpy, and neither does
+        # a forest of LOF_PURE_MAX + 1 vectors; an LOF of that many loads it
+        # and still trains and scores.
         device = device_factory(Behavior.CLEARTEXT_ECHO)
         rows = [[float(i % 7), float(i * i % 11), i % 4 + 0.5] for i in range(LOF_PURE_MAX + 1)]
         query = [3.5, 2.5, 1.0]
@@ -176,34 +177,37 @@ class TestTrainFromCapture:
             "from replaycheck.capture import Endpoint, SessionConfig, parse_capture\n"
             "from replaycheck.features import featurize\n"
             "from replaycheck.models import train_isolation_forest, train_lof\n"
-            "from replaycheck.pipeline import train_from_capture\n"
+            "from replaycheck.pipeline import PipelineSettings, train_from_capture\n"
             "from replaycheck.replay import QueueEntry, ResponseQueue\n"
             "from replaycheck.simdevices import DEFAULT_APP_ENDPOINT\n"
             "from replaycheck.verdict import decide\n"
             "given = json.load(sys.stdin)\n"
             "capture = base64.b64decode(given['capture'])\n"
             "session = SessionConfig(DEFAULT_APP_ENDPOINT, Endpoint(*given['device']))\n"
-            "detector = train_from_capture(capture, session)\n"
-            "payloads = [b'ERR unauthorized'] + [r.payload for f in detector.flows for r in f.responses]\n"
-            "queue = ResponseQueue(tuple(QueueEntry(0.01 * i, i, p) for i, p in enumerate(payloads)))\n"
-            "verdict = decide(queue, parse_capture(capture, session), detector.model)\n"
-            "artifacts.write(given['path'], artifacts.MODEL, detector.model.to_dict())\n"
-            "loaded = artifacts.read(given['path'], artifacts.MODEL)\n"
-            "report = {'kind': loaded.kind, 'size': loaded.training_size,\n"
-            "          'outcome': verdict.outcome.value,\n"
-            "          'scores': [loaded.score(featurize(p)) for p in payloads],\n"
-            "          'trained_scores': [detector.model.score(featurize(p)) for p in payloads],\n"
-            "          'preloaded': preloaded, 'numpy': 'numpy' in sys.modules}\n"
+            "report = {'preloaded': preloaded}\n"
+            "for kind in ('lof', 'isolation_forest'):\n"
+            "    detector = train_from_capture(capture, session, PipelineSettings(model_kind=kind, seed=3))\n"
+            "    payloads = [b'ERR unauthorized'] + [r.payload for f in detector.flows for r in f.responses]\n"
+            "    queue = ResponseQueue(tuple(QueueEntry(0.01 * i, i, p) for i, p in enumerate(payloads)))\n"
+            "    verdict = decide(queue, parse_capture(capture, session), detector.model)\n"
+            "    path = given['path'] + kind\n"
+            "    artifacts.write(path, artifacts.MODEL, detector.model.to_dict())\n"
+            "    loaded = artifacts.read(path, artifacts.MODEL)\n"
+            "    report[kind] = {'kind': loaded.kind, 'size': detector.training_responses,\n"
+            "                    'outcome': verdict.outcome.value,\n"
+            "                    'scores': [loaded.score(featurize(p)) for p in payloads],\n"
+            "                    'trained_scores': [detector.model.score(featurize(p)) for p in payloads]}\n"
             "rows, query = given['rows'], given['query']\n"
-            "report['forest'] = train_isolation_forest(rows, trees=10, seed=3).score(query)\n"
-            "report['lof'] = train_lof(rows).score(query)\n"
+            "report['rows_forest'] = train_isolation_forest(rows, trees=10, seed=3).score(query)\n"
+            "report['numpy'] = 'numpy' in sys.modules\n"
+            "report['rows_lof'] = train_lof(rows).score(query)\n"
             "report['numpy_after'] = 'numpy' in sys.modules\n"
             "print(json.dumps(report))\n"
         )
         given = {
             "capture": base64.b64encode(companion_session(device)).decode(),
             "device": [device.endpoint.address, device.endpoint.port],
-            "path": str(tmp_path / "model.json"),
+            "path": str(tmp_path / "model.json."),
             "rows": rows,
             "query": query,
         }
@@ -216,14 +220,16 @@ class TestTrainFromCapture:
         report = json.loads(done.stdout)
         if report["preloaded"]:
             pytest.skip("this interpreter loads numpy before any test code runs")
-        assert (report["kind"], report["size"]) == ("lof", 10)
-        assert report["outcome"] == Outcome.SUCCESSFUL.value
-        assert report["scores"] == report["trained_scores"]
-        assert report["scores"][0] > report["scores"][1]
+        for kind in ("lof", "isolation_forest"):
+            run = report[kind]
+            assert (run["kind"], run["size"]) == (kind, 10)
+            assert run["outcome"] == Outcome.SUCCESSFUL.value
+            assert run["scores"] == run["trained_scores"]
+            assert run["scores"][0] > run["scores"][1]
         assert not report["numpy"]
         assert report["numpy_after"]
-        assert report["forest"] == train_isolation_forest(rows, trees=10, seed=3).score(query)
-        assert report["lof"] == train_lof(rows).score(query)
+        assert report["rows_forest"] == train_isolation_forest(rows, trees=10, seed=3).score(query)
+        assert report["rows_lof"] == train_lof(rows).score(query)
 
     def test_isolation_forest_kind(self, device_factory):
         device = device_factory(Behavior.CLEARTEXT_ECHO)
