@@ -16,6 +16,11 @@ seed and port. Devices boot in the REVERSE state; restart clears volatile
 state only (the silent profile's anti-replay counter and the static
 secrets survive, like anything kept in flash).
 
+Keyed tags and keystreams come from random.Random seeded with the secret
+(and the body, for a tag), which it hashes with its built-in SHA-512, so
+no run loads OpenSSL. Neither is a real MAC or cipher: in the replay
+threat model an attacker only resends captured bytes, never forges them.
+
 SimulatedDevice implements pipeline.AssessedDevice with the functions
 below. query_state is ground truth that a real assessment never gets.
 """
@@ -23,8 +28,6 @@ below. query_state is ground truth that a real assessment never gets.
 from __future__ import annotations
 
 import base64
-import hashlib
-import hmac
 import json
 import random
 import select
@@ -136,12 +139,7 @@ def _json_line(obj) -> bytes:
 
 
 def _keystream(key: bytes, length: int) -> bytes:
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out += hashlib.sha256(key + counter.to_bytes(4, "big")).digest()
-        counter += 1
-    return bytes(out[:length])
+    return random.Random(key).randbytes(length)
 
 
 def _xor(data: bytes, key: bytes) -> bytes:
@@ -273,11 +271,10 @@ class _CleartextEchoEngine(_LineEngine):
 
 
 class _SignedCleartextEngine(_LineEngine):
-    """JSON plus an HMAC hex signature over a static per-device secret.
-
-    Verification covers the full body, so any tampering is rejected, but
-    there is no freshness field: a byte-identical replay carries a valid
-    signature and is executed.
+    """JSON plus a keyed hex tag, standing in for an HMAC, over a static
+    per-device secret. It proves origin, not freshness: it covers the full
+    body, so tampering or another secret is rejected, but a byte-identical
+    replay carries a valid tag and is executed.
     """
 
     def __init__(self, device):
@@ -285,7 +282,7 @@ class _SignedCleartextEngine(_LineEngine):
         self.secret = device.device_rng.randbytes(16)  # static; survives restart
 
     def _signature(self, body: dict) -> str:
-        return hmac.new(self.secret, _canonical(body), hashlib.sha256).hexdigest()
+        return random.Random(self.secret + _canonical(body)).randbytes(32).hex()
 
     def handle_message(self, message, session):
         try:
@@ -293,7 +290,7 @@ class _SignedCleartextEngine(_LineEngine):
             signature = request.pop("sign")
         except (ValueError, KeyError, UnicodeDecodeError, AttributeError):
             return [_json_line({"code": 400, "status": "error"})]
-        if not hmac.compare_digest(signature, self._signature(request)):
+        if signature != self._signature(request):
             return [_json_line({"code": 401, "status": "error"})]
         if request.get("method") == "set_state" and request.get("target") in (
             "obverse",
@@ -357,7 +354,7 @@ class _EncodedFixedEngine(_FixedLengthEngine):
 
 
 class _SessionKeyEngine(_LineEngine):
-    """Commands encrypted under a 16-byte session key, then base64-wrapped.
+    """Commands XORed with a 16-byte session key's stream, base64-wrapped.
 
     The keystream depends only on the key, so a given ciphertext stays
     valid as long as the key does; restart draws a fresh key when

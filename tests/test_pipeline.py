@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -372,6 +372,41 @@ class TestAssessDevice:
         assert result.accuracy == 1.0
         assert result.vulnerable is expected
         assert result.model_kind == (None if behavior == Behavior.SILENT else "isolation_forest")
+
+    def test_assessments_load_no_openssl(self, fast_settings):
+        # A fresh interpreter, since the test process may have loaded
+        # hashlib. From the CLI import through one rep of every profile in
+        # both scenarios, nothing imports hashlib, hmac or OpenSSL's _hashlib.
+        script = (
+            "import json, sys\n"
+            "banned = ('hashlib', 'hmac', '_hashlib')\n"
+            "preloaded = [m for m in banned if m in sys.modules]\n"
+            "import replaycheck.cli\n"
+            "from replaycheck.pipeline import SCENARIOS, PipelineSettings, assess_device\n"
+            "from replaycheck.simdevices import Behavior, default_profile, spawn_device\n"
+            "settings = PipelineSettings(**json.load(sys.stdin))\n"
+            "accuracy = {}\n"
+            "for behavior in Behavior:\n"
+            "    profile = default_profile(behavior, post_restart_delay_s=0.05)\n"
+            "    with spawn_device(profile) as device:\n"
+            "        for scenario in SCENARIOS:\n"
+            "            result = assess_device(device, scenario, reps=1, settings=settings)\n"
+            "            accuracy[behavior.value + '/' + scenario] = result.accuracy\n"
+            "loaded = [m for m in banned if m in sys.modules]\n"
+            "print(json.dumps({'preloaded': preloaded, 'loaded': loaded, 'accuracy': accuracy}))\n"
+        )
+        src = str(Path(replaycheck.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=json.dumps(asdict(fast_settings)), capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
+        )
+        report = json.loads(done.stdout)
+        if report["preloaded"]:
+            pytest.skip(f"this interpreter loads {report['preloaded']} before any test code runs")
+        assert len(report["accuracy"]) == len(Behavior) * len(SCENARIOS)
+        assert set(report["accuracy"].values()) == {1.0}
+        assert report["loaded"] == []
 
     def test_bad_scenario_rejected(self, device_factory):
         device = device_factory(Behavior.SILENT)

@@ -8,6 +8,7 @@ import os
 import socket
 import statistics
 import time
+from types import SimpleNamespace
 
 import pytest
 from doubles import ScriptedResponder
@@ -39,6 +40,7 @@ from replaycheck.simdevices import (
     spawn_device,
     trigger_state,
 )
+from replaycheck.simdevices import _keystream, _SignedCleartextEngine
 
 LINE_BEHAVIORS = (
     Behavior.CLEARTEXT_ECHO,
@@ -381,6 +383,26 @@ class TestSignedCleartextReplay:
         assert json.loads(reply)["code"] == 400
         assert query_state(device) == DeviceState.REVERSE
 
+    def test_command_signed_by_another_device_rejected(self, device_factory):
+        device = device_factory(Behavior.SIGNED_CLEARTEXT, seed=101)
+        other = device_factory(Behavior.SIGNED_CLEARTEXT, seed=102)
+        body = json.loads(other.engine.build_command(DeviceState.OBVERSE))
+        reply = raw_exchange(device.endpoint, (json.dumps(body) + "\n").encode())
+        assert json.loads(reply)["code"] == 401
+        assert query_state(device) == DeviceState.REVERSE
+        # the same body under the device's own secret is accepted
+        body["sign"] = device.engine._signature({k: v for k, v in body.items() if k != "sign"})
+        reply = raw_exchange(device.endpoint, (json.dumps(body) + "\n").encode())
+        assert json.loads(reply)["status"] == "ok"
+        assert query_state(device) == DeviceState.OBVERSE
+
+    def test_non_string_tag_rejected_and_server_keeps_serving(self, device_factory):
+        device = device_factory(Behavior.SIGNED_CLEARTEXT)
+        reply = raw_exchange(device.endpoint, b'{"sign": 5, "method": "set_state"}\n')
+        assert json.loads(reply)["code"] == 401
+        reply = raw_exchange(device.endpoint, b"not json\n")
+        assert json.loads(reply)["code"] == 400
+
 
 class TestEncodedFixedReplay:
     def test_blobs_are_fixed_24_bytes(self, device_factory):
@@ -436,6 +458,14 @@ class TestSessionKeyReplay:
         assert query_state(device) == DeviceState.OBVERSE
         assert json.loads(reply)["error_code"] == 0
 
+    def test_command_built_under_another_key_rejected(self, device_factory):
+        device = device_factory(Behavior.SESSION_KEY, seed=101)
+        other = device_factory(Behavior.SESSION_KEY, seed=102)
+        assert other.engine.key != device.engine.key
+        reply = raw_exchange(device.endpoint, other.engine.build_command(DeviceState.OBVERSE))
+        assert json.loads(reply) == {"error_code": 4002, "message": "secure session error"}
+        assert query_state(device) == DeviceState.REVERSE
+
     def test_companion_recovers_after_rekey(self, device_factory):
         # the paired app re-reads the key, so legitimate control still works
         device = device_factory(Behavior.SESSION_KEY)
@@ -443,6 +473,22 @@ class TestSessionKeyReplay:
         restart_device(device)
         trigger_state(device, DeviceState.OBVERSE)
         assert query_state(device) == DeviceState.OBVERSE
+
+
+class TestKeyedPayloads:
+    def test_tag_and_keystream_are_pinned(self):
+        """The tag and keystream bytes for fixed inputs; the same on every
+        supported Python, since random.Random hashes a bytes seed with its
+        own SHA-512 and Mersenne Twister output is fixed across versions."""
+        signer = SimpleNamespace(secret=bytes(range(16)))
+        body = {"method": "set_state", "msg_id": "000001", "target": "obverse", "ts": "1690000001"}
+        assert _SignedCleartextEngine._signature(signer, body) == (
+            "d1412d1502bfd26694dafc94630c7337f0836737b77c567689ea754e3996e83a"
+        )
+        assert _keystream(bytes(range(16, 32)), 40).hex() == (
+            "2536dfbf33e9d1ed5818e965fd8fe42fc003bd35551d433b9a52f7ee8cf35a0b2a601c99a399b291"
+        )
+        assert [len(_keystream(b"k" * 16, n)) for n in (0, 1, 33)] == [0, 1, 33]
 
 
 class TestTlsLikeReplay:
