@@ -90,7 +90,9 @@ class InsufficientTrainingError(ValueError):
 
 
 def _row(vector: FeatureVector | Sequence[float]) -> tuple[float, ...]:
-    return vector.as_row() if isinstance(vector, FeatureVector) else tuple(map(float, vector))
+    if isinstance(vector, FeatureVector):
+        return vector.as_row()
+    return tuple([float(x) for x in vector])
 
 
 def _as_rows(vectors: Vectors) -> list:
@@ -108,7 +110,7 @@ _NOT_FINITE = "training values must be finite"
 
 def _float_rows(vectors: list) -> list[tuple[float, ...]]:
     """The rows as float tuples, for the fits that run in plain Python."""
-    rows = [tuple(map(float, vector)) for vector in vectors]
+    rows = [tuple([float(x) for x in vector]) for vector in vectors]
     if len(set(map(len, rows))) > 1:
         raise ValueError("training vectors differ in width")
     if not all(map(math.isfinite, chain.from_iterable(rows))):
@@ -129,9 +131,10 @@ class LofModel:
     with nonzero training variance, and each row of points holds only
     those. k_distance and lrd are the per-training-point k-distances and
     local reachability densities, precomputed so queries are a single pass.
-    Those three are tuples, except that a model train_lof fits in numpy
-    keeps its fit's arrays: they are never turned into Python floats and
-    back, and become lists only in to_dict.
+    Those three are lists, not n-tuples (see features.featurize), except
+    that a model train_lof fits in numpy keeps its fit's arrays: they are
+    never turned into Python floats and back, and become lists only in
+    to_dict.
     """
 
     k: int
@@ -233,10 +236,10 @@ class LofModel:
     @classmethod
     def from_dict(cls, body: dict) -> "LofModel":
         """Inverse of to_dict; raises on a missing or malformed field."""
-        mean = _numbers(body["standardization"]["mean"])
-        std = _numbers(body["standardization"]["std"])
+        mean = tuple(_numbers(body["standardization"]["mean"]))
+        std = tuple(_numbers(body["standardization"]["std"]))
         kept = _kept(std)
-        points = tuple(_numbers(point) for point in body["points"])
+        points = [_numbers(point) for point in body["points"]]
         k_distance = _numbers(body["k_distance"])
         lrd = _numbers(body["lrd"])
         k, k_eff, threshold = body["k"], body["k_eff"], body["threshold"]
@@ -258,16 +261,16 @@ class LofModel:
         return cls(k, k_eff, threshold, mean, std, kept, points, k_distance, lrd)
 
 
-def _numbers(value) -> tuple[float, ...]:
+def _numbers(value) -> list[float]:
     """A JSON array of numbers as floats; TypeError for anything else."""
     if not (isinstance(value, list) and all(isinstance(x, (int, float)) for x in value)):
         raise TypeError("LOF model arrays must hold numbers")
-    return tuple(map(float, value))  # OverflowError for an int past the float range
+    return [float(x) for x in value]  # OverflowError for an int past the float range
 
 
 def _kept(std: Sequence[float]) -> tuple[int, ...]:
     """The dimensions with nonzero training variance."""
-    return tuple(d for d, s in enumerate(std) if s > 0.0)
+    return tuple([d for d, s in enumerate(std) if s > 0.0])
 
 
 def _distance(a: Sequence[float], b: Sequence[float]) -> float:
@@ -348,7 +351,7 @@ def _fit_lof_pure(vectors: list, k_eff: int):
     """mean, std, points, k_distance and lrd, with the oracle's arithmetic."""
     rows = _float_rows(vectors)
     n = len(rows)
-    columns = list(zip(*rows))
+    columns = [[row[d] for row in rows] for d in range(len(rows[0]))]
     mean = [math.fsum(column) / n for column in columns]
     std = [
         math.sqrt(math.fsum((x - m) ** 2 for x in column) / n)
@@ -366,7 +369,7 @@ def _fit_lof_pure(vectors: list, k_eff: int):
         _reach_density(row, [j for j, d in enumerate(row) if d <= k_distance[i]], k_distance)
         for i, row in enumerate(distances)
     ]
-    return mean, std, tuple(map(tuple, points)), tuple(k_distance), tuple(lrd)
+    return mean, std, points, k_distance, lrd
 
 
 def _fit_lof_dense(vectors: list, k_eff: int):

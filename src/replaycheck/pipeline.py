@@ -87,7 +87,7 @@ class PipelineSettings:
     connect_timeout_ms: int = 1000
 
     def __post_init__(self):
-        for field in fields(self):
+        for field in _FIELDS:  # not fields(self), a tuple per call (see features.featurize)
             value = getattr(self, field.name)
             accepted, described = _FIELD_TYPES[field.type]
             # bool is an int to Python, but True is never a count or a timing.
@@ -117,7 +117,8 @@ class PipelineSettings:
         return DetectionConfig(response_window=self.response_window)
 
 
-_SETTING_NAMES = {f.name for f in fields(PipelineSettings)}
+_FIELDS = fields(PipelineSettings)
+_SETTING_NAMES = {f.name for f in _FIELDS}
 
 
 def load_settings(config_path: str | Path | None = None, **overrides) -> PipelineSettings:

@@ -131,7 +131,7 @@ def classify_training_responses(flows) -> ResponseClass | None:
     """
     groups: dict[tuple[Transport, tuple[bytes, ...]], list[bytes]] = {}
     for flow in flows:
-        key = (flow.requests[0].transport, tuple(r.payload for r in flow.requests))
+        key = (flow.requests[0].transport, tuple([r.payload for r in flow.requests]))
         groups.setdefault(key, []).extend(r.payload for r in flow.responses)
 
     votes = Counter()

@@ -331,7 +331,7 @@ def run_attack(
                 scheduled_position=position,
                 original_index=original_index,
                 transport=flow.requests[0].transport,
-                request_lengths=tuple(len(r.payload) for r in flow.requests),
+                request_lengths=tuple([len(r.payload) for r in flow.requests]),
                 expected_responses=len(flow.responses),
                 response_count=len(replayed.responses),
                 note=replayed.note,

@@ -138,6 +138,18 @@ def _json_line(obj) -> bytes:
     return _canonical(obj) + b"\n"
 
 
+def _json_object(message: bytes) -> dict:
+    """A message holding one JSON object; ValueError for anything else,
+    so an engine answers any other line with its error reply."""
+    try:
+        value = json.loads(message)
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
+    if not isinstance(value, dict):
+        raise ValueError("not a JSON object")
+    return value
+
+
 def _keystream(key: bytes, length: int) -> bytes:
     return random.Random(key).randbytes(length)
 
@@ -240,8 +252,8 @@ class _CleartextEchoEngine(_LineEngine):
 
     def handle_message(self, message, session):
         try:
-            request = json.loads(message)
-        except (ValueError, UnicodeDecodeError):
+            request = _json_object(message)
+        except ValueError:
             return [_json_line({"error": {"code": -1, "message": "invalid command"}})]
         params = request.get("params")
         if request.get("method") == "set_state" and params in (
@@ -286,9 +298,9 @@ class _SignedCleartextEngine(_LineEngine):
 
     def handle_message(self, message, session):
         try:
-            request = json.loads(message)
+            request = _json_object(message)
             signature = request.pop("sign")
-        except (ValueError, KeyError, UnicodeDecodeError, AttributeError):
+        except (ValueError, KeyError):
             return [_json_line({"code": 400, "status": "error"})]
         if signature != self._signature(request):
             return [_json_line({"code": 401, "status": "error"})]
@@ -376,10 +388,10 @@ class _SessionKeyEngine(_LineEngine):
 
     def handle_message(self, message, session):
         try:
-            wrapper = json.loads(message)
+            wrapper = _json_object(message)
             encoded = wrapper["params"]["request"]
-            inner = json.loads(_xor(base64.b64decode(encoded, validate=True), self.key))
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+            inner = _json_object(_xor(base64.b64decode(encoded, validate=True), self.key))
+        except (ValueError, KeyError, TypeError):
             return [self._secure_error()]
         if (
             wrapper.get("method") == "secure_passthrough"

@@ -126,7 +126,7 @@ def decide(
             "was trained (no training responses?)"
         )
     window = queue.entries[: config.response_window]
-    labels = tuple(classify(model, featurize(entry.payload)) for entry in window)
+    labels = tuple([classify(model, featurize(entry.payload)) for entry in window])
     if all(label == Label.IRREGULAR for label in labels):
         return Verdict(Outcome.FAILED, Reason.ALL_IRREGULAR, labels)
     return Verdict(Outcome.SUCCESSFUL, Reason.REGULAR_FOUND, labels)

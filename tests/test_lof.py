@@ -64,7 +64,7 @@ class TestDegenerateCases:
         # every dimension has zero variance and is dropped, so all queries
         # coincide with the training cluster
         model = train_lof([[7.0, 7.0]] * 4, k=2)
-        assert model.points == ((),) * 4
+        assert model.points == [[]] * 4
         assert model.score([7.0, 7.0]) == 1.0
         assert model.score([-999.0, 123.0]) == 1.0
 
@@ -316,6 +316,7 @@ class TestSerialization:
         training = [[rng.uniform(0, 9) for _ in range(3)] for _ in range(8)]
         model = train_lof(training, k=3, threshold=1.7)
         loaded = round_trip(model, tmp_path)
+        assert loaded == model  # the same values in the same containers
         for _ in range(25):
             query = [rng.uniform(-2, 11) for _ in range(3)]
             assert loaded.score(query) == model.score(query)

@@ -2,12 +2,14 @@
 captures of each profile, and short assessment loops."""
 
 import base64
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import pytest
 import replaycheck
 from replaycheck import artifacts, pipeline, replay
 from replaycheck.artifacts import ArtifactError
-from replaycheck.capture import Endpoint, Flow, SessionConfig
+from replaycheck.capture import Endpoint, Flow, SessionConfig, parse_capture
 from replaycheck.models import (
     LOF_PURE_MAX,
     IsolationForestModel,
@@ -277,6 +279,42 @@ class TestTrainFromCapture:
         wrong = SessionConfig(app=APP, device=Endpoint("127.0.0.1", 1))
         with pytest.raises(NoLocalConnectivityError):
             train_from_capture(capture, wrong)
+
+
+def test_training_and_deciding_park_no_tuples(device_factory):
+    """Per-op tuples are built at their final size (see features.featurize),
+    so 200 rounds of training and deciding on every responding profile's
+    companion capture leave next to nothing on CPython's tuple free lists,
+    which gc.collect() empties: the memory it gives back stays small."""
+    work = []
+    for behavior in Behavior:
+        if behavior == Behavior.SILENT:
+            continue
+        device = device_factory(behavior)
+        capture, session = companion_session(device), session_for(device)
+        detector = train_from_capture(capture, session)
+        payloads = [b"ERR unauthorized"] + [r.payload for f in detector.flows for r in f.responses]
+        queue = replay.ResponseQueue(
+            tuple([replay.QueueEntry(0.01 * i, i, p) for i, p in enumerate(payloads)])
+        )
+        work.append((capture, session, queue, parse_capture(capture, session)))
+
+    def rounds(count):
+        for _ in range(count):
+            for capture, session, queue, records in work:
+                decide(queue, records, train_from_capture(capture, session).model)
+
+    rounds(3)  # warm up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rounds(200)
+        before = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        parked = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert parked <= 64 * 1024, f"{parked / 1024:.0f} KiB parked on free lists"
 
 
 class TestAttackFromCapture:

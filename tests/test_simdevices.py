@@ -475,6 +475,32 @@ class TestSessionKeyReplay:
         assert query_state(device) == DeviceState.OBVERSE
 
 
+# JSON values that are not objects, the last nested past the parser's
+# recursion limit.
+NOT_OBJECTS = (b"[1]", b'["sign"]', b'"x"', b"1", b"null", b"[" * 100_000 + b"]" * 100_000)
+
+ERROR_REPLIES = {
+    Behavior.CLEARTEXT_ECHO: {"error": {"code": -1, "message": "invalid command"}},
+    Behavior.SIGNED_CLEARTEXT: {"code": 400, "status": "error"},
+    Behavior.SESSION_KEY: {"error_code": 4002, "message": "secure session error"},
+}
+
+
+@pytest.mark.parametrize("behavior", LINE_BEHAVIORS, ids=lambda b: b.value)
+def test_json_that_is_not_an_object_gets_the_error_reply(device_factory, behavior):
+    """Each such line is answered with the profile's error reply, the
+    server keeps serving new connections, and no state changes."""
+    device = device_factory(behavior)
+    secrets = vars(device.engine).copy()
+    reply = raw_exchange(device.endpoint, b"".join(line + b"\n" for line in NOT_OBJECTS))
+    assert [json.loads(line) for line in reply.splitlines()] == [
+        ERROR_REPLIES[behavior]
+    ] * len(NOT_OBJECTS)
+    assert json.loads(raw_exchange(device.endpoint, b"[1]\n")) == ERROR_REPLIES[behavior]
+    assert query_state(device) == DeviceState.REVERSE
+    assert vars(device.engine) == secrets
+
+
 class TestKeyedPayloads:
     def test_tag_and_keystream_are_pinned(self):
         """The tag and keystream bytes for fixed inputs; the same on every
