@@ -83,8 +83,10 @@ def _load(path: str | Path, expected: str | None) -> tuple[str, Any]:
 
 def _checked(body: dict, fields: dict[str, type | tuple[type, ...]]) -> dict:
     for name, kind in fields.items():
-        if not isinstance(body[name], kind):
-            raise TypeError(f"field {name!r} has type {type(body[name]).__name__}")
+        value = body[name]
+        # bool is an int to Python, but a JSON boolean is never a number.
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise TypeError(f"field {name!r} has type {type(value).__name__}")
     return body
 
 

@@ -1,4 +1,4 @@
-"""Novelty detectors over payload feature vectors.
+"""Novelty detectors over payload feature rows.
 
 Two interchangeable model kinds score how much a response deviates from
 the legitimate responses seen during training: a local-outlier-factor
@@ -33,8 +33,6 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Sequence
-
-from .features import FeatureVector
 
 __all__ = [
     "Label",
@@ -77,8 +75,6 @@ LOF_PURE_MAX = 64
 # a numpy distance matrix, so training memory grows as n^2, not n^2 * d.
 LOF_BLOCK_BYTES = 8 << 20
 
-Vectors = Sequence[FeatureVector] | Sequence[Sequence[float]]
-
 
 class Label(Enum):
     REGULAR = "regular"
@@ -89,26 +85,12 @@ class InsufficientTrainingError(ValueError):
     """Raised when fewer than two training vectors are supplied."""
 
 
-def _row(vector: FeatureVector | Sequence[float]) -> tuple[float, ...]:
-    if isinstance(vector, FeatureVector):
-        return vector.as_row()
-    return tuple([float(x) for x in vector])
-
-
-def _as_rows(vectors: Vectors) -> list:
-    """Each training vector as a row: a FeatureVector as its as_row(), any
-    other as given. Each fit converts the rows itself, the plain-Python
-    ones to float tuples and the numpy one to one array, so a large numpy
-    training set never becomes a Python float per number."""
-    return [v.as_row() if isinstance(v, FeatureVector) else v for v in vectors]
-
-
 # A model file holds finite numbers only (see from_dict), so training refuses
 # any other rather than write a model that cannot be read back.
 _NOT_FINITE = "training values must be finite"
 
 
-def _float_rows(vectors: list) -> list[tuple[float, ...]]:
+def _float_rows(vectors: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
     """The rows as float tuples, for the fits that run in plain Python."""
     rows = [tuple([float(x) for x in vector]) for vector in vectors]
     if len(set(map(len, rows))) > 1:
@@ -162,13 +144,13 @@ class LofModel:
         if len(self.mean) != dimensions:
             raise ValueError(f"model expects {len(self.mean)}-dimension vectors, not {dimensions}")
 
-    def score(self, query: FeatureVector | Sequence[float]) -> float:
+    def score(self, query: Sequence[float]) -> float:
         """LOF of a query against the trained model; higher is more anomalous.
 
         Exactly 1.0 when the query coincides with a training point (including
         the all-dimensions-dropped degenerate model, where every query does).
         """
-        row = _row(query)
+        row = [float(x) for x in query]
         if len(row) != len(self.mean):
             raise ValueError(f"query has {len(row)} dimensions, model expects {len(self.mean)}")
         query_std = [(row[d] - self.mean[d]) / self.std[d] for d in self.kept]
@@ -247,10 +229,10 @@ class LofModel:
             len(std) == len(mean)
             and all(len(point) == len(kept) for point in points)
             and len(k_distance) == len(lrd) == len(points)
-            and isinstance(k, int)
-            and isinstance(k_eff, int)
+            and _is(k, int)
+            and _is(k_eff, int)
             and 1 <= k_eff < len(points)
-            and isinstance(threshold, (int, float))
+            and _is(threshold, (int, float))
         ):
             raise ValueError("LOF model fields have inconsistent shapes or types")
         check_lof_parameters(k, threshold)
@@ -261,9 +243,15 @@ class LofModel:
         return cls(k, k_eff, threshold, mean, std, kept, points, k_distance, lrd)
 
 
+def _is(value, kind) -> bool:
+    """isinstance for a model file's fields: bool is an int to Python, but a
+    JSON boolean is never a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _numbers(value) -> list[float]:
     """A JSON array of numbers as floats; TypeError for anything else."""
-    if not (isinstance(value, list) and all(isinstance(x, (int, float)) for x in value)):
+    if not (isinstance(value, list) and all(_is(x, (int, float)) for x in value)):
         raise TypeError("LOF model arrays must hold numbers")
     return [float(x) for x in value]  # OverflowError for an int past the float range
 
@@ -321,11 +309,11 @@ def check_lof_parameters(k: int, threshold: float) -> None:
 
 
 def train_lof(
-    training: Vectors,
+    training: Sequence[Sequence[float]],
     k: int = DEFAULT_LOF_K,
     threshold: float = DEFAULT_LOF_THRESHOLD,
 ) -> LofModel:
-    """Fit a LOF novelty model on legitimate-response feature vectors.
+    """Fit a LOF novelty model on legitimate-response feature rows.
 
     k is clamped to n-1 (k_eff). Training vectors are z-score standardized
     per dimension; zero-variance dimensions are dropped. Duplicate points
@@ -334,8 +322,7 @@ def train_lof(
     Python; above it numpy fills the n x n distance matrix a block of rows
     at a time, each block's difference tensor within LOF_BLOCK_BYTES.
     """
-    rows = _as_rows(training)
-    n = len(rows)
+    n = len(training)
     if n < 2:
         raise InsufficientTrainingError(
             f"need at least 2 training vectors, got {n}"
@@ -343,11 +330,11 @@ def train_lof(
     check_lof_parameters(k, threshold)
     k_eff = min(k, n - 1)
     fit = _fit_lof_pure if n <= LOF_PURE_MAX else _fit_lof_dense
-    mean, std, points, k_distance, lrd = fit(rows, k_eff)
+    mean, std, points, k_distance, lrd = fit(training, k_eff)
     return LofModel(k, k_eff, threshold, tuple(mean), tuple(std), _kept(std), points, k_distance, lrd)
 
 
-def _fit_lof_pure(vectors: list, k_eff: int):
+def _fit_lof_pure(vectors: Sequence[Sequence[float]], k_eff: int):
     """mean, std, points, k_distance and lrd, with the oracle's arithmetic."""
     rows = _float_rows(vectors)
     n = len(rows)
@@ -372,7 +359,7 @@ def _fit_lof_pure(vectors: list, k_eff: int):
     return mean, std, points, k_distance, lrd
 
 
-def _fit_lof_dense(vectors: list, k_eff: int):
+def _fit_lof_dense(vectors: Sequence[Sequence[float]], k_eff: int):
     """mean and std as lists; points, k_distance and lrd as the fit's arrays."""
     import numpy as np
 
@@ -456,10 +443,10 @@ class IsolationForestModel:
                 f"model reads feature {widest}, vectors have {dimensions} dimensions"
             )
 
-    def score(self, query: FeatureVector | Sequence[float]) -> float:
+    def score(self, query: Sequence[float]) -> float:
         """Anomaly score 2^(-E[path length]/c(subsample)), in (0, 1]; 1.0
         when the query differs on a constant training feature."""
-        values = _row(query)
+        values = [float(x) for x in query]
         if any(values[dim] != value for dim, value in self.constant_features):
             return 1.0
         mean_path = math.fsum(_path_length(tree, values, 0) for tree in self.trees) / len(self.trees)
@@ -482,9 +469,9 @@ class IsolationForestModel:
         constant_features = body.get("constant_features", [])
         if not (
             isinstance(trees, list)
-            and isinstance(subsample, int)
-            and isinstance(seed, int)
-            and isinstance(anomaly_cutoff, (int, float))
+            and _is(subsample, int)
+            and _is(seed, int)
+            and _is(anomaly_cutoff, (int, float))
             and isinstance(constant_features, list)
         ):
             raise ValueError("isolation forest needs a tree list, subsample, seed and cutoff")
@@ -495,9 +482,9 @@ class IsolationForestModel:
             if not (
                 isinstance(pair, list)
                 and len(pair) == 2
-                and isinstance(pair[0], int)
+                and _is(pair[0], int)
                 and pair[0] >= 0
-                and isinstance(pair[1], (int, float))
+                and _is(pair[1], (int, float))
                 and math.isfinite(pair[1])
             ):
                 raise ValueError("constant feature is not a [dimension, value] pair")
@@ -506,14 +493,14 @@ class IsolationForestModel:
 
 def _check_tree(node) -> None:
     """Reject a tree that _path_length could not walk."""
-    if isinstance(node, dict) and node.keys() == {"n"} and isinstance(node["n"], int):
+    if isinstance(node, dict) and node.keys() == {"n"} and _is(node["n"], int):
         return
     if not (
         isinstance(node, dict)
         and node.keys() == {"f", "t", "l", "r"}
-        and isinstance(node["f"], int)
+        and _is(node["f"], int)
         and node["f"] >= 0
-        and isinstance(node["t"], (int, float))
+        and _is(node["t"], (int, float))
         and math.isfinite(node["t"])
     ):
         raise ValueError("isolation tree node is neither a leaf nor a split")
@@ -574,7 +561,7 @@ def check_forest_parameters(
 
 
 def train_isolation_forest(
-    training: Vectors,
+    training: Sequence[Sequence[float]],
     trees: int = DEFAULT_TREES,
     subsample: int | None = None,
     seed: int = 0,
@@ -589,8 +576,7 @@ def train_isolation_forest(
 
     subsample defaults to min(256, n) and must not exceed n.
     """
-    vectors = _as_rows(training)
-    n = len(vectors)
+    n = len(training)
     if n < 2:
         raise InsufficientTrainingError(
             f"need at least 2 training vectors, got {n}"
@@ -601,7 +587,7 @@ def train_isolation_forest(
     if subsample > n:
         raise ValueError(f"subsample must be in [2, {n}], got {subsample}")
 
-    rows = _float_rows(vectors)
+    rows = _float_rows(training)
     ranges = [(min(column), max(column)) for column in zip(*rows)]
     constant = [[d, low] for d, (low, high) in enumerate(ranges) if low == high]
     varying = [d for d, (low, high) in enumerate(ranges) if low < high]

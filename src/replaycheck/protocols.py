@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .capture import PacketRecord, Transport
-from .features import featurize
+from .features import PRINTABLE_RATIO, featurize
 
 __all__ = [
     "ResponseClass",
@@ -108,7 +108,7 @@ def classify_response_type(samples: Sequence[bytes], transport: Transport) -> Re
         raise ValueError("need at least one response sample")
     if any(rides_standard_security_protocol(s, transport) for s in samples):
         return ResponseClass.STANDARD_ENCRYPTED
-    mean_printable = sum(featurize(s).printable_ratio for s in samples) / len(samples)
+    mean_printable = sum(featurize(s)[PRINTABLE_RATIO] for s in samples) / len(samples)
     if mean_printable >= CLEARTEXT_PRINTABLE_THRESHOLD:
         return ResponseClass.CLEARTEXT
     if all(s == samples[0] for s in samples):

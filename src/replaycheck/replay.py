@@ -121,7 +121,9 @@ class ResponseQueue:
         entries = []
         for item in body["responses"]:
             timestamp, flow_index = item["timestamp"], item["flow_index"]
-            if not (isinstance(timestamp, (int, float)) and isinstance(flow_index, int)):
+            # bool is an int to Python, but a JSON boolean is never a number.
+            numeric = isinstance(timestamp, (int, float)) and isinstance(flow_index, int)
+            if not numeric or isinstance(timestamp, bool) or isinstance(flow_index, bool):
                 raise TypeError("queue entries need a numeric timestamp and integer flow_index")
             payload = base64.b64decode(item["payload_b64"], validate=True)
             entries.append(QueueEntry(timestamp=timestamp, flow_index=flow_index, payload=payload))

@@ -104,13 +104,15 @@ ACCEPT_RULES = {"accepts_stale": True, "refuses_stale": False}
 
 # How a device answers: (ack to an executed command, answer to a refused
 # one; None sends nothing). Both are formatted with the state the command
-# asked for and the number of commands the device has handled. The last two
+# asked for and the number of commands the device has handled. An unpadded
+# counter's ack grows a byte each time the count gains a digit. The last two
 # shapes are ones the paper's rule cannot see: a silent ack leaves nothing
 # to judge, and a rejection that permutes the ack's bytes has the ack's
-# feature vector, since every feature ignores byte order.
+# feature row, since every feature ignores byte order.
 RESPONSE_SHAPES = {
     "fixed_ack": ("OK {state}\n", None),
     "counter_ack": ("OK {state} n={count:06d}\n", None),
+    "unpadded_counter_ack": ("OK {state} n={count}\n", None),
     "rejection": ("OK {state}\n", "ERR stale command\n"),
     "silent_ack": (None, None),
     "permuted_rejection": ("OK {state}\n", "KO {state}\n"),
@@ -128,16 +130,18 @@ class FakeDevice:
     numbers 1, 2, ...; the companion drives the server's handler in-process
     and stamps its captures on a logical clock. The device boots, and
     restarts, in "reverse"; its last executed sequence survives a restart.
+    Its handled-command count starts at first_count, so the first command
+    it handles is number first_count + 1.
     """
 
-    def __init__(self, accept_rule: str, shape: str):
+    def __init__(self, accept_rule: str, shape: str, first_count: int = 0):
         self.name = f"fake_{accept_rule}_{shape}"
         self.accepts_stale = ACCEPT_RULES[accept_rule]
         self.ack, self.refusal = RESPONSE_SHAPES[shape]
         self.lock = threading.Lock()
         self.state = "reverse"
         self.last_sequence = 0
-        self.handled = 0
+        self.handled = first_count
         self.sent = 0
         self.clock_us = 0
         self._server = _LoopbackServer(Transport.TCP, 0, self._new_handler)

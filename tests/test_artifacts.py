@@ -261,3 +261,68 @@ def test_assessment_accuracy_outside_unit_interval_rejected(path, accuracy):
         artifacts.read(path, artifacts.ASSESSMENT)
     result = CliRunner().invoke(main, ["report", str(path)])
     assert result.exit_code == 2, result.output
+
+
+def with_value(body, path, value):
+    """A copy of body with the node at path (object keys and list indexes)
+    set to value."""
+    body = json.loads(json.dumps(body))
+    *parents, last = path
+    holder = body
+    for key in parents:
+        holder = holder[key]
+    holder[last] = value
+    return body
+
+
+# A forest with a split and a constant feature, so each field a forest reads is present.
+SPLIT_FOREST = {
+    **FOREST,
+    "trees": [{"f": 0, "t": 0.5, "l": {"n": 1}, "r": {"n": 1}}],
+    "constant_features": [[1, 2.0]],
+}
+TRANSCRIPT_BODY, VERDICT_BODY, ASSESSMENT_BODY = (
+    VALID[schema][0] for schema in (artifacts.TRANSCRIPT, artifacts.VERDICT, artifacts.ASSESSMENT)
+)
+# Every number field a reader checks, by schema, body and path.
+NUMBER_PATHS = [
+    *[(artifacts.MODEL, LOF, field) for field in (
+        ("k",), ("k_eff",), ("threshold",), ("standardization", "mean", 0),
+        ("standardization", "std", 0), ("points", 0, 0), ("k_distance", 0), ("lrd", 0),
+    )],
+    *[(artifacts.MODEL, SPLIT_FOREST, field) for field in (
+        ("subsample",), ("seed",), ("anomaly_cutoff",), ("constant_features", 0, 0),
+        ("constant_features", 0, 1), ("trees", 0, "f"), ("trees", 0, "t"), ("trees", 0, "l", "n"),
+    )],
+    (artifacts.QUEUE, VALID[artifacts.QUEUE][0], ("responses", 0, "timestamp")),
+    (artifacts.QUEUE, VALID[artifacts.QUEUE][0], ("responses", 0, "flow_index")),
+    *[(artifacts.TRANSCRIPT, TRANSCRIPT_BODY, ("flows", 0, name)) for name in (
+        "scheduled_position", "original_index", "expected_responses", "response_count",
+    )],
+    (artifacts.VERDICT, VERDICT_BODY, ("j",)),
+    (artifacts.ASSESSMENT, ASSESSMENT_BODY, ("reps",)),
+    (artifacts.ASSESSMENT, ASSESSMENT_BODY, ("accuracy",)),
+]
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize(
+    "schema, body, field",
+    NUMBER_PATHS,
+    ids=[f"{body.get('kind', schema)}:{'.'.join(map(str, field))}" for schema, body, field in NUMBER_PATHS],
+)
+def test_a_json_boolean_is_never_a_number(tmp_path, schema, body, field, value):
+    """bool is an int to Python, so a file could once give true for a count
+    (report then printed an LOF model's "k=True (effective True)"). Every
+    reader refuses a boolean where it reads a number, and report exits 2
+    with one error line."""
+    path = tmp_path / "artifact.json"
+    artifacts.write(path, schema, body)
+    artifacts.read(path, schema)  # the body as given is well formed
+    artifacts.write(path, schema, with_value(body, field, value))
+    with pytest.raises(ArtifactError):
+        artifacts.read(path, schema)
+    result = CliRunner().invoke(main, ["report", str(path)])
+    assert result.exit_code == 2, result.output
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"error: {path}: ")

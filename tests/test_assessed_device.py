@@ -14,17 +14,19 @@ from replaycheck.features import featurize
 from replaycheck.pipeline import MODEL_KINDS, SCENARIOS, assess_device
 from replaycheck.verdict import Outcome, Reason
 
-# The shapes the rule claims to cover; BLIND_SHAPES are called wrong by design.
+# The shapes the rule claims to cover; BLIND_SHAPES are called wrong by design,
+# and an unpadded counter is called by where it gains a digit (pinned below).
 BLIND_SHAPES = ("silent_ack", "permuted_rejection")
-CELLS = list(product(ACCEPT_RULES, [s for s in RESPONSE_SHAPES if s not in BLIND_SHAPES]))
+NOT_IN_CELLS = BLIND_SHAPES + ("unpadded_counter_ack",)
+CELLS = list(product(ACCEPT_RULES, [s for s in RESPONSE_SHAPES if s not in NOT_IN_CELLS]))
 
 
 @pytest.fixture
 def fake_factory():
     spawned = []
 
-    def spawn(accept_rule, shape):
-        spawned.append(FakeDevice(accept_rule, shape))
+    def spawn(accept_rule, shape, first_count=0):
+        spawned.append(FakeDevice(accept_rule, shape, first_count))
         return spawned[-1]
 
     yield spawn
@@ -85,6 +87,32 @@ def test_blind_shapes_are_called_by_response_alone(fake_factory, fast_settings, 
         assert [(v.outcome, v.reason) for v in result.verdicts] == [call] * 2, (accept_rule, shape)
         called_right = (call[0] == Outcome.SUCCESSFUL) == ACCEPT_RULES[accept_rule]
         assert result.accuracy == float(called_right)
+
+
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+@pytest.mark.parametrize("first_count", [80, 89])
+def test_counter_gaining_a_digit_after_training(fake_factory, fast_settings, model_kind, first_count):
+    """Pins README's counter Limitation. From 89 the ten training acks read
+    n=90..99 and every later ack n>=100, one byte longer. The forest reads a
+    change in a feature constant in training as irregular, so a device that
+    acted on the replay is called FAILED (AllIrregular); LOF drops that
+    dimension and calls it SUCCESSFUL. From 80 no digit is gained and both
+    kinds call every rep right. A refused replay draws no answer at all."""
+    settings = replace(fast_settings, model_kind=model_kind)
+    blind = first_count == 89 and model_kind == "isolation_forest"
+    expected = {
+        "accepts_stale": (
+            (Outcome.FAILED, Reason.ALL_IRREGULAR)
+            if blind
+            else (Outcome.SUCCESSFUL, Reason.REGULAR_FOUND)
+        ),
+        "refuses_stale": (Outcome.FAILED, Reason.NO_RESPONSE),
+    }
+    for accept_rule, call in expected.items():
+        fake = fake_factory(accept_rule, "unpadded_counter_ack", first_count)
+        result = assess_fake(fake, "non_restart", settings)
+        assert [(v.outcome, v.reason) for v in result.verdicts] == [call] * 2, accept_rule
+        assert result.accuracy == float(not (blind and accept_rule == "accepts_stale"))
 
 
 def test_pipeline_imports_only_the_hook_names_from_simdevices():

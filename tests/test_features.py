@@ -6,7 +6,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from replaycheck.features import DIMENSIONS, HISTOGRAM_BUCKETS, FeatureVector, featurize
+from replaycheck.features import (
+    DIMENSIONS,
+    ENTROPY,
+    HISTOGRAM,
+    HISTOGRAM_BUCKETS,
+    LENGTH,
+    PRINTABLE_RATIO,
+    featurize,
+)
 
 from oracles import byte_entropy, byte_histogram, printable_ratio
 
@@ -14,68 +22,41 @@ from oracles import byte_entropy, byte_histogram, printable_ratio
 class TestKnownValues:
     def test_repeated_byte_payload(self):
         vec = featurize(b"AAAA")
-        assert vec.length == 4
-        assert vec.entropy == 0.0
-        assert vec.printable_ratio == 1.0
+        assert vec[LENGTH] == 4
+        assert vec[ENTROPY] == 0.0
+        assert vec[PRINTABLE_RATIO] == 1.0
         expected = [0.0] * HISTOGRAM_BUCKETS
         expected[4] = 1.0  # ord("A") == 0x41
-        assert list(vec.byte_histogram) == expected
+        assert list(vec[HISTOGRAM]) == expected
 
     def test_empty_payload_all_zero(self):
-        vec = featurize(b"")
-        assert vec.length == 0
-        assert vec.entropy == 0.0
-        assert vec.printable_ratio == 0.0
-        assert set(vec.byte_histogram) == {0.0}
-        assert not any(vec.as_row())
+        assert featurize(b"") == (0.0,) * DIMENSIONS
 
     def test_two_symbol_entropy_is_one_bit(self):
-        assert featurize(b"\x00\xff" * 8).entropy == pytest.approx(1.0)
+        assert featurize(b"\x00\xff" * 8)[ENTROPY] == pytest.approx(1.0)
 
     def test_all_256_values_entropy_is_eight_bits(self):
-        assert featurize(bytes(range(256))).entropy == pytest.approx(8.0)
+        assert featurize(bytes(range(256)))[ENTROPY] == pytest.approx(8.0)
 
     def test_large_random_payload_frozen_entropy(self):
         rng = random.Random(20240817)
         payload = bytes(rng.getrandbits(8) for _ in range(4096))
         vec = featurize(payload)
-        assert vec.entropy == pytest.approx(7.947246727208229, abs=1e-12)
-        assert vec.entropy == pytest.approx(byte_entropy(payload), abs=1e-12)
+        assert vec[ENTROPY] == pytest.approx(7.947246727208229, abs=1e-12)
+        assert vec[ENTROPY] == pytest.approx(byte_entropy(payload), abs=1e-12)
 
     def test_control_bytes_not_printable(self):
-        assert featurize(b"\x00\x01\x02\x03").printable_ratio == 0.0
+        assert featurize(b"\x00\x01\x02\x03")[PRINTABLE_RATIO] == 0.0
 
     def test_whitespace_counts_as_printable(self):
-        assert featurize(b"\t\n\r ").printable_ratio == 1.0
+        assert featurize(b"\t\n\r ")[PRINTABLE_RATIO] == 1.0
 
     def test_delete_byte_not_printable(self):
-        assert featurize(b"\x7f").printable_ratio == 0.0
+        assert featurize(b"\x7f")[PRINTABLE_RATIO] == 0.0
 
     def test_dimension_count(self):
         assert DIMENSIONS == 19
-        assert len(featurize(b"xyz").as_row()) == 19
-
-
-class TestValidation:
-    def test_entropy_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            FeatureVector(1, 8.5, 0.0, (0.0,) * 15 + (1.0,))
-
-    def test_ratio_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            FeatureVector(1, 0.0, 1.5, (0.0,) * 15 + (1.0,))
-
-    def test_histogram_length_enforced(self):
-        with pytest.raises(ValueError):
-            FeatureVector(1, 0.0, 0.0, (1.0,))
-
-    def test_histogram_sum_enforced(self):
-        with pytest.raises(ValueError):
-            FeatureVector(1, 0.0, 0.0, (0.5,) * HISTOGRAM_BUCKETS)
-
-    def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureVector(-1, 0.0, 0.0, (0.0,) * HISTOGRAM_BUCKETS)
+        assert len(featurize(b"xyz")) == 19
 
 
 payloads = st.binary(max_size=600)
@@ -86,19 +67,22 @@ class TestProperties:
     def test_matches_oracles(self, payload):
         # bit for bit: featurize rounds as the oracles do
         vec = featurize(payload)
-        assert vec.length == len(payload)
-        assert vec.entropy == byte_entropy(payload)
-        assert vec.printable_ratio == printable_ratio(payload)
+        assert vec[LENGTH] == len(payload)
+        assert vec[ENTROPY] == byte_entropy(payload)
+        assert vec[PRINTABLE_RATIO] == printable_ratio(payload)
         oracle_hist = byte_histogram(payload)
         assert len(oracle_hist) == HISTOGRAM_BUCKETS
-        assert list(vec.byte_histogram) == oracle_hist
+        assert list(vec[HISTOGRAM]) == oracle_hist
 
     @given(payloads)
     def test_bounds_hold(self, payload):
         vec = featurize(payload)
-        assert 0.0 <= vec.entropy <= 8.0
-        assert 0.0 <= vec.printable_ratio <= 1.0
-        total = sum(vec.byte_histogram)
+        assert type(vec) is tuple and len(vec) == DIMENSIONS
+        assert all(type(x) is float and math.isfinite(x) for x in vec)
+        assert 0.0 <= vec[ENTROPY] <= 8.0
+        assert 0.0 <= vec[PRINTABLE_RATIO] <= 1.0
+        assert min(vec[HISTOGRAM]) >= 0.0
+        total = sum(vec[HISTOGRAM])
         if payload:
             assert math.isclose(total, 1.0, abs_tol=1e-9)
         else:
@@ -111,9 +95,9 @@ class TestProperties:
     @given(payloads.filter(bool))
     def test_entropy_invariant_under_byte_permutation(self, payload):
         shuffled = bytes(sorted(payload))
-        assert featurize(shuffled).entropy == pytest.approx(
-            featurize(payload).entropy, abs=1e-9
+        assert featurize(shuffled)[ENTROPY] == pytest.approx(
+            featurize(payload)[ENTROPY], abs=1e-9
         )
-        assert featurize(shuffled).byte_histogram == pytest.approx(
-            featurize(payload).byte_histogram, abs=1e-9
+        assert featurize(shuffled)[HISTOGRAM] == pytest.approx(
+            featurize(payload)[HISTOGRAM], abs=1e-9
         )
