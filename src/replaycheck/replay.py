@@ -3,10 +3,10 @@
 Flows are replayed newest-first (a stack: the last flow captured is the
 first replayed), each on its own fresh connection to the device's
 original port, one after another. Requests inside a flow are paced by a
-fixed delay and never gated on responses; whatever the device sends back
-is collected into one queue ordered by arrival time. Network failures
-are recorded, never raised: a dead or refusing device is itself a
-finding.
+fixed delay from the previous request actually sent and never gated on
+responses; whatever the device sends back is collected into one queue
+ordered by arrival time. Network failures are recorded, never raised: a
+dead or refusing device is itself a finding.
 
 One pacing rule spaces the flows: a flow starts once the previous
 flow's collection has ended and at least the inter-flow delay has
@@ -213,13 +213,13 @@ def replay_flow(
     """Send one flow's requests to the device and collect what comes back.
 
     A fresh connection (TCP) or ephemeral-port socket (UDP), as the flow
-    rode, is used per call. Requests go out inter_request_delay apart
-    without waiting for responses. Collection stops when the peer closes,
-    or after a quiet period following the last send or last arrival,
-    whichever is later. The quiet period is per_flow_response_timeout,
-    shortened to linger_s once every request is sent and at least
-    len(flow.responses) responses have arrived; run_attack passes
-    capture_linger_s over the whole capture.
+    rode, is used per call. Each request goes out inter_request_delay after
+    the previous one went out, never waiting for responses. Collection
+    stops when the peer closes, or after a quiet period following the last
+    send or last arrival, whichever is later. The quiet period is
+    per_flow_response_timeout, shortened to linger_s once every request is
+    sent and at least len(flow.responses) responses have arrived;
+    run_attack passes capture_linger_s over the whole capture.
 
     A request has gone out once sendall returns for it; the FlowReplay
     carries those times for the first and last request. Never raises on
@@ -240,25 +240,23 @@ def replay_flow(
     sent_at: list[float] = []
     note = ""
     try:
-        start = time.monotonic()
-        send_times = [start + i * delay_s for i in range(len(payloads))]
-        sent = 0
-        last_event = start
+        last_event = time.monotonic()
         while True:
+            sent = len(sent_at)
             now = time.monotonic()
-            if sent < len(payloads) and now >= send_times[sent]:
+            due = sent_at[-1] + delay_s if sent_at else now
+            if sent < len(payloads) and now >= due:
                 try:
                     sock.sendall(payloads[sent])
                 except OSError as exc:
                     note = f"send failed after {sent} of {len(payloads)} requests: {exc}"
                     break
-                sent += 1
                 last_event = time.monotonic()
                 sent_at.append(last_event)
                 continue
 
             if sent < len(payloads):
-                wait = max(send_times[sent] - now, 0.0)
+                wait = max(due - now, 0.0)
             else:
                 evidenced = expected and len(responses) >= expected
                 wait = last_event + (linger_s if evidenced else timeout_s) - now

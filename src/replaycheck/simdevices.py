@@ -5,7 +5,8 @@ gear: plain JSON command/ack, signed cleartext, fixed opaque byte blobs,
 a session-key cipher that can rotate on reboot, a TLS-shaped handshake
 protocol, and a device that never answers. Each runs as a real server on
 loopback, the silent one over UDP and the rest over TCP, so the replay
-engine talks to it exactly as it would to hardware.
+engine talks to it exactly as it would to hardware. One thread, the
+reactor in loopback.py, serves them all: spawning a device starts none.
 
 The companion plays the paired app: it triggers state changes in-process,
 handing each command to the handler the server builds per connection, so
@@ -30,8 +31,6 @@ from __future__ import annotations
 import base64
 import json
 import random
-import select
-import socket
 import struct
 import threading
 import time
@@ -40,6 +39,7 @@ from enum import Enum
 
 from . import pcap
 from .capture import DEFAULT_APP_ENDPOINT, Endpoint, PacketRecord, Transport
+from .loopback import LoopbackServer, SpawnError
 from .protocols import rides_standard_security_protocol
 from .replay import MAX_TIMING_MS
 
@@ -74,10 +74,6 @@ class Behavior(str, Enum):
 class DeviceState(str, Enum):
     OBVERSE = "obverse"
     REVERSE = "reverse"
-
-
-class SpawnError(RuntimeError):
-    """The device server could not be started (port in use, bad profile)."""
 
 
 class TriggerError(RuntimeError):
@@ -126,8 +122,6 @@ DEFAULT_TRAINING_SCRIPT: tuple[DeviceState, ...] = (
 _CAPTURE_BASE_US = 1_690_000_000 * 1_000_000
 _EVENT_GAP_US = 1_700
 _COMMAND_GAP_US = 25_000
-
-_RESPONSE_SPACING_S = 0.008  # keeps consecutive responses in separate segments
 
 
 def _canonical(obj) -> bytes:
@@ -530,96 +524,6 @@ _ENGINES = {
 
 
 # ---------------------------------------------------------------------------
-# socket servers
-# ---------------------------------------------------------------------------
-
-
-class _LoopbackServer:
-    """One thread serving a loopback TCP or UDP socket until stop().
-
-    new_handler() is called once per TCP connection (once in all for UDP)
-    and returns handle(data) -> (responses, close_connection). TCP
-    connections are served one at a time, in accept order. The thread
-    blocks in select on its socket plus a wakeup socket whose other end
-    stop() closes, so stopping never waits out a poll.
-    """
-
-    def __init__(self, transport: Transport, port: int, new_handler):
-        kind = socket.SOCK_STREAM if transport == Transport.TCP else socket.SOCK_DGRAM
-        self.sock = socket.socket(socket.AF_INET, kind)
-        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            self.sock.bind(("127.0.0.1", port))
-            if kind == socket.SOCK_STREAM:
-                self.sock.listen(8)
-        except OSError as exc:
-            self.sock.close()
-            raise SpawnError(f"cannot bind 127.0.0.1:{port}: {exc}") from exc
-        self.port = self.sock.getsockname()[1]
-        self._new_handler = new_handler
-        self._wake, self._waker = socket.socketpair()
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _readable(self, sock: socket.socket) -> bool:
-        """Block until sock is readable (True) or stop() is called (False)."""
-        readable, _, _ = select.select([sock, self._wake], [], [])
-        return self._wake not in readable
-
-    def _receive(self) -> tuple[bytes, tuple]:
-        """One datagram and its sender."""
-        return self.sock.recvfrom(65536)
-
-    @staticmethod
-    def _send(responses: list[bytes], send) -> None:
-        for index, response in enumerate(responses):
-            if index:
-                time.sleep(_RESPONSE_SPACING_S)
-            send(response)
-
-    def _serve(self):
-        try:
-            if self.sock.type == socket.SOCK_STREAM:
-                while self._readable(self.sock):
-                    connection, _ = self.sock.accept()
-                    with connection:
-                        self._serve_connection(connection)
-            else:
-                handle = self._new_handler()
-                while self._readable(self.sock):
-                    data, address = self._receive()
-                    responses, _ = handle(data)
-                    try:
-                        self._send(responses, lambda r: self.sock.sendto(r, address))
-                    except OSError:
-                        pass
-        except OSError:
-            pass
-        finally:
-            self.sock.close()
-            self._wake.close()
-
-    def _serve_connection(self, connection: socket.socket):
-        handle = self._new_handler()
-        try:
-            connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            while self._readable(connection):
-                data = connection.recv(65536)
-                if not data:
-                    return
-                responses, close_connection = handle(data)
-                self._send(responses, connection.sendall)
-                if close_connection:
-                    return
-        except OSError:
-            pass
-
-    def stop(self):
-        self._waker.close()
-        self._thread.join(timeout=2.0)
-
-
-# ---------------------------------------------------------------------------
 # device handle and module-level operations
 # ---------------------------------------------------------------------------
 
@@ -627,11 +531,11 @@ class _LoopbackServer:
 class SimulatedDevice:
     """Handle to one running simulated device.
 
-    The server thread serves replays over a real socket; the companion
-    drives the same per-connection handler in-process. Handle operations
-    (trigger/restart/query/companion_session) are serialized by a control
-    lock; the handler takes the state lock. Companion-side counters live
-    here so they survive restarts the way a paired app's would.
+    The shared reactor thread serves replays over a real socket; the
+    companion drives the same per-connection handler in-process. Handle
+    operations (trigger/restart/query/companion_session) are serialized by
+    a control lock; the handler takes the state lock. Companion-side
+    counters live here so they survive restarts the way a paired app's would.
     """
 
     def __init__(self, profile: DeviceProfile):
@@ -645,7 +549,7 @@ class SimulatedDevice:
         self.companion_sequence = 0  # silent-profile anti-replay counter
         self._clock_us = 0
         self.engine = _ENGINES[profile.behavior](self)
-        self._server = _LoopbackServer(profile.transport, profile.port, self._new_handler)
+        self._server = LoopbackServer(profile.transport, profile.port, self._new_handler)
         self.endpoint = Endpoint("127.0.0.1", self._server.port)
         self.closed = False
 
@@ -758,7 +662,7 @@ def restart_device(device: SimulatedDevice) -> None:
         with device.lock:
             device.state = DeviceState.REVERSE
             device.engine.reset_volatile()
-        device._server = _LoopbackServer(device.profile.transport, port, device._new_handler)
+        device._server = LoopbackServer(device.profile.transport, port, device._new_handler)
     time.sleep(device.profile.post_restart_delay_s)
 
 

@@ -1,4 +1,4 @@
-"""Test doubles served on loopback by the simulator's own server loop.
+"""Test doubles served on loopback by the simulator's own LoopbackServer.
 
 ScriptedResponder answers exact request payloads with fixed responses.
 FakeDevice is a table-driven device that pipeline.assess_device assesses
@@ -14,7 +14,8 @@ import threading
 import time
 
 from replaycheck.capture import Endpoint, PacketRecord, Transport
-from replaycheck.simdevices import _LoopbackServer, records_to_capture
+from replaycheck.loopback import LoopbackServer
+from replaycheck.simdevices import records_to_capture
 
 # Linux's SO_TIMESTAMPNS, which the socket module does not name: each
 # datagram then carries the kernel's CLOCK_REALTIME receive time.
@@ -22,7 +23,7 @@ _SO_TIMESTAMPNS = 35
 _KERNEL_STAMPS = sys.platform == "linux"
 
 
-class _StampingServer(_LoopbackServer):
+class _StampingServer(LoopbackServer):
     """A loopback server that keeps, in .arrival, the monotonic time the
     datagram being handled reached the socket: from its kernel receive
     stamp where there is one, so a late wakeup of the serving thread is
@@ -144,7 +145,7 @@ class FakeDevice:
         self.handled = first_count
         self.sent = 0
         self.clock_us = 0
-        self._server = _LoopbackServer(Transport.TCP, 0, self._new_handler)
+        self._server = LoopbackServer(Transport.TCP, 0, self._new_handler)
         self.endpoint = Endpoint("127.0.0.1", self._server.port)
 
     def _new_handler(self):
@@ -197,7 +198,7 @@ class FakeDevice:
         self._server.stop()
         with self.lock:
             self.state = "reverse"
-        self._server = _LoopbackServer(Transport.TCP, port, self._new_handler)
+        self._server = LoopbackServer(Transport.TCP, port, self._new_handler)
 
     def replay_took_effect(self) -> bool:
         with self.lock:

@@ -1,12 +1,14 @@
 """Simulated-device harness tests: state machines, replay semantics of each
 behavior, restart handling, and capture synthesis."""
 
+import contextlib
 import gc
 import hashlib
 import json
 import os
 import socket
 import statistics
+import threading
 import time
 from types import SimpleNamespace
 
@@ -320,6 +322,9 @@ class TestRestart:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_restarts_and_shutdowns_leak_no_descriptors(self):
+        # The first spawn opens the serving thread's descriptors, which the
+        # process keeps; only what later devices leave behind counts.
+        spawn_device(default_profile(Behavior.SILENT)).shutdown()
         gc.collect()  # sockets other tests dropped must not close mid-count
         before = len(os.listdir("/proc/self/fd"))
         for behavior in (Behavior.CLEARTEXT_ECHO, Behavior.SILENT):
@@ -335,6 +340,53 @@ class TestRestart:
                     assert client.recv(16) == b"pong"
         gc.collect()
         assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_spawning_restarting_and_shutting_down_start_no_thread(self):
+        spawn_device(default_profile(Behavior.SILENT)).shutdown()  # may start the serving thread
+        before = threading.active_count()
+        devices = [spawn_device(default_profile(b, post_restart_delay_s=0)) for b in Behavior]
+        try:
+            assert threading.active_count() == before
+            for device in devices:
+                restart_device(device)
+            assert threading.active_count() == before
+            reply = raw_exchange(devices[0].endpoint, b"not a command\n")
+            assert b"invalid command" in reply  # served after its restart
+        finally:
+            for device in devices:
+                device.shutdown()
+        assert threading.active_count() == before
+
+
+class TestServingOrder:
+    def test_tcp_connections_are_served_one_at_a_time_in_accept_order(self, device_factory):
+        device = device_factory(Behavior.CLEARTEXT_ECHO)
+        address = (device.endpoint.address, device.endpoint.port)
+        line = b"not a command\n"
+
+        def answered(sock, wait_s):
+            sock.settimeout(wait_s)
+            try:
+                return b"invalid command" in sock.recv(65536)
+            except socket.timeout:
+                return False
+
+        with contextlib.ExitStack() as stack:
+            first, second, third = (
+                stack.enter_context(socket.create_connection(address, timeout=1.0))
+                for _ in range(3)
+            )
+            for sock in (first, second, third):
+                sock.sendall(line)
+            assert answered(first, 1.0)
+            assert not answered(second, 0.1) and not answered(third, 0.1)
+            first.sendall(line)
+            assert answered(first, 1.0)  # the open connection is still served
+            first.close()
+            assert answered(second, 1.0)
+            assert not answered(third, 0.1)
+            second.close()
+            assert answered(third, 1.0)
 
 
 class TestCleartextEchoReplay:
