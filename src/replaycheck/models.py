@@ -117,6 +117,14 @@ class LofModel:
     that a model train_lof fits in numpy keeps its fit's arrays: they are
     never turned into Python floats and back, and become lists only in
     to_dict.
+
+    constant_features is empty unless every training row is the same; then
+    it lists [dim, value] for every dimension. Such a model drops every
+    dimension (unless rounding left one a tiny std) and scores 1.0 for a
+    query that differs from the row on dropped dimensions only; classify
+    reads any query that differs from it as irregular, as the forest does.
+    Model files written before the field existed load with none and label
+    as they always did.
     """
 
     k: int
@@ -128,6 +136,7 @@ class LofModel:
     points: Sequence[Sequence[float]]
     k_distance: Sequence[float]
     lrd: Sequence[float]
+    constant_features: list[list] = field(default_factory=list)
 
     kind = "lof"
 
@@ -199,7 +208,7 @@ class LofModel:
         )
 
     def to_dict(self) -> dict:
-        return {
+        body = {
             "kind": self.kind,
             "k": self.k,
             "k_eff": self.k_eff,
@@ -214,6 +223,9 @@ class LofModel:
             "k_distance": list(map(float, self.k_distance)),
             "lrd": list(map(float, self.lrd)),
         }
+        if self.constant_features:  # optional: other models write what they always wrote
+            body["constant_features"] = self.constant_features
+        return body
 
     @classmethod
     def from_dict(cls, body: dict) -> "LofModel":
@@ -225,6 +237,7 @@ class LofModel:
         k_distance = _numbers(body["k_distance"])
         lrd = _numbers(body["lrd"])
         k, k_eff, threshold = body["k"], body["k_eff"], body["threshold"]
+        constant_features = _constant_features(body)
         if not (
             len(std) == len(mean)
             and all(len(point) == len(kept) for point in points)
@@ -235,12 +248,14 @@ class LofModel:
             and _is(threshold, (int, float))
         ):
             raise ValueError("LOF model fields have inconsistent shapes or types")
+        if constant_features and [dim for dim, _ in constant_features] != list(range(len(mean))):
+            raise ValueError("LOF constant features must list every dimension in order")
         check_lof_parameters(k, threshold)
         # As training leaves them: a NaN lrd scores every query NaN, never irregular.
         finite = all(map(math.isfinite, chain(mean, std, k_distance, lrd, *points)))
         if not (finite and min(std, default=0.0) >= 0 and min(k_distance) >= 0 and min(lrd) > 0):
             raise ValueError("LOF numbers must be finite, std and k_distance >= 0 and lrd > 0")
-        return cls(k, k_eff, threshold, mean, std, kept, points, k_distance, lrd)
+        return cls(k, k_eff, threshold, mean, std, kept, points, k_distance, lrd, constant_features)
 
 
 def _is(value, kind) -> bool:
@@ -254,6 +269,24 @@ def _numbers(value) -> list[float]:
     if not (isinstance(value, list) and all(_is(x, (int, float)) for x in value)):
         raise TypeError("LOF model arrays must hold numbers")
     return [float(x) for x in value]  # OverflowError for an int past the float range
+
+
+def _constant_features(body: dict) -> list[list]:
+    """A model body's optional [dimension, value] pairs, checked."""
+    pairs = body.get("constant_features", [])
+    if not isinstance(pairs, list):
+        raise ValueError("constant features must be a list")
+    for pair in pairs:
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and _is(pair[0], int)
+            and pair[0] >= 0
+            and _is(pair[1], (int, float))
+            and math.isfinite(pair[1])
+        ):
+            raise ValueError("constant feature is not a [dimension, value] pair")
+    return pairs
 
 
 def _kept(std: Sequence[float]) -> tuple[int, ...]:
@@ -316,7 +349,8 @@ def train_lof(
     """Fit a LOF novelty model on legitimate-response feature rows.
 
     k is clamped to n-1 (k_eff). Training vectors are z-score standardized
-    per dimension; zero-variance dimensions are dropped. Duplicate points
+    per dimension; zero-variance dimensions are dropped. When every row is
+    the same, the model records its values (see LofModel). Duplicate points
     are fine: a neighborhood of exact duplicates gets lrd 1/1e-12 instead
     of a division by zero. Up to LOF_PURE_MAX vectors the fit is plain
     Python; above it numpy fills the n x n distance matrix a block of rows
@@ -331,7 +365,11 @@ def train_lof(
     k_eff = min(k, n - 1)
     fit = _fit_lof_pure if n <= LOF_PURE_MAX else _fit_lof_dense
     mean, std, points, k_distance, lrd = fit(training, k_eff)
-    return LofModel(k, k_eff, threshold, tuple(mean), tuple(std), _kept(std), points, k_distance, lrd)
+    # The row itself, not mean: fsum([x] * n) / n can differ from x.
+    first = [float(x) for x in training[0]]
+    same = all([float(x) for x in row] == first for row in training)
+    constant = [[d, x] for d, x in enumerate(first)] if same else []
+    return LofModel(k, k_eff, threshold, tuple(mean), tuple(std), _kept(std), points, k_distance, lrd, constant)
 
 
 def _fit_lof_pure(vectors: Sequence[Sequence[float]], k_eff: int):
@@ -466,28 +504,17 @@ class IsolationForestModel:
         """Inverse of to_dict; raises on a missing or malformed field."""
         trees, subsample = body["trees"], body["subsample"]
         seed, anomaly_cutoff = body["seed"], body["anomaly_cutoff"]
-        constant_features = body.get("constant_features", [])
         if not (
             isinstance(trees, list)
             and _is(subsample, int)
             and _is(seed, int)
             and _is(anomaly_cutoff, (int, float))
-            and isinstance(constant_features, list)
         ):
             raise ValueError("isolation forest needs a tree list, subsample, seed and cutoff")
+        constant_features = _constant_features(body)
         check_forest_parameters(len(trees), subsample, anomaly_cutoff, seed)
         for tree in trees:
             _check_tree(tree)
-        for pair in constant_features:
-            if not (
-                isinstance(pair, list)
-                and len(pair) == 2
-                and _is(pair[0], int)
-                and pair[0] >= 0
-                and _is(pair[1], (int, float))
-                and math.isfinite(pair[1])
-            ):
-                raise ValueError("constant feature is not a [dimension, value] pair")
         return cls(trees, subsample, seed, anomaly_cutoff, constant_features)
 
 
@@ -633,5 +660,15 @@ def model_from_dict(body: dict) -> NoveltyModel | None:
 
 
 def classify(model: NoveltyModel, query) -> Label:
-    """Regular/Irregular split of a query response against the model."""
-    return Label.IRREGULAR if model.score(query) > model.cutoff else Label.REGULAR
+    """Regular/Irregular split of a query response against the model.
+
+    A query that differs on a value the model records as constant in
+    training is irregular whatever its score: a forest's score says so
+    itself, and an LOF model records such values only when every training
+    row is the same, where it scores 1.0 for nearly every query.
+    """
+    if model.score(query) > model.cutoff:
+        return Label.IRREGULAR
+    if any(query[dim] != value for dim, value in model.constant_features):
+        return Label.IRREGULAR
+    return Label.REGULAR

@@ -189,18 +189,22 @@ def capture_linger_s(flows: list[Flow], config: ReplayConfig) -> float:
 def connect(endpoint: Endpoint, transport: Transport, timeout_s: float) -> socket.socket:
     """Open a client socket to the endpoint; raises OSError.
 
-    TCP connects within timeout_s, with Nagle off. UDP gets a connected
-    datagram socket, so sendall sends each payload as one datagram.
+    The endpoint's address is an IP literal, so the socket takes its
+    family from the address form and connects to it directly: no name
+    lookup, which would load the IDNA codec. TCP connects within
+    timeout_s, keeps that timeout, and has Nagle off. UDP gets a
+    connected datagram socket, so sendall sends each payload as one
+    datagram.
     """
-    address = (endpoint.address, endpoint.port)
-    if transport == Transport.TCP:
-        sock = socket.create_connection(address, timeout=timeout_s)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
     family = socket.AF_INET6 if ":" in endpoint.address else socket.AF_INET
-    sock = socket.socket(family, socket.SOCK_DGRAM)
+    tcp = transport == Transport.TCP
+    sock = socket.socket(family, socket.SOCK_STREAM if tcp else socket.SOCK_DGRAM)
     try:
-        sock.connect(address)
+        if tcp:
+            sock.settimeout(timeout_s)
+        sock.connect((endpoint.address, endpoint.port))
+        if tcp:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     except OSError:
         sock.close()
         raise

@@ -106,15 +106,19 @@ ACCEPT_RULES = {"accepts_stale": True, "refuses_stale": False}
 # How a device answers: (ack to an executed command, answer to a refused
 # one; None sends nothing). Both are formatted with the state the command
 # asked for and the number of commands the device has handled. An unpadded
-# counter's ack grows a byte each time the count gains a digit. The last two
-# shapes are ones the paper's rule cannot see: a silent ack leaves nothing
-# to judge, and a rejection that permutes the ack's bytes has the ack's
-# feature row, since every feature ignores byte order.
+# counter's ack grows a byte each time the count gains a digit. A twin-row
+# ack names its state by one letter, b or e, which share a histogram bucket:
+# the two acks differ in bytes but have one feature row, so no training
+# dimension varies. The last two shapes are ones the paper's rule cannot
+# see: a silent ack leaves nothing to judge, and a rejection that permutes
+# the ack's bytes has the ack's feature row, since every feature ignores
+# byte order.
 RESPONSE_SHAPES = {
     "fixed_ack": ("OK {state}\n", None),
     "counter_ack": ("OK {state} n={count:06d}\n", None),
     "unpadded_counter_ack": ("OK {state} n={count}\n", None),
     "rejection": ("OK {state}\n", "ERR stale command\n"),
+    "twin_row_ack": ("OK {state[1]}\n", "ERR stale command\n"),
     "silent_ack": (None, None),
     "permuted_rejection": ("OK {state}\n", "KO {state}\n"),
 }

@@ -281,6 +281,8 @@ SPLIT_FOREST = {
     "trees": [{"f": 0, "t": 0.5, "l": {"n": 1}, "r": {"n": 1}}],
     "constant_features": [[1, 2.0]],
 }
+# An LOF model trained on identical rows, so it records their values.
+CONSTANT_LOF = train_lof([[7.0, 7.0]] * 4, k=2).to_dict()
 TRANSCRIPT_BODY, VERDICT_BODY, ASSESSMENT_BODY = (
     VALID[schema][0] for schema in (artifacts.TRANSCRIPT, artifacts.VERDICT, artifacts.ASSESSMENT)
 )
@@ -290,6 +292,8 @@ NUMBER_PATHS = [
         ("k",), ("k_eff",), ("threshold",), ("standardization", "mean", 0),
         ("standardization", "std", 0), ("points", 0, 0), ("k_distance", 0), ("lrd", 0),
     )],
+    (artifacts.MODEL, CONSTANT_LOF, ("constant_features", 0, 0)),
+    (artifacts.MODEL, CONSTANT_LOF, ("constant_features", 0, 1)),
     *[(artifacts.MODEL, SPLIT_FOREST, field) for field in (
         ("subsample",), ("seed",), ("anomaly_cutoff",), ("constant_features", 0, 0),
         ("constant_features", 0, 1), ("trees", 0, "f"), ("trees", 0, "t"), ("trees", 0, "l", "n"),

@@ -115,6 +115,46 @@ def test_counter_gaining_a_digit_after_training(fake_factory, fast_settings, mod
         assert result.accuracy == float(not (blind and accept_rule == "accepts_stale"))
 
 
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+def test_acks_sharing_one_feature_row_are_called_right_under_restart(
+    fake_factory, fast_settings, model_kind
+):
+    """No training dimension varies, so LOF keeps none and scores every
+    response 1.0; the values it records as constant still make the
+    refusal irregular, as the forest's rule does, so a refused replay is
+    called FAILED (AllIrregular) and an accepted one SUCCESSFUL."""
+    assert featurize(b"OK b\n") == featurize(b"OK e\n")
+    settings = replace(fast_settings, model_kind=model_kind)
+    expected = {
+        "accepts_stale": (Outcome.SUCCESSFUL, Reason.REGULAR_FOUND),
+        "refuses_stale": (Outcome.FAILED, Reason.ALL_IRREGULAR),
+    }
+    for accept_rule, call in expected.items():
+        result = assess_fake(fake_factory(accept_rule, "twin_row_ack"), "restart", settings)
+        assert [(v.outcome, v.reason) for v in result.verdicts] == [call] * 2, accept_rule
+        assert result.accuracy == 1.0
+
+
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_counter_gaining_a_digit_inside_training(fake_factory, fast_settings, model_kind, scenario):
+    """Pins README's counter Limitation where the digit comes inside
+    training: from 0 the training acks read n=1..10, and only the last one
+    is long. Every later ack is long, and both kinds call it IRREGULAR, so
+    a device that acted on the replay is called FAILED (AllIrregular) and
+    reported not vulnerable. A refused replay draws no answer at all."""
+    settings = replace(fast_settings, model_kind=model_kind)
+    expected = {
+        "accepts_stale": (Outcome.FAILED, Reason.ALL_IRREGULAR),
+        "refuses_stale": (Outcome.FAILED, Reason.NO_RESPONSE),
+    }
+    for accept_rule, call in expected.items():
+        fake = fake_factory(accept_rule, "unpadded_counter_ack", first_count=0)
+        result = assess_fake(fake, scenario, settings)
+        assert [(v.outcome, v.reason) for v in result.verdicts] == [call] * 2, accept_rule
+        assert result.accuracy == float(accept_rule == "refuses_stale")
+
+
 def test_pipeline_imports_only_the_hook_names_from_simdevices():
     """pipeline reaches a device only through AssessedDevice; the three names
     it imports from simdevices are there for the benchmark's span hooks."""

@@ -68,6 +68,49 @@ class TestDegenerateCases:
         assert model.score([7.0, 7.0]) == 1.0
         assert model.score([-999.0, 123.0]) == 1.0
 
+    @pytest.mark.parametrize("n", [3, models.LOF_PURE_MAX + 1])
+    def test_all_identical_training_labels_by_the_constant_values(self, n):
+        # score reads 1.0 wherever the dropped dimension alone differs;
+        # classify calls a query that differs from the one training row
+        # irregular. The values are the row's own, not the mean, which
+        # rounding can move: fsum([0.1] * 3) / 3 != 0.1.
+        model = train_lof([[0.1, 7.0]] * n, k=2)
+        assert 1 not in model.kept
+        assert model.constant_features == [[0, 0.1], [1, 7.0]]
+        assert model.score([0.1, 8.0]) == 1.0
+        assert classify(model, [0.1, 7.0]) == Label.REGULAR
+        assert classify(model, [0.1, 8.0]) == Label.IRREGULAR
+        assert classify(model, [-999.0, 123.0]) == Label.IRREGULAR
+
+    def test_constant_values_are_recorded_only_when_no_dimension_varies(self):
+        model = train_lof([[0.0, 7.0], [1.0, 7.0], [2.0, 7.0]], k=2)
+        assert model.constant_features == []
+        assert "constant_features" not in model.to_dict()
+        assert classify(model, [1.0, 8.0]) == Label.REGULAR  # LOF drops the constant dimension
+
+    def test_constant_values_survive_the_model_file(self):
+        body = json.loads(json.dumps(train_lof([[7.0, 7.0]] * 4, k=2).to_dict()))
+        assert body["constant_features"] == [[0, 7.0], [1, 7.0]]
+        assert classify(models.LofModel.from_dict(body), [7.0, 8.0]) == Label.IRREGULAR
+        # A file written before the field existed labels as it always did.
+        del body["constant_features"]
+        assert classify(models.LofModel.from_dict(body), [7.0, 8.0]) == Label.REGULAR
+
+    @pytest.mark.parametrize(
+        "training, constant",
+        [
+            ([[0.0, 7.0], [1.0, 7.0], [2.0, 7.0]], [[1, 7.0]]),  # not every dimension
+            ([[7.0, 7.0]] * 4, [[1, 7.0], [0, 7.0]]),
+            ([[7.0, 7.0]] * 4, [[0, 7.0], [1, 7.0], [2, 7.0]]),  # wider than the model
+            ([[7.0, 7.0]] * 4, [[0, "7"]]),
+            ([[7.0, 7.0]] * 4, {"0": 7.0}),
+        ],
+    )
+    def test_malformed_constant_values_rejected(self, training, constant):
+        body = {**train_lof(training, k=2).to_dict(), "constant_features": constant}
+        with pytest.raises((TypeError, ValueError)):
+            models.LofModel.from_dict(body)
+
     def test_duplicate_cluster_does_not_divide_by_zero(self):
         training = [[0.0], [0.0], [0.0], [5.0]]
         model = train_lof(training, k=2)

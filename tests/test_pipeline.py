@@ -411,13 +411,15 @@ class TestAssessDevice:
         assert result.vulnerable is expected
         assert result.model_kind == (None if behavior == Behavior.SILENT else "isolation_forest")
 
-    def test_assessments_load_no_openssl(self, fast_settings):
-        # A fresh interpreter, since the test process may have loaded
-        # hashlib. From the CLI import through one rep of every profile in
-        # both scenarios, nothing imports hashlib, hmac or OpenSSL's _hashlib.
+    def test_assessments_load_no_module_that_must_not_load_mid_run(self, fast_settings):
+        # A fresh interpreter, since the test process may have loaded any of
+        # them. From the CLI import through one rep of every profile in both
+        # scenarios, nothing imports hashlib, hmac or OpenSSL's _hashlib, nor
+        # the IDNA codec a name lookup loads (encodings.idna, stringprep,
+        # unicodedata): replay connects to the endpoint's IP literal.
         script = (
             "import json, sys\n"
-            "banned = ('hashlib', 'hmac', '_hashlib')\n"
+            "banned = ('hashlib', 'hmac', '_hashlib', 'encodings.idna', 'stringprep', 'unicodedata')\n"
             "preloaded = [m for m in banned if m in sys.modules]\n"
             "import replaycheck.cli\n"
             "from replaycheck.pipeline import SCENARIOS, PipelineSettings, assess_device\n"

@@ -1,6 +1,7 @@
 """Replay engine tests over real loopback sockets."""
 
 import random
+import socket
 import time
 from dataclasses import asdict, replace
 
@@ -53,6 +54,21 @@ def timed_replay(flow, endpoint, config, linger_s):
     responses, note = replay_flow(flow, endpoint, config, linger_s)
     assert note == ""
     return [p for _, p in responses], time.monotonic() - started
+
+
+def ipv6_loopback_listener():
+    """A TCP socket listening on ::1; skips where the host has no IPv6 loopback."""
+    try:
+        listener = socket.socket(socket.AF_INET6, socket.SOCK_STREAM)
+    except OSError:
+        pytest.skip("this host has no IPv6 sockets")
+    try:
+        listener.bind(("::1", 0))
+        listener.listen(1)
+    except OSError:
+        listener.close()
+        pytest.skip("this host has no IPv6 loopback")
+    return listener
 
 
 class TestSchedule:
@@ -144,6 +160,27 @@ class TestReplayFlow:
         assert responses == []
         assert "connect" in note and "failed" in note
         assert replayed.first_sent is None and replayed.last_sent is None
+
+    def test_tcp_flow_to_an_ipv6_literal(self):
+        # The socket's family comes from the address form, with no lookup.
+        with ipv6_loopback_listener() as listener:
+            flow = flow_of(b"hello", transport=Transport.TCP)
+            device = Endpoint("::1", listener.getsockname()[1])
+            responses, note = replay_flow(flow, device, FAST, capture_linger_s([flow], FAST))
+            peer, _ = listener.accept()
+            with peer:
+                peer.settimeout(1.0)
+                received = peer.recv(64)
+        assert note == "" and responses == []
+        assert received == b"hello"
+
+    def test_tcp_socket_keeps_its_connect_timeout_with_nagle_off(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            device = Endpoint("127.0.0.1", listener.getsockname()[1])
+            with replay.connect(device, Transport.TCP, 0.25) as sock:
+                assert sock.family == socket.AF_INET
+                assert sock.gettimeout() == 0.25
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
     def test_reports_when_its_first_and_last_requests_went_out(self):
         with ScriptedResponder({}) as responder:
