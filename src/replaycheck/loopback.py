@@ -1,7 +1,9 @@
 """Loopback TCP and UDP servers, all served by one thread: a reactor
 (Schmidt, "Reactor", 1995) waiting in a selectors loop on each server's
 socket, a timer heap and a wake socketpair. It starts with the first
-server, so creating or stopping a server starts no thread."""
+server, so creating, restarting or stopping a server starts no thread.
+A restart runs on the reactor and keeps the bound socket: what reached
+the server before it is dropped, and no other process can take the port."""
 
 import contextlib
 import functools
@@ -11,6 +13,7 @@ import selectors
 import socket
 import threading
 import time
+from collections.abc import Callable
 
 _RESPONSE_SPACING_S = 0.008  # keeps consecutive responses in separate segments
 
@@ -157,20 +160,69 @@ class LoopbackServer:
             _RESPONSE_SPACING_S, lambda: self._attempt(lambda: self._send(responses[1:], send, then))
         )
 
+    def restart(self, reset) -> Callable[[], None]:
+        """Power-cycle on the reactor thread, keeping the bound socket.
+
+        Cancels a spaced response still to go, closes the open connection,
+        accepts and closes every connection in the backlog (or reads and
+        discards every queued datagram), calls reset(), then serves again.
+        Returns without waiting; the returned wait() blocks until the cycle
+        has run and re-raises what it raised. After stop() it does nothing.
+        """
+
+        def cycle():
+            if self.sock.fileno() == -1:  # stopped
+                return
+            self._unwatch()
+            try:
+                with contextlib.suppress(BlockingIOError):  # backlog or buffer empty
+                    while True:
+                        if self.sock.type == socket.SOCK_STREAM:
+                            self.sock.accept()[0].close()
+                        else:
+                            self.sock.recv(1)
+                reset()
+            finally:
+                self._idle()
+
+        return self._post(cycle)
+
     def stop(self) -> None:
         """Close the server on the reactor thread; return once its port is free."""
-        done = threading.Event()
 
         def close():
+            self._unwatch()
+            for sock in filter(None, (self._connection, self.sock)):
+                sock.close()
+
+        self._post(close)()
+
+    def _unwatch(self) -> None:
+        """Cancel a spaced response still to go; stop watching both sockets."""
+        if self._timer is not None:
+            self._timer[-1] = None
+        for sock in filter(None, (self._connection, self.sock)):
+            with contextlib.suppress(KeyError, ValueError):  # unwatched; closed
+                self._reactor.selector.unregister(sock)
+
+    def _post(self, call) -> Callable[[], None]:
+        """Run call on the reactor thread; return a wait() that blocks until
+        it has run and re-raises what it raised."""
+        done = threading.Event()
+        raised: list[Exception] = []
+
+        def run():
             try:
-                if self._timer is not None:
-                    self._timer[-1] = None  # a spaced response still to go
-                for sock in filter(None, (self._connection, self.sock)):
-                    with contextlib.suppress(KeyError, ValueError):  # unwatched; stopped
-                        self._reactor.selector.unregister(sock)
-                    sock.close()
+                call()
+            except Exception as exc:
+                raised.append(exc)
             finally:
                 done.set()
 
-        self._reactor.post(close)
-        done.wait()
+        def wait():
+            done.wait()
+            if raised:
+                raise raised.pop()
+
+        self._reactor.post(run)
+        return wait

@@ -15,7 +15,10 @@ that crossed a socket. It records every payload it sends or receives with
 a logical clock, so captures are byte-identical across runs for a fixed
 seed and port. Devices boot in the REVERSE state; restart clears volatile
 state only (the silent profile's anti-replay counter and the static
-secrets survive, like anything kept in flash).
+secrets survive, like anything kept in flash). A restart keeps the
+device's port bound and drops what reached it before the power cycle:
+the open connection, queued connections and datagrams, and any response
+still to go. The reset runs on the reactor thread during the boot delay.
 
 Keyed tags and keystreams come from random.Random seeded with the secret
 (and the body, for a tag), which it hashes with its built-in SHA-512, so
@@ -533,8 +536,9 @@ class SimulatedDevice:
 
     The shared reactor thread serves replays over a real socket; the
     companion drives the same per-connection handler in-process. Handle
-    operations (trigger/restart/query/companion_session) are serialized by
-    a control lock; the handler takes the state lock. Companion-side
+    operations (trigger/restart/companion_session/shutdown) are serialized
+    by a control lock, a restart's boot delay included; the handler and the
+    restart's reset take the state lock, as query does. Companion-side
     counters live here so they survive restarts the way a paired app's would.
     """
 
@@ -590,10 +594,16 @@ class SimulatedDevice:
             for is_request, payload in exchange
         ]
 
+    def _reset_volatile(self) -> None:
+        with self.lock:
+            self.state = DeviceState.REVERSE
+            self.engine.reset_volatile()
+
     def shutdown(self):
-        if not self.closed:
-            self._server.stop()
-            self.closed = True
+        with self.control_lock:  # waits out a restart in progress
+            if not self.closed:
+                self._server.stop()
+                self.closed = True
 
     # -- the device under assessment (pipeline.AssessedDevice) ---------------
     @property
@@ -653,17 +663,14 @@ def trigger_state(
 
 
 def restart_device(device: SimulatedDevice) -> None:
-    """Power-cycle: volatile state cleared, listener back on the same port."""
+    """Power-cycle: traffic in flight dropped, volatile state cleared, the
+    port bound throughout. Returns after the modelled boot delay."""
     with device.control_lock:
         if device.closed:
             raise TriggerError("device has been shut down")
-        port = device.endpoint.port
-        device._server.stop()
-        with device.lock:
-            device.state = DeviceState.REVERSE
-            device.engine.reset_volatile()
-        device._server = LoopbackServer(device.profile.transport, port, device._new_handler)
-    time.sleep(device.profile.post_restart_delay_s)
+        booted = device._server.restart(device._reset_volatile)
+        time.sleep(device.profile.post_restart_delay_s)
+        booted()
 
 
 def companion_session(

@@ -88,6 +88,16 @@ class TestDegenerateCases:
         assert "constant_features" not in model.to_dict()
         assert classify(model, [1.0, 8.0]) == Label.REGULAR  # LOF drops the constant dimension
 
+    def test_a_constant_column_whose_mean_rounds_is_kept(self):
+        # A dimension is dropped only when its training std is exactly 0.0.
+        # fsum([0.1] * 3) / 3 != 0.1, so column 0 keeps a std of about 1e-17
+        # and is standardised by it: a step of 0.1 there reads irregular,
+        # while a step in column 1, constant at 7.0, is not seen.
+        model = train_lof([[0.1, 7.0, 1.0], [0.1, 7.0, 2.0], [0.1, 7.0, 3.0]], k=2)
+        assert model.kept == (0, 2)
+        assert classify(model, [0.2, 7.0, 2.0]) == Label.IRREGULAR
+        assert classify(model, [0.1, 8.0, 2.0]) == Label.REGULAR
+
     def test_constant_values_survive_the_model_file(self):
         body = json.loads(json.dumps(train_lof([[7.0, 7.0]] * 4, k=2).to_dict()))
         assert body["constant_features"] == [[0, 7.0], [1, 7.0]]

@@ -1,4 +1,4 @@
-"""The shared loopback servers: fault isolation and stop()."""
+"""The shared loopback servers: fault isolation, restart() and stop()."""
 
 import socket
 import sys
@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from replaycheck import loopback
 from replaycheck.loopback import _RESPONSE_SPACING_S, LoopbackServer
 
 
@@ -127,3 +128,50 @@ def test_servers_made_and_stopped_from_many_threads_all_answer():
         sys.setswitchinterval(interval)
     assert sorted(answers) == sorted(b"%d-%d" % (i, r) for i in range(4) for r in range(25))
     assert threading.active_count() == threads_before
+
+
+def test_restart_drops_a_pending_response_and_queued_datagrams_then_serves_again(monkeypatch):
+    monkeypatch.setattr(loopback, "_RESPONSE_SPACING_S", 0.5)  # b"two" is pending at the restart
+    handled, reset_on = [], []
+
+    def handle(data):
+        handled.append(data)
+        return [b"one", b"two"], False
+
+    server = LoopbackServer("udp", 0, lambda: handle)
+    try:
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+            client.settimeout(1.0)
+            client.connect(("127.0.0.1", server.port))
+            client.send(b"go")
+            assert client.recv(65536) == b"one"
+            client.send(b"queued")
+            client.send(b"queued too")
+            server.restart(lambda: reset_on.append(threading.current_thread().name))()
+            client.send(b"after")
+            assert client.recv(65536) == b"one"  # b"two" never went to b"go"
+            assert handled == [b"go", b"after"]
+    finally:
+        server.stop()
+    assert reset_on == ["loopback-reactor"]
+
+
+def test_restart_reraises_what_reset_raised_and_keeps_serving():
+    def fail():
+        raise ValueError("reset fault")
+
+    server = LoopbackServer("tcp", 0, echo)
+    try:
+        with pytest.raises(ValueError, match="reset fault"):
+            server.restart(fail)()
+        assert ask(server, b"ping") == b"ping"
+    finally:
+        server.stop()
+
+
+def test_a_restart_after_stop_does_nothing():
+    server = LoopbackServer("tcp", 0, echo)
+    server.stop()
+    reset = []
+    server.restart(lambda: reset.append(True))()
+    assert reset == []

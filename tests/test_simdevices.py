@@ -2,6 +2,7 @@
 behavior, restart handling, and capture synthesis."""
 
 import contextlib
+import errno
 import gc
 import hashlib
 import json
@@ -15,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 from doubles import ScriptedResponder
 
-from replaycheck import pcap, replay
+from replaycheck import loopback, pcap, replay
 from replaycheck.capture import (
     Endpoint,
     PacketRecord,
@@ -310,8 +311,9 @@ class TestRestart:
 
     @pytest.mark.parametrize("behavior", [Behavior.CLEARTEXT_ECHO, Behavior.SILENT])
     def test_zero_delay_restart_is_immediate(self, device_factory, behavior):
-        """Stopping the server never waits out a poll, so a restart costs
-        only the modelled boot delay (here none)."""
+        """The power cycle is posted to the serving thread, which a posted
+        call wakes at once, so a restart costs only the modelled boot delay
+        (here none)."""
         device = device_factory(behavior, post_restart_delay_s=0)
         timings = []
         for _ in range(5):
@@ -356,6 +358,127 @@ class TestRestart:
             for device in devices:
                 device.shutdown()
         assert threading.active_count() == before
+
+
+class TestRestartDropsWhatWasInFlight:
+    """A power cycle ends every exchange that reached the device before it."""
+
+    @pytest.fixture
+    def two_responses(self, monkeypatch):
+        """Make a device answer every message with b"one", then, half a
+        second later, b"two", still executing it as before."""
+        monkeypatch.setattr(loopback, "_RESPONSE_SPACING_S", 0.5)
+
+        def patch(device):
+            execute = device.engine.handle_message
+
+            def handle_message(message, session):
+                execute(message, session)
+                return [b"one", b"two"]
+
+            monkeypatch.setattr(device.engine, "handle_message", handle_message)
+
+        return patch
+
+    @staticmethod
+    def hung_up(sock) -> bool:
+        """The peer closed: EOF or a reset, never more data or a timeout."""
+        sock.settimeout(1.0)
+        try:
+            return sock.recv(65536) == b""
+        except ConnectionResetError:
+            return True
+
+    @pytest.mark.parametrize("mid_send", [False, True])
+    def test_an_open_connection_is_closed_and_a_pending_response_never_sent(
+        self, device_factory, two_responses, mid_send
+    ):
+        device = device_factory(Behavior.CLEARTEXT_ECHO)
+        if mid_send:
+            two_responses(device)
+        address = (device.endpoint.address, device.endpoint.port)
+        with socket.create_connection(address, timeout=1.0) as client:
+            client.sendall(b"not a command\n")
+            assert client.recv(65536)  # served, and b"two" still to go if mid_send
+            restart_device(device)
+            assert self.hung_up(client)
+
+    def test_a_connection_queued_behind_the_open_one_is_not_served(self, device_factory):
+        device = device_factory(Behavior.CLEARTEXT_ECHO)
+        address = (device.endpoint.address, device.endpoint.port)
+        with contextlib.ExitStack() as stack:
+            first, second = (
+                stack.enter_context(socket.create_connection(address, timeout=1.0))
+                for _ in range(2)
+            )
+            first.sendall(b"not a command\n")
+            assert b"invalid command" in first.recv(65536)
+            second.sendall(device.engine.build_command(DeviceState.OBVERSE))
+            restart_device(device)
+            assert self.hung_up(first) and self.hung_up(second)
+        time.sleep(0.05)
+        assert query_state(device) == DeviceState.REVERSE
+
+    def test_a_datagram_queued_mid_send_is_not_executed(self, device_factory, two_responses):
+        device = device_factory(Behavior.SILENT)
+        two_responses(device)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+            client.connect((device.endpoint.address, device.endpoint.port))
+            client.settimeout(1.0)
+            client.send(b"not a command")
+            assert client.recv(65536) == b"one"
+            client.send(device.engine.build_command(DeviceState.OBVERSE))  # queued
+            restart_device(device)
+            client.settimeout(0.6)
+            with pytest.raises(socket.timeout):
+                client.recv(65536)  # neither b"two" nor an answer to the queued command
+        assert query_state(device) == DeviceState.REVERSE
+
+    @pytest.mark.parametrize("behavior", [Behavior.CLEARTEXT_ECHO, Behavior.SILENT])
+    def test_the_port_stays_bound_through_the_boot(self, device_factory, behavior):
+        device = device_factory(behavior, post_restart_delay_s=0.3)
+        restarting = threading.Thread(target=restart_device, args=(device,))
+        restarting.start()
+        try:
+            time.sleep(0.1)
+            kind = socket.SOCK_STREAM if behavior == Behavior.CLEARTEXT_ECHO else socket.SOCK_DGRAM
+            with socket.socket(socket.AF_INET, kind) as rival:
+                with pytest.raises(OSError) as refused:
+                    rival.bind((device.endpoint.address, device.endpoint.port))
+            assert refused.value.errno == errno.EADDRINUSE
+        finally:
+            restarting.join(timeout=5)
+        assert not restarting.is_alive()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("behavior", [Behavior.CLEARTEXT_ECHO, Behavior.SILENT])
+    def test_a_shutdown_during_the_boot_waits_for_it_and_leaks_nothing(
+        self, monkeypatch, behavior
+    ):
+        spawn_device(default_profile(Behavior.SILENT)).shutdown()  # may start the serving thread
+        reported, raised = [], []
+        monkeypatch.setattr(threading, "excepthook", reported.append)
+        gc.collect()  # sockets other tests dropped must not close mid-count
+        before = len(os.listdir("/proc/self/fd"))
+        device = spawn_device(default_profile(behavior, post_restart_delay_s=0.2))
+
+        def restart():
+            try:
+                restart_device(device)
+            except Exception as exc:
+                raised.append(exc)
+
+        restarting = threading.Thread(target=restart)
+        restarting.start()
+        time.sleep(0.05)
+        device.shutdown()
+        restarting.join(timeout=5)
+        assert not restarting.is_alive()
+        assert raised == [] and reported == []
+        with pytest.raises(TriggerError):
+            restart_device(device)
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestServingOrder:
