@@ -15,12 +15,13 @@ in-distribution queries; the isolation-forest score lives in (0, 1] with
 0.5 the all-identical baseline, and is 1.0 for a query that differs on a
 feature the training set never varied.
 
-numpy loads only where it pays: when an LOF model of more than
-LOF_PURE_MAX points is trained or scored. Smaller LOF models, the
-training sets a companion session yields, train and score in plain
-Python, and so do forests of any size: a tree is random splits on
-per-column min/max ranges, and a subsample holds at most MAX_SUBSAMPLE
-rows.
+numpy loads only where it pays: to fit an LOF model of more than
+LOF_PURE_MAX points, whose n^2 distance sums it computes far faster.
+Every LOF model scores in plain Python, since a query costs one pass
+over the n points; smaller LOF models, the training sets a companion
+session yields, also train in plain Python, and so do forests of any
+size: a tree is random splits on per-column min/max ranges, and a
+subsample holds at most MAX_SUBSAMPLE rows.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import operator
 import random
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from functools import cached_property
 from itertools import chain, repeat
 from typing import Sequence
 
@@ -63,12 +63,13 @@ MAX_SUBSAMPLE = 256
 # zero (a cluster of duplicates): 1/epsilon rather than infinity.
 LRD_DUPLICATE_EPSILON = 1e-12
 
-# LOF models of at most this many training points train and score in plain
+# LOF models of at most this many training points are fitted in plain
 # Python with the brute-force oracle's arithmetic, so their scores equal the
-# oracle's exactly and numpy stays unloaded; larger ones use numpy. Up to
-# this size the plain fit costs a few milliseconds (6-11 ms at n = 64
-# against numpy's 1 ms, on a 2-CPU x86 host), less than importing numpy
-# (about 60 ms and 14 MB); its n^2 pairwise loop takes 2.5 s at n = 1000.
+# oracle's exactly and numpy stays unloaded; larger ones are fitted in numpy.
+# Every model scores with the oracle's arithmetic. Up to this size the plain
+# fit costs a few milliseconds (6-11 ms at n = 64 against numpy's 1 ms, on
+# a 2-CPU x86 host), less than importing numpy (about 60 ms and 14 MB); its
+# n^2 pairwise loop takes 2.5 s at n = 1000.
 LOF_PURE_MAX = 64
 
 # Byte budget for one row block's difference tensor while train_lof fills
@@ -113,10 +114,8 @@ class LofModel:
     with nonzero training variance, and each row of points holds only
     those. k_distance and lrd are the per-training-point k-distances and
     local reachability densities, precomputed so queries are a single pass.
-    Those three are lists, not n-tuples (see features.featurize), except
-    that a model train_lof fits in numpy keeps its fit's arrays: they are
-    never turned into Python floats and back, and become lists only in
-    to_dict.
+    Those three are lists, not n-tuples (see features.featurize), whether
+    the model was trained, in plain Python or in numpy, or loaded.
 
     constant_features is empty unless every training row is the same; then
     it lists [dim, value] for every dimension. Such a model drops every
@@ -133,9 +132,9 @@ class LofModel:
     mean: tuple[float, ...]
     std: tuple[float, ...]
     kept: tuple[int, ...]
-    points: Sequence[Sequence[float]]
-    k_distance: Sequence[float]
-    lrd: Sequence[float]
+    points: list[list[float]]
+    k_distance: list[float]
+    lrd: list[float]
     constant_features: list[list] = field(default_factory=list)
 
     kind = "lof"
@@ -154,7 +153,8 @@ class LofModel:
             raise ValueError(f"model expects {len(self.mean)}-dimension vectors, not {dimensions}")
 
     def score(self, query: Sequence[float]) -> float:
-        """LOF of a query against the trained model; higher is more anomalous.
+        """LOF of a query against the model, with the brute-force oracle's
+        arithmetic at every size; higher is more anomalous.
 
         Exactly 1.0 when the query coincides with a training point (including
         the all-dimensions-dropped degenerate model, where every query does).
@@ -163,9 +163,6 @@ class LofModel:
         if len(row) != len(self.mean):
             raise ValueError(f"query has {len(row)} dimensions, model expects {len(self.mean)}")
         query_std = [(row[d] - self.mean[d]) / self.std[d] for d in self.kept]
-        if self.training_size > LOF_PURE_MAX:
-            return self._dense_score(query_std)
-
         distances = [_distance(query_std, point) for point in self.points]
         if 0.0 in distances:
             return 1.0
@@ -175,31 +172,6 @@ class LofModel:
         if lrd_q == 0.0:  # every neighbor infinitely far: a distance overflowed
             return math.inf
         return math.fsum(self.lrd[j] for j in neighbors) / len(neighbors) / lrd_q
-
-    @cached_property
-    def _dense(self):
-        """points, k_distance and lrd as numpy arrays, built once per model.
-
-        points are column-major, as training computes them: numpy's sums
-        follow the layout, so a loaded model scores exactly as it did
-        when it was trained.
-        """
-        import numpy as np
-
-        return np.asfortranarray(self.points), np.asarray(self.k_distance), np.asarray(self.lrd)
-
-    def _dense_score(self, query_std: list[float]) -> float:
-        import numpy as np
-
-        points, k_distance, lrd = self._dense
-        distances = _pairwise_distances(np.array(query_std)[None, :], points)[0]
-        if (distances == 0.0).any():
-            return 1.0
-
-        k_distance_q = np.partition(distances, self.k_eff - 1)[self.k_eff - 1]
-        neighbors = np.flatnonzero(distances <= k_distance_q)
-        lrd_q = _lrd_from_neighbors(distances, neighbors, k_distance)
-        return float(lrd[neighbors].mean() / lrd_q)
 
     def summary(self) -> str:
         return (
@@ -217,11 +189,10 @@ class LofModel:
                 "mean": list(self.mean),
                 "std": list(self.std),
             },
-            # An all-dimensions-dropped model writes its points as empty rows;
-            # float() turns a numpy fit's scalars into plain floats.
-            "points": [list(map(float, point)) for point in self.points],
-            "k_distance": list(map(float, self.k_distance)),
-            "lrd": list(map(float, self.lrd)),
+            # An all-dimensions-dropped model writes its points as empty rows.
+            "points": [list(point) for point in self.points],
+            "k_distance": list(self.k_distance),
+            "lrd": list(self.lrd),
         }
         if self.constant_features:  # optional: other models write what they always wrote
             body["constant_features"] = self.constant_features
@@ -354,7 +325,8 @@ def train_lof(
     are fine: a neighborhood of exact duplicates gets lrd 1/1e-12 instead
     of a division by zero. Up to LOF_PURE_MAX vectors the fit is plain
     Python; above it numpy fills the n x n distance matrix a block of rows
-    at a time, each block's difference tensor within LOF_BLOCK_BYTES.
+    at a time, each block's difference tensor within LOF_BLOCK_BYTES. The
+    model holds plain lists either way.
     """
     n = len(training)
     if n < 2:
@@ -398,7 +370,8 @@ def _fit_lof_pure(vectors: Sequence[Sequence[float]], k_eff: int):
 
 
 def _fit_lof_dense(vectors: Sequence[Sequence[float]], k_eff: int):
-    """mean and std as lists; points, k_distance and lrd as the fit's arrays."""
+    """mean, std, points, k_distance and lrd as _fit_lof_pure returns them,
+    from a numpy fit."""
     import numpy as np
 
     matrix = np.array(vectors, dtype=np.float64)  # ValueError for rows of unequal width
@@ -425,7 +398,8 @@ def _fit_lof_dense(vectors: Sequence[Sequence[float]], k_eff: int):
     neighbor_sets = [np.flatnonzero(distances[i] <= k_distance[i]) for i in range(n)]
     for i, neighbors in enumerate(neighbor_sets):
         lrd[i] = _lrd_from_neighbors(distances[i], neighbors, k_distance)
-    return mean.tolist(), std.tolist(), points, k_distance, lrd
+    del distances, rows  # rows is a view: free the n x n matrix before the lists are built
+    return mean.tolist(), std.tolist(), points.tolist(), k_distance.tolist(), lrd.tolist()
 
 
 # ---------------------------------------------------------------------------

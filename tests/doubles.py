@@ -198,11 +198,14 @@ class FakeDevice:
         self._command("reverse", app)
 
     def restart(self) -> None:
-        port = self.endpoint.port
-        self._server.stop()
-        with self.lock:
-            self.state = "reverse"
-        self._server = LoopbackServer(Transport.TCP, port, self._new_handler)
+        """Power-cycle as a simulated device does: the port stays bound, and
+        what was in flight is dropped."""
+
+        def reset():
+            with self.lock:
+                self.state = "reverse"
+
+        self._server.restart(reset)()
 
     def replay_took_effect(self) -> bool:
         with self.lock:

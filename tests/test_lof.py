@@ -364,9 +364,11 @@ def round_trip(model, tmp_path):
 
 
 class TestSerialization:
-    def test_round_trip_preserves_scores(self, tmp_path):
+    @pytest.mark.parametrize("n", [8, models.LOF_PURE_MAX + 1], ids=["plain", "numpy"])
+    def test_round_trip_preserves_scores(self, tmp_path, n):
+        # A model fitted in numpy holds the same lists as a loaded one.
         rng = random.Random(7)
-        training = [[rng.uniform(0, 9) for _ in range(3)] for _ in range(8)]
+        training = [[rng.uniform(0, 9) for _ in range(3)] for _ in range(n)]
         model = train_lof(training, k=3, threshold=1.7)
         loaded = round_trip(model, tmp_path)
         assert loaded == model  # the same values in the same containers

@@ -166,11 +166,14 @@ class TestTrainFromCapture:
         # A fresh interpreter, since the test process has loaded numpy. From
         # the CLI import through training, a verdict and a model file, a
         # companion session's LOF or forest needs no numpy, and neither does
-        # a forest of LOF_PURE_MAX + 1 vectors; an LOF of that many loads it
-        # and still trains and scores.
+        # a forest of LOF_PURE_MAX + 1 vectors. Reading and scoring an LOF
+        # model of that many vectors needs none either; training one loads
+        # it and still trains and scores.
         device = device_factory(Behavior.CLEARTEXT_ECHO)
         rows = [[float(i % 7), float(i * i % 11), i % 4 + 0.5] for i in range(LOF_PURE_MAX + 1)]
         query = [3.5, 2.5, 1.0]
+        large = train_lof(rows)
+        artifacts.write(tmp_path / "large.json", artifacts.MODEL, large.to_dict())
         script = (
             "import base64, json, sys\n"
             "preloaded = 'numpy' in sys.modules\n"
@@ -184,9 +187,11 @@ class TestTrainFromCapture:
             "from replaycheck.simdevices import DEFAULT_APP_ENDPOINT\n"
             "from replaycheck.verdict import decide\n"
             "given = json.load(sys.stdin)\n"
+            "large = artifacts.read(given['large'], artifacts.MODEL)\n"
+            "report = {'preloaded': preloaded, 'large_lof': large.score(given['query']),\n"
+            "          'numpy_after_scoring': 'numpy' in sys.modules}\n"
             "capture = base64.b64decode(given['capture'])\n"
             "session = SessionConfig(DEFAULT_APP_ENDPOINT, Endpoint(*given['device']))\n"
-            "report = {'preloaded': preloaded}\n"
             "for kind in ('lof', 'isolation_forest'):\n"
             "    detector = train_from_capture(capture, session, PipelineSettings(model_kind=kind, seed=3))\n"
             "    payloads = [b'ERR unauthorized'] + [r.payload for f in detector.flows for r in f.responses]\n"
@@ -210,6 +215,7 @@ class TestTrainFromCapture:
             "capture": base64.b64encode(companion_session(device)).decode(),
             "device": [device.endpoint.address, device.endpoint.port],
             "path": str(tmp_path / "model.json."),
+            "large": str(tmp_path / "large.json"),
             "rows": rows,
             "query": query,
         }
@@ -228,6 +234,8 @@ class TestTrainFromCapture:
             assert run["outcome"] == Outcome.SUCCESSFUL.value
             assert run["scores"] == run["trained_scores"]
             assert run["scores"][0] > run["scores"][1]
+        assert not report["numpy_after_scoring"]
+        assert report["large_lof"] == large.score(query)
         assert not report["numpy"]
         assert report["numpy_after"]
         assert report["rows_forest"] == train_isolation_forest(rows, trees=10, seed=3).score(query)
