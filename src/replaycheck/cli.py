@@ -20,7 +20,6 @@ import math
 import os
 import time
 from itertools import chain
-from dataclasses import asdict
 from pathlib import Path
 from typing import NoReturn
 
@@ -254,12 +253,8 @@ def attack(capture_path, app, device, target, queue_out, transcript_out, i_own_t
     result, _ = attack_from_capture(Path(capture_path).read_bytes(), session, target_endpoint, settings)
     artifacts.write(queue_out, artifacts.QUEUE, result.queue.to_dict())
     if transcript_out:
-        artifacts.write(
-            transcript_out,
-            artifacts.TRANSCRIPT,
-            {"flows": [asdict(report) for report in result.flows]},
-        )
-    notes = [report.note for report in result.flows if report.note]
+        artifacts.write(transcript_out, artifacts.TRANSCRIPT, result.transcript())
+    notes = [replayed.note for replayed in result.flows if replayed.note]
     click.echo(
         f"replayed {len(result.flows)} flows at {target_endpoint}, "
         f"collected {len(result.queue)} responses"

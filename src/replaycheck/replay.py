@@ -42,7 +42,6 @@ __all__ = [
     "ReplayConfig",
     "QueueEntry",
     "ResponseQueue",
-    "FlowReplayReport",
     "FlowReplay",
     "AttackResult",
     "schedule",
@@ -131,26 +130,16 @@ class ResponseQueue:
 
 
 @dataclass(frozen=True)
-class FlowReplayReport:
-    scheduled_position: int
-    original_index: int
-    transport: Transport
-    request_lengths: tuple[int, ...]
-    expected_responses: int  # the capture's response count for this flow
-    response_count: int
-    note: str = ""
-
-
-@dataclass(frozen=True)
 class FlowReplay:
-    """What one replay_flow call sent and drew; unpacks as (responses, note).
+    """One captured flow as replay_flow sent it; unpacks as (responses, note).
 
-    responses are (monotonic arrival, payload) in arrival order; note is
-    non-empty when the connection failed or was cut short. first_sent and
-    last_sent are the monotonic times the first and last requests went out,
-    None when none did.
+    flow is the captured Flow replayed. responses are (monotonic arrival,
+    payload) in arrival order; note is non-empty when the connection
+    failed or was cut short. first_sent and last_sent are the monotonic
+    times the first and last requests went out, None when none did.
     """
 
+    flow: Flow
     responses: list[tuple[float, bytes]]
     note: str
     first_sent: float | None = None
@@ -162,8 +151,32 @@ class FlowReplay:
 
 @dataclass(frozen=True)
 class AttackResult:
+    """The merged response queue, and each flow's FlowReplay in replay order."""
+
     queue: ResponseQueue
-    flows: tuple[FlowReplayReport, ...]
+    flows: tuple[FlowReplay, ...]
+
+    def transcript(self) -> dict:
+        """The attack-transcript/1 body: one entry per flow, in replay order.
+
+        original_index is the flow's position in capture order; replay
+        runs newest first, so it counts down from the last flow.
+        """
+        last = len(self.flows) - 1
+        return {
+            "flows": [
+                {
+                    "scheduled_position": position,
+                    "original_index": last - position,
+                    "transport": replayed.flow.requests[0].transport.value,
+                    "request_lengths": [len(r.payload) for r in replayed.flow.requests],
+                    "expected_responses": len(replayed.flow.responses),
+                    "response_count": len(replayed.responses),
+                    "note": replayed.note,
+                }
+                for position, replayed in enumerate(self.flows)
+            ]
+        }
 
 
 def schedule(flows: list[Flow]) -> list[Flow]:
@@ -233,7 +246,7 @@ def replay_flow(
     try:
         sock = connect(device, transport, config.connect_timeout_ms / 1000.0)
     except OSError as exc:
-        return FlowReplay([], f"connect to {device} failed: {exc}")
+        return FlowReplay(flow, [], f"connect to {device} failed: {exc}")
 
     payloads = [record.payload for record in flow.requests]
     expected = len(flow.responses)
@@ -290,7 +303,7 @@ def replay_flow(
     finally:
         sock.close()
     first_sent, last_sent = (sent_at[0], sent_at[-1]) if sent_at else (None, None)
-    return FlowReplay(responses, note, first_sent, last_sent)
+    return FlowReplay(flow, responses, note, first_sent, last_sent)
 
 
 def run_attack(
@@ -312,34 +325,23 @@ def run_attack(
     attack_started = time.monotonic()
     next_start = attack_started
     entries: list[QueueEntry] = []
-    reports: list[FlowReplayReport] = []
+    replays: list[FlowReplay] = []
     for position, flow in enumerate(ordered):
         pause = next_start - time.monotonic()
         if pause > 0:
             time.sleep(pause)
         flow_started = time.monotonic()
-        original_index = len(flows) - 1 - position
         replayed = replay_flow(flow, device, config, linger_s)
         anchor = flow_started if replayed.last_sent is None else replayed.last_sent
         next_start = anchor + flow_delay_s
         entries.extend(
             QueueEntry(
                 timestamp=ts - attack_started,
-                flow_index=original_index,
+                flow_index=len(flows) - 1 - position,
                 payload=data,
             )
             for ts, data in replayed.responses
         )
-        reports.append(
-            FlowReplayReport(
-                scheduled_position=position,
-                original_index=original_index,
-                transport=flow.requests[0].transport,
-                request_lengths=tuple([len(r.payload) for r in flow.requests]),
-                expected_responses=len(flow.responses),
-                response_count=len(replayed.responses),
-                note=replayed.note,
-            )
-        )
+        replays.append(replayed)
     entries.sort(key=lambda e: e.timestamp)  # stable: replay order breaks ties
-    return AttackResult(queue=ResponseQueue(tuple(entries)), flows=tuple(reports))
+    return AttackResult(queue=ResponseQueue(tuple(entries)), flows=tuple(replays))

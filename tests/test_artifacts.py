@@ -3,7 +3,6 @@ and whatever decodes can be summarized by `replaycheck report`."""
 
 import json
 import math
-from dataclasses import asdict
 
 import pytest
 from click.testing import CliRunner
@@ -11,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from replaycheck import artifacts
 from replaycheck.artifacts import ArtifactError
-from replaycheck.capture import Transport
 from replaycheck.cli import main
 from replaycheck.models import train_isolation_forest, train_lof
 from replaycheck.pipeline import AssessmentResult
-from replaycheck.replay import FlowReplayReport, QueueEntry, ResponseQueue
+from replaycheck.replay import QueueEntry, ResponseQueue
 from replaycheck.simdevices import DEFAULT_APP_ENDPOINT, records_to_capture
 from replaycheck.verdict import Outcome, Reason, Verdict
 
@@ -65,7 +63,8 @@ VALID = {
     ],
     artifacts.QUEUE: [ResponseQueue((QueueEntry(0.5, 0, b"ack"),)).to_dict()],
     artifacts.TRANSCRIPT: [
-        {"flows": [asdict(FlowReplayReport(0, 1, Transport.TCP, (4, 8), 2, 1, ""))]}
+        {"flows": [{"scheduled_position": 0, "original_index": 1, "transport": "tcp", "request_lengths": [4, 8],
+                    "expected_responses": 2, "response_count": 1, "note": ""}]}
     ],
     artifacts.VERDICT: [
         {"outcome": "FAILED", "reason": "AllIrregular", "labels": ["irregular"],

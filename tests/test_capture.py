@@ -278,7 +278,7 @@ class TestSegmentFlows:
                 result = run_attack(flows, over_udp.endpoint, fast_settings.replay_config())
         assert over_udp.received == [b"U2", b"U1"]
         assert b"".join(over_tcp.received) == b"T2T1"
-        assert [r.transport for r in result.flows] == [tcp, udp, udp, tcp]
+        assert [r.flow.requests[0].transport for r in result.flows] == [tcp, udp, udp, tcp]
         assert sorted(result.queue.payloads()) == [b"t2", b"u1"]
 
     def test_trailing_unanswered_request_kept(self):

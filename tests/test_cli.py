@@ -224,6 +224,10 @@ class TestAttack:
         transcript = json.loads(transcript_out.read_text())
         assert transcript["schema"] == "attack-transcript/1"
         assert len(transcript["flows"]) == 1
+        assert set(transcript["flows"][0]) == {
+            "scheduled_position", "original_index", "transport", "request_lengths",
+            "expected_responses", "response_count", "note",
+        }
         assert transcript["flows"][0]["expected_responses"] == 1
         assert transcript["flows"][0]["response_count"] == 1
         summary = invoke(["report", str(transcript_out)])

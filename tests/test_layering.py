@@ -2,10 +2,12 @@
 
 Every module under replaycheck/ is parsed, and each import of a package
 module, at any depth (a function-level import counts too), must appear in
-that module's row of ALLOWED.
+that module's row of ALLOWED. Every name a module exports in __all__
+must exist in it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,12 @@ def test_nested_and_absolute_imports_are_seen():
         "    from replaycheck.models import classify\n"
     )
     assert package_imports(source) == {"pcap", "__init__", "replay", "features", "models"}
+
+
+# __main__ runs the CLI when imported.
+@pytest.mark.parametrize("module", [name for name in MODULES if name != "__main__"])
+def test_every_exported_name_resolves(module):
+    path = "replaycheck" if module == "__init__" else f"replaycheck.{module}"
+    namespace = importlib.import_module(path)
+    dangling = [name for name in getattr(namespace, "__all__", ()) if not hasattr(namespace, name)]
+    assert dangling == [], f"{path}.__all__ names {dangling}"

@@ -489,7 +489,7 @@ class TestSessionReplay:
                     capture, session, device.endpoint, fast_settings
                 )
                 verdict = decide(result.queue, records, model, fast_settings.detection_config())
-                counts = [flow.response_count for flow in result.flows]
+                counts = [len(flow.responses) for flow in result.flows]
                 runs.append((verdict, query_state(device), counts))
             return runs
 

@@ -1,9 +1,11 @@
 """Replay engine tests over real loopback sockets."""
 
+import errno
+import os
 import random
 import socket
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +15,8 @@ from replaycheck.artifacts import ArtifactError
 from replaycheck.capture import Endpoint, Flow, PacketRecord, Transport
 from replaycheck.pipeline import PipelineSettings
 from replaycheck.replay import (
-    FlowReplayReport,
+    AttackResult,
+    FlowReplay,
     QueueEntry,
     ReplayConfig,
     ResponseQueue,
@@ -241,7 +244,7 @@ class TestEvidenceCollection:
             ]
             result = run_attack(flows, responder.endpoint, WINDOW)
         assert result.queue.payloads() == [b"s", b"one", b"two"]
-        assert [(r.expected_responses, r.response_count) for r in result.flows] == [(1, 1), (1, 2)]
+        assert [(len(r.flow.responses), len(r.responses)) for r in result.flows] == [(1, 1), (1, 2)]
 
     def test_flow_without_captured_responses_waits_the_full_window(self):
         # The device answers, but the capture gives no evidence it would.
@@ -326,19 +329,57 @@ class TestRunAttack:
     def test_flow_index_refers_to_original_order(self):
         script = {b"F1": [b"R1"], b"F2": [b"R2"]}
         with ScriptedResponder(script) as responder:
-            result = run_attack([flow_of(b"F1"), flow_of(b"F2")], responder.endpoint, FAST)
+            flows = [flow_of(b"F1"), flow_of(b"F2")]
+            result = run_attack(flows, responder.endpoint, FAST)
         assert [e.flow_index for e in result.queue.entries] == [1, 0]
-        assert [r.original_index for r in result.flows] == [1, 0]
-        assert [r.scheduled_position for r in result.flows] == [0, 1]
+        assert all(result.flows[i].flow is flows[-1 - i] for i in range(len(flows)))
 
-    def test_report_request_lengths(self):
-        with ScriptedResponder({}) as responder:
-            result = run_attack(
-                [flow_of(b"ab", b"cdef")], responder.endpoint, FAST
-            )
-        assert result.flows[0].request_lengths == (2, 4)
-        assert result.flows[0].expected_responses == 0
-        assert result.flows[0].response_count == 0
+    def test_transcript_records_each_flow_in_replay_order(self):
+        # The middle flow rides TCP at a port served only over UDP, so its
+        # connect is refused and it carries the note.
+        flows = [
+            flow_of(b"F1", b"F1b", responses=[b"R1"]),
+            flow_of(b"ab", b"cdef", transport=Transport.TCP, responses=[b"R2"]),
+            flow_of(b"F3"),
+        ]
+        with ScriptedResponder({b"F1": [b"R1"], b"F3": [b"R3"]}) as responder:
+            result = run_attack(flows, responder.endpoint, FAST)
+        refused = ConnectionRefusedError(errno.ECONNREFUSED, os.strerror(errno.ECONNREFUSED))
+        assert result.transcript() == {
+            "flows": [
+                {
+                    "scheduled_position": 0,
+                    "original_index": 2,
+                    "transport": "udp",
+                    "request_lengths": [2],
+                    "expected_responses": 0,
+                    "response_count": 1,
+                    "note": "",
+                },
+                {
+                    "scheduled_position": 1,
+                    "original_index": 1,
+                    "transport": "tcp",
+                    "request_lengths": [2, 4],
+                    "expected_responses": 1,
+                    "response_count": 0,
+                    "note": f"connect to {responder.endpoint} failed: {refused}",
+                },
+                {
+                    "scheduled_position": 2,
+                    "original_index": 0,
+                    "transport": "udp",
+                    "request_lengths": [2, 3],
+                    "expected_responses": 1,
+                    "response_count": 1,
+                    "note": "",
+                },
+            ]
+        }
+        for replayed in (result.flows[0], result.flows[2]):
+            assert replayed.first_sent is not None
+            assert replayed.first_sent <= replayed.last_sent
+        assert result.flows[1].first_sent is None and result.flows[1].last_sent is None
 
     def test_a_slow_connect_does_not_shorten_the_gap(self, monkeypatch):
         # The first flow replayed takes 20 ms to connect; the delay still
@@ -393,17 +434,10 @@ class TestArtifacts:
             artifacts.read(path, artifacts.QUEUE)
 
     def test_transcript_written(self, tmp_path):
-        report = FlowReplayReport(
-            scheduled_position=0,
-            original_index=2,
-            transport=Transport.UDP,
-            request_lengths=(4,),
-            expected_responses=1,
-            response_count=0,
-            note="",
-        )
+        replayed = tuple(FlowReplay(flow_of(name), [], "") for name in (b"F3", b"F2", b"F1"))
+        result = AttackResult(ResponseQueue(()), replayed)
         path = tmp_path / "transcript.json"
-        artifacts.write(path, artifacts.TRANSCRIPT, {"flows": [asdict(report)]})
+        artifacts.write(path, artifacts.TRANSCRIPT, result.transcript())
         text = path.read_text()
         assert '"attack-transcript/1"' in text
         assert '"original_index": 2' in text
