@@ -92,6 +92,13 @@ _DETECTION_OPTIONS = (
     ),
 )
 
+# A client connection's source port sits in TIME-WAIT after it closes, and
+# the device's SO_REUSEADDR does not let it bind one the client did not share.
+_FIXED_PORT = (
+    "A fixed port should be below 32768: Linux can refuse one in its ephemeral "
+    "range for up to a minute after a client connection used it."
+)
+
 
 class _Seconds(click.FloatRange):
     """Seconds from 0 up to a day, like every replay timing; never NaN."""
@@ -324,7 +331,7 @@ def detect(queue_path, model_path, capture_path, app, device, report_out, device
 @click.option("--scenario", type=click.Choice(SCENARIOS), default=SCENARIO_NON_RESTART, show_default=True)
 @click.option("--reps", type=click.IntRange(min=1), default=50, show_default=True, help="Capture/replay repetitions.")
 @click.option("--device-seed", type=int, default=0, show_default=True)
-@click.option("--port", type=click.IntRange(0, 65535), default=0, help="Device port (default: OS-assigned).")
+@click.option("--port", type=click.IntRange(0, 65535), default=0, help=f"Device port (default: OS-assigned). {_FIXED_PORT}")
 @click.option("--rekey-on-restart/--no-rekey-on-restart", default=True, show_default=True, help="Whether the session_key profile rotates its key on restart.")
 @click.option("--post-restart-delay", type=_Seconds(), default=1.0, show_default=True, help="Seconds to wait after each simulated restart.")
 @click.option("--report-out", type=click.Path(dir_okay=False), default=None, help="Optional assessment report JSON.")
@@ -361,7 +368,7 @@ def assess(behavior, scenario, reps, device_seed, port, rekey_on_restart, post_r
 
 @main.command()
 @click.option("--behavior", required=True, type=click.Choice([b.value for b in Behavior]))
-@click.option("--port", type=click.IntRange(0, 65535), default=0, help="Port to listen on (default: OS-assigned).")
+@click.option("--port", type=click.IntRange(0, 65535), default=0, help=f"Port to listen on (default: OS-assigned). {_FIXED_PORT}")
 @click.option("--device-seed", type=int, default=0, show_default=True)
 @click.option("--rekey-on-restart/--no-rekey-on-restart", default=True, show_default=True)
 @click.option("--training-capture-out", type=click.Path(dir_okay=False), default=None, help="Run the default companion script and write it as pcap first.")

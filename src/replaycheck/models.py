@@ -15,13 +15,14 @@ in-distribution queries; the isolation-forest score lives in (0, 1] with
 0.5 the all-identical baseline, and is 1.0 for a query that differs on a
 feature the training set never varied.
 
-numpy loads only where it pays: to fit an LOF model of more than
-LOF_PURE_MAX points, whose n^2 distance sums it computes far faster.
-Every LOF model scores in plain Python, since a query costs one pass
-over the n points; smaller LOF models, the training sets a companion
-session yields, also train in plain Python, and so do forests of any
-size: a tree is random splits on per-column min/max ranges, and a
-subsample holds at most MAX_SUBSAMPLE rows.
+numpy loads only where it pays: for the n^2 pairwise distances, and the
+k-distances and lrds drawn from them, of an LOF model of more than
+LOF_PURE_MAX points. The rest of LOF is plain Python with the
+brute-force oracle's arithmetic at every size: the standardization, a
+pass over the rows, and each query's score, a pass over the points. So
+are smaller LOF fits, the training sets a companion session yields, and
+forests of any size: a tree is random splits on per-column min/max
+ranges, and a subsample holds at most MAX_SUBSAMPLE rows.
 """
 
 from __future__ import annotations
@@ -63,13 +64,13 @@ MAX_SUBSAMPLE = 256
 # zero (a cluster of duplicates): 1/epsilon rather than infinity.
 LRD_DUPLICATE_EPSILON = 1e-12
 
-# LOF models of at most this many training points are fitted in plain
-# Python with the brute-force oracle's arithmetic, so their scores equal the
-# oracle's exactly and numpy stays unloaded; larger ones are fitted in numpy.
-# Every model scores with the oracle's arithmetic. Up to this size the plain
-# fit costs a few milliseconds (6-11 ms at n = 64 against numpy's 1 ms, on
-# a 2-CPU x86 host), less than importing numpy (about 60 ms and 14 MB); its
-# n^2 pairwise loop takes 2.5 s at n = 1000.
+# Up to this many training points an LOF model's k-distances and lrds are
+# computed in plain Python with the brute-force oracle's arithmetic, as its
+# standardization and scores are at every size, so its scores equal the
+# oracle's exactly and numpy stays unloaded; larger ones come from numpy.
+# Up to this size the plain fit costs a few milliseconds (6-11 ms at n = 64
+# against numpy's 1 ms, on a 2-CPU x86 host), less than importing numpy
+# (about 60 ms and 14 MB); its n^2 pairwise loop takes 2.5 s at n = 1000.
 LOF_PURE_MAX = 64
 
 # Byte budget for one row block's difference tensor while train_lof fills
@@ -86,18 +87,15 @@ class InsufficientTrainingError(ValueError):
     """Raised when fewer than two training vectors are supplied."""
 
 
-# A model file holds finite numbers only (see from_dict), so training refuses
-# any other rather than write a model that cannot be read back.
-_NOT_FINITE = "training values must be finite"
-
-
 def _float_rows(vectors: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
-    """The rows as float tuples, for the fits that run in plain Python."""
+    """The rows as float tuples, of one width. Values must be finite: a model
+    file holds finite numbers only (see LofModel.from_dict), so training
+    refuses any other rather than write a model that cannot be read back."""
     rows = [tuple([float(x) for x in vector]) for vector in vectors]
     if len(set(map(len, rows))) > 1:
         raise ValueError("training vectors differ in width")
     if not all(map(math.isfinite, chain.from_iterable(rows))):
-        raise ValueError(_NOT_FINITE)
+        raise ValueError("training values must be finite")
     return rows
 
 
@@ -115,7 +113,9 @@ class LofModel:
     those. k_distance and lrd are the per-training-point k-distances and
     local reachability densities, precomputed so queries are a single pass.
     Those three are lists, not n-tuples (see features.featurize), whether
-    the model was trained, in plain Python or in numpy, or loaded.
+    the model was trained or loaded. mean, std and kept come from the
+    oracle's arithmetic at every training size, so whether rounding leaves
+    a constant dimension a tiny std does not depend on n.
 
     constant_features is empty unless every training row is the same; then
     it lists [dim, value] for every dimension. Such a model drops every
@@ -294,16 +294,6 @@ def _pairwise_distances(a, b):
     return np.sqrt(diff.sum(axis=2))
 
 
-def _lrd_from_neighbors(distances, neighbors, k_distance) -> float:
-    import numpy as np
-
-    reach = np.maximum(k_distance[neighbors], distances[neighbors])
-    total = float(reach.sum())
-    if total == 0.0:
-        return 1.0 / LRD_DUPLICATE_EPSILON
-    return len(neighbors) / total
-
-
 def check_lof_parameters(k: int, threshold: float) -> None:
     """Raise ValueError for LOF parameters no training set could use."""
     if k < 1:
@@ -323,10 +313,12 @@ def train_lof(
     per dimension; zero-variance dimensions are dropped. When every row is
     the same, the model records its values (see LofModel). Duplicate points
     are fine: a neighborhood of exact duplicates gets lrd 1/1e-12 instead
-    of a division by zero. Up to LOF_PURE_MAX vectors the fit is plain
-    Python; above it numpy fills the n x n distance matrix a block of rows
-    at a time, each block's difference tensor within LOF_BLOCK_BYTES. The
-    model holds plain lists either way.
+    of a division by zero. The standardization is plain Python with the
+    oracle's arithmetic at every size, and so are the k-distances and lrds
+    up to LOF_PURE_MAX vectors; above it numpy computes those two from an
+    n x n distance matrix it fills a block of rows at a time, each block's
+    difference tensor within LOF_BLOCK_BYTES. The model holds plain lists
+    either way.
     """
     n = len(training)
     if n < 2:
@@ -335,28 +327,28 @@ def train_lof(
         )
     check_lof_parameters(k, threshold)
     k_eff = min(k, n - 1)
-    fit = _fit_lof_pure if n <= LOF_PURE_MAX else _fit_lof_dense
-    mean, std, points, k_distance, lrd = fit(training, k_eff)
-    # The row itself, not mean: fsum([x] * n) / n can differ from x.
-    first = [float(x) for x in training[0]]
-    same = all([float(x) for x in row] == first for row in training)
-    constant = [[d, x] for d, x in enumerate(first)] if same else []
-    return LofModel(k, k_eff, threshold, tuple(mean), tuple(std), _kept(std), points, k_distance, lrd, constant)
-
-
-def _fit_lof_pure(vectors: Sequence[Sequence[float]], k_eff: int):
-    """mean, std, points, k_distance and lrd, with the oracle's arithmetic."""
-    rows = _float_rows(vectors)
-    n = len(rows)
+    rows = _float_rows(training)
+    # The oracle's arithmetic. Columns as lists: zip(*rows) would park its
+    # tuples on CPython's free lists (see features.featurize).
     columns = [[row[d] for row in rows] for d in range(len(rows[0]))]
-    mean = [math.fsum(column) / n for column in columns]
-    std = [
+    mean = tuple([math.fsum(column) / n for column in columns])
+    std = tuple([
         math.sqrt(math.fsum((x - m) ** 2 for x in column) / n)
         for column, m in zip(columns, mean)
-    ]
+    ])
     kept = _kept(std)
     points = [[(row[d] - mean[d]) / std[d] for d in kept] for row in rows]
+    statistics = _neighbor_statistics if n <= LOF_PURE_MAX else _neighbor_statistics_numpy
+    k_distance, lrd = statistics(points, k_eff)
+    # The row itself, not mean: fsum([x] * n) / n can differ from x.
+    same = all(row == rows[0] for row in rows)
+    constant = [[d, x] for d, x in enumerate(rows[0])] if same else []
+    return LofModel(k, k_eff, threshold, mean, std, kept, points, k_distance, lrd, constant)
 
+
+def _neighbor_statistics(points: list[list[float]], k_eff: int):
+    """Each point's k-distance and lrd, with the oracle's arithmetic."""
+    n = len(points)
     distances = [[math.inf] * n for _ in range(n)]  # a point is not its own neighbor
     for i in range(n):
         for j in range(i):
@@ -366,40 +358,31 @@ def _fit_lof_pure(vectors: Sequence[Sequence[float]], k_eff: int):
         _reach_density(row, [j for j, d in enumerate(row) if d <= k_distance[i]], k_distance)
         for i, row in enumerate(distances)
     ]
-    return mean, std, points, k_distance, lrd
+    return k_distance, lrd
 
 
-def _fit_lof_dense(vectors: Sequence[Sequence[float]], k_eff: int):
-    """mean, std, points, k_distance and lrd as _fit_lof_pure returns them,
-    from a numpy fit."""
+def _neighbor_statistics_numpy(points: list[list[float]], k_eff: int):
+    """_neighbor_statistics from an n x n numpy distance matrix, filled a
+    block of rows at a time; its sums round, and so decide ties, as numpy's do."""
     import numpy as np
 
-    matrix = np.array(vectors, dtype=np.float64)  # ValueError for rows of unequal width
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a 2-D training matrix, got shape {matrix.shape}")
-    if not np.isfinite(matrix).all():
-        raise ValueError(_NOT_FINITE)
-    n = matrix.shape[0]
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
-    kept = std > 0.0
-    points = (matrix[:, kept] - mean[kept]) / std[kept]
-
+    n = len(points)
+    matrix = np.asfortranarray(points, dtype=np.float64)  # the block fill is faster column-major
     distances = np.empty((n, n))
     k_distance = np.empty(n)
-    block = max(1, LOF_BLOCK_BYTES // (8 * n * max(1, points.shape[1])))
+    block = max(1, LOF_BLOCK_BYTES // (8 * n * max(1, matrix.shape[1])))
     for start in range(0, n, block):
         rows = distances[start : start + block]
-        rows[...] = _pairwise_distances(points[start : start + block], points)
+        rows[...] = _pairwise_distances(matrix[start : start + block], matrix)
         np.fill_diagonal(rows[:, start:], np.inf)  # a point is not its own neighbor
         k_distance[start : start + block] = np.partition(rows, k_eff - 1, axis=1)[:, k_eff - 1]
 
-    lrd = np.empty(n)
-    neighbor_sets = [np.flatnonzero(distances[i] <= k_distance[i]) for i in range(n)]
-    for i, neighbors in enumerate(neighbor_sets):
-        lrd[i] = _lrd_from_neighbors(distances[i], neighbors, k_distance)
-    del distances, rows  # rows is a view: free the n x n matrix before the lists are built
-    return mean.tolist(), std.tolist(), points.tolist(), k_distance.tolist(), lrd.tolist()
+    lrd = []
+    for row, own in zip(distances, k_distance):
+        neighbors = np.flatnonzero(row <= own)
+        total = float(np.maximum(k_distance[neighbors], row[neighbors]).sum())
+        lrd.append(1.0 / LRD_DUPLICATE_EPSILON if total == 0.0 else len(neighbors) / total)
+    return k_distance.tolist(), lrd
 
 
 # ---------------------------------------------------------------------------

@@ -919,3 +919,9 @@ class TestEntryPoint:
         assert result.exit_code == 0
         for command in ("train", "attack", "detect", "assess", "simulate", "report"):
             assert command in result.output
+
+    @pytest.mark.parametrize("command", ["assess", "simulate"])
+    def test_port_help_advises_a_port_below_the_ephemeral_range(self, command):
+        result = invoke([command, "--help"])
+        assert result.exit_code == 0
+        assert "below 32768" in " ".join(result.output.split())

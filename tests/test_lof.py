@@ -1,6 +1,7 @@
 """Local-outlier-factor tests: frozen values, degenerate cases, and
 agreement with the naive reference implementation."""
 
+import hashlib
 import json
 import math
 import random
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_force_lof
+from oracles import _standardize, brute_force_lof
 from replaycheck import artifacts, models
 from replaycheck.artifacts import ArtifactError
 from replaycheck.features import featurize
@@ -23,8 +24,11 @@ from replaycheck.models import (
     classify,
     train_lof,
 )
+from test_iforest import golden_rows
 
 LINE = [[0.0], [1.0], [2.0], [3.0], [4.0]]
+# A training size whose neighbor statistics are plain Python, and one whose are numpy's.
+BOTH_FITS = pytest.mark.parametrize("n", [5, models.LOF_PURE_MAX + 1], ids=["plain", "numpy"])
 
 
 class TestFrozenValues:
@@ -166,13 +170,20 @@ class TestDegenerateCases:
             model.score([1.0, 2.0])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("n", [5, models.LOF_PURE_MAX + 1], ids=["plain", "numpy"])
+    @BOTH_FITS
     def test_non_finite_training_value_rejected(self, n, value):
         # A model file holds finite numbers only: training must not write
         # one its own codec refuses to read back.
         training = [[float(i), 1.0] for i in range(n)]
         training[n // 2][1] = value
         with pytest.raises(ValueError, match="finite"):
+            train_lof(training)
+
+    @BOTH_FITS
+    def test_ragged_training_rows_rejected(self, n):
+        training = [[float(i), 1.0] for i in range(n)]
+        training[n // 2].append(2.0)
+        with pytest.raises(ValueError, match="width"):
             train_lof(training)
 
 
@@ -257,13 +268,13 @@ def full_broadcast_reference(points, k_eff):
 
 
 @st.composite
-def training_sets(draw):
+def training_sets(draw, min_n=2, max_n=60, max_distinct=None):
     """Training rows with duplicate rows and constant columns, either on a
     coarse grid (many exactly tied distances) or off it."""
-    n = draw(st.integers(min_value=2, max_value=60))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     dims = draw(st.integers(min_value=1, max_value=4))
     constant = draw(st.lists(st.booleans(), min_size=dims, max_size=dims))
-    distinct = draw(st.integers(min_value=1, max_value=n))
+    distinct = draw(st.integers(min_value=1, max_value=max_distinct or n))
     on_grid = draw(st.booleans())
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
 
@@ -301,6 +312,50 @@ class TestPlainPython:
         training, k, query, _ = case
         assert len(training) <= models.LOF_PURE_MAX
         assert train_lof(training, k=k).score(query) == brute_force_lof(training, k, query)
+
+
+# SHA-256 of train_lof(golden_rows(data, n)).to_dict() as sorted-key JSON:
+# plain-Python fits, pinned to the byte so model files do not drift.
+GOLDEN_LOF = {
+    ("random", 10): "a23e6fa74fc983287e37f524f02c9f2f6ab185ed609cba82e579b8704b0ec87d",
+    ("random", 20): "f3b301c93502fc8a828db6176c128fce0e64c334942211fb01db200262bba2bd",
+    ("random", 64): "349c9bc20d8ed95ce147b3658d68b1d18814c031315a423ed4a827448fbff801",
+    ("two-ack", 10): "aef6c4efea41bbb0b60402c315746d62a6c58e68b33c8dd7193618dea8a9b198",
+    ("two-ack", 20): "c26f7bbd91cd8ef82132a1bcac98800284c8081e2f135d51478fa485b34410a4",
+    ("two-ack", 64): "28d007c59cdfce1cd9b5b1f0f23c1bd99c7ab89cf976bc2248530a75d24746df",
+}
+
+
+@pytest.mark.parametrize("data, n", sorted(GOLDEN_LOF))
+def test_plain_fit_matches_golden_digest(data, n):
+    body = json.dumps(train_lof(golden_rows(data, n)).to_dict(), sort_keys=True)
+    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_LOF[data, n]
+
+
+class TestStandardization:
+    """Above LOF_PURE_MAX too, train_lof standardizes with the oracle's
+    arithmetic, so rounding keeps or drops a constant column as it does."""
+
+    @staticmethod
+    def assert_standardized_as_oracle(training):
+        assert len(training) > models.LOF_PURE_MAX
+        model = train_lof(training)
+        points, kept, means, stds = _standardize(training)
+        assert list(model.kept) == kept
+        assert [model.mean[d] for d in kept] == means
+        assert [model.std[d] for d in kept] == stds
+        assert model.points == points
+
+    @pytest.mark.parametrize("value, n", [(0.1, 65), (2 / 9, 200), (0.1163, 65)])
+    def test_constant_column_as_the_oracle_rounds_it(self, value, n):
+        # numpy's pairwise mean of these columns rounds away from value, and
+        # left each a std of 1e-17 to 8e-17; the oracle's fsum mean does not.
+        self.assert_standardized_as_oracle([[value, 7.0, float(i % 2)] for i in range(n)])
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=training_sets(min_n=models.LOF_PURE_MAX + 1, max_n=130, max_distinct=6))
+    def test_duplicate_heavy_sets(self, case):
+        self.assert_standardized_as_oracle(case[0])
 
 
 class TestBlockedDistances:
@@ -366,7 +421,8 @@ def round_trip(model, tmp_path):
 class TestSerialization:
     @pytest.mark.parametrize("n", [8, models.LOF_PURE_MAX + 1], ids=["plain", "numpy"])
     def test_round_trip_preserves_scores(self, tmp_path, n):
-        # A model fitted in numpy holds the same lists as a loaded one.
+        # A model whose neighbor statistics numpy computed holds the same
+        # lists as a loaded one.
         rng = random.Random(7)
         training = [[rng.uniform(0, 9) for _ in range(3)] for _ in range(n)]
         model = train_lof(training, k=3, threshold=1.7)
