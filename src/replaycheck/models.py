@@ -117,13 +117,10 @@ class LofModel:
     oracle's arithmetic at every training size, so whether rounding leaves
     a constant dimension a tiny std does not depend on n.
 
-    constant_features is empty unless every training row is the same; then
-    it lists [dim, value] for every dimension. Such a model drops every
-    dimension (unless rounding left one a tiny std) and scores 1.0 for a
-    query that differs from the row on dropped dimensions only; classify
-    reads any query that differs from it as irregular, as the forest does.
-    Model files written before the field existed load with none and label
-    as they always did.
+    constant_features lists [dim, value] for every feature that has one
+    value across the whole training set, as the forest's does. Model files
+    written before the field existed load with none and label as they
+    always did.
     """
 
     k: int
@@ -208,7 +205,7 @@ class LofModel:
         k_distance = _numbers(body["k_distance"])
         lrd = _numbers(body["lrd"])
         k, k_eff, threshold = body["k"], body["k_eff"], body["threshold"]
-        constant_features = _constant_features(body)
+        constant_features = _constant_features(body, len(mean))
         if not (
             len(std) == len(mean)
             and all(len(point) == len(kept) for point in points)
@@ -219,8 +216,6 @@ class LofModel:
             and _is(threshold, (int, float))
         ):
             raise ValueError("LOF model fields have inconsistent shapes or types")
-        if constant_features and [dim for dim, _ in constant_features] != list(range(len(mean))):
-            raise ValueError("LOF constant features must list every dimension in order")
         check_lof_parameters(k, threshold)
         # As training leaves them: a NaN lrd scores every query NaN, never irregular.
         finite = all(map(math.isfinite, chain(mean, std, k_distance, lrd, *points)))
@@ -242,8 +237,8 @@ def _numbers(value) -> list[float]:
     return [float(x) for x in value]  # OverflowError for an int past the float range
 
 
-def _constant_features(body: dict) -> list[list]:
-    """A model body's optional [dimension, value] pairs, checked."""
+def _constant_features(body: dict, width: float = math.inf) -> list[list]:
+    """A model body's optional [dimension, value] pairs, checked: dimensions ascend, below width."""
     pairs = body.get("constant_features", [])
     if not isinstance(pairs, list):
         raise ValueError("constant features must be a list")
@@ -257,7 +252,15 @@ def _constant_features(body: dict) -> list[list]:
             and math.isfinite(pair[1])
         ):
             raise ValueError("constant feature is not a [dimension, value] pair")
+    dims = [dim for dim, _ in pairs] + [width]
+    if any(a >= b for a, b in zip(dims, dims[1:])):
+        raise ValueError("constant feature dimensions must ascend and lie below the model's width")
     return pairs
+
+
+def _constant_columns(columns: Sequence[Sequence[float]]) -> list[list]:
+    """[dim, value] for each column with one value throughout, taken from the column itself."""
+    return [[d, column[0]] for d, column in enumerate(columns) if min(column) == max(column)]
 
 
 def _kept(std: Sequence[float]) -> tuple[int, ...]:
@@ -310,9 +313,9 @@ def train_lof(
     """Fit a LOF novelty model on legitimate-response feature rows.
 
     k is clamped to n-1 (k_eff). Training vectors are z-score standardized
-    per dimension; zero-variance dimensions are dropped. When every row is
-    the same, the model records its values (see LofModel). Duplicate points
-    are fine: a neighborhood of exact duplicates gets lrd 1/1e-12 instead
+    per dimension; zero-variance dimensions are dropped, and features with
+    one training value are recorded (see classify). Duplicate points are
+    fine: a neighborhood of exact duplicates gets lrd 1/1e-12 instead
     of a division by zero. The standardization is plain Python with the
     oracle's arithmetic at every size, and so are the k-distances and lrds
     up to LOF_PURE_MAX vectors; above it numpy computes those two from an
@@ -340,9 +343,7 @@ def train_lof(
     points = [[(row[d] - mean[d]) / std[d] for d in kept] for row in rows]
     statistics = _neighbor_statistics if n <= LOF_PURE_MAX else _neighbor_statistics_numpy
     k_distance, lrd = statistics(points, k_eff)
-    # The row itself, not mean: fsum([x] * n) / n can differ from x.
-    same = all(row == rows[0] for row in rows)
-    constant = [[d, x] for d, x in enumerate(rows[0])] if same else []
+    constant = _constant_columns(columns)
     return LofModel(k, k_eff, threshold, mean, std, kept, points, k_distance, lrd, constant)
 
 
@@ -572,9 +573,9 @@ def train_isolation_forest(
         raise ValueError(f"subsample must be in [2, {n}], got {subsample}")
 
     rows = _float_rows(training)
-    ranges = [(min(column), max(column)) for column in zip(*rows)]
-    constant = [[d, low] for d, (low, high) in enumerate(ranges) if low == high]
-    varying = [d for d, (low, high) in enumerate(ranges) if low < high]
+    constant = _constant_columns(list(zip(*rows)))
+    fixed = {d for d, _ in constant}
+    varying = [d for d in range(len(rows[0])) if d not in fixed]
     rng = random.Random(seed)
     limit = math.ceil(math.log2(subsample))
     grown = []
@@ -619,10 +620,9 @@ def model_from_dict(body: dict) -> NoveltyModel | None:
 def classify(model: NoveltyModel, query) -> Label:
     """Regular/Irregular split of a query response against the model.
 
-    A query that differs on a value the model records as constant in
-    training is irregular whatever its score: a forest's score says so
-    itself, and an LOF model records such values only when every training
-    row is the same, where it scores 1.0 for nearly every query.
+    A query that differs on a feature the model records as constant in
+    training is irregular whatever its score. This is the one place the
+    rule lives for both kinds: LOF drops such a feature and cannot see it.
     """
     if model.score(query) > model.cutoff:
         return Label.IRREGULAR

@@ -93,13 +93,13 @@ def test_blind_shapes_are_called_by_response_alone(fake_factory, fast_settings, 
 @pytest.mark.parametrize("first_count", [80, 89])
 def test_counter_gaining_a_digit_after_training(fake_factory, fast_settings, model_kind, first_count):
     """Pins README's counter Limitation. From 89 the ten training acks read
-    n=90..99 and every later ack n>=100, one byte longer. The forest reads a
+    n=90..99 and every later ack n>=100, one byte longer. Both kinds read a
     change in a feature constant in training as irregular, so a device that
-    acted on the replay is called FAILED (AllIrregular); LOF drops that
-    dimension and calls it SUCCESSFUL. From 80 no digit is gained and both
-    kinds call every rep right. A refused replay draws no answer at all."""
+    acted on the replay is called FAILED (AllIrregular): a false NOT
+    VULNERABLE. From 80 no digit is gained and both kinds call every rep
+    right. A refused replay draws no answer at all."""
     settings = replace(fast_settings, model_kind=model_kind)
-    blind = first_count == 89 and model_kind == "isolation_forest"
+    blind = first_count == 89
     expected = {
         "accepts_stale": (
             (Outcome.FAILED, Reason.ALL_IRREGULAR)

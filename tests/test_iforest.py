@@ -129,8 +129,9 @@ class TestConstantFeatures:
     @pytest.mark.parametrize(
         "pairs",
         [{"1": 7.0}, [[1]], [[1, 7.0, 0]], [[-1, 7.0]], [[1.5, 7.0]], [[1, "7"]],
-         [[1, float("nan")]], [[1, float("inf")]]],
-        ids=["object", "short", "long", "negative", "float-index", "string", "nan", "inf"],
+         [[1, float("nan")]], [[1, float("inf")]], [[3, 0.0], [1, 7.0]], [[1, 7.0], [1, 7.0]]],
+        ids=["object", "short", "long", "negative", "float-index", "string", "nan", "inf",
+             "descending", "repeated"],
     )
     def test_malformed_constant_features_rejected(self, tmp_path, pairs):
         body = {**train_isolation_forest(self.training(), trees=2, seed=3).to_dict(),

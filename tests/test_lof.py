@@ -24,7 +24,7 @@ from replaycheck.models import (
     classify,
     train_lof,
 )
-from test_iforest import golden_rows
+from test_iforest import TWO_ACKS, golden_rows
 
 LINE = [[0.0], [1.0], [2.0], [3.0], [4.0]]
 # A training size whose neighbor statistics are plain Python, and one whose are numpy's.
@@ -86,21 +86,31 @@ class TestDegenerateCases:
         assert classify(model, [0.1, 8.0]) == Label.IRREGULAR
         assert classify(model, [-999.0, 123.0]) == Label.IRREGULAR
 
-    def test_constant_values_are_recorded_only_when_no_dimension_varies(self):
+    def test_every_constant_column_is_recorded(self):
+        # LOF drops the constant dimension, so the score cannot see a step
+        # there; the recorded value makes classify call it irregular.
         model = train_lof([[0.0, 7.0], [1.0, 7.0], [2.0, 7.0]], k=2)
-        assert model.constant_features == []
-        assert "constant_features" not in model.to_dict()
-        assert classify(model, [1.0, 8.0]) == Label.REGULAR  # LOF drops the constant dimension
+        assert model.kept == (0,)
+        assert model.constant_features == [[1, 7.0]]
+        assert model.score([1.0, 8.0]) == 1.0
+        assert classify(model, [1.0, 7.0]) == Label.REGULAR
+        assert classify(model, [1.0, 8.0]) == Label.IRREGULAR
+        loaded = models.LofModel.from_dict(json.loads(json.dumps(model.to_dict())))
+        assert loaded.constant_features == [[1, 7.0]]
+        assert classify(loaded, [1.0, 8.0]) == Label.IRREGULAR
 
     def test_a_constant_column_whose_mean_rounds_is_kept(self):
         # A dimension is dropped only when its training std is exactly 0.0.
         # fsum([0.1] * 3) / 3 != 0.1, so column 0 keeps a std of about 1e-17
-        # and is standardised by it: a step of 0.1 there reads irregular,
-        # while a step in column 1, constant at 7.0, is not seen.
+        # and is standardised by it, while column 1, constant at 7.0, is
+        # dropped. Both are recorded as constant, so a step on either reads
+        # irregular: how rounding left the std no longer decides the call.
         model = train_lof([[0.1, 7.0, 1.0], [0.1, 7.0, 2.0], [0.1, 7.0, 3.0]], k=2)
         assert model.kept == (0, 2)
+        assert model.constant_features == [[0, 0.1], [1, 7.0]]
+        assert classify(model, [0.1, 7.0, 2.0]) == Label.REGULAR
         assert classify(model, [0.2, 7.0, 2.0]) == Label.IRREGULAR
-        assert classify(model, [0.1, 8.0, 2.0]) == Label.REGULAR
+        assert classify(model, [0.1, 8.0, 2.0]) == Label.IRREGULAR
 
     def test_constant_values_survive_the_model_file(self):
         body = json.loads(json.dumps(train_lof([[7.0, 7.0]] * 4, k=2).to_dict()))
@@ -113,9 +123,10 @@ class TestDegenerateCases:
     @pytest.mark.parametrize(
         "training, constant",
         [
-            ([[0.0, 7.0], [1.0, 7.0], [2.0, 7.0]], [[1, 7.0]]),  # not every dimension
-            ([[7.0, 7.0]] * 4, [[1, 7.0], [0, 7.0]]),
-            ([[7.0, 7.0]] * 4, [[0, 7.0], [1, 7.0], [2, 7.0]]),  # wider than the model
+            ([[7.0, 7.0]] * 4, [[1, 7.0], [0, 7.0]]),  # not ascending
+            ([[7.0, 7.0]] * 4, [[0, 7.0], [0, 7.0]]),
+            ([[0.0, 7.0], [1.0, 7.0], [2.0, 7.0]], [[2, 7.0]]),  # beyond the model's width
+            ([[7.0, 7.0]] * 4, [[0, 7.0], [1, 7.0], [2, 7.0]]),
             ([[7.0, 7.0]] * 4, [[0, "7"]]),
             ([[7.0, 7.0]] * 4, {"0": 7.0}),
         ],
@@ -314,8 +325,9 @@ class TestPlainPython:
         assert train_lof(training, k=k).score(query) == brute_force_lof(training, k, query)
 
 
-# SHA-256 of train_lof(golden_rows(data, n)).to_dict() as sorted-key JSON:
-# plain-Python fits, pinned to the byte so model files do not drift.
+# SHA-256 of train_lof(golden_rows(data, n)).to_dict() as sorted-key JSON,
+# less constant_features, which GOLDEN_CONSTANT pins on its own: plain-Python
+# fits, pinned to the byte so model files do not drift.
 GOLDEN_LOF = {
     ("random", 10): "a23e6fa74fc983287e37f524f02c9f2f6ab185ed609cba82e579b8704b0ec87d",
     ("random", 20): "f3b301c93502fc8a828db6176c128fce0e64c334942211fb01db200262bba2bd",
@@ -326,10 +338,18 @@ GOLDEN_LOF = {
 }
 
 
+GOLDEN_CONSTANT = {
+    "random": [[2, 2.0]],  # the column golden_rows holds at 2.0
+    "two-ack": [[d, a] for d, (a, b) in enumerate(zip(*TWO_ACKS)) if a == b],
+}
+
+
 @pytest.mark.parametrize("data, n", sorted(GOLDEN_LOF))
 def test_plain_fit_matches_golden_digest(data, n):
-    body = json.dumps(train_lof(golden_rows(data, n)).to_dict(), sort_keys=True)
-    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_LOF[data, n]
+    body = train_lof(golden_rows(data, n)).to_dict()
+    assert body.pop("constant_features") == GOLDEN_CONSTANT[data]
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_LOF[data, n]
 
 
 class TestStandardization:

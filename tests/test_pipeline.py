@@ -27,6 +27,7 @@ from replaycheck.models import (
     train_lof,
 )
 from replaycheck.pipeline import (
+    MODEL_KINDS,
     SCENARIO_NON_RESTART,
     SCENARIO_RESTART,
     SCENARIOS,
@@ -372,6 +373,22 @@ class TestAssessDevice:
         assert result.accuracy == 1.0
         assert {v.reason for v in result.verdicts} == {Reason.ALL_IRREGULAR}
         assert not any(result.truths)
+
+    @pytest.mark.parametrize("model_kind", MODEL_KINDS)
+    @pytest.mark.parametrize("seed", [5905, 8222])
+    def test_rejection_differing_only_on_constant_features(
+        self, device_factory, fast_settings, seed, model_kind
+    ):
+        """At these device seeds 17 of the 19 features are constant across
+        the training acks, and on the other two the rekeyed device's
+        rejection lies near them. The values recorded as constant in
+        training make it irregular for both kinds."""
+        settings = replace(fast_settings, model_kind=model_kind)
+        device = device_factory(Behavior.SESSION_KEY, seed=seed)
+        result = assess_device(device, SCENARIO_RESTART, reps=3, settings=settings)
+        assert result.vulnerable is False
+        assert result.accuracy == 1.0
+        assert {v.reason for v in result.verdicts} == {Reason.ALL_IRREGULAR}
 
     def test_silent_device_assessment_without_model(self, device_factory, fast_settings):
         device = device_factory(Behavior.SILENT)
