@@ -31,16 +31,20 @@ HERE = Path(__file__).resolve().parent
 
 ECHO_STYLE = ("cleartext_echo", "signed_cleartext", "encoded_fixed", "session_key")
 
-# (file name, behavior, device seed, model kind)
-ENTRIES = [(f"{behavior}-{kind}", behavior, 0, kind) for behavior in ECHO_STYLE for kind in ("lof", "isolation_forest")] + [
-    # LOF drops only features 6 and 8 and reads the rekeyed device's
+# (file name, behavior, device seed, model kind). The cleartext_echo LOF
+# at seed 0 keeps feature 5 (histogram bucket 2), constant in training,
+# by a std of 2.8e-17 that rounding leaves.
+ENTRIES = [
+    (f"{behavior}-{kind}", behavior, 0, kind)
+    for behavior in ECHO_STYLE
+    for kind in ("lof", "isolation_forest")
+] + [
+    # LOF keeps only features 6 and 8 and reads the rekeyed device's
     # rejection REGULAR (1.32 < 1.5) unless it applies constant_features.
     ("session_key-5905-lof", "session_key", 5905, "lof"),
     # Both acks share one feature row: every dimension constant.
     ("session_key-918-lof", "session_key", 918, "lof"),
 ]
-# Every cleartext_echo LOF keeps feature 5 (histogram bucket 2), constant
-# in training, by a std of 2.8e-17 that rounding leaves: seed 0's does.
 
 # An unframeable message answers with the error reply on every echo-style
 # profile: invalid JSON for the line protocols, an unknown 24-byte blob for
