@@ -31,6 +31,7 @@ device that does would see the difference.
 from __future__ import annotations
 
 import base64
+import math
 import select
 import socket
 import time
@@ -124,6 +125,9 @@ class ResponseQueue:
             numeric = isinstance(timestamp, (int, float)) and isinstance(flow_index, int)
             if not numeric or isinstance(timestamp, bool) or isinstance(flow_index, bool):
                 raise TypeError("queue entries need a numeric timestamp and integer flow_index")
+            timestamp = float(timestamp)  # OverflowError for an int past the float range
+            if not (math.isfinite(timestamp) and timestamp >= 0 and flow_index >= 0):
+                raise ValueError("queue entries need a finite timestamp >= 0 and a flow_index >= 0")
             payload = base64.b64decode(item["payload_b64"], validate=True)
             entries.append(QueueEntry(timestamp=timestamp, flow_index=flow_index, payload=payload))
         return cls(tuple(entries))

@@ -25,6 +25,12 @@ Keyed tags and keystreams come from random.Random seeded with the secret
 no run loads OpenSSL. Neither is a real MAC or cipher: in the replay
 threat model an attacker only resends captured bytes, never forges them.
 
+Each echo-style device derives its per-state ack line once and keeps it
+(encoded_fixed draws its blobs at spawn, the others derive on first
+use); session_key derives its keystream once per key and message length,
+and its ack lines once per key. Each device keeps its own, so no device
+reuses another's work. An incoming tag is still recomputed every time.
+
 SimulatedDevice implements pipeline.AssessedDevice with the functions
 below. query_state is ground truth that a real assessment never gets.
 """
@@ -39,6 +45,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 from . import pcap
 from .capture import DEFAULT_APP_ENDPOINT, Endpoint, PacketRecord, Transport
@@ -151,10 +158,26 @@ def _keystream(key: bytes, length: int) -> bytes:
     return random.Random(key).randbytes(length)
 
 
-def _xor(data: bytes, key: bytes) -> bytes:
-    stream = _keystream(key, len(data))
-    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-    return mixed.to_bytes(len(data), "big")
+# A device keeps at most this many payloads it derived, per table: each
+# state's ack fits, and a peer that sends every message length cannot grow
+# a session key's stream table without bound.
+_MOST_KEPT = 8
+
+
+class _FirstUse(dict):
+    """Payloads a device derives by make(key), each made on first use and
+    kept (past _MOST_KEPT, made afresh every time). The tables live on the
+    device, so one device never reuses another's work."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self.make(key)
+        if len(self) < _MOST_KEPT:
+            self[key] = value
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +269,10 @@ class _CleartextEchoEngine(_LineEngine):
         self.ack_tokens = {
             state: rng.getrandbits(64).to_bytes(8, "big").hex() for state in DeviceState
         }
+        self.acks = _FirstUse(self._ack_line)
+
+    def _ack_line(self, state: DeviceState) -> bytes:
+        return _json_line({"result": ["ok"], "state": state.value, "token": self.ack_tokens[state]})
 
     def handle_message(self, message, session):
         try:
@@ -258,15 +285,7 @@ class _CleartextEchoEngine(_LineEngine):
             ["reverse"],
         ):
             self.device.state = DeviceState(params[0])
-            return [
-                _json_line(
-                    {
-                        "result": ["ok"],
-                        "state": self.device.state.value,
-                        "token": self.ack_tokens[self.device.state],
-                    }
-                )
-            ]
+            return [self.acks[self.device.state]]
         return [_json_line({"error": {"code": -1, "message": "invalid command"}})]
 
     def build_command(self, target: DeviceState) -> bytes:
@@ -289,9 +308,17 @@ class _SignedCleartextEngine(_LineEngine):
     def __init__(self, device):
         super().__init__(device)
         self.secret = device.device_rng.randbytes(16)  # static; survives restart
+        self.acks = _FirstUse(self._ack_line)
 
     def _signature(self, body: dict) -> str:
         return random.Random(self.secret + _canonical(body)).randbytes(32).hex()
+
+    def _ack_line(self, state: DeviceState) -> bytes:
+        # the ack covers only the resulting state, so each state has one
+        # fixed signed ack payload
+        ack = {"state": state.value, "status": "ok"}
+        ack["sign"] = self._signature(ack)
+        return _json_line(ack)
 
     def handle_message(self, message, session):
         try:
@@ -306,14 +333,7 @@ class _SignedCleartextEngine(_LineEngine):
             "reverse",
         ):
             self.device.state = DeviceState(request["target"])
-            # the ack covers only the resulting state, so each state has one
-            # fixed signed ack payload
-            ack = {
-                "state": self.device.state.value,
-                "status": "ok",
-            }
-            ack["sign"] = self._signature(ack)
-            return [_json_line(ack)]
+            return [self.acks[self.device.state]]
         return [_json_line({"code": 400, "status": "error"})]
 
     def build_command(self, target: DeviceState) -> bytes:
@@ -362,6 +382,28 @@ class _EncodedFixedEngine(_FixedLengthEngine):
         return self.commands[target]
 
 
+class _SessionKey:
+    """A session key and what the device derives from it, each made on
+    first use: the keystream for each message length and the ack line for
+    each state (fixed plaintext, so a fixed ciphertext under one key)."""
+
+    def __init__(self, key: bytes):
+        self.key = key
+        self.streams = _FirstUse(partial(_keystream, key))
+        self.acks = _FirstUse(self._ack_line)
+
+    def xor(self, data: bytes) -> bytes:
+        stream = self.streams[len(data)]
+        mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+        return mixed.to_bytes(len(data), "big")
+
+    def _ack_line(self, state: DeviceState) -> bytes:
+        ciphertext = self.xor(_canonical({"state": state.value, "status": "ok"}))
+        return _json_line(
+            {"error_code": 0, "result": {"response": base64.b64encode(ciphertext).decode()}}
+        )
+
+
 class _SessionKeyEngine(_LineEngine):
     """Commands XORed with a 16-byte session key's stream, base64-wrapped.
 
@@ -369,25 +411,28 @@ class _SessionKeyEngine(_LineEngine):
     valid as long as the key does; restart draws a fresh key when
     rekey_on_restart is set, invalidating everything captured before it.
     The paired companion re-reads the key after a restart (standing in
-    for the re-handshake a real app performs when it reconnects).
+    for the re-handshake a real app performs when it reconnects). A rekey
+    replaces the key and all derived from it in one assignment, and each
+    message reads that once, so no message mixes two keys.
     """
 
     def __init__(self, device):
         super().__init__(device)
-        self.key = device.device_rng.randbytes(16)
+        self.keyed = _SessionKey(device.device_rng.randbytes(16))
 
     def reset_volatile(self):
         if self.device.profile.rekey_on_restart:
-            self.key = self.device.device_rng.randbytes(16)
+            self.keyed = _SessionKey(self.device.device_rng.randbytes(16))
 
     def _secure_error(self) -> bytes:
         return _json_line({"error_code": 4002, "message": "secure session error"})
 
     def handle_message(self, message, session):
+        keyed = self.keyed
         try:
             wrapper = _json_object(message)
             encoded = wrapper["params"]["request"]
-            inner = _json_object(_xor(base64.b64decode(encoded, validate=True), self.key))
+            inner = _json_object(keyed.xor(base64.b64decode(encoded, validate=True)))
         except (ValueError, KeyError, TypeError):
             return [self._secure_error()]
         if (
@@ -396,21 +441,7 @@ class _SessionKeyEngine(_LineEngine):
             and inner.get("target") in ("obverse", "reverse")
         ):
             self.device.state = DeviceState(inner["target"])
-            # fixed plaintext per state; under a given key the ciphertext is
-            # fixed per state too
-            ack = {
-                "state": self.device.state.value,
-                "status": "ok",
-            }
-            ciphertext = _xor(_canonical(ack), self.key)
-            return [
-                _json_line(
-                    {
-                        "error_code": 0,
-                        "result": {"response": base64.b64encode(ciphertext).decode()},
-                    }
-                )
-            ]
+            return [keyed.acks[self.device.state]]
         return [self._secure_error()]
 
     def build_command(self, target: DeviceState) -> bytes:
@@ -419,7 +450,7 @@ class _SessionKeyEngine(_LineEngine):
             "request_id": self.device.next_serial(),
             "target": target.value,
         }
-        ciphertext = _xor(_canonical(inner), self.key)
+        ciphertext = self.keyed.xor(_canonical(inner))
         return _json_line(
             {
                 "method": "secure_passthrough",
@@ -583,12 +614,13 @@ class SimulatedDevice:
         self._clock_us += _COMMAND_GAP_US
         handle = self._new_handler()  # a fresh session, as a new connection gets
         exchange = self.engine.companion_exchange(lambda data: handle(data)[0], target)
+        transport = self.profile.transport
         return [
             PacketRecord(
                 timestamp=self._tick(),
                 src=app if is_request else self.endpoint,
                 dst=self.endpoint if is_request else app,
-                transport=self.profile.transport,
+                transport=transport,
                 payload=payload,
             )
             for is_request, payload in exchange
@@ -721,19 +753,22 @@ def records_to_capture(records: list[PacketRecord]) -> bytes:
     so repeated identical payloads are distinct segments, not
     retransmissions.
     """
-    sequences: dict[tuple[Endpoint, Endpoint], int] = {}
+    # Keyed by (src address, src port, dst address, dst port): a tuple of
+    # str and int hashes in C, where an Endpoint pair hashes in Python.
+    sequences: dict[tuple[str, int, str, int], int] = {}
     frames = []
     for index, record in enumerate(records):
         proto = pcap.PROTO_TCP if record.transport == Transport.TCP else pcap.PROTO_UDP
-        forward = (record.src, record.dst)
-        reverse = (record.dst, record.src)
+        src, dst = record.src, record.dst
+        forward = (src.address, src.port, dst.address, dst.port)
+        reverse = (dst.address, dst.port, src.address, src.port)
         seq = sequences.setdefault(forward, 10_001)
         ack = sequences.get(reverse, 0)
         frame = pcap.encode_frame(
-            record.src.address,
-            record.dst.address,
-            record.src.port,
-            record.dst.port,
+            src.address,
+            dst.address,
+            src.port,
+            dst.port,
             proto,
             record.payload,
             tcp_seq=seq,

@@ -329,3 +329,34 @@ def test_a_json_boolean_is_never_a_number(tmp_path, schema, body, field, value):
     assert result.exit_code == 2, result.output
     (line,) = result.stderr.splitlines()
     assert line.startswith(f"error: {path}: ")
+
+
+QUEUE_BODY = VALID[artifacts.QUEUE][0]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timestamp", 10**400),
+        ("timestamp", math.nan),
+        ("timestamp", math.inf),
+        ("timestamp", -0.5),
+        ("flow_index", -1),
+    ],
+    ids=["huge-int", "NaN", "Infinity", "negative-timestamp", "negative-flow-index"],
+)
+def test_a_queue_entry_needs_a_finite_timestamp_and_a_flow_index_from_0(tmp_path, field, value):
+    """report prints each timestamp as a float: a 400-digit integer once
+    raised an OverflowError traceback after the first line, and NaN printed
+    "t=nans". A queue entry's timestamp is seconds since the attack began
+    and its flow_index a position in the capture, so neither can be
+    negative, and the timestamp is finite."""
+    path = tmp_path / "queue.json"
+    artifacts.write(path, artifacts.QUEUE, with_value(QUEUE_BODY, ("responses", 0, field), value))
+    with pytest.raises(ArtifactError):
+        artifacts.read(path, artifacts.QUEUE)
+    result = CliRunner().invoke(main, ["report", str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"error: {path}: ")

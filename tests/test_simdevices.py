@@ -1,6 +1,7 @@
 """Simulated-device harness tests: state machines, replay semantics of each
 behavior, restart handling, and capture synthesis."""
 
+import base64
 import contextlib
 import errno
 import gc
@@ -43,7 +44,7 @@ from replaycheck.simdevices import (
     spawn_device,
     trigger_state,
 )
-from replaycheck.simdevices import _keystream, _SignedCleartextEngine
+from replaycheck.simdevices import _MOST_KEPT, _keystream, _SignedCleartextEngine
 
 LINE_BEHAVIORS = (
     Behavior.CLEARTEXT_ECHO,
@@ -148,7 +149,7 @@ class TestSpawn:
     def test_distinct_seeds_distinct_secrets(self, device_factory):
         a = device_factory(Behavior.SESSION_KEY, seed=101)
         b = device_factory(Behavior.SESSION_KEY, seed=102)
-        assert a.engine.key != b.engine.key
+        assert a.engine.keyed.key != b.engine.keyed.key
 
 
 class TestTrigger:
@@ -293,15 +294,15 @@ class TestRestart:
 
     def test_session_key_rekeys_on_restart(self, device_factory):
         device = device_factory(Behavior.SESSION_KEY)
-        before = device.engine.key
+        before = device.engine.keyed.key
         restart_device(device)
-        assert device.engine.key != before
+        assert device.engine.keyed.key != before
 
     def test_session_key_kept_when_configured(self, device_factory):
         device = device_factory(Behavior.SESSION_KEY, rekey_on_restart=False)
-        before = device.engine.key
+        before = device.engine.keyed.key
         restart_device(device)
-        assert device.engine.key == before
+        assert device.engine.keyed.key == before
 
     def test_signing_secret_survives_restart(self, device_factory):
         device = device_factory(Behavior.SIGNED_CLEARTEXT)
@@ -636,7 +637,7 @@ class TestSessionKeyReplay:
     def test_command_built_under_another_key_rejected(self, device_factory):
         device = device_factory(Behavior.SESSION_KEY, seed=101)
         other = device_factory(Behavior.SESSION_KEY, seed=102)
-        assert other.engine.key != device.engine.key
+        assert other.engine.keyed.key != device.engine.keyed.key
         reply = raw_exchange(device.endpoint, other.engine.build_command(DeviceState.OBVERSE))
         assert json.loads(reply) == {"error_code": 4002, "message": "secure session error"}
         assert query_state(device) == DeviceState.REVERSE
@@ -690,6 +691,56 @@ class TestKeyedPayloads:
             "2536dfbf33e9d1ed5818e965fd8fe42fc003bd35551d433b9a52f7ee8cf35a0b2a601c99a399b291"
         )
         assert [len(_keystream(b"k" * 16, n)) for n in (0, 1, 33)] == [0, 1, 33]
+
+    @staticmethod
+    def derived(device):
+        """The tables a line-protocol device keeps its derived payloads in."""
+        engine = device.engine
+        if device.profile.behavior == Behavior.SESSION_KEY:
+            return [engine.keyed.acks, engine.keyed.streams]
+        return [engine.acks]
+
+    @pytest.mark.parametrize("behavior", LINE_BEHAVIORS, ids=lambda b: b.value)
+    def test_payloads_are_derived_on_first_use_by_each_device(self, device_factory, behavior):
+        """Spawning derives nothing, and a device keeps what it derives on
+        itself: a second device of the same seed starts from empty tables
+        and sends the same bytes."""
+        first, second = device_factory(behavior, seed=7), device_factory(behavior, seed=7)
+        assert all(table == {} for table in self.derived(first) + self.derived(second))
+        sent = [trigger_state(first, state) for state in DEFAULT_TRAINING_SCRIPT[:2]]
+        assert all(self.derived(first))
+        assert all(table == {} for table in self.derived(second))
+        again = [trigger_state(second, state) for state in DEFAULT_TRAINING_SCRIPT[:2]]
+        assert [[r.payload for r in records] for records in again] == [
+            [r.payload for r in records] for records in sent
+        ]
+
+    @pytest.mark.parametrize("rekey", [True, False], ids=["rekey", "keep"])
+    def test_a_rekey_replaces_the_key_and_all_derived_from_it(self, device_factory, rekey):
+        device = device_factory(Behavior.SESSION_KEY, rekey_on_restart=rekey)
+        trigger_state(device, DeviceState.OBVERSE)
+        before = device.engine.keyed
+        acks, streams = dict(before.acks), dict(before.streams)
+        restart_device(device)
+        after = device.engine.keyed
+        assert (after is not before) == rekey
+        assert (after.acks, after.streams) == (({}, {}) if rekey else (acks, streams))
+        assert (before.acks, before.streams) == (acks, streams)  # the old key's are untouched
+        trigger_state(device, DeviceState.OBVERSE)
+
+    def test_the_keystream_table_is_bounded(self, device_factory):
+        """A peer that sends a new message length each time gets an answer
+        every time, but the device keeps the streams of only a few lengths."""
+        device = device_factory(Behavior.SESSION_KEY)
+        handle = device._new_handler()
+        for length in range(1, 41):
+            wrapper = {"method": "secure_passthrough", "params": {
+                "request": base64.b64encode(b"\x00" * length).decode()}}
+            (reply,), _ = handle((json.dumps(wrapper) + "\n").encode())
+            assert json.loads(reply) == ERROR_REPLIES[Behavior.SESSION_KEY]
+        assert len(device.engine.keyed.streams) == _MOST_KEPT
+        trigger_state(device, DeviceState.OBVERSE)
+        assert query_state(device) == DeviceState.OBVERSE
 
 
 class TestTlsLikeReplay:
