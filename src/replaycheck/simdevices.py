@@ -242,15 +242,6 @@ class _LineEngine(_EngineBase):
         return buffer[: index + 1], buffer[index + 1 :]
 
 
-class _FixedLengthEngine(_EngineBase):
-    """Shared framing for the behaviors whose messages are MESSAGE_LEN bytes."""
-
-    def extract_message(self, buffer: bytes) -> tuple[bytes | None, bytes]:
-        if len(buffer) < self.MESSAGE_LEN:
-            return None, buffer
-        return buffer[: self.MESSAGE_LEN], buffer[self.MESSAGE_LEN :]
-
-
 # The one byte that names a target state in the binary protocols.
 _STATE_BYTES = {DeviceState.OBVERSE: b"\x01", DeviceState.REVERSE: b"\x02"}
 _BYTE_STATES = {byte: state for state, byte in _STATE_BYTES.items()}
@@ -347,7 +338,7 @@ class _SignedCleartextEngine(_LineEngine):
         return _json_line(body)
 
 
-class _EncodedFixedEngine(_FixedLengthEngine):
+class _EncodedFixedEngine(_EngineBase):
     """Fixed 24-byte opaque command and ack blobs, one pair per state.
 
     The blobs are drawn once at spawn (firmware constants, effectively)
@@ -370,6 +361,11 @@ class _EncodedFixedEngine(_FixedLengthEngine):
             blob = rng.randbytes(self.MESSAGE_LEN)
             if not any(rides_standard_security_protocol(blob, t) for t in Transport):
                 return blob
+
+    def extract_message(self, buffer: bytes) -> tuple[bytes | None, bytes]:
+        if len(buffer) < self.MESSAGE_LEN:
+            return None, buffer
+        return buffer[: self.MESSAGE_LEN], buffer[self.MESSAGE_LEN :]
 
     def handle_message(self, message, session):
         for state, command in self.commands.items():
@@ -517,7 +513,7 @@ class _TlsLikeEngine(_EngineBase):
         ]
 
 
-class _SilentEngine(_FixedLengthEngine):
+class _SilentEngine(_EngineBase):
     """Executes fresh commands, never answers anything.
 
     Commands carry a strictly increasing sequence number that the device

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .capture import PacketRecord
 from .features import featurize
@@ -26,8 +26,6 @@ __all__ = [
     "DetectionConfig",
     "Verdict",
     "NoModelError",
-    "response_check",
-    "protocol_check",
     "decide",
 ]
 
@@ -93,16 +91,6 @@ class Verdict:
         }
 
 
-def response_check(queue: ResponseQueue) -> bool:
-    """Passes iff the device answered the replay at all."""
-    return len(queue) > 0
-
-
-def protocol_check(records: Iterable[PacketRecord]) -> bool:
-    """Passes iff no standard security protocol appears in the attack capture."""
-    return not detect_standard_security_protocol(records)
-
-
 def decide(
     queue: ResponseQueue,
     attack_records: Sequence[PacketRecord],
@@ -116,9 +104,9 @@ def decide(
     reaching the model stage without a model is an error.
     """
     config = config or DetectionConfig()
-    if not response_check(queue):
+    if not queue:
         return Verdict(Outcome.FAILED, Reason.NO_RESPONSE, ())
-    if not protocol_check(attack_records):
+    if detect_standard_security_protocol(attack_records):
         return Verdict(Outcome.FAILED, Reason.STANDARD_PROTOCOL, ())
     if model is None:
         raise NoModelError(

@@ -331,6 +331,39 @@ def test_a_json_boolean_is_never_a_number(tmp_path, schema, body, field, value):
     assert line.startswith(f"error: {path}: ")
 
 
+# Every count and position a report prints, with a value below the least a run writes.
+COUNTS_BELOW_LEAST = [
+    *[(artifacts.TRANSCRIPT, TRANSCRIPT_BODY, ("flows", 0, name), value) for name, value in (
+        ("scheduled_position", -9), ("original_index", -1), ("expected_responses", -1), ("response_count", -3),
+    )],
+    (artifacts.VERDICT, VERDICT_BODY, ("j",), -1),
+    (artifacts.VERDICT, VERDICT_BODY, ("j",), 0),
+    (artifacts.ASSESSMENT, ASSESSMENT_BODY, ("reps",), -2),
+    (artifacts.ASSESSMENT, ASSESSMENT_BODY, ("reps",), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "schema, body, field, value",
+    COUNTS_BELOW_LEAST,
+    ids=[f"{field[-1]}={value}" for _, _, field, value in COUNTS_BELOW_LEAST],
+)
+def test_a_report_count_below_its_least_is_refused(tmp_path, schema, body, field, value):
+    """report once printed "-3 of 1 captured responses" and "-2 reps" with
+    exit 0. Positions and response counts start at 0, and a verdict's
+    window and an assessment's reps at 1; below that, report exits 2 with
+    one error line naming the field."""
+    path = tmp_path / "report.json"
+    artifacts.write(path, schema, with_value(body, field, value))
+    with pytest.raises(ArtifactError, match=field[-1]):
+        artifacts.read(path, schema)
+    result = CliRunner().invoke(main, ["report", str(path)])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"error: {path}: ") and f"'{field[-1]}'" in line
+
+
 QUEUE_BODY = VALID[artifacts.QUEUE][0]
 
 

@@ -1,4 +1,4 @@
-"""Capture parsing, direction classification, and flow segmentation tests."""
+"""Capture parsing, endpoint matching, and flow segmentation tests."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,13 +6,11 @@ from hypothesis import given, strategies as st
 from replaycheck import pcap
 from replaycheck.capture import (
     CaptureNotes,
-    Direction,
     Endpoint,
     Flow,
     PacketRecord,
     SessionConfig,
     Transport,
-    classify_direction,
     parse_capture,
     parse_capture_with_notes,
     parse_endpoint,
@@ -25,6 +23,16 @@ from doubles import ScriptedResponder
 APP = Endpoint("10.77.0.2", 38200)
 DEV = Endpoint("127.0.0.1", 40000)
 CONFIG = SessionConfig(app=APP, device=DEV)
+# Each record kind segment_flows tells apart, by (src, dst): a request, a
+# response, and three between other endpoints (another host, the device's
+# address on another port, the app to itself).
+DIRECTED = {
+    "q": (APP, DEV),
+    "r": (DEV, APP),
+    "x": (APP, Endpoint("10.9.9.9", 1)),
+    "y": (Endpoint(DEV.address, DEV.port + 1), APP),
+    "z": (APP, APP),
+}
 
 
 def frame(src, dst, payload, protocol=pcap.PROTO_TCP, seq=0):
@@ -79,18 +87,6 @@ class TestSessionConfig:
     def test_identical_endpoints_rejected(self):
         with pytest.raises(ValueError):
             SessionConfig(app=APP, device=APP)
-
-
-class TestClassifyDirection:
-    def test_request(self):
-        assert classify_direction(APP, DEV, CONFIG) == Direction.REQUEST
-
-    def test_response(self):
-        assert classify_direction(DEV, APP, CONFIG) == Direction.RESPONSE
-
-    def test_unrelated(self):
-        other = Endpoint("10.9.9.9", 1)
-        assert classify_direction(APP, other, CONFIG) == Direction.UNRELATED
 
 
 class TestParseCapture:
@@ -219,11 +215,8 @@ class TestParseCapture:
 
 class TestSegmentFlows:
     def flows_of(self, *directed):
-        """directed: (direction_char, payload) with 'q' request / 'r' response."""
-        records = []
-        for i, (d, payload) in enumerate(directed):
-            src, dst = (APP, DEV) if d == "q" else (DEV, APP)
-            records.append(rec(i * 1000, src, dst, payload))
+        """directed: (kind, payload) with kind a key of DIRECTED."""
+        records = [rec(i * 1000, *DIRECTED[d], payload) for i, (d, payload) in enumerate(directed)]
         return segment_flows(records, CONFIG)
 
     def test_leading_response_dropped_single_flow(self):
@@ -281,6 +274,15 @@ class TestSegmentFlows:
         assert [r.flow.requests[0].transport for r in result.flows] == [tcp, udp, udp, tcp]
         assert sorted(result.queue.payloads()) == [b"t2", b"u1"]
 
+    def test_records_between_other_endpoints_dropped(self):
+        # {A | B}: no other-endpoint record joins a flow, ends one or starts one
+        flows = self.flows_of(
+            ("x", b"X1"), ("q", b"A"), ("y", b"Y1"), ("z", b"Z1"), ("r", b"B"), ("x", b"X2")
+        )
+        assert [([r.payload for r in f.requests], [r.payload for r in f.responses]) for f in flows] == [
+            ([b"A"], [b"B"])
+        ]
+
     def test_trailing_unanswered_request_kept(self):
         flows = self.flows_of(("q", b"A"), ("r", b"B"), ("q", b"C"))
         assert len(flows) == 2
@@ -297,14 +299,12 @@ class TestSegmentFlows:
             Flow(requests=(), responses=())
 
     @given(
-        st.lists(st.sampled_from(["q", "r"]), max_size=40),
+        st.lists(st.sampled_from(sorted(DIRECTED)), max_size=40),
     )
     def test_flows_partition_directed_records(self, dirs):
-        """Every kept record lands in exactly one flow, order preserved."""
-        records = []
-        for i, d in enumerate(dirs):
-            src, dst = (APP, DEV) if d == "q" else (DEV, APP)
-            records.append(rec(i, src, dst, b"p%d" % i))
+        """Every kept record lands in exactly one flow, order preserved;
+        records between other endpoints land in none."""
+        records = [rec(i, *DIRECTED[d], b"p%d" % i) for i, d in enumerate(dirs)]
         flows = segment_flows(records, CONFIG)
 
         flattened = []
@@ -314,7 +314,7 @@ class TestSegmentFlows:
 
         # records before the first request have no flow to join
         first_q = dirs.index("q") if "q" in dirs else len(dirs)
-        expected = records[first_q:]
+        expected = [r for r, d in zip(records[first_q:], dirs[first_q:]) if d in "qr"]
         assert flattened == expected
         for flow in flows:
             assert flow.requests
@@ -324,7 +324,7 @@ class TestSegmentFlows:
 
 def reference_parse(capture, config):
     """parse_capture_with_notes as written when every frame built its two
-    Endpoints through ipaddress and classify_direction compared them."""
+    Endpoints through ipaddress and compared them with the session's."""
     notes = CaptureNotes()
     records, seen_tcp, seq_high, epoch = [], set(), {}, None
     for ts_us, data in pcap.read_frames(capture):
@@ -339,7 +339,7 @@ def reference_parse(capture, config):
             continue
         src = Endpoint(segment.src_addr, segment.src_port)
         dst = Endpoint(segment.dst_addr, segment.dst_port)
-        if classify_direction(src, dst, config) == Direction.UNRELATED:
+        if (src, dst) not in ((config.app, config.device), (config.device, config.app)):
             notes.frames_other_endpoints += 1
             continue
         if not segment.payload:

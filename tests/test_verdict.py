@@ -19,8 +19,6 @@ from replaycheck.verdict import (
     Reason,
     Verdict,
     decide,
-    protocol_check,
-    response_check,
 )
 
 APP = Endpoint("10.77.0.2", 38200)
@@ -52,18 +50,6 @@ def queue_of(*payloads):
 
 def tls_record():
     return PacketRecord(0, DEV, APP, Transport.TCP, b"\x17\x03\x03\x00\x01\x00")
-
-
-class TestChecks:
-    def test_response_check(self):
-        assert response_check(queue_of(b"x")) is True
-        assert response_check(queue_of()) is False
-
-    def test_protocol_check(self):
-        plain = PacketRecord(0, DEV, APP, Transport.TCP, b"hello")
-        assert protocol_check([plain]) is True
-        assert protocol_check([plain, tls_record()]) is False
-        assert protocol_check([]) is True
 
 
 class TestDecide:
