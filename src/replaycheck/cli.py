@@ -93,10 +93,11 @@ _DETECTION_OPTIONS = (
 )
 
 # A client connection's source port sits in TIME-WAIT after it closes, and
-# the device's SO_REUSEADDR does not let it bind one the client did not share.
+# the device's SO_REUSEADDR lets it bind that port only if the client set
+# the option too. Replay sockets do; other programs' clients may not.
 _FIXED_PORT = (
     "A fixed port should be below 32768: Linux can refuse one in its ephemeral "
-    "range for up to a minute after a client connection used it."
+    "range for up to a minute after another program's client connection used it."
 )
 
 

@@ -17,7 +17,7 @@ import ipaddress
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_MAGIC_NANO = 0xA1B23C4D
@@ -260,22 +260,33 @@ def _decode_transport(
 
 # ---------------------------------------------------------------------------
 # frame encoding (used by the simulated-device companion to emit captures)
+#
+# Each checksum is the RFC 1071 fold of one integer sum. Since
+# 2**16 == 1 mod 0xFFFF, a run of whole 16-bit words is congruent to the
+# big-endian integer of its bytes: a payload enters the sum as one
+# int.from_bytes, and a 32-bit field enters as itself. frame_encoder adds
+# up once what one direction fixes (addresses, ports, protocol, flags); a
+# frame adds only its lengths, IP id, sequence numbers and payload.
 # ---------------------------------------------------------------------------
 
 
-def _checksum(data: bytes) -> int:
-    """The RFC 1071 Internet checksum of data (zero-padded to whole words).
+def _complement_fold(total: int) -> int:
+    """The checksum field for a sum of 16-bit words.
 
-    Since 2**16 == 1 mod 0xFFFF, the bytes read as one big-endian integer
-    are congruent to the sum of their 16-bit words, so one remainder does
-    the end-around-carry fold: a nonzero multiple of 0xFFFF folds to 0xFFFF
-    and only all-zero words fold to 0.
+    total may be any integer congruent to the word sum mod 0xFFFF that is
+    0 only when every word is. One remainder does the end-around-carry
+    fold: a nonzero multiple of 0xFFFF folds to 0xFFFF and only all-zero
+    words fold to 0.
     """
+    folded = (total - 1) % 0xFFFF + 1 if total else 0
+    return 0xFFFF - folded
+
+
+def _checksum(data: bytes) -> int:
+    """The RFC 1071 Internet checksum of data (zero-padded to whole words)."""
     if len(data) % 2:
         data += b"\x00"
-    value = int.from_bytes(data, "big")
-    folded = (value - 1) % 0xFFFF + 1 if value else 0
-    return ~folded & 0xFFFF
+    return _complement_fold(int.from_bytes(data, "big"))
 
 
 @lru_cache(maxsize=_ADDRESS_CACHE_SIZE)
@@ -284,10 +295,102 @@ def _packed_address(address: str) -> bytes:
     return ipaddress.ip_address(address).packed
 
 
-def _mac_for(addr_raw: bytes) -> bytes:
-    # Locally administered MAC derived from the IP so frames are stable.
-    tail = (addr_raw * 6)[:4]
-    return b"\x02\x00" + tail
+_TTL = 64
+# After the two MACs: the ethertype and the IP header's first bytes
+# (IPv4: version 4, 5-word header, DSCP 0; IPv6: version 6, class and
+# flow label 0).
+_IPV4_LINK_TAIL = struct.pack(">HBB", ETHERTYPE_IPV4, 0x45, 0)
+_IPV6_LINK_TAIL = struct.pack(">HI", ETHERTYPE_IPV6, 6 << 28)
+# The IPv4 header words no frame changes but the protocol: version/IHL,
+# flags (don't fragment) and TTL.
+_IPV4_FIXED_SUM = 0x4500 + 0x4000 + (_TTL << 8)
+
+# Header fields a frame sets; the bytes between them are passed whole.
+# IPv4: link header and version/IHL/DSCP, total length, id,
+# flags/fragment/TTL/protocol, checksum, addresses.
+_IPV4_HEADER = struct.Struct(">16sHH4sH8s")
+# IPv6: link header and version/class/label, payload length,
+# next header/hop limit and addresses.
+_IPV6_HEADER = struct.Struct(">18sH34s")
+# TCP: ports, seq, ack, offset/flags/window, checksum, urgent pointer 0.
+_TCP_HEADER = struct.Struct(">4sII4sH2x")
+# UDP: ports, length, checksum.
+_UDP_HEADER = struct.Struct(">4sHH")
+
+_TCP_FLAGS = bytes((5 << 4, 0x18, 0xFF, 0xFF))  # 5-word header, PSH|ACK, window 65535
+_TCP_FLAGS_SUM = int.from_bytes(_TCP_FLAGS, "big")
+
+
+def frame_encoder(
+    src_addr: str, dst_addr: str, src_port: int, dst_port: int, protocol: int
+) -> Callable[..., bytes]:
+    """An encoder of Ethernet frames for one direction of one transport.
+
+    Returns encode(payload, tcp_seq=0, tcp_ack=0, ip_id=0) -> bytes, which
+    builds the full frame around one transport payload, checksums computed
+    for real (parsers downstream may rely on them). IPv4 or IPv6 is chosen
+    from the address form. Sequence numbers and the IP id are taken modulo
+    their field widths; UDP frames ignore tcp_seq and tcp_ack. Raises
+    ValueError for mixed address families or a protocol other than TCP
+    and UDP.
+    """
+    src_raw = _packed_address(src_addr)
+    dst_raw = _packed_address(dst_addr)
+    if len(src_raw) != len(dst_raw):
+        raise ValueError("mixed IPv4/IPv6 endpoints in one frame")
+    if protocol == PROTO_TCP:
+        tcp, header_len, flags_sum = True, 20, _TCP_FLAGS_SUM
+    elif protocol == PROTO_UDP:
+        tcp, header_len, flags_sum = False, 8, 0
+    else:
+        raise ValueError(f"unsupported transport protocol {protocol}")
+    ipv4 = len(src_raw) == 4
+    addresses = src_raw + dst_raw
+    ports = struct.pack(">HH", src_port, dst_port)
+    address_sum = int.from_bytes(addresses, "big")
+    # The pseudo-header's length and protocol words sum alike in both
+    # families; the length is added per frame (twice for UDP, whose header
+    # repeats it).
+    transport_sum = address_sum + src_port + dst_port + protocol + flags_sum
+    # Locally administered MACs derived from the IPs, so frames are stable.
+    link = b"\x02\x00" + dst_raw[:4] + b"\x02\x00" + src_raw[:4]
+    if ipv4:
+        link += _IPV4_LINK_TAIL
+        middle = bytes((0x40, 0, _TTL, protocol))
+        ip_sum = _IPV4_FIXED_SUM + protocol + address_sum
+    else:
+        link += _IPV6_LINK_TAIL
+        middle = bytes((protocol, _TTL)) + addresses
+
+    def encode(
+        payload: bytes, tcp_seq: int = 0, tcp_ack: int = 0, ip_id: int = 0
+    ) -> bytes:
+        size = len(payload)
+        length = header_len + size
+        words = int.from_bytes(payload, "big")
+        if size % 2:
+            words <<= 8
+        if tcp:
+            tcp_seq &= 0xFFFFFFFF
+            tcp_ack &= 0xFFFFFFFF
+            checksum = _complement_fold(transport_sum + length + tcp_seq + tcp_ack + words)
+            transport = _TCP_HEADER.pack(ports, tcp_seq, tcp_ack, _TCP_FLAGS, checksum)
+        else:
+            # 0 means "no checksum" in UDP, so a computed 0 is sent as 0xFFFF.
+            checksum = _complement_fold(transport_sum + 2 * length + words) or 0xFFFF
+            transport = _UDP_HEADER.pack(ports, length, checksum)
+        if ipv4:
+            ip_id &= 0xFFFF
+            total = 20 + length
+            ip = _IPV4_HEADER.pack(
+                link, total, ip_id, middle,
+                _complement_fold(ip_sum + total + ip_id), addresses,
+            )
+        else:
+            ip = _IPV6_HEADER.pack(link, length, middle)
+        return ip + transport + payload
+
+    return encode
 
 
 def encode_frame(
@@ -301,81 +404,7 @@ def encode_frame(
     tcp_ack: int = 0,
     ip_id: int = 0,
 ) -> bytes:
-    """Build a full Ethernet frame around one transport payload.
-
-    Checksums are computed for real; parsers downstream may rely on them.
-    IPv4 or IPv6 is chosen from the address form.
-    """
-    src_raw = _packed_address(src_addr)
-    dst_raw = _packed_address(dst_addr)
-    if len(src_raw) != len(dst_raw):
-        raise ValueError("mixed IPv4/IPv6 endpoints in one frame")
-
-    if protocol == PROTO_TCP:
-        transport = struct.pack(
-            ">HHIIBBHHH",
-            src_port,
-            dst_port,
-            tcp_seq & 0xFFFFFFFF,
-            tcp_ack & 0xFFFFFFFF,
-            5 << 4,
-            0x18,  # PSH|ACK
-            65535,
-            0,
-            0,
-        )
-        transport += payload
-    elif protocol == PROTO_UDP:
-        transport = struct.pack(">HHHH", src_port, dst_port, 8 + len(payload), 0)
-        transport += payload
-    else:
-        raise ValueError(f"unsupported transport protocol {protocol}")
-
-    if len(src_raw) == 4:
-        pseudo = src_raw + dst_raw + struct.pack(">BBH", 0, protocol, len(transport))
-        transport = _fill_transport_checksum(transport, protocol, pseudo)
-        ip_header = struct.pack(
-            ">BBHHHBBH4s4s",
-            0x45,
-            0,
-            20 + len(transport),
-            ip_id & 0xFFFF,
-            0x4000,  # don't fragment
-            64,
-            protocol,
-            0,
-            src_raw,
-            dst_raw,
-        )
-        ip_header = ip_header[:10] + struct.pack(">H", _checksum(ip_header)) + ip_header[12:]
-        packet = ip_header + transport
-        ethertype = ETHERTYPE_IPV4
-    else:
-        pseudo = src_raw + dst_raw + struct.pack(">IHBB", len(transport), 0, 0, protocol)
-        transport = _fill_transport_checksum(transport, protocol, pseudo)
-        ip_header = struct.pack(
-            ">IHBB16s16s",
-            6 << 28,
-            len(transport),
-            protocol,
-            64,
-            src_raw,
-            dst_raw,
-        )
-        packet = ip_header + transport
-        ethertype = ETHERTYPE_IPV6
-
-    return (
-        _mac_for(dst_raw)
-        + _mac_for(src_raw)
-        + struct.pack(">H", ethertype)
-        + packet
+    """Build one Ethernet frame; see frame_encoder, which it calls."""
+    return frame_encoder(src_addr, dst_addr, src_port, dst_port, protocol)(
+        payload, tcp_seq, tcp_ack, ip_id
     )
-
-
-def _fill_transport_checksum(transport: bytes, protocol: int, pseudo: bytes) -> bytes:
-    offset = 16 if protocol == PROTO_TCP else 6
-    checksum = _checksum(pseudo + transport)
-    if protocol == PROTO_UDP and checksum == 0:
-        checksum = 0xFFFF
-    return transport[:offset] + struct.pack(">H", checksum) + transport[offset + 2 :]

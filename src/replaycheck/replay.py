@@ -209,8 +209,10 @@ def connect(endpoint: Endpoint, transport: Transport, timeout_s: float) -> socke
     The endpoint's address is an IP literal, so the socket takes its
     family from the address form and connects to it directly: no name
     lookup, which would load the IDNA codec. TCP connects within
-    timeout_s, keeps that timeout, and has Nagle off. UDP gets a
-    connected datagram socket, so sendall sends each payload as one
+    timeout_s, keeps that timeout, and has Nagle off. It also sets
+    SO_REUSEADDR, because Linux lets a device bind a port that a closed
+    connection holds in TIME-WAIT only when both sockets set it. UDP gets
+    a connected datagram socket, so sendall sends each payload as one
     datagram.
     """
     family = socket.AF_INET6 if ":" in endpoint.address else socket.AF_INET
@@ -218,6 +220,7 @@ def connect(endpoint: Endpoint, transport: Transport, timeout_s: float) -> socke
     sock = socket.socket(family, socket.SOCK_STREAM if tcp else socket.SOCK_DGRAM)
     try:
         if tcp:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             sock.settimeout(timeout_s)
         sock.connect((endpoint.address, endpoint.port))
         if tcp:

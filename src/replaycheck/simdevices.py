@@ -46,6 +46,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from typing import Callable
 
 from . import pcap
 from .capture import DEFAULT_APP_ENDPOINT, Endpoint, PacketRecord, Transport
@@ -747,30 +748,24 @@ def records_to_capture(records: list[PacketRecord]) -> bytes:
 
     TCP sequence numbers advance per direction across the whole capture,
     so repeated identical payloads are distinct segments, not
-    retransmissions.
+    retransmissions. Each direction and transport gets one
+    pcap.frame_encoder, kept for this capture only.
     """
-    # Keyed by (src address, src port, dst address, dst port): a tuple of
+    # Keyed by (src address, dst address, src port, dst port): a tuple of
     # str and int hashes in C, where an Endpoint pair hashes in Python.
-    sequences: dict[tuple[str, int, str, int], int] = {}
+    sequences: dict[tuple[str, str, int, int], int] = {}
+    encoders: dict[tuple[tuple[str, str, int, int], int], Callable[..., bytes]] = {}
     frames = []
     for index, record in enumerate(records):
         proto = pcap.PROTO_TCP if record.transport == Transport.TCP else pcap.PROTO_UDP
         src, dst = record.src, record.dst
-        forward = (src.address, src.port, dst.address, dst.port)
-        reverse = (dst.address, dst.port, src.address, src.port)
+        forward = (src.address, dst.address, src.port, dst.port)
+        reverse = (dst.address, src.address, dst.port, src.port)
+        encode = encoders.get((forward, proto))
+        if encode is None:
+            encode = encoders[forward, proto] = pcap.frame_encoder(*forward, proto)
         seq = sequences.setdefault(forward, 10_001)
-        ack = sequences.get(reverse, 0)
-        frame = pcap.encode_frame(
-            src.address,
-            dst.address,
-            src.port,
-            dst.port,
-            proto,
-            record.payload,
-            tcp_seq=seq,
-            tcp_ack=ack,
-            ip_id=index + 1,
-        )
+        frame = encode(record.payload, seq, sequences.get(reverse, 0), index + 1)
         sequences[forward] = seq + len(record.payload)
         frames.append((_CAPTURE_BASE_US + record.timestamp, frame))
     return pcap.write_capture(frames)

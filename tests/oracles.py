@@ -8,7 +8,9 @@ module must never share code with src/.
 
 from __future__ import annotations
 
+import ipaddress
 import math
+import struct
 from collections import Counter
 
 LRD_DUPLICATE_EPSILON = 1e-12
@@ -168,3 +170,57 @@ def internet_checksum(data: bytes) -> int:
         total += word
         total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF
+
+
+def reference_frame(
+    src_addr: str,
+    dst_addr: str,
+    src_port: int,
+    dst_port: int,
+    protocol: int,
+    payload: bytes,
+    tcp_seq: int,
+    tcp_ack: int,
+    ip_id: int,
+) -> bytes:
+    """The Ethernet frame replaycheck writes for one payload, built header
+    by header with each checksum field zeroed, then filled in from
+    internet_checksum over the bytes it covers.
+
+    MACs are 02:00 plus the first four address bytes. IPv4 (don't
+    fragment, TTL 64) or the fixed IPv6 header (hop limit 64) carries
+    TCP (5-word header, PSH|ACK, window 65535) or UDP (protocol 6 or 17).
+    Sequence numbers and the IP id wrap at their field widths.
+    """
+    src = ipaddress.ip_address(src_addr).packed
+    dst = ipaddress.ip_address(dst_addr).packed
+    if protocol == 6:
+        header = struct.pack(
+            ">HHIIBBHHH", src_port, dst_port, tcp_seq % 2**32, tcp_ack % 2**32,
+            0x50, 0x18, 65535, 0, 0,
+        )
+        checksum_at = 16
+    else:
+        header = struct.pack(">HHHH", src_port, dst_port, 8 + len(payload), 0)
+        checksum_at = 6
+    segment = header + payload
+    if len(src) == 4:
+        pseudo = src + dst + struct.pack(">BBH", 0, protocol, len(segment))
+    else:
+        pseudo = src + dst + struct.pack(">IBBBB", len(segment), 0, 0, 0, protocol)
+    checksum = internet_checksum(pseudo + segment)
+    if protocol == 17 and checksum == 0:
+        checksum = 0xFFFF  # RFC 768: a zero field means "no checksum"
+    segment = segment[:checksum_at] + struct.pack(">H", checksum) + segment[checksum_at + 2 :]
+    if len(src) == 4:
+        ip = struct.pack(
+            ">BBHHHBBH4s4s", 0x45, 0, 20 + len(segment), ip_id % 2**16,
+            0x4000, 64, protocol, 0, src, dst,
+        )
+        ip = ip[:10] + struct.pack(">H", internet_checksum(ip)) + ip[12:]
+        ethertype = 0x0800
+    else:
+        ip = struct.pack(">IHBB16s16s", 6 << 28, len(segment), protocol, 64, src, dst)
+        ethertype = 0x86DD
+    link = b"\x02\x00" + dst[:4] + b"\x02\x00" + src[:4] + struct.pack(">H", ethertype)
+    return link + ip + segment

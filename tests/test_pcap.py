@@ -5,7 +5,7 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import internet_checksum
+from oracles import internet_checksum, reference_frame
 from replaycheck import pcap
 
 
@@ -212,6 +212,67 @@ class TestChecksums:
     def test_checksum_edge_cases(self, data, expected):
         assert internet_checksum(data) == expected
         assert pcap._checksum(data) == expected
+
+
+def one_bit_past(width):
+    """Integers below 2**(width + 1), half of them past the field width
+    (a plain integers() range seldom draws its top half)."""
+    return st.tuples(st.booleans(), st.integers(0, 2**width - 1)).map(
+        lambda drawn: drawn[0] << width | drawn[1]
+    )
+
+
+@st.composite
+def frame_fields(draw):
+    """encode_frame's arguments: either family, either transport, sequence
+    numbers and IP ids up to one bit past their field widths."""
+    address = st.ip_addresses(v=draw(st.sampled_from([4, 6]))).map(str)
+    return (
+        draw(address),
+        draw(address),
+        draw(st.integers(0, 65535)),
+        draw(st.integers(0, 65535)),
+        draw(st.sampled_from([pcap.PROTO_TCP, pcap.PROTO_UDP])),
+        draw(st.binary(max_size=600)),
+        draw(one_bit_past(32)),
+        draw(one_bit_past(32)),
+        draw(one_bit_past(16)),
+    )
+
+
+class TestEncodeFrame:
+    @given(frame_fields(), st.binary(max_size=600))
+    def test_equals_the_word_by_word_reference(self, fields, later_payload):
+        assert pcap.encode_frame(*fields) == reference_frame(*fields)
+        # An encoder builds every frame of its direction alike.
+        encode = pcap.frame_encoder(*fields[:5])
+        assert encode(*fields[5:]) == reference_frame(*fields)
+        later = fields[:5] + (later_payload,) + fields[6:]
+        assert encode(*later[5:]) == reference_frame(*later)
+
+    @pytest.mark.parametrize("src, dst", [("10.1.1.1", "10.1.1.2"), ("fd00::1", "fd00::2")])
+    def test_a_udp_checksum_of_zero_is_sent_as_all_ones(self, src, dst):
+        # A zero word as payload gets the field c; the payload word c then
+        # brings the sum to a multiple of 0xFFFF, whose checksum is 0.
+        zero = pcap.encode_frame(src, dst, 53, 53, pcap.PROTO_UDP, b"\x00\x00")
+        payload = zero[-4:-2]
+        frame = pcap.encode_frame(src, dst, 53, 53, pcap.PROTO_UDP, payload)
+        assert frame[-4:-2] == b"\xff\xff"
+        assert frame == reference_frame(src, dst, 53, 53, pcap.PROTO_UDP, payload, 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "endpoints, protocol, message",
+        [
+            (("10.0.0.1", "fd00::1"), pcap.PROTO_TCP, "mixed IPv4/IPv6"),
+            (("10.0.0.1", "10.0.0.2"), 1, "unsupported transport protocol 1"),
+        ],
+        ids=["mixed-families", "icmp"],
+    )
+    def test_rejects(self, endpoints, protocol, message):
+        with pytest.raises(ValueError, match=message):
+            pcap.encode_frame(*endpoints, 1, 2, protocol, b"x")
+        with pytest.raises(ValueError, match=message):
+            pcap.frame_encoder(*endpoints, 1, 2, protocol)
 
 
 # A well-formed frame of each family and transport, to damage.

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from replaycheck import artifacts, replay
 from replaycheck.artifacts import ArtifactError
 from replaycheck.capture import Endpoint, Flow, PacketRecord, Transport
+from replaycheck.loopback import LoopbackServer
 from replaycheck.pipeline import PipelineSettings
 from replaycheck.replay import (
     AttackResult,
@@ -184,6 +185,22 @@ class TestReplayFlow:
                 assert sock.family == socket.AF_INET
                 assert sock.gettimeout() == 0.25
                 assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+    def test_a_source_port_the_client_closed_first_can_serve_a_device(self):
+        # The client hangs up first, so its end waits in TIME-WAIT on its
+        # source port; a device bound to that port must not be refused.
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            device = Endpoint("127.0.0.1", listener.getsockname()[1])
+            client = replay.connect(device, Transport.TCP, 1.0)
+            port = client.getsockname()[1]
+            peer, _ = listener.accept()
+            client.close()
+            with peer:
+                peer.settimeout(1.0)
+                assert peer.recv(1) == b""
+        server = LoopbackServer("tcp", port, lambda: lambda data: ((), False))
+        server.stop()
+        assert server.port == port
 
     def test_reports_when_its_first_and_last_requests_went_out(self):
         with ScriptedResponder({}) as responder:
