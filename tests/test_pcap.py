@@ -215,8 +215,7 @@ class TestChecksums:
 
 
 def one_bit_past(width):
-    """Integers below 2**(width + 1), half of them past the field width
-    (a plain integers() range seldom draws its top half)."""
+    """Integers below 2**(width + 1), half of them past the field width."""
     return st.tuples(st.booleans(), st.integers(0, 2**width - 1)).map(
         lambda drawn: drawn[0] << width | drawn[1]
     )
