@@ -4,7 +4,8 @@ A capture is reduced to the payload-bearing traffic between exactly two
 endpoints (the controlling app and the device). Everything else is
 unrelated noise and is dropped. Flows group a run of consecutive
 requests with the run of responses that follows, which is the unit the
-replay engine works with.
+replay engine works with. This module reads records from classic pcap
+(parse_capture_with_notes) and writes them to it (records_to_capture).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 from . import pcap
 
@@ -23,6 +24,9 @@ class Transport(str, Enum):
 
 
 _TRANSPORT_FOR = {pcap.PROTO_TCP: Transport.TCP, pcap.PROTO_UDP: Transport.UDP}
+
+# Absolute base for written capture timestamps (logical clocks start here).
+_CAPTURE_BASE_US = 1_690_000_000 * 1_000_000
 
 
 @dataclass(frozen=True)
@@ -119,10 +123,6 @@ class CaptureNotes:
     retransmissions_dropped: int = 0
     sequence_regressions: int = 0
 
-    @property
-    def frames_skipped(self) -> int:
-        return self.frames_undecodable + self.frames_other_protocol + self.frames_other_endpoints
-
     def summary(self) -> str:
         parts = [
             f"{self.frames_total} frames",
@@ -146,6 +146,34 @@ class CaptureNotes:
         return ", ".join(parts)
 
 
+def records_to_capture(records: list[PacketRecord]) -> bytes:
+    """Serialize capture records to classic pcap with synthesized framing.
+
+    TCP sequence numbers advance per direction across the whole capture,
+    so repeated identical payloads are distinct segments, not
+    retransmissions. Each direction and transport gets one
+    pcap.frame_encoder, kept for this capture only.
+    """
+    # Keyed by (src address, dst address, src port, dst port): a tuple of
+    # str and int hashes in C, where an Endpoint pair hashes in Python.
+    sequences: dict[tuple[str, str, int, int], int] = {}
+    encoders: dict[tuple[tuple[str, str, int, int], int], Callable[..., bytes]] = {}
+    frames = []
+    for index, record in enumerate(records):
+        proto = pcap.PROTO_TCP if record.transport == Transport.TCP else pcap.PROTO_UDP
+        src, dst = record.src, record.dst
+        forward = (src.address, dst.address, src.port, dst.port)
+        reverse = (dst.address, src.address, dst.port, src.port)
+        encode = encoders.get((forward, proto))
+        if encode is None:
+            encode = encoders[forward, proto] = pcap.frame_encoder(*forward, proto)
+        seq = sequences.setdefault(forward, 10_001)
+        frame = encode(record.payload, seq, sequences.get(reverse, 0), index + 1)
+        sequences[forward] = seq + len(record.payload)
+        frames.append((_CAPTURE_BASE_US + record.timestamp, frame))
+    return pcap.write_capture(frames)
+
+
 def parse_capture_with_notes(
     capture: bytes | BinaryIO, config: SessionConfig
 ) -> tuple[list[PacketRecord], CaptureNotes]:
@@ -164,10 +192,11 @@ def parse_capture_with_notes(
     request = (app.address, app.port, device.address, device.port)
     response = (device.address, device.port, app.address, app.port)
     epoch: int | None = None
-    seen_tcp: set[tuple[Endpoint, Endpoint, int, bytes]] = set()
+    # Both keyed by a frame's endpoints tuple, which hashes in C.
+    seen_tcp: set[tuple[tuple[str, int, str, int], int, bytes]] = set()
     # Highest sequence byte seen so far per direction, to flag captures in
     # which several connections were merged into one record stream.
-    seq_high: dict[tuple[Endpoint, Endpoint], int] = {}
+    seq_high: dict[tuple[str, int, str, int], int] = {}
 
     for ts_us, frame in pcap.read_frames(capture):
         notes.frames_total += 1
@@ -192,17 +221,16 @@ def parse_capture_with_notes(
         if not segment.payload:
             notes.zero_payload_dropped += 1
             continue
-        if transport == Transport.TCP and segment.tcp_seq is not None:
-            key = (src, dst, segment.tcp_seq, segment.payload)
+        if transport == Transport.TCP:
+            key = (endpoints, segment.tcp_seq, segment.payload)
             if key in seen_tcp:
                 notes.retransmissions_dropped += 1
                 continue
             seen_tcp.add(key)
-            direction = (src, dst)
             end = segment.tcp_seq + len(segment.payload)
-            if direction in seq_high and segment.tcp_seq < seq_high[direction]:
+            if endpoints in seq_high and segment.tcp_seq < seq_high[endpoints]:
                 notes.sequence_regressions += 1
-            seq_high[direction] = max(seq_high.get(direction, 0), end)
+            seq_high[endpoints] = max(seq_high.get(endpoints, 0), end)
         record = PacketRecord(
             timestamp=ts_us - epoch,
             src=src,

@@ -97,9 +97,6 @@ class QueueEntry:
 class ResponseQueue:
     entries: tuple[QueueEntry, ...]
 
-    def payloads(self) -> list[bytes]:
-        return [entry.payload for entry in self.entries]
-
     def __len__(self) -> int:
         return len(self.entries)
 

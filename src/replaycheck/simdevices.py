@@ -32,7 +32,9 @@ and its ack lines once per key. Each device keeps its own, so no device
 reuses another's work. An incoming tag is still recomputed every time.
 
 SimulatedDevice implements pipeline.AssessedDevice with the functions
-below. query_state is ground truth that a real assessment never gets.
+below, and writes its captures with capture.records_to_capture; the pcap
+format is not known here. query_state is ground truth that a real
+assessment never gets.
 """
 
 from __future__ import annotations
@@ -43,13 +45,11 @@ import random
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable
 
-from . import pcap
-from .capture import DEFAULT_APP_ENDPOINT, Endpoint, PacketRecord, Transport
+from .capture import DEFAULT_APP_ENDPOINT, Endpoint, PacketRecord, Transport, records_to_capture
 from .loopback import LoopbackServer, SpawnError
 from .protocols import rides_standard_security_protocol
 from .replay import MAX_TIMING_MS
@@ -129,8 +129,6 @@ DEFAULT_TRAINING_SCRIPT: tuple[DeviceState, ...] = (
     DeviceState.REVERSE,
 ) * 5
 
-# Absolute base for capture timestamps (logical clocks start here).
-_CAPTURE_BASE_US = 1_690_000_000 * 1_000_000
 _EVENT_GAP_US = 1_700
 _COMMAND_GAP_US = 25_000
 
@@ -741,31 +739,3 @@ def expected_vulnerable(profile: DeviceProfile, restarted: bool) -> bool:
     if profile.behavior == Behavior.SESSION_KEY:
         return not (restarted and profile.rekey_on_restart)
     return False
-
-
-def records_to_capture(records: list[PacketRecord]) -> bytes:
-    """Serialize capture records to classic pcap with synthesized framing.
-
-    TCP sequence numbers advance per direction across the whole capture,
-    so repeated identical payloads are distinct segments, not
-    retransmissions. Each direction and transport gets one
-    pcap.frame_encoder, kept for this capture only.
-    """
-    # Keyed by (src address, dst address, src port, dst port): a tuple of
-    # str and int hashes in C, where an Endpoint pair hashes in Python.
-    sequences: dict[tuple[str, str, int, int], int] = {}
-    encoders: dict[tuple[tuple[str, str, int, int], int], Callable[..., bytes]] = {}
-    frames = []
-    for index, record in enumerate(records):
-        proto = pcap.PROTO_TCP if record.transport == Transport.TCP else pcap.PROTO_UDP
-        src, dst = record.src, record.dst
-        forward = (src.address, dst.address, src.port, dst.port)
-        reverse = (dst.address, src.address, dst.port, src.port)
-        encode = encoders.get((forward, proto))
-        if encode is None:
-            encode = encoders[forward, proto] = pcap.frame_encoder(*forward, proto)
-        seq = sequences.setdefault(forward, 10_001)
-        frame = encode(record.payload, seq, sequences.get(reverse, 0), index + 1)
-        sequences[forward] = seq + len(record.payload)
-        frames.append((_CAPTURE_BASE_US + record.timestamp, frame))
-    return pcap.write_capture(frames)

@@ -13,9 +13,8 @@ import sys
 import threading
 import time
 
-from replaycheck.capture import Endpoint, PacketRecord, Transport
+from replaycheck.capture import Endpoint, PacketRecord, Transport, records_to_capture
 from replaycheck.loopback import LoopbackServer
-from replaycheck.simdevices import records_to_capture
 
 # Linux's SO_TIMESTAMPNS, which the socket module does not name: each
 # datagram then carries the kernel's CLOCK_REALTIME receive time.

@@ -21,6 +21,7 @@ from replaycheck.capture import (
     SessionConfig,
     Transport,
     parse_capture,
+    records_to_capture,
     segment_flows,
 )
 from replaycheck.cli import main
@@ -35,7 +36,6 @@ from replaycheck.simdevices import (
     companion_session,
     default_profile,
     expected_vulnerable,
-    records_to_capture,
     spawn_device,
     trigger_state,
 )
@@ -247,7 +247,7 @@ def test_criterion_5_flow_segmentation_and_replay_order(capsys):
             ),
         )
         replay_ok = all(result.flows[i].flow is flows[-1 - i] for i in range(len(flows)))
-        queue_ok = result.queue.payloads() == [c3, b2, b3, a2]
+        queue_ok = [e.payload for e in result.queue.entries] == [c3, b2, b3, a2]
         received_ok = responder.received == [c1, c2, b1, a1]
 
     passed = flows_ok and replay_ok and queue_ok and received_ok
@@ -258,7 +258,7 @@ def test_criterion_5_flow_segmentation_and_replay_order(capsys):
     )
     assert flows_ok, shape
     assert replay_ok
-    assert queue_ok, result.queue.payloads()
+    assert queue_ok, [e.payload for e in result.queue.entries]
     assert received_ok
 
 

@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from replaycheck import artifacts
 from replaycheck.artifacts import ArtifactError
+from replaycheck.capture import records_to_capture
 from replaycheck.cli import main
 from replaycheck.models import train_isolation_forest, train_lof
 from replaycheck.pipeline import AssessmentResult
 from replaycheck.replay import QueueEntry, ResponseQueue
-from replaycheck.simdevices import DEFAULT_APP_ENDPOINT, records_to_capture
+from replaycheck.simdevices import DEFAULT_APP_ENDPOINT
 from replaycheck.verdict import Outcome, Reason, Verdict
 
 SCHEMAS = [

@@ -1,4 +1,7 @@
-"""Capture parsing, endpoint matching, and flow segmentation tests."""
+"""Capture parsing and writing, endpoint matching, and flow segmentation tests."""
+
+import hashlib
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,10 +17,12 @@ from replaycheck.capture import (
     parse_capture,
     parse_capture_with_notes,
     parse_endpoint,
+    records_to_capture,
     segment_flows,
 )
 from replaycheck.pipeline import NoLocalConnectivityError, require_local_traffic
 from replaycheck.replay import run_attack
+from replaycheck.simdevices import DEFAULT_APP_ENDPOINT, Behavior, DeviceState, trigger_state
 from doubles import ScriptedResponder
 
 APP = Endpoint("10.77.0.2", 38200)
@@ -116,7 +121,11 @@ class TestParseCapture:
         )
         records, notes = parse_capture_with_notes(data, CONFIG)
         assert [r.payload for r in records] == [b"keep"]
-        assert notes.frames_skipped == 2
+        assert (
+            notes.frames_undecodable,
+            notes.frames_other_protocol,
+            notes.frames_other_endpoints,
+        ) == (0, 0, 2)
 
     def test_skipped_frames_counted_by_reason(self):
         icmp = bytearray(frame(APP, DEV, b"ping"))
@@ -136,7 +145,6 @@ class TestParseCapture:
             notes.frames_other_protocol,
             notes.frames_other_endpoints,
         ) == (1, 1, 1)
-        assert notes.frames_skipped == 3
         summary = notes.summary()
         assert "1 undecodable frames" in summary
         assert "1 non-TCP/UDP frames" in summary
@@ -144,7 +152,11 @@ class TestParseCapture:
 
     def test_summary_names_only_reasons_that_occurred(self):
         _, notes = parse_capture_with_notes(capture_of((0, APP, DEV, b"x")), CONFIG)
-        assert notes.frames_skipped == 0
+        assert (
+            notes.frames_undecodable,
+            notes.frames_other_protocol,
+            notes.frames_other_endpoints,
+        ) == (0, 0, 0)
         assert "undecodable" not in notes.summary()
         assert "other endpoints" not in notes.summary()
 
@@ -272,7 +284,7 @@ class TestSegmentFlows:
         assert over_udp.received == [b"U2", b"U1"]
         assert b"".join(over_tcp.received) == b"T2T1"
         assert [r.flow.requests[0].transport for r in result.flows] == [tcp, udp, udp, tcp]
-        assert sorted(result.queue.payloads()) == [b"t2", b"u1"]
+        assert sorted(e.payload for e in result.queue.entries) == [b"t2", b"u1"]
 
     def test_records_between_other_endpoints_dropped(self):
         # {A | B}: no other-endpoint record joins a flow, ends one or starts one
@@ -414,3 +426,79 @@ class TestPacketRecord:
     def test_empty_payload_rejected(self):
         with pytest.raises(ValueError):
             rec(0, APP, DEV, b"")
+
+
+class TestRecordsToCapture:
+    def test_round_trip_payloads_identical(self, device_factory):
+        device = device_factory(Behavior.ENCODED_FIXED)
+        records = []
+        for target in (DeviceState.OBVERSE, DeviceState.REVERSE, DeviceState.OBVERSE):
+            records.extend(trigger_state(device, target))
+        capture = records_to_capture(records)
+        config = SessionConfig(app=DEFAULT_APP_ENDPOINT, device=device.endpoint)
+        parsed = parse_capture(capture, config)
+        assert [r.payload for r in parsed] == [r.payload for r in records]
+
+    def test_repeated_payloads_not_deduplicated(self):
+        # identical bytes in the same direction must advance the synthetic
+        # TCP sequence, or parsing would drop them as retransmissions
+        app, dev = DEFAULT_APP_ENDPOINT, Endpoint("127.0.0.1", 50000)
+        records = [
+            PacketRecord(0, app, dev, Transport.TCP, b"same"),
+            PacketRecord(10, app, dev, Transport.TCP, b"same"),
+        ]
+        parsed = parse_capture(
+            records_to_capture(records), SessionConfig(app=app, device=dev)
+        )
+        assert len(parsed) == 2
+
+    def test_capture_bytes_are_pinned(self):
+        """Every byte of the synthesized framing (addresses, checksums,
+        sequence numbers) against a digest of a known-good encoder."""
+        app4, dev4 = Endpoint("10.77.0.2", 38200), Endpoint("192.168.7.20", 4001)
+        app6, dev6 = Endpoint("fd00::2", 38201), Endpoint("2001:db8::1:0:0:7", 5683)
+        records = [
+            PacketRecord(0, app4, dev4, Transport.TCP, b"hello"),
+            PacketRecord(10, dev4, app4, Transport.TCP, b"ack!"),
+            PacketRecord(20, app4, dev4, Transport.UDP, b"\xff" * 33),
+            PacketRecord(30, app6, dev6, Transport.TCP, bytes(range(255))),
+            PacketRecord(40, dev6, app6, Transport.UDP, b"x"),
+            PacketRecord(50, app6, dev6, Transport.UDP, b"\x00\x01\x02"),
+            PacketRecord(60, app4, dev4, Transport.TCP, b"hello"),
+        ]
+        digest = hashlib.sha256(records_to_capture(records)).hexdigest()
+        assert digest == "2c7630a154c6744cdcc1d8fd5557a999faeb2462f8ab36b365b76a95cf0ff420"
+
+
+# A v4 and a v6 session; the written records use both directions and both
+# transports, and draw from few payloads, so equal payloads repeat and
+# interleave.
+WRITTEN_SESSIONS = [
+    CONFIG,
+    SessionConfig(Endpoint("fd00::2", 38201), Endpoint("2001:db8::7", 5683)),
+]
+
+
+@st.composite
+def written_sessions(draw):
+    session = draw(st.sampled_from(WRITTEN_SESSIONS))
+    directions = [(session.app, session.device), (session.device, session.app)]
+    records, ts = [], draw(st.integers(0, 10**9))
+    for _ in range(draw(st.integers(0, 16))):
+        ts += draw(st.integers(0, 5_000))
+        src, dst = draw(st.sampled_from(directions))
+        payload = draw(st.sampled_from([b"a", b"ab", b"\x00" * 40]))
+        records.append(rec(ts, src, dst, payload, draw(st.sampled_from(list(Transport)))))
+    return session, records
+
+
+class TestWriteThenParse:
+    @given(written_sessions())
+    def test_parse_gives_back_the_written_records(self, drawn):
+        """Same payloads, endpoints and transports in order, timestamps
+        shifted by the first record's, and every frame matched."""
+        session, records = drawn
+        parsed, notes = parse_capture_with_notes(records_to_capture(records), session)
+        base = records[0].timestamp if records else 0
+        assert parsed == [replace(r, timestamp=r.timestamp - base) for r in records]
+        assert notes == CaptureNotes(frames_total=len(records), records_matched=len(records))

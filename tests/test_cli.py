@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 import replaycheck
 from replaycheck import artifacts
-from replaycheck.capture import SessionConfig, parse_capture
+from replaycheck.capture import SessionConfig, parse_capture, records_to_capture
 from replaycheck.cli import main
 from replaycheck.models import train_lof
 from replaycheck.replay import QueueEntry, ResponseQueue
@@ -24,7 +24,6 @@ from replaycheck.simdevices import (
     DeviceState,
     companion_session,
     query_state,
-    records_to_capture,
     trigger_state,
 )
 from replaycheck.verdict import Outcome, decide
@@ -606,6 +605,33 @@ class TestInvalidSettings:
             args = ["assess", "--behavior", "silent", "--reps", "1", *FAST_FLAGS]
             result = invoke([*args, *flags])
         assert_one_error(result, reason)
+
+
+class TestEndpointFlags:
+    """An endpoint a session or a replay cannot use is exit 2 with one error
+    line, and nothing is replayed."""
+
+    @pytest.mark.parametrize("command", ["train", "attack", "detect"])
+    def test_app_equal_to_device(self, device_factory, tmp_path, command):
+        device = device_factory(Behavior.CLEARTEXT_ECHO)
+        result = run_command(command, device, tmp_path, "--app", str(device.endpoint))
+        assert_one_error(result, "must differ")
+        assert query_state(device) == DeviceState.REVERSE
+
+    @pytest.mark.parametrize(
+        "target, reason",
+        [
+            ("not-an-endpoint", "expected ADDRESS:PORT"),
+            ("127.0.0.1:70000", "out of range"),
+            ("device.local:80", "does not appear to be an IPv4 or IPv6 address"),
+        ],
+    )
+    def test_malformed_attack_target(self, device_factory, tmp_path, target, reason):
+        device = device_factory(Behavior.CLEARTEXT_ECHO)
+        result = run_command("attack", device, tmp_path, *FAST_FLAGS, "--target", target)
+        assert_one_error(result, reason)
+        assert query_state(device) == DeviceState.REVERSE
+        assert not (tmp_path / "queue.json").exists()
 
 
 class TestSettingsFlags:

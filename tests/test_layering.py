@@ -30,7 +30,7 @@ LIBRARY = {
     "protocols": {"capture", "features"},
     "verdict": {"capture", "features", "models", "protocols", "replay"},
     "artifacts": {"models", "replay"},
-    "simdevices": {"pcap", "capture", "loopback", "protocols", "replay"},
+    "simdevices": {"capture", "loopback", "protocols", "replay"},
 }
 ALLOWED = {
     **LIBRARY,

@@ -328,7 +328,7 @@ def test_training_and_deciding_park_no_tuples(device_factory):
 
 class TestAttackFromCapture:
     def test_replay_of_command_capture(self, device_factory, fast_settings):
-        from replaycheck.simdevices import records_to_capture
+        from replaycheck.capture import records_to_capture
 
         device = device_factory(Behavior.CLEARTEXT_ECHO)
         records = trigger_state(device, DeviceState.OBVERSE)

@@ -260,7 +260,7 @@ class TestEvidenceCollection:
                 flow_of(b"slow", at=10_000, responses=[b"s"], gap_us=80_000),
             ]
             result = run_attack(flows, responder.endpoint, WINDOW)
-        assert result.queue.payloads() == [b"s", b"one", b"two"]
+        assert [e.payload for e in result.queue.entries] == [b"s", b"one", b"two"]
         assert [(len(r.flow.responses), len(r.responses)) for r in result.flows] == [(1, 1), (1, 2)]
 
     def test_flow_without_captured_responses_waits_the_full_window(self):
@@ -341,7 +341,7 @@ class TestRunAttack:
             flows = [flow_of(b"F1"), flow_of(b"F2"), flow_of(b"F3")]
             result = run_attack(flows, responder.endpoint, FAST)
         assert responder.received == [b"F3", b"F2", b"F1"]
-        assert result.queue.payloads() == [b"R3", b"R2", b"R1"]
+        assert [e.payload for e in result.queue.entries] == [b"R3", b"R2", b"R1"]
 
     def test_flow_index_refers_to_original_order(self):
         script = {b"F1": [b"R1"], b"F2": [b"R2"]}

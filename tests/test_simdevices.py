@@ -1,11 +1,10 @@
 """Simulated-device harness tests: state machines, replay semantics of each
-behavior, restart handling, and capture synthesis."""
+behavior, and restart handling."""
 
 import base64
 import contextlib
 import errno
 import gc
-import hashlib
 import json
 import os
 import socket
@@ -18,14 +17,7 @@ import pytest
 from doubles import ScriptedResponder
 
 from replaycheck import loopback, pcap, replay
-from replaycheck.capture import (
-    Endpoint,
-    PacketRecord,
-    SessionConfig,
-    Transport,
-    parse_capture,
-    segment_flows,
-)
+from replaycheck.capture import SessionConfig, Transport, parse_capture, segment_flows
 from replaycheck.protocols import detect_standard_security_protocol
 from replaycheck.simdevices import (
     DEFAULT_APP_ENDPOINT,
@@ -39,7 +31,6 @@ from replaycheck.simdevices import (
     default_profile,
     expected_vulnerable,
     query_state,
-    records_to_capture,
     restart_device,
     spawn_device,
     trigger_state,
@@ -835,45 +826,3 @@ class TestExpectedVulnerable:
     def test_session_key_without_rekey_stays_vulnerable(self):
         profile = default_profile(Behavior.SESSION_KEY, rekey_on_restart=False)
         assert expected_vulnerable(profile, restarted=True) is True
-
-
-class TestRecordsToCapture:
-    def test_round_trip_payloads_identical(self, device_factory):
-        device = device_factory(Behavior.ENCODED_FIXED)
-        records = []
-        for target in (DeviceState.OBVERSE, DeviceState.REVERSE, DeviceState.OBVERSE):
-            records.extend(trigger_state(device, target))
-        capture = records_to_capture(records)
-        config = SessionConfig(app=DEFAULT_APP_ENDPOINT, device=device.endpoint)
-        parsed = parse_capture(capture, config)
-        assert [r.payload for r in parsed] == [r.payload for r in records]
-
-    def test_repeated_payloads_not_deduplicated(self):
-        # identical bytes in the same direction must advance the synthetic
-        # TCP sequence, or parsing would drop them as retransmissions
-        app, dev = DEFAULT_APP_ENDPOINT, Endpoint("127.0.0.1", 50000)
-        records = [
-            PacketRecord(0, app, dev, Transport.TCP, b"same"),
-            PacketRecord(10, app, dev, Transport.TCP, b"same"),
-        ]
-        parsed = parse_capture(
-            records_to_capture(records), SessionConfig(app=app, device=dev)
-        )
-        assert len(parsed) == 2
-
-    def test_capture_bytes_are_pinned(self):
-        """Every byte of the synthesized framing (addresses, checksums,
-        sequence numbers) against a digest of a known-good encoder."""
-        app4, dev4 = Endpoint("10.77.0.2", 38200), Endpoint("192.168.7.20", 4001)
-        app6, dev6 = Endpoint("fd00::2", 38201), Endpoint("2001:db8::1:0:0:7", 5683)
-        records = [
-            PacketRecord(0, app4, dev4, Transport.TCP, b"hello"),
-            PacketRecord(10, dev4, app4, Transport.TCP, b"ack!"),
-            PacketRecord(20, app4, dev4, Transport.UDP, b"\xff" * 33),
-            PacketRecord(30, app6, dev6, Transport.TCP, bytes(range(255))),
-            PacketRecord(40, dev6, app6, Transport.UDP, b"x"),
-            PacketRecord(50, app6, dev6, Transport.UDP, b"\x00\x01\x02"),
-            PacketRecord(60, app4, dev4, Transport.TCP, b"hello"),
-        ]
-        digest = hashlib.sha256(records_to_capture(records)).hexdigest()
-        assert digest == "2c7630a154c6744cdcc1d8fd5557a999faeb2462f8ab36b365b76a95cf0ff420"

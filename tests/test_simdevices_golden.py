@@ -22,7 +22,7 @@ import struct
 import pytest
 
 from replaycheck import pcap
-from replaycheck.capture import Endpoint, PacketRecord, Transport
+from replaycheck.capture import Endpoint, PacketRecord, Transport, records_to_capture
 from replaycheck.simdevices import (
     DEFAULT_APP_ENDPOINT,
     Behavior,
@@ -30,7 +30,6 @@ from replaycheck.simdevices import (
     companion_session,
     default_profile,
     query_state,
-    records_to_capture,
     restart_device,
     spawn_device,
     trigger_state,

@@ -43,7 +43,7 @@ def test_in_process_replay_answers_as_the_socket_replay(
     model_b, capture_b, session_b = drive_to_replay(twins[1], scenario)
     over_sockets, records_b = attack_from_capture(capture_b, session_b, twins[1].endpoint, fast_settings)
     over_sockets = over_sockets.queue
-    assert in_process.payloads() == over_sockets.payloads()
+    assert [e.payload for e in in_process.entries] == [e.payload for e in over_sockets.entries]
     assert [e.flow_index for e in in_process.entries] == [e.flow_index for e in over_sockets.entries]
     assert decide(in_process, records, model) == decide(over_sockets, records_b, model_b)
     assert twins[0].replay_took_effect() == twins[1].replay_took_effect()
