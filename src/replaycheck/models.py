@@ -17,12 +17,15 @@ feature the training set never varied.
 
 numpy loads only where it pays: for the n^2 pairwise distances, and the
 k-distances and lrds drawn from them, of an LOF model of more than
-LOF_PURE_MAX points. The rest of LOF is plain Python with the
-brute-force oracle's arithmetic at every size: the standardization, a
-pass over the rows, and each query's score, a pass over the points. So
-are smaller LOF fits, the training sets a companion session yields, and
-forests of any size: a tree is random splits on per-column min/max
-ranges, and a subsample holds at most MAX_SUBSAMPLE rows.
+LOF_PURE_MAX distinct training vectors. The rest of LOF is plain Python
+with the brute-force oracle's arithmetic at every size: the
+standardization, a pass over the rows, and each query's score, a pass
+over the distinct points with their counts. So are the fits of at most
+LOF_PURE_MAX distinct vectors, whatever n is: they run once per distinct
+vector, and a companion session's responses to two fixed acks are two
+points at 10 responses or at 1,000. So are forests of any size: a tree
+is random splits on per-column min/max ranges, and a subsample holds at
+most MAX_SUBSAMPLE rows.
 """
 
 from __future__ import annotations
@@ -64,13 +67,14 @@ MAX_SUBSAMPLE = 256
 # zero (a cluster of duplicates): 1/epsilon rather than infinity.
 LRD_DUPLICATE_EPSILON = 1e-12
 
-# Up to this many training points an LOF model's k-distances and lrds are
-# computed in plain Python with the brute-force oracle's arithmetic, as its
-# standardization and scores are at every size, so its scores equal the
-# oracle's exactly and numpy stays unloaded; larger ones come from numpy.
-# Up to this size the plain fit costs a few milliseconds (6-11 ms at n = 64
-# against numpy's 1 ms, on a 2-CPU x86 host), less than importing numpy
-# (about 60 ms and 14 MB); its n^2 pairwise loop takes 2.5 s at n = 1000.
+# Up to this many distinct training vectors, whatever their total, an LOF
+# model's k-distances and lrds are computed in plain Python with the
+# brute-force oracle's arithmetic, as its standardization and scores are at
+# every size, so its scores equal the oracle's exactly and numpy stays
+# unloaded; more come from numpy. Up to this count the plain fit costs a few
+# milliseconds (6-11 ms at 64 distinct vectors against numpy's 1 ms, on a
+# 2-CPU x86 host), less than importing numpy (about 60 ms and 14 MB); its
+# m^2 pairwise loop over m distinct vectors takes 2.5 s at m = 1000.
 LOF_PURE_MAX = 64
 
 # Byte budget for one row block's difference tensor while train_lof fills
@@ -117,6 +121,13 @@ class LofModel:
     oracle's arithmetic at every training size, so whether rounding leaves
     a constant dimension a tiny std does not depend on n.
 
+    groups is what score walks: (points, counts, k_distance, lrd) of the
+    distinct training points, counts None when every point is distinct.
+    Training hands it over. A loaded model derives it once, grouping by
+    (point, k_distance, lrd), so duplicates whose stored numbers differ
+    stay apart and score as they always did. It is not part of the model
+    file or of equality.
+
     constant_features lists [dim, value] for every feature that has one
     value across the whole training set, as the forest's does. Model files
     written before the field existed load with none and label as they
@@ -133,8 +144,19 @@ class LofModel:
     k_distance: list[float]
     lrd: list[float]
     constant_features: list[list] = field(default_factory=list)
+    groups: tuple | None = field(default=None, repr=False, compare=False)
 
     kind = "lof"
+
+    def __post_init__(self):
+        if self.groups is None:
+            first, counts, _ = _group(zip(map(tuple, self.points), self.k_distance, self.lrd))
+            self.groups = (
+                [self.points[i] for i in first],
+                counts if len(first) < len(self.points) else None,
+                [self.k_distance[i] for i in first],
+                [self.lrd[i] for i in first],
+            )
 
     @property
     def training_size(self) -> int:
@@ -159,16 +181,18 @@ class LofModel:
         row = [float(x) for x in query]
         if len(row) != len(self.mean):
             raise ValueError(f"query has {len(row)} dimensions, model expects {len(self.mean)}")
-        query_std = [(row[d] - self.mean[d]) / self.std[d] for d in self.kept]
-        distances = [_distance(query_std, point) for point in self.points]
+        mean, std = self.mean, self.std
+        query_std = [(row[d] - mean[d]) / std[d] for d in self.kept]
+        points, counts, k_distance, lrd = self.groups
+        distances = [_distance(query_std, point) for point in points]
         if 0.0 in distances:
             return 1.0
-        k_distance_q = sorted(distances)[self.k_eff - 1]
-        neighbors = [j for j, d in enumerate(distances) if d <= k_distance_q]
-        lrd_q = _reach_density(distances, neighbors, self.k_distance)
+        _, neighbors = _neighborhood(distances, counts, self.k_eff)
+        lrd_q = _reach_density(distances, counts, neighbors, k_distance)
         if lrd_q == 0.0:  # every neighbor infinitely far: a distance overflowed
             return math.inf
-        return math.fsum(self.lrd[j] for j in neighbors) / len(neighbors) / lrd_q
+        lrds = _repeated([lrd[j] for j in neighbors], counts, neighbors)
+        return math.fsum(lrds) / len(lrds) / lrd_q
 
     def summary(self) -> str:
         return (
@@ -260,7 +284,7 @@ def _constant_features(body: dict, width: float = math.inf) -> list[list]:
 
 def _constant_columns(columns: Sequence[Sequence[float]]) -> list[list]:
     """[dim, value] for each column with one value throughout, taken from the column itself."""
-    return [[d, column[0]] for d, column in enumerate(columns) if min(column) == max(column)]
+    return [[d, column[0]] for d, column in enumerate(columns) if column.count(column[0]) == len(column)]
 
 
 def _kept(std: Sequence[float]) -> tuple[int, ...]:
@@ -278,13 +302,59 @@ def _distance(a: Sequence[float], b: Sequence[float]) -> float:
         return math.inf
 
 
+def _group(keys) -> tuple[list[int], list[int], list[int]]:
+    """One dict pass over hashable keys: where each distinct key first
+    occurs, how often each occurs, and each key's distinct index."""
+    slots: dict = {}
+    first: list[int] = []
+    counts: list[int] = []
+    index = []
+    for position, key in enumerate(keys):
+        slot = slots.setdefault(key, len(first))
+        if slot == len(first):
+            first.append(position)
+            counts.append(1)
+        else:
+            counts[slot] += 1
+        index.append(slot)
+    return first, counts, index
+
+
+def _neighborhood(
+    distances: list[float], counts: list[int] | None, k: int
+) -> tuple[float, list[int]]:
+    """The k-distance over distances, distances[j] counted counts[j] times,
+    and the indices within it, ties included. counts None counts each
+    once, with no walk over the counts."""
+    if counts is None:
+        k_distance = sorted(distances)[k - 1]
+    else:
+        for j in sorted(range(len(distances)), key=distances.__getitem__):
+            k -= counts[j]
+            if k <= 0:
+                break
+        k_distance = distances[j]
+    return k_distance, [j for j, d in enumerate(distances) if d <= k_distance]
+
+
+def _repeated(terms: list[float], counts: list[int] | None, indices: list[int]) -> list[float]:
+    """terms[t], counts[indices[t]] times each (once when counts is None).
+    fsum over the list is correctly rounded, so it sums as over the
+    expanded training set, and grouping moves no bit."""
+    if counts is None:
+        return terms
+    return list(chain.from_iterable(map(repeat, terms, map(counts.__getitem__, indices))))
+
+
 def _reach_density(
-    distances: Sequence[float], neighbors: Sequence[int], k_distance: Sequence[float]
+    distances: list[float], counts: list[int] | None, neighbors: list[int], k_distance: list[float]
 ) -> float:
-    total = math.fsum(max(k_distance[j], distances[j]) for j in neighbors)
+    """|N| over the sum of N's reach distances, neighbor j counted counts[j] times."""
+    reach = _repeated([max(k_distance[j], distances[j]) for j in neighbors], counts, neighbors)
+    total = math.fsum(reach)
     if total == 0.0:
         return 1.0 / LRD_DUPLICATE_EPSILON
-    return len(neighbors) / total
+    return len(reach) / total
 
 
 # A function so each block's difference tensor is freed before the next (inlined: 51.9 MB at n=2000).
@@ -316,11 +386,13 @@ def train_lof(
     one training value are recorded (see classify). Duplicate points are
     fine: a neighborhood of exact duplicates gets lrd 1/1e-12 instead
     of a division by zero. The standardization is plain Python with the
-    oracle's arithmetic at every size, and so are the k-distances and lrds
-    up to LOF_PURE_MAX vectors; above it numpy computes those two from an
-    n x n distance matrix it fills a block of rows at a time, each block's
-    difference tensor within LOF_BLOCK_BYTES. The model holds plain lists
-    either way.
+    oracle's arithmetic at every size. So are the k-distances and lrds up
+    to LOF_PURE_MAX distinct vectors, whatever n is: equal rows are grouped
+    in one dict pass, each distinct point is fitted once with its count,
+    and the results are expanded back to one per row. Above it numpy
+    computes those two over all n rows, from an n x n distance matrix it
+    fills a block of rows at a time, each block's difference tensor within
+    LOF_BLOCK_BYTES. The model holds plain lists either way.
     """
     n = len(training)
     if n < 2:
@@ -335,28 +407,50 @@ def train_lof(
     columns = [[row[d] for row in rows] for d in range(len(rows[0]))]
     mean = tuple([math.fsum(column) / n for column in columns])
     std = tuple([
-        math.sqrt(math.fsum((x - m) ** 2 for x in column) / n)
+        math.sqrt(math.fsum([(x - m) ** 2 for x in column]) / n)
         for column, m in zip(columns, mean)
     ])
     kept = _kept(std)
     points = [[(row[d] - mean[d]) / std[d] for d in kept] for row in rows]
-    statistics = _neighbor_statistics if n <= LOF_PURE_MAX else _neighbor_statistics_numpy
-    k_distance, lrd = statistics(points, k_eff)
+    # Equal rows standardize to equal points, so the rows, tuples already,
+    # are what is grouped.
+    first, counts, index = _group(rows)
+    if len(first) > LOF_PURE_MAX:
+        k_distance, lrd = _neighbor_statistics_numpy(points, k_eff)
+        groups = None
+    else:
+        if len(first) == n:
+            counts = None  # every row distinct: nothing to count
+        distinct = [points[i] for i in first]
+        groups = (distinct, counts, *_neighbor_statistics(distinct, counts, k_eff))
+        k_distance, lrd = ([values[i] for i in index] for values in groups[2:])
     constant = _constant_columns(columns)
-    return LofModel(k, k_eff, threshold, mean, std, kept, points, k_distance, lrd, constant)
+    return LofModel(k, k_eff, threshold, mean, std, kept, points, k_distance, lrd, constant, groups)
 
 
-def _neighbor_statistics(points: list[list[float]], k_eff: int):
-    """Each point's k-distance and lrd, with the oracle's arithmetic."""
-    n = len(points)
-    distances = [[math.inf] * n for _ in range(n)]  # a point is not its own neighbor
-    for i in range(n):
+def _neighbor_statistics(points: list[list[float]], counts: list[int] | None, k_eff: int):
+    """Each distinct point's k-distance and lrd, with the oracle's arithmetic
+    on the expanded set: points[i] stands for counts[i] equal points (one
+    each when counts is None), so its counts[i] - 1 duplicates are its
+    neighbors at distance 0."""
+    m = len(points)
+    distances = [[math.inf] * m for _ in range(m)]  # a point is not its own neighbor
+    weights: list = [None] * m
+    if counts is not None:
+        for i in range(m):  # its own duplicates, at distance 0
+            distances[i][i] = 0.0
+            weights[i] = counts[:i] + [counts[i] - 1] + counts[i + 1 :]
+    for i in range(m):
         for j in range(i):
             distances[i][j] = distances[j][i] = _distance(points[i], points[j])
-    k_distance = [sorted(row)[k_eff - 1] for row in distances]
+    k_distance, neighbors = [], []
+    for row, own in zip(distances, weights):
+        k, within = _neighborhood(row, own, k_eff)
+        k_distance.append(k)
+        neighbors.append(within)
     lrd = [
-        _reach_density(row, [j for j, d in enumerate(row) if d <= k_distance[i]], k_distance)
-        for i, row in enumerate(distances)
+        _reach_density(row, own, within, k_distance)
+        for row, own, within in zip(distances, weights, neighbors)
     ]
     return k_distance, lrd
 
@@ -503,13 +597,20 @@ def _grow_tree(rows: list, dims: list[int], rng: random.Random, depth: int, limi
     """One isolation tree over rows, split only on dims, in ascending order.
 
     A dimension constant at a node is constant below it, so each node hands
-    its children the dimensions it found splittable.
+    its children the dimensions it found splittable. A node reads only the
+    columns of its dims.
     """
     n = len(rows)
     if n <= 1 or depth >= limit:
         return {"n": n}
-    columns = list(zip(*rows))
-    ranges = {d: (min(columns[d]), max(columns[d])) for d in dims}
+    if len(dims) * 4 < len(rows[0]):  # a few dims: build only their columns
+        ranges = {}
+        for d in dims:
+            column = [row[d] for row in rows]
+            ranges[d] = (min(column), max(column))
+    else:  # most dims: zip builds every column, each a few times faster, in C
+        columns = list(zip(*rows))
+        ranges = {d: (min(columns[d]), max(columns[d])) for d in dims}
     splittable = [d for d in dims if ranges[d][0] < ranges[d][1]]
     if not splittable:
         return {"n": n}  # all rows identical; cannot isolate further
@@ -572,7 +673,9 @@ def train_isolation_forest(
         raise ValueError(f"subsample must be in [2, {n}], got {subsample}")
 
     rows = _float_rows(training)
-    constant = _constant_columns(list(zip(*rows)))
+    # Columns as lists: zip(*rows) would park its tuples on CPython's free
+    # lists (see features.featurize).
+    constant = _constant_columns([[row[d] for row in rows] for d in range(len(rows[0]))])
     fixed = {d for d, _ in constant}
     varying = [d for d in range(len(rows[0])) if d not in fixed]
     rng = random.Random(seed)

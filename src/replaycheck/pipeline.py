@@ -203,10 +203,12 @@ def train_from_capture(
     records, notes = parse_capture_with_notes(capture, session)
     require_local_traffic(records, session)
     flows = segment_flows(records, session)
-    responses = [record for flow in flows for record in flow.responses]
+    payloads = [record.payload for flow in flows for record in flow.responses]
     model: NoveltyModel | None = None
-    if len(responses) >= 2:
-        model = train([featurize(record.payload) for record in responses])
+    if len(payloads) >= 2:
+        # A device answers with a few fixed acks: featurize each one once.
+        rows = {payload: featurize(payload) for payload in set(payloads)}
+        model = train([rows[payload] for payload in payloads])
     return TrainedDetector(
         model=model,
         response_class=classify_training_responses(flows),

@@ -94,7 +94,9 @@ def hamming_similarity(a: bytes, b: bytes) -> float:
     return matches / max(len(a), len(b))
 
 
-def classify_response_type(samples: Sequence[bytes], transport: Transport) -> ResponseClass:
+def classify_response_type(
+    samples: Sequence[bytes], transport: Transport, ratios: dict[bytes, float] | None = None
+) -> ResponseClass:
     """Coarse family of a group of responses to one repeated command.
 
     Checks run in order: the transport's standard protocol header on any
@@ -103,12 +105,19 @@ def classify_response_type(samples: Sequence[bytes], transport: Transport) -> Re
     fixed encoded blob), otherwise nonstandard-encrypted. The
     Encoded/NonStandard boundary is a heuristic; callers must feed
     responses to *identical* commands or the Hamming test is meaningless.
+
+    ratios holds printable ratios by payload: each distinct payload's is
+    computed once, and a caller classifying several groups may share it.
     """
     if not samples:
         raise ValueError("need at least one response sample")
     if any(rides_standard_security_protocol(s, transport) for s in samples):
         return ResponseClass.STANDARD_ENCRYPTED
-    mean_printable = sum(featurize(s)[PRINTABLE_RATIO] for s in samples) / len(samples)
+    ratios = {} if ratios is None else ratios
+    for s in samples:
+        if s not in ratios:
+            ratios[s] = featurize(s)[PRINTABLE_RATIO]
+    mean_printable = sum(map(ratios.__getitem__, samples)) / len(samples)
     if mean_printable >= CLEARTEXT_PRINTABLE_THRESHOLD:
         return ResponseClass.CLEARTEXT
     if all(s == samples[0] for s in samples):
@@ -135,10 +144,11 @@ def classify_training_responses(flows) -> ResponseClass | None:
         groups.setdefault(key, []).extend(r.payload for r in flow.responses)
 
     votes = Counter()
+    ratios: dict[bytes, float] = {}
     for (transport, _), samples in groups.items():
         if not samples:
             continue
-        verdict = classify_response_type(samples, transport)
+        verdict = classify_response_type(samples, transport, ratios)
         if verdict == ResponseClass.STANDARD_ENCRYPTED:
             return verdict
         votes[verdict] += 1

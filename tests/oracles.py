@@ -56,6 +56,46 @@ def _neighborhood(
     return k_distance, neighbors
 
 
+def _training_statistics(
+    standardized: list[list[float]], k_eff: int
+) -> tuple[list[float], list[float]]:
+    """Per-training-point k-distance and lrd, each excluding the point itself."""
+    n = len(standardized)
+    k_distances = []
+    neighbor_sets = []
+    for i in range(n):
+        distances = [
+            (j, _distance(standardized[i], standardized[j]))
+            for j in range(n)
+            if j != i
+        ]
+        k_distance, neighbors = _neighborhood(distances, k_eff)
+        k_distances.append(k_distance)
+        neighbor_sets.append((neighbors, {j: d for j, d in distances}))
+
+    lrds = []
+    for i in range(n):
+        neighbors, distance_of = neighbor_sets[i]
+        reach_sum = math.fsum(
+            max(k_distances[j], distance_of[j]) for j in neighbors
+        )
+        if reach_sum == 0.0:
+            lrds.append(1.0 / LRD_DUPLICATE_EPSILON)
+        else:
+            lrds.append(len(neighbors) / reach_sum)
+    return k_distances, lrds
+
+
+def brute_force_neighbor_statistics(
+    training: list[list[float]], k: int
+) -> tuple[list[float], list[float]]:
+    """Every training row's k-distance and lrd, by exhaustive enumeration,
+    with brute_force_lof's conventions; duplicate rows each count."""
+    k_eff = min(k, len(training) - 1)
+    standardized, _, _, _ = _standardize(training)
+    return _training_statistics(standardized, k_eff)
+
+
 def brute_force_lof(
     training: list[list[float]], k: int, query: list[float]
 ) -> float:
@@ -84,29 +124,7 @@ def brute_force_lof(
     if any(d == 0.0 for _, d in query_distances):
         return 1.0
 
-    # Per-training-point k-distance and lrd, each excluding the point itself.
-    k_distances = []
-    neighbor_sets = []
-    for i in range(n):
-        distances = [
-            (j, _distance(standardized[i], standardized[j]))
-            for j in range(n)
-            if j != i
-        ]
-        k_distance, neighbors = _neighborhood(distances, k_eff)
-        k_distances.append(k_distance)
-        neighbor_sets.append((neighbors, {j: d for j, d in distances}))
-
-    lrds = []
-    for i in range(n):
-        neighbors, distance_of = neighbor_sets[i]
-        reach_sum = math.fsum(
-            max(k_distances[j], distance_of[j]) for j in neighbors
-        )
-        if reach_sum == 0.0:
-            lrds.append(1.0 / LRD_DUPLICATE_EPSILON)
-        else:
-            lrds.append(len(neighbors) / reach_sum)
+    k_distances, lrds = _training_statistics(standardized, k_eff)
 
     k_distance_q, neighbors_q = _neighborhood(query_distances, k_eff)
     distance_of_q = {j: d for j, d in query_distances}

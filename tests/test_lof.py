@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import _standardize, brute_force_lof
+from oracles import _standardize, brute_force_lof, brute_force_neighbor_statistics
 from replaycheck import artifacts, models
 from replaycheck.artifacts import ArtifactError
 from replaycheck.features import featurize
@@ -310,6 +310,10 @@ TIED_ON_GRID = (
     True,
 )
 LARGEST_PLAIN = ([[float(i % 5), float(i % 3), 0.5] for i in range(64)], 5, [1.25, 0.25, 0.5], True)
+# TIED_ON_GRID's rows seven times over: 70 rows, 6 distinct. numpy's fit,
+# which every set of more than 64 rows used to get, scored the query
+# 2.878751568347908 against the oracle's 2.878751568347909.
+TIED_ON_GRID_70 = (TIED_ON_GRID[0] * 7, 14, TIED_ON_GRID[2], True)
 
 
 class TestPlainPython:
@@ -323,6 +327,39 @@ class TestPlainPython:
         training, k, query, _ = case
         assert len(training) <= models.LOF_PURE_MAX
         assert train_lof(training, k=k).score(query) == brute_force_lof(training, k, query)
+
+
+class TestDistinctPoints:
+    """The plain fit runs on distinct rows with their counts, up to
+    LOF_PURE_MAX distinct rows whatever n is, and still equals the oracle
+    on the expanded set, number for number."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=training_sets(max_n=300, max_distinct=models.LOF_PURE_MAX))
+    @example(case=TIED_ON_GRID_70)
+    def test_fit_and_score_equal_the_expanded_oracle(self, case):
+        training, k, query, _ = case
+        assert len({tuple(row) for row in training}) <= models.LOF_PURE_MAX
+        model = train_lof(training, k=k)
+        assert (model.k_distance, model.lrd) == brute_force_neighbor_statistics(training, k)
+        assert model.score(query) == brute_force_lof(training, k, query)
+
+    def test_loaded_duplicates_with_different_numbers_score_apart(self):
+        # No fit writes this: two equal points whose stored lrds differ. The
+        # scorer groups by (point, k_distance, lrd), so each keeps its own.
+        body = {
+            "kind": "lof", "k": 2, "k_eff": 2, "threshold": 1.5,
+            "standardization": {"mean": [0.0], "std": [1.0]},
+            "points": [[0.0], [0.0], [1.0], [3.0]],
+            "k_distance": [1.0, 1.0, 1.0, 2.0],
+            "lrd": [1.0, 4.0, 1.0, 0.5],
+        }
+        # The query's neighbors are the three points 0.5 away, each at reach
+        # distance 1, so its lrd is 1 and it scores their mean lrd, 6 / 3.
+        assert models.model_from_dict(body).score([0.5]) == 2.0
+        # Grouped by point alone, both duplicates would carry lrd 1.0.
+        first_only = dict(body, lrd=[1.0, 1.0, 1.0, 0.5])
+        assert models.model_from_dict(first_only).score([0.5]) == 1.0
 
 
 # SHA-256 of train_lof(golden_rows(data, n)).to_dict() as sorted-key JSON,

@@ -19,7 +19,9 @@ import replaycheck
 from replaycheck import artifacts, pipeline, replay
 from replaycheck.artifacts import ArtifactError
 from replaycheck.capture import Endpoint, Flow, SessionConfig, parse_capture
+from replaycheck.features import featurize
 from replaycheck.models import (
+    DEFAULT_LOF_THRESHOLD,
     LOF_PURE_MAX,
     IsolationForestModel,
     LofModel,
@@ -50,6 +52,7 @@ from replaycheck.simdevices import (
     trigger_state,
 )
 from replaycheck.verdict import Outcome, Reason, decide
+from test_iforest import TWO_ACKS, golden_rows
 
 APP = DEFAULT_APP_ENDPOINT
 
@@ -168,10 +171,10 @@ class TestTrainFromCapture:
         # the CLI import through training, a verdict and a model file, a
         # companion session's LOF or forest needs no numpy, and neither does
         # a forest of LOF_PURE_MAX + 1 vectors. Reading and scoring an LOF
-        # model of that many vectors needs none either; training one loads
-        # it and still trains and scores.
+        # model of that many distinct vectors needs none either; training
+        # one loads it and still trains and scores.
         device = device_factory(Behavior.CLEARTEXT_ECHO)
-        rows = [[float(i % 7), float(i * i % 11), i % 4 + 0.5] for i in range(LOF_PURE_MAX + 1)]
+        rows = [[float(i % 7), float(i * i % 11), i + 0.5] for i in range(LOF_PURE_MAX + 1)]
         query = [3.5, 2.5, 1.0]
         large = train_lof(rows)
         artifacts.write(tmp_path / "large.json", artifacts.MODEL, large.to_dict())
@@ -241,6 +244,43 @@ class TestTrainFromCapture:
         assert report["numpy_after"]
         assert report["rows_forest"] == train_isolation_forest(rows, trees=10, seed=3).score(query)
         assert report["rows_lof"] == train_lof(rows).score(query)
+
+    def test_two_ack_lof_of_a_thousand_rows_loads_no_numpy(self, tmp_path):
+        # A fresh interpreter, as above. 1,000 rows of two distinct acks are
+        # 2 distinct vectors, well within LOF_PURE_MAX, so the fit is plain
+        # Python; the model file holds every row and scores as the fit does.
+        rows = golden_rows("two-ack", 1000)
+        between = [(a + b) / 2 for a, b in zip(*TWO_ACKS)]
+        queries = [*TWO_ACKS, featurize(b"ERR unauthorized"), between]
+        script = (
+            "import json, sys\n"
+            "preloaded = 'numpy' in sys.modules\n"
+            "from replaycheck import artifacts\n"
+            "from replaycheck.models import train_lof\n"
+            "given = json.load(sys.stdin)\n"
+            "model = train_lof(given['rows'])\n"
+            "artifacts.write(given['path'], artifacts.MODEL, model.to_dict())\n"
+            "loaded = artifacts.read(given['path'], artifacts.MODEL)\n"
+            "print(json.dumps({'preloaded': preloaded, 'numpy': 'numpy' in sys.modules,\n"
+            "                  'size': loaded.training_size, 'equal': loaded == model,\n"
+            "                  'scores': [model.score(q) for q in given['queries']],\n"
+            "                  'loaded': [loaded.score(q) for q in given['queries']]}))\n"
+        )
+        given = {"rows": rows, "queries": queries, "path": str(tmp_path / "model.json")}
+        src = str(Path(replaycheck.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=json.dumps(given), capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60,
+        )
+        report = json.loads(done.stdout)
+        if report["preloaded"]:
+            pytest.skip("this interpreter loads numpy before any test code runs")
+        assert not report["numpy"]
+        assert (report["size"], report["equal"]) == (1000, True)
+        expected = [train_lof(rows).score(q) for q in queries]
+        assert report["scores"] == report["loaded"] == expected
+        assert expected[:2] == [1.0, 1.0] and expected[2] > DEFAULT_LOF_THRESHOLD
 
     def test_isolation_forest_kind(self, device_factory):
         device = device_factory(Behavior.CLEARTEXT_ECHO)
