@@ -204,14 +204,15 @@ def train_from_capture(
     require_local_traffic(records, session)
     flows = segment_flows(records, session)
     payloads = [record.payload for flow in flows for record in flow.responses]
+    # A device answers with a few fixed acks: featurize each one once, for
+    # the model and the classifier both.
+    rows = {payload: featurize(payload) for payload in dict.fromkeys(payloads)}
     model: NoveltyModel | None = None
     if len(payloads) >= 2:
-        # A device answers with a few fixed acks: featurize each one once.
-        rows = {payload: featurize(payload) for payload in set(payloads)}
         model = train([rows[payload] for payload in payloads])
     return TrainedDetector(
         model=model,
-        response_class=classify_training_responses(flows),
+        response_class=classify_training_responses(flows, rows),
         flows=flows,
         notes=notes,
     )

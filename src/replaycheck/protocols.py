@@ -94,9 +94,7 @@ def hamming_similarity(a: bytes, b: bytes) -> float:
     return matches / max(len(a), len(b))
 
 
-def classify_response_type(
-    samples: Sequence[bytes], transport: Transport, ratios: dict[bytes, float] | None = None
-) -> ResponseClass:
+def classify_response_type(samples: Sequence[bytes], transport: Transport) -> ResponseClass:
     """Coarse family of a group of responses to one repeated command.
 
     Checks run in order: the transport's standard protocol header on any
@@ -105,19 +103,23 @@ def classify_response_type(
     fixed encoded blob), otherwise nonstandard-encrypted. The
     Encoded/NonStandard boundary is a heuristic; callers must feed
     responses to *identical* commands or the Hamming test is meaningless.
-
-    ratios holds printable ratios by payload: each distinct payload's is
-    computed once, and a caller classifying several groups may share it.
     """
+    return _classify_group(samples, transport, {})
+
+
+def _classify_group(
+    samples: Sequence[bytes], transport: Transport, rows: dict[bytes, Sequence[float]]
+) -> ResponseClass:
+    """classify_response_type, taking each sample's feature row from rows;
+    a payload not there is featurized once and added."""
     if not samples:
         raise ValueError("need at least one response sample")
     if any(rides_standard_security_protocol(s, transport) for s in samples):
         return ResponseClass.STANDARD_ENCRYPTED
-    ratios = {} if ratios is None else ratios
     for s in samples:
-        if s not in ratios:
-            ratios[s] = featurize(s)[PRINTABLE_RATIO]
-    mean_printable = sum(map(ratios.__getitem__, samples)) / len(samples)
+        if s not in rows:
+            rows[s] = featurize(s)
+    mean_printable = sum(rows[s][PRINTABLE_RATIO] for s in samples) / len(samples)
     if mean_printable >= CLEARTEXT_PRINTABLE_THRESHOLD:
         return ResponseClass.CLEARTEXT
     if all(s == samples[0] for s in samples):
@@ -129,7 +131,9 @@ def classify_response_type(
     return ResponseClass.NONSTANDARD_ENCRYPTED
 
 
-def classify_training_responses(flows) -> ResponseClass | None:
+def classify_training_responses(
+    flows, rows: dict[bytes, Sequence[float]] | None = None
+) -> ResponseClass | None:
     """Classify a training capture's responses, grouped per command.
 
     Flows on one transport whose request byte sequences are identical are
@@ -137,6 +141,10 @@ def classify_training_responses(flows) -> ResponseClass | None:
     standard-protocol group decides immediately; otherwise the most common
     group class wins (ties break toward cleartext, then encoded). None
     when no flow has any response to classify.
+
+    rows maps response payloads to their feature rows, for a caller that
+    has them; a payload missing from it is featurized once, whichever
+    groups it is in.
     """
     groups: dict[tuple[Transport, tuple[bytes, ...]], list[bytes]] = {}
     for flow in flows:
@@ -144,11 +152,11 @@ def classify_training_responses(flows) -> ResponseClass | None:
         groups.setdefault(key, []).extend(r.payload for r in flow.responses)
 
     votes = Counter()
-    ratios: dict[bytes, float] = {}
+    rows = {} if rows is None else rows
     for (transport, _), samples in groups.items():
         if not samples:
             continue
-        verdict = classify_response_type(samples, transport, ratios)
+        verdict = _classify_group(samples, transport, rows)
         if verdict == ResponseClass.STANDARD_ENCRYPTED:
             return verdict
         votes[verdict] += 1

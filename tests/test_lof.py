@@ -1,6 +1,7 @@
 """Local-outlier-factor tests: frozen values, degenerate cases, and
 agreement with the naive reference implementation."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -360,6 +361,10 @@ class TestDistinctPoints:
         # Grouped by point alone, both duplicates would carry lrd 1.0.
         first_only = dict(body, lrd=[1.0, 1.0, 1.0, 0.5])
         assert models.model_from_dict(first_only).score([0.5]) == 1.0
+        # The grouping is derived whenever a model is made, so a copy with
+        # other lists scores by its own lists, not the original's.
+        model = models.model_from_dict(first_only)
+        assert dataclasses.replace(model, lrd=body["lrd"]).score([0.5]) == 2.0
 
 
 # SHA-256 of train_lof(golden_rows(data, n)).to_dict() as sorted-key JSON,
