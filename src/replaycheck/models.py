@@ -339,7 +339,7 @@ def _counted_fsum(terms: list[float], weights: list[int]) -> float:
 def _reach_density(
     distances: list[float], neighbors: list[int], weights: list[int], k_distance: list[float]
 ) -> float:
-    """|N| over the sum of N's reach distances, neighbor j counted weights[t] times."""
+    """|N| over the sum of N's reach distances, neighbors[t] counted weights[t] times."""
     total = _counted_fsum([max(k_distance[j], distances[j]) for j in neighbors], weights)
     if total == 0.0:
         return 1.0 / LRD_DUPLICATE_EPSILON
