@@ -585,19 +585,8 @@ def _grow_tree(rows: list, dims: list[int], rng: random.Random, depth: int, limi
     n = len(rows)
     if n <= 1 or depth >= limit:
         return {"n": n}
-    # A column built in Python costs more than one of zip's, built in C, but
-    # zip builds every column: building only dims' is faster while they are
-    # fewer than a quarter of the row (the measured crossover on 19-wide
-    # rows at n = 4 to 256; on wide data a node reading every column took
-    # a third longer than zip, on two-ack rows 7-13% less).
-    if len(dims) * 4 < len(rows[0]):
-        ranges = {}
-        for d in dims:
-            column = [row[d] for row in rows]
-            ranges[d] = (min(column), max(column))
-    else:
-        columns = list(zip(*rows))
-        ranges = {d: (min(columns[d]), max(columns[d])) for d in dims}
+    columns = list(zip(*rows))
+    ranges = {d: (min(columns[d]), max(columns[d])) for d in dims}
     splittable = [d for d in dims if ranges[d][0] < ranges[d][1]]
     if not splittable:
         return {"n": n}  # all rows identical; cannot isolate further

@@ -25,11 +25,11 @@ Keyed tags and keystreams come from random.Random seeded with the secret
 no run loads OpenSSL. Neither is a real MAC or cipher: in the replay
 threat model an attacker only resends captured bytes, never forges them.
 
-Each echo-style device derives its per-state ack line once and keeps it
-(encoded_fixed draws its blobs at spawn, the others derive on first
-use); session_key derives its keystream once per key and message length,
-and its ack lines once per key. Each device keeps its own, so no device
-reuses another's work. An incoming tag is still recomputed every time.
+Each echo-style device derives its per-state ack lines when it is made
+(encoded_fixed draws its blobs then); session_key derives them when each
+key is made, and keeps the keystreams of the last few message lengths
+per key. Each device keeps its own, so no device reuses another's work.
+An incoming tag is still recomputed every time.
 
 SimulatedDevice implements pipeline.AssessedDevice with the functions
 below, and writes its captures with capture.records_to_capture; the pcap
@@ -47,7 +47,7 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 
 from .capture import DEFAULT_APP_ENDPOINT, Endpoint, PacketRecord, Transport, records_to_capture
 from .loopback import LoopbackServer, SpawnError
@@ -157,26 +157,9 @@ def _keystream(key: bytes, length: int) -> bytes:
     return random.Random(key).randbytes(length)
 
 
-# A device keeps at most this many payloads it derived, per table: each
-# state's ack fits, and a peer that sends every message length cannot grow
-# a session key's stream table without bound.
+# A session key keeps the keystreams of at most this many message lengths,
+# so a peer that sends every length cannot grow its cache without bound.
 _MOST_KEPT = 8
-
-
-class _FirstUse(dict):
-    """Payloads a device derives by make(key), each made on first use and
-    kept (past _MOST_KEPT, made afresh every time). The tables live on the
-    device, so one device never reuses another's work."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self.make(key)
-        if len(self) < _MOST_KEPT:
-            self[key] = value
-        return value
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +242,7 @@ class _CleartextEchoEngine(_LineEngine):
         self.ack_tokens = {
             state: rng.getrandbits(64).to_bytes(8, "big").hex() for state in DeviceState
         }
-        self.acks = _FirstUse(self._ack_line)
+        self.acks = {state: self._ack_line(state) for state in DeviceState}
 
     def _ack_line(self, state: DeviceState) -> bytes:
         return _json_line({"result": ["ok"], "state": state.value, "token": self.ack_tokens[state]})
@@ -298,7 +281,7 @@ class _SignedCleartextEngine(_LineEngine):
     def __init__(self, device):
         super().__init__(device)
         self.secret = device.device_rng.randbytes(16)  # static; survives restart
-        self.acks = _FirstUse(self._ack_line)
+        self.acks = {state: self._ack_line(state) for state in DeviceState}
 
     def _signature(self, body: dict) -> str:
         return random.Random(self.secret + _canonical(body)).randbytes(32).hex()
@@ -378,17 +361,17 @@ class _EncodedFixedEngine(_EngineBase):
 
 
 class _SessionKey:
-    """A session key and what the device derives from it, each made on
-    first use: the keystream for each message length and the ack line for
-    each state (fixed plaintext, so a fixed ciphertext under one key)."""
+    """A session key and what the device derives from it: the ack line for
+    each state, made with the key (fixed plaintext, so a fixed ciphertext
+    under one key), and the keystream for each message length, cached."""
 
     def __init__(self, key: bytes):
         self.key = key
-        self.streams = _FirstUse(partial(_keystream, key))
-        self.acks = _FirstUse(self._ack_line)
+        self.stream = lru_cache(maxsize=_MOST_KEPT)(partial(_keystream, key))
+        self.acks = {state: self._ack_line(state) for state in DeviceState}
 
     def xor(self, data: bytes) -> bytes:
-        stream = self.streams[len(data)]
+        stream = self.stream(len(data))
         mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
         return mixed.to_bytes(len(data), "big")
 

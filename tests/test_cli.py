@@ -251,6 +251,24 @@ class TestAttack:
         assert_bad_input(result, out)
         assert query_state(device) == DeviceState.REVERSE
 
+    def test_closed_port_notes_each_flow_and_exits_0(self, device_factory, tmp_path):
+        device = device_factory(Behavior.CLEARTEXT_ECHO)
+        capture = tmp_path / "training.pcap"
+        capture.write_bytes(companion_session(device, script=[DeviceState.OBVERSE] * 3))
+        device.shutdown()
+        queue_out = tmp_path / "queue.json"
+        result = invoke([
+            "attack", "--capture", str(capture), "--app", APP,
+            "--device", str(device.endpoint), "--queue-out", str(queue_out), *FAST_FLAGS,
+        ])
+        assert result.exit_code == 0, result.output
+        notes = [line for line in result.output.splitlines() if line.startswith("note: ")]
+        assert len(notes) == 3
+        assert all(line.startswith(f"note: connect to {device.endpoint} failed") for line in notes)
+        summary = invoke(["report", str(queue_out)])
+        assert summary.exit_code == 0, summary.output
+        assert "response queue: 0 responses" in summary.output
+
     def test_explicit_target_flag(self, device_factory, tmp_path):
         device = device_factory(Behavior.CLEARTEXT_ECHO)
         result, _, queue_out = run_attack(

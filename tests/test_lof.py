@@ -438,10 +438,11 @@ class TestBlockedDistances:
             block = pick.choice(sizes)
         else:
             block = 1 if blocking == "one-row" else n
-        # numpy for every size, and the budget that makes train_lof take
-        # exactly `block` rows at a time
+        # numpy for every set, one distinct row included (the plain fit
+        # takes at most LOF_PURE_MAX distinct rows), and the budget that
+        # makes train_lof take exactly `block` rows at a time
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(models, "LOF_PURE_MAX", 1)
+            patch.setattr(models, "LOF_PURE_MAX", 0)
             patch.setattr(models, "LOF_BLOCK_BYTES", block * 8 * n * max(1, varying))
             model = train_lof(training, k=k)
             score = model.score(query)

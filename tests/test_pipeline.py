@@ -18,7 +18,15 @@ import pytest
 import replaycheck
 from replaycheck import artifacts, pipeline, replay
 from replaycheck.artifacts import ArtifactError
-from replaycheck.capture import Endpoint, Flow, SessionConfig, parse_capture
+from replaycheck.capture import (
+    Endpoint,
+    Flow,
+    PacketRecord,
+    SessionConfig,
+    Transport,
+    parse_capture,
+    records_to_capture,
+)
 from replaycheck.features import featurize
 from replaycheck.models import (
     DEFAULT_LOF_THRESHOLD,
@@ -43,6 +51,7 @@ from replaycheck.pipeline import (
 from replaycheck.protocols import ResponseClass
 from replaycheck.simdevices import (
     DEFAULT_APP_ENDPOINT,
+    DEFAULT_TRAINING_SCRIPT,
     Behavior,
     DeviceState,
     companion_session,
@@ -364,6 +373,54 @@ def test_training_and_deciding_park_no_tuples(device_factory):
     finally:
         tracemalloc.stop()
     assert parked <= 64 * 1024, f"{parked / 1024:.0f} KiB parked on free lists"
+
+
+# A device that answers each command with two TCP writes of equal length.
+TWO_WRITE_DEVICE = Endpoint("127.0.0.1", 29900)
+
+
+def two_write_capture() -> bytes:
+    """Ten flows: each `SET <state> <n>` answered by two segments,
+    `OK <state>` and `ST <state>`."""
+    records = []
+    for n, state in enumerate(DEFAULT_TRAINING_SCRIPT):
+        name = state.value.encode()
+        command, *answers = [b"SET %s %d\n" % (name, n), b"OK %s\n" % name, b"ST %s\n" % name]
+        records.append(PacketRecord(3000 * n, APP, TWO_WRITE_DEVICE, Transport.TCP, command))
+        records += [
+            PacketRecord(3000 * n + 1000 * (i + 1), TWO_WRITE_DEVICE, APP, Transport.TCP, answer)
+            for i, answer in enumerate(answers)
+        ]
+    return records_to_capture(records)
+
+
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+class TestTwoWritesPerCommand:
+    """Known defect 4, pinned without sockets. Training takes each TCP
+    segment as one response; a replay's recv can join the two writes into
+    one queue entry, as loopback usually does."""
+
+    @staticmethod
+    def decide_on(model_kind, payloads):
+        capture = two_write_capture()
+        session = SessionConfig(app=APP, device=TWO_WRITE_DEVICE)
+        detector = train_from_capture(capture, session, PipelineSettings(model_kind=model_kind))
+        assert detector.training_responses == 20
+        queue = replay.ResponseQueue(
+            tuple(replay.QueueEntry(0.01 * i, 0, p) for i, p in enumerate(payloads))
+        )
+        return decide(queue, parse_capture(capture, session), detector.model)
+
+    def test_the_two_writes_kept_apart_are_called_successful(self, model_kind):
+        verdict = self.decide_on(model_kind, [b"OK obverse\n", b"ST obverse\n"])
+        assert (verdict.outcome, verdict.reason) == (Outcome.SUCCESSFUL, Reason.REGULAR_FOUND)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="Known defect 4; ROADMAP item 14 Part A"
+    )
+    def test_the_two_writes_merged_are_called_successful(self, model_kind):
+        verdict = self.decide_on(model_kind, [b"OK obverse\nST obverse\n"])
+        assert verdict.outcome == Outcome.SUCCESSFUL
 
 
 class TestAttackFromCapture:

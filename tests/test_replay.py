@@ -165,6 +165,21 @@ class TestReplayFlow:
         assert "connect" in note and "failed" in note
         assert replayed.first_sent is None and replayed.last_sent is None
 
+    def test_peer_that_closes_mid_flow_is_noted(self):
+        # The device answers the first request and hangs up, well inside
+        # the gap before the second is due.
+        server = LoopbackServer(Transport.TCP, 0, lambda: lambda data: ([b"bye"], True))
+        try:
+            flow = flow_of(b"one", b"two", transport=Transport.TCP)
+            config = replace(FAST, inter_request_delay_ms=200)
+            responses, note = replay_flow(
+                flow, Endpoint("127.0.0.1", server.port), config, capture_linger_s([flow], config)
+            )
+        finally:
+            server.stop()
+        assert [p for _, p in responses] == [b"bye"]
+        assert note == "peer closed after 1 of 2 requests"
+
     def test_tcp_flow_to_an_ipv6_literal(self):
         # The socket's family comes from the address form, with no lookup.
         with ipv6_loopback_listener() as listener:

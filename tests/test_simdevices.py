@@ -684,40 +684,45 @@ class TestKeyedPayloads:
         assert [len(_keystream(b"k" * 16, n)) for n in (0, 1, 33)] == [0, 1, 33]
 
     @staticmethod
-    def derived(device):
-        """The tables a line-protocol device keeps its derived payloads in."""
+    def acks(device):
+        """The table a line-protocol device keeps its per-state acks in."""
         engine = device.engine
-        if device.profile.behavior == Behavior.SESSION_KEY:
-            return [engine.keyed.acks, engine.keyed.streams]
-        return [engine.acks]
+        return engine.keyed.acks if device.profile.behavior == Behavior.SESSION_KEY else engine.acks
 
     @pytest.mark.parametrize("behavior", LINE_BEHAVIORS, ids=lambda b: b.value)
-    def test_payloads_are_derived_on_first_use_by_each_device(self, device_factory, behavior):
-        """Spawning derives nothing, and a device keeps what it derives on
-        itself: a second device of the same seed starts from empty tables
-        and sends the same bytes."""
+    def test_each_device_derives_its_acks_when_made(self, device_factory, behavior):
+        """A device holds one ack per state from spawn, on itself: a second
+        device of the same seed holds equal tables, not the same ones, and
+        sends the same bytes. Each command is answered from the table."""
         first, second = device_factory(behavior, seed=7), device_factory(behavior, seed=7)
-        assert all(table == {} for table in self.derived(first) + self.derived(second))
-        sent = [trigger_state(first, state) for state in DEFAULT_TRAINING_SCRIPT[:2]]
-        assert all(self.derived(first))
-        assert all(table == {} for table in self.derived(second))
-        again = [trigger_state(second, state) for state in DEFAULT_TRAINING_SCRIPT[:2]]
+        acks = dict(self.acks(first))
+        assert set(acks) == set(DeviceState)
+        assert self.acks(second) == acks and self.acks(second) is not self.acks(first)
+        script = DEFAULT_TRAINING_SCRIPT[:2]
+        sent = [trigger_state(first, state) for state in script]
+        again = [trigger_state(second, state) for state in script]
         assert [[r.payload for r in records] for records in again] == [
             [r.payload for r in records] for records in sent
         ]
+        assert [records[1].payload for records in sent] == [acks[state] for state in script]
+        assert self.acks(first) == acks
 
     @pytest.mark.parametrize("rekey", [True, False], ids=["rekey", "keep"])
     def test_a_rekey_replaces_the_key_and_all_derived_from_it(self, device_factory, rekey):
+        """A rekey swaps the key with its acks and keystream cache; keeping
+        the key keeps them. The old key's acks are left as they were."""
         device = device_factory(Behavior.SESSION_KEY, rekey_on_restart=rekey)
         trigger_state(device, DeviceState.OBVERSE)
         before = device.engine.keyed
-        acks, streams = dict(before.acks), dict(before.streams)
+        acks = dict(before.acks)
         restart_device(device)
         after = device.engine.keyed
         assert (after is not before) == rekey
-        assert (after.acks, after.streams) == (({}, {}) if rekey else (acks, streams))
-        assert (before.acks, before.streams) == (acks, streams)  # the old key's are untouched
-        trigger_state(device, DeviceState.OBVERSE)
+        assert (after.key != before.key, after.stream is not before.stream) == (rekey, rekey)
+        assert [after.acks[state] != acks[state] for state in DeviceState] == [rekey, rekey]
+        assert before.acks == acks
+        records = trigger_state(device, DeviceState.OBVERSE)
+        assert records[1].payload == after.acks[DeviceState.OBVERSE]
 
     def test_the_keystream_table_is_bounded(self, device_factory):
         """A peer that sends a new message length each time gets an answer
@@ -729,7 +734,7 @@ class TestKeyedPayloads:
                 "request": base64.b64encode(b"\x00" * length).decode()}}
             (reply,), _ = handle((json.dumps(wrapper) + "\n").encode())
             assert json.loads(reply) == ERROR_REPLIES[Behavior.SESSION_KEY]
-        assert len(device.engine.keyed.streams) == _MOST_KEPT
+        assert device.engine.keyed.stream.cache_info().currsize == _MOST_KEPT
         trigger_state(device, DeviceState.OBVERSE)
         assert query_state(device) == DeviceState.OBVERSE
 
