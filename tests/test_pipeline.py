@@ -425,8 +425,6 @@ class TestTwoWritesPerCommand:
 
 class TestAttackFromCapture:
     def test_replay_of_command_capture(self, device_factory, fast_settings):
-        from replaycheck.capture import records_to_capture
-
         device = device_factory(Behavior.CLEARTEXT_ECHO)
         records = trigger_state(device, DeviceState.OBVERSE)
         capture = records_to_capture(records)

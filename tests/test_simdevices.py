@@ -684,45 +684,47 @@ class TestKeyedPayloads:
         assert [len(_keystream(b"k" * 16, n)) for n in (0, 1, 33)] == [0, 1, 33]
 
     @staticmethod
-    def acks(device):
-        """The table a line-protocol device keeps its per-state acks in."""
+    def kept(device):
+        """How many payloads each cache of a line-protocol device holds."""
         engine = device.engine
-        return engine.keyed.acks if device.profile.behavior == Behavior.SESSION_KEY else engine.acks
+        if device.profile.behavior == Behavior.SESSION_KEY:
+            caches = [engine.keyed.ack, engine.keyed.stream]
+        else:
+            caches = [engine.ack]
+        return [derived.cache_info().currsize for derived in caches]
 
     @pytest.mark.parametrize("behavior", LINE_BEHAVIORS, ids=lambda b: b.value)
-    def test_each_device_derives_its_acks_when_made(self, device_factory, behavior):
-        """A device holds one ack per state from spawn, on itself: a second
-        device of the same seed holds equal tables, not the same ones, and
-        sends the same bytes. Each command is answered from the table."""
+    def test_payloads_are_derived_on_first_use_by_each_device(self, device_factory, behavior):
+        """Spawning derives nothing, and a device keeps what it derives on
+        itself: a second device of the same seed starts from empty caches
+        and sends the same bytes."""
         first, second = device_factory(behavior, seed=7), device_factory(behavior, seed=7)
-        acks = dict(self.acks(first))
-        assert set(acks) == set(DeviceState)
-        assert self.acks(second) == acks and self.acks(second) is not self.acks(first)
-        script = DEFAULT_TRAINING_SCRIPT[:2]
-        sent = [trigger_state(first, state) for state in script]
-        again = [trigger_state(second, state) for state in script]
+        assert not any(self.kept(first) + self.kept(second))
+        sent = [trigger_state(first, state) for state in DEFAULT_TRAINING_SCRIPT[:2]]
+        assert all(self.kept(first))
+        assert not any(self.kept(second))
+        again = [trigger_state(second, state) for state in DEFAULT_TRAINING_SCRIPT[:2]]
         assert [[r.payload for r in records] for records in again] == [
             [r.payload for r in records] for records in sent
         ]
-        assert [records[1].payload for records in sent] == [acks[state] for state in script]
-        assert self.acks(first) == acks
 
     @pytest.mark.parametrize("rekey", [True, False], ids=["rekey", "keep"])
     def test_a_rekey_replaces_the_key_and_all_derived_from_it(self, device_factory, rekey):
-        """A rekey swaps the key with its acks and keystream cache; keeping
+        """A rekey swaps the key with its ack and keystream caches; keeping
         the key keeps them. The old key's acks are left as they were."""
         device = device_factory(Behavior.SESSION_KEY, rekey_on_restart=rekey)
         trigger_state(device, DeviceState.OBVERSE)
         before = device.engine.keyed
-        acks = dict(before.acks)
+        ack = before.ack(DeviceState.OBVERSE)
         restart_device(device)
         after = device.engine.keyed
         assert (after is not before) == rekey
-        assert (after.key != before.key, after.stream is not before.stream) == (rekey, rekey)
-        assert [after.acks[state] != acks[state] for state in DeviceState] == [rekey, rekey]
-        assert before.acks == acks
+        assert (after.key != before.key, after.ack is not before.ack) == (rekey, rekey)
+        assert (after.stream is not before.stream) == rekey
+        assert after.ack.cache_info().currsize == (0 if rekey else 1)
+        assert before.ack(DeviceState.OBVERSE) == ack
         records = trigger_state(device, DeviceState.OBVERSE)
-        assert records[1].payload == after.acks[DeviceState.OBVERSE]
+        assert (records[1].payload != ack) == rekey
 
     def test_the_keystream_table_is_bounded(self, device_factory):
         """A peer that sends a new message length each time gets an answer
