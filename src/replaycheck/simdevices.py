@@ -25,11 +25,12 @@ Keyed tags and keystreams come from random.Random seeded with the secret
 no run loads OpenSSL. Neither is a real MAC or cipher: in the replay
 threat model an attacker only resends captured bytes, never forges them.
 
-Each echo-style device derives its ack line for a state on first use and
-keeps it in a functools cache (encoded_fixed draws its blobs at spawn);
-session_key keeps its ack lines per key, and the keystreams of the last
-few message lengths. Each device keeps its own caches, so no device
-reuses another's work. An incoming tag is still recomputed every time.
+Each echo-style device keeps its per-state ack lines in a plain dict
+(encoded_fixed draws its blobs at spawn; the others derive theirs when
+the first ack is sent); session_key keeps its ack lines per key, and the
+keystreams of the last few message lengths. Each device keeps its own,
+so no device reuses another's work. An incoming tag is still recomputed
+every time.
 
 SimulatedDevice implements pipeline.AssessedDevice with the functions
 below, and writes its captures with capture.records_to_capture; the pcap
@@ -47,7 +48,7 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 from .capture import DEFAULT_APP_ENDPOINT, Endpoint, PacketRecord, Transport, records_to_capture
 from .loopback import LoopbackServer, SpawnError
@@ -162,6 +163,13 @@ def _keystream(key: bytes, length: int) -> bytes:
 _MOST_KEPT = 8
 
 
+def _ack_lines(owner) -> dict:
+    """Each state's ack line from owner._ack_line. Owners derive them on the
+    first ack they send, not when made: an assessment's set-up spawns
+    devices, and its companion sessions, which send acks, run later."""
+    return {state: owner._ack_line(state) for state in DeviceState}
+
+
 # ---------------------------------------------------------------------------
 # behavior engines
 # ---------------------------------------------------------------------------
@@ -236,13 +244,14 @@ class _CleartextEchoEngine(_LineEngine):
     scene digest), so a session sees exactly two distinct ack payloads.
     """
 
+    acks = cached_property(_ack_lines)
+
     def __init__(self, device):
         super().__init__(device)
         rng = device.device_rng
         self.ack_tokens = {
             state: rng.getrandbits(64).to_bytes(8, "big").hex() for state in DeviceState
         }
-        self.ack = cache(self._ack_line)
 
     def _ack_line(self, state: DeviceState) -> bytes:
         return _json_line({"result": ["ok"], "state": state.value, "token": self.ack_tokens[state]})
@@ -258,7 +267,7 @@ class _CleartextEchoEngine(_LineEngine):
             ["reverse"],
         ):
             self.device.state = DeviceState(params[0])
-            return [self.ack(self.device.state)]
+            return [self.acks[self.device.state]]
         return [_json_line({"error": {"code": -1, "message": "invalid command"}})]
 
     def build_command(self, target: DeviceState) -> bytes:
@@ -278,10 +287,11 @@ class _SignedCleartextEngine(_LineEngine):
     replay carries a valid tag and is executed.
     """
 
+    acks = cached_property(_ack_lines)
+
     def __init__(self, device):
         super().__init__(device)
         self.secret = device.device_rng.randbytes(16)  # static; survives restart
-        self.ack = cache(self._ack_line)
 
     def _signature(self, body: dict) -> str:
         return random.Random(self.secret + _canonical(body)).randbytes(32).hex()
@@ -306,7 +316,7 @@ class _SignedCleartextEngine(_LineEngine):
             "reverse",
         ):
             self.device.state = DeviceState(request["target"])
-            return [self.ack(self.device.state)]
+            return [self.acks[self.device.state]]
         return [_json_line({"code": 400, "status": "error"})]
 
     def build_command(self, target: DeviceState) -> bytes:
@@ -361,14 +371,15 @@ class _EncodedFixedEngine(_EngineBase):
 
 
 class _SessionKey:
-    """A session key and what the device derives from it, each cached on
-    first use: the keystream for each message length and the ack line for
-    each state (fixed plaintext, so a fixed ciphertext under one key)."""
+    """A session key and what the device derives from it: the keystream for
+    each message length, cached, and the ack line for each state (fixed
+    plaintext, so a fixed ciphertext under one key)."""
+
+    acks = cached_property(_ack_lines)
 
     def __init__(self, key: bytes):
         self.key = key
         self.stream = lru_cache(maxsize=_MOST_KEPT)(partial(_keystream, key))
-        self.ack = cache(self._ack_line)
 
     def xor(self, data: bytes) -> bytes:
         stream = self.stream(len(data))
@@ -419,7 +430,7 @@ class _SessionKeyEngine(_LineEngine):
             and inner.get("target") in ("obverse", "reverse")
         ):
             self.device.state = DeviceState(inner["target"])
-            return [keyed.ack(self.device.state)]
+            return [keyed.acks[self.device.state]]
         return [self._secure_error()]
 
     def build_command(self, target: DeviceState) -> bytes:

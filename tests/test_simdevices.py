@@ -685,23 +685,23 @@ class TestKeyedPayloads:
 
     @staticmethod
     def kept(device):
-        """How many payloads each cache of a line-protocol device holds."""
+        """How many acks a line-protocol device holds, and for session_key
+        how many keystreams its key keeps."""
         engine = device.engine
-        if device.profile.behavior == Behavior.SESSION_KEY:
-            caches = [engine.keyed.ack, engine.keyed.stream]
-        else:
-            caches = [engine.ack]
-        return [derived.cache_info().currsize for derived in caches]
+        if device.profile.behavior != Behavior.SESSION_KEY:
+            return [len(vars(engine).get("acks", ()))]
+        keyed = engine.keyed
+        return [len(vars(keyed).get("acks", ())), keyed.stream.cache_info().currsize]
 
     @pytest.mark.parametrize("behavior", LINE_BEHAVIORS, ids=lambda b: b.value)
     def test_payloads_are_derived_on_first_use_by_each_device(self, device_factory, behavior):
         """Spawning derives nothing, and a device keeps what it derives on
-        itself: a second device of the same seed starts from empty caches
+        itself: a second device of the same seed starts with nothing kept
         and sends the same bytes."""
         first, second = device_factory(behavior, seed=7), device_factory(behavior, seed=7)
         assert not any(self.kept(first) + self.kept(second))
         sent = [trigger_state(first, state) for state in DEFAULT_TRAINING_SCRIPT[:2]]
-        assert all(self.kept(first))
+        assert all(self.kept(first)) and self.kept(first)[0] == len(DeviceState)
         assert not any(self.kept(second))
         again = [trigger_state(second, state) for state in DEFAULT_TRAINING_SCRIPT[:2]]
         assert [[r.payload for r in records] for records in again] == [
@@ -710,21 +710,20 @@ class TestKeyedPayloads:
 
     @pytest.mark.parametrize("rekey", [True, False], ids=["rekey", "keep"])
     def test_a_rekey_replaces_the_key_and_all_derived_from_it(self, device_factory, rekey):
-        """A rekey swaps the key with its ack and keystream caches; keeping
+        """A rekey swaps the key with its acks and keystream cache; keeping
         the key keeps them. The old key's acks are left as they were."""
         device = device_factory(Behavior.SESSION_KEY, rekey_on_restart=rekey)
         trigger_state(device, DeviceState.OBVERSE)
         before = device.engine.keyed
-        ack = before.ack(DeviceState.OBVERSE)
+        acks = dict(before.acks)
         restart_device(device)
         after = device.engine.keyed
         assert (after is not before) == rekey
-        assert (after.key != before.key, after.ack is not before.ack) == (rekey, rekey)
-        assert (after.stream is not before.stream) == rekey
-        assert after.ack.cache_info().currsize == (0 if rekey else 1)
-        assert before.ack(DeviceState.OBVERSE) == ack
+        assert (after.key != before.key, after.stream is not before.stream) == (rekey, rekey)
+        assert ("acks" not in vars(after)) == rekey  # a new key derives its own
+        assert before.acks == acks
         records = trigger_state(device, DeviceState.OBVERSE)
-        assert (records[1].payload != ack) == rekey
+        assert (records[1].payload != acks[DeviceState.OBVERSE]) == rekey
 
     def test_the_keystream_table_is_bounded(self, device_factory):
         """A peer that sends a new message length each time gets an answer
