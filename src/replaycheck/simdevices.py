@@ -164,9 +164,9 @@ _MOST_KEPT = 8
 
 
 def _ack_lines(owner) -> dict:
-    """Each state's ack line from owner._ack_line. Owners derive them on the
-    first ack they send, not when made: an assessment's set-up spawns
-    devices, and its companion sessions, which send acks, run later."""
+    """Each state's ack line from owner._ack_line. Owners keep these as a
+    cached_property, derived with the first ack they send, so spawning a
+    device derives none."""
     return {state: owner._ack_line(state) for state in DeviceState}
 
 
