@@ -64,6 +64,12 @@ from replaycheck.verdict import Outcome, Reason, decide
 from test_iforest import TWO_ACKS, golden_rows
 
 APP = DEFAULT_APP_ENDPOINT
+TIMINGS = [
+    "per_flow_response_timeout_ms",
+    "inter_request_delay_ms",
+    "inter_flow_delay_ms",
+    "connect_timeout_ms",
+]
 
 
 def session_for(device):
@@ -97,11 +103,24 @@ class TestSettings:
             PipelineSettings(model_kind="autoencoder")
 
     @pytest.mark.parametrize(
-        "field", ["per_flow_response_timeout_ms", "connect_timeout_ms", "response_window"]
+        "field, refused, accepted, reason",
+        [
+            *(
+                (field, (0, replay.MAX_TIMING_MS + 1), replay.MAX_TIMING_MS,
+                 f"{field} must be positive and at most 86400000")
+                for field in TIMINGS
+            ),
+            ("response_window", (0,), 1, "response_window must be >= 1"),
+        ],
+        ids=[*TIMINGS, "response_window"],
     )
-    def test_replay_and_detection_fields_checked_at_construction(self, field):
-        with pytest.raises(ValueError, match=field):
-            PipelineSettings(**{field: 0})
+    def test_replay_and_detection_fields_checked_at_construction(
+        self, field, refused, accepted, reason
+    ):
+        for value in refused:
+            with pytest.raises(ValueError, match=f"^{reason}$"):
+                PipelineSettings(**{field: value})
+        assert getattr(PipelineSettings(**{field: accepted}), field) == accepted
 
     @pytest.mark.parametrize("field", ["lof_k", "response_window", "inter_flow_delay_ms", "seed"])
     def test_bool_is_not_an_integer(self, field):
