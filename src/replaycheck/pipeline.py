@@ -40,7 +40,7 @@ from .models import (
     train_lof,
 )
 from .protocols import ResponseClass, classify_training_responses
-from .replay import AttackResult, ReplayConfig, run_attack
+from .replay import MAX_TIMING_MS, AttackResult, run_attack
 # Unused here: bench/spans.py times the simulator by wrapping these names
 # in this module as well as in simdevices, so they must stay importable.
 from .simdevices import companion_session, restart_device, trigger_state  # noqa: F401
@@ -71,6 +71,7 @@ class PipelineSettings:
 
     Construction checks every field's type and range. Only the forest
     trainer, which knows the training set, checks that subsample fits it.
+    The replay engine reads the four *_ms timings from this object itself.
     """
 
     model_kind: str = "lof"
@@ -101,17 +102,10 @@ class PipelineSettings:
         # serves every phase, so a bad value is an error wherever it is read.
         check_lof_parameters(self.lof_k, self.lof_threshold)
         check_forest_parameters(self.trees, self.subsample, self.anomaly_cutoff, self.seed)
-        # Both configs check their own fields.
-        self.replay_config()
-        self.detection_config()
-
-    def replay_config(self) -> ReplayConfig:
-        return ReplayConfig(
-            per_flow_response_timeout_ms=self.per_flow_response_timeout_ms,
-            inter_request_delay_ms=self.inter_request_delay_ms,
-            inter_flow_delay_ms=self.inter_flow_delay_ms,
-            connect_timeout_ms=self.connect_timeout_ms,
-        )
+        for name in _TIMINGS:
+            if not 0 < getattr(self, name) <= MAX_TIMING_MS:
+                raise ValueError(f"{name} must be positive and at most {MAX_TIMING_MS}")
+        self.detection_config()  # checks its own field
 
     def detection_config(self) -> DetectionConfig:
         return DetectionConfig(response_window=self.response_window)
@@ -119,6 +113,7 @@ class PipelineSettings:
 
 _FIELDS = fields(PipelineSettings)
 _SETTING_NAMES = {f.name for f in _FIELDS}
+_TIMINGS = tuple(f.name for f in _FIELDS if f.name.endswith("_ms"))
 
 
 def load_settings(config_path: str | Path | None = None, **overrides) -> PipelineSettings:
@@ -240,7 +235,7 @@ def attack_from_capture(
     records = parse_capture(capture, session)
     require_local_traffic(records, session)
     flows = segment_flows(records, session)
-    result = run_attack(flows, target or session.device, settings.replay_config())
+    result = run_attack(flows, target or session.device, settings)
     return result, records
 
 

@@ -94,7 +94,11 @@ def hamming_similarity(a: bytes, b: bytes) -> float:
     return matches / max(len(a), len(b))
 
 
-def classify_response_type(samples: Sequence[bytes], transport: Transport) -> ResponseClass:
+def classify_response_type(
+    samples: Sequence[bytes],
+    transport: Transport,
+    rows: dict[bytes, Sequence[float]] | None = None,
+) -> ResponseClass:
     """Coarse family of a group of responses to one repeated command.
 
     Checks run in order: the transport's standard protocol header on any
@@ -103,19 +107,15 @@ def classify_response_type(samples: Sequence[bytes], transport: Transport) -> Re
     fixed encoded blob), otherwise nonstandard-encrypted. The
     Encoded/NonStandard boundary is a heuristic; callers must feed
     responses to *identical* commands or the Hamming test is meaningless.
+
+    rows maps payloads to their feature rows; a sample not there is
+    featurized once and added.
     """
-    return _classify_group(samples, transport, {})
-
-
-def _classify_group(
-    samples: Sequence[bytes], transport: Transport, rows: dict[bytes, Sequence[float]]
-) -> ResponseClass:
-    """classify_response_type, taking each sample's feature row from rows;
-    a payload not there is featurized once and added."""
     if not samples:
         raise ValueError("need at least one response sample")
     if any(rides_standard_security_protocol(s, transport) for s in samples):
         return ResponseClass.STANDARD_ENCRYPTED
+    rows = {} if rows is None else rows
     for s in samples:
         if s not in rows:
             rows[s] = featurize(s)
@@ -156,7 +156,7 @@ def classify_training_responses(
     for (transport, _), samples in groups.items():
         if not samples:
             continue
-        verdict = _classify_group(samples, transport, rows)
+        verdict = classify_response_type(samples, transport, rows)
         if verdict == ResponseClass.STANDARD_ENCRYPTED:
             return verdict
         votes[verdict] += 1

@@ -23,6 +23,12 @@ the full per-flow window. A flow the capture shows unanswered, or one
 still short of its count, keeps the full window: concluding that a
 device stayed silent needs it.
 
+The four timings (per_flow_response_timeout_ms, inter_request_delay_ms,
+inter_flow_delay_ms, connect_timeout_ms) are read from the
+PipelineSettings passed in, which checks each is positive and at most
+MAX_TIMING_MS when it is built. This module sits below the pipeline and
+does not import it: any object with those four attributes serves.
+
 Source addresses are not spoofed: replay traffic originates from this
 host. None of the simulated profiles key on source identity, but a real
 device that does would see the difference.
@@ -40,7 +46,6 @@ from dataclasses import dataclass
 from .capture import Endpoint, Flow, Transport
 
 __all__ = [
-    "ReplayConfig",
     "QueueEntry",
     "ResponseQueue",
     "FlowReplay",
@@ -54,29 +59,6 @@ __all__ = [
 
 _RECV_CHUNK = 65536
 MAX_TIMING_MS = 86_400_000  # one day, far below where select and sleep overflow
-
-
-@dataclass(frozen=True)
-class ReplayConfig:
-    """Timing knobs for the replay engine (all in milliseconds, at most a day).
-
-    The defaults live in PipelineSettings; build one with its replay_config().
-    """
-
-    per_flow_response_timeout_ms: int
-    inter_request_delay_ms: int
-    inter_flow_delay_ms: int
-    connect_timeout_ms: int
-
-    def __post_init__(self):
-        for name in (
-            "per_flow_response_timeout_ms",
-            "inter_request_delay_ms",
-            "inter_flow_delay_ms",
-            "connect_timeout_ms",
-        ):
-            if not 0 < getattr(self, name) <= MAX_TIMING_MS:
-                raise ValueError(f"{name} must be positive and at most {MAX_TIMING_MS}")
 
 
 @dataclass(frozen=True)
@@ -185,7 +167,7 @@ def schedule(flows: list[Flow]) -> list[Flow]:
     return list(reversed(flows))
 
 
-def capture_linger_s(flows: list[Flow], config: ReplayConfig) -> float:
+def capture_linger_s(flows: list[Flow], settings: "PipelineSettings") -> float:
     """How long collection lingers once a flow's captured responses arrived.
 
     The largest gap between consecutive records inside any captured flow
@@ -197,7 +179,7 @@ def capture_linger_s(flows: list[Flow], config: ReplayConfig) -> float:
         if flow.responses:
             stamps = [flow.requests[-1].timestamp] + [r.timestamp for r in flow.responses]
             gaps.extend(later - earlier for earlier, later in zip(stamps, stamps[1:]))
-    return min(max(gaps) / 1e6, config.per_flow_response_timeout_ms / 1000.0)
+    return min(max(gaps) / 1e6, settings.per_flow_response_timeout_ms / 1000.0)
 
 
 def connect(endpoint: Endpoint, transport: Transport, timeout_s: float) -> socket.socket:
@@ -229,9 +211,11 @@ def connect(endpoint: Endpoint, transport: Transport, timeout_s: float) -> socke
 
 
 def replay_flow(
-    flow: Flow, device: Endpoint, config: ReplayConfig, linger_s: float
+    flow: Flow, device: Endpoint, settings: "PipelineSettings", linger_s: float
 ) -> FlowReplay:
     """Send one flow's requests to the device and collect what comes back.
+
+    The timings come from settings, checked when they were built.
 
     A fresh connection (TCP) or ephemeral-port socket (UDP), as the flow
     rode, is used per call. Each request goes out inter_request_delay after
@@ -248,14 +232,14 @@ def replay_flow(
     """
     transport = flow.requests[0].transport
     try:
-        sock = connect(device, transport, config.connect_timeout_ms / 1000.0)
+        sock = connect(device, transport, settings.connect_timeout_ms / 1000.0)
     except OSError as exc:
         return FlowReplay(flow, [], f"connect to {device} failed: {exc}")
 
     payloads = [record.payload for record in flow.requests]
     expected = len(flow.responses)
-    delay_s = config.inter_request_delay_ms / 1000.0
-    timeout_s = config.per_flow_response_timeout_ms / 1000.0
+    delay_s = settings.inter_request_delay_ms / 1000.0
+    timeout_s = settings.per_flow_response_timeout_ms / 1000.0
 
     responses: list[tuple[float, bytes]] = []
     sent_at: list[float] = []
@@ -311,9 +295,11 @@ def replay_flow(
 
 
 def run_attack(
-    flows: list[Flow], device: Endpoint, config: ReplayConfig
+    flows: list[Flow], device: Endpoint, settings: "PipelineSettings"
 ) -> AttackResult:
     """Replay every flow (newest first) and merge responses into one queue.
+
+    The timings come from settings, checked when they were built.
 
     A flow starts at whichever comes later: the end of the previous
     flow's collection, or inter_flow_delay after the previous flow's last
@@ -324,8 +310,8 @@ def run_attack(
     its source flow's index in the original capture order.
     """
     ordered = schedule(flows)
-    linger_s = capture_linger_s(flows, config)
-    flow_delay_s = config.inter_flow_delay_ms / 1000.0
+    linger_s = capture_linger_s(flows, settings)
+    flow_delay_s = settings.inter_flow_delay_ms / 1000.0
     attack_started = time.monotonic()
     next_start = attack_started
     entries: list[QueueEntry] = []
@@ -335,7 +321,7 @@ def run_attack(
         if pause > 0:
             time.sleep(pause)
         flow_started = time.monotonic()
-        replayed = replay_flow(flow, device, config, linger_s)
+        replayed = replay_flow(flow, device, settings, linger_s)
         anchor = flow_started if replayed.last_sent is None else replayed.last_sent
         next_start = anchor + flow_delay_s
         entries.extend(

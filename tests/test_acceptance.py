@@ -27,8 +27,8 @@ from replaycheck.capture import (
 from replaycheck.cli import main
 from replaycheck.features import featurize
 from replaycheck.models import Label, classify, train_lof
-from replaycheck.pipeline import train_from_capture
-from replaycheck.replay import QueueEntry, ReplayConfig, ResponseQueue, run_attack
+from replaycheck.pipeline import PipelineSettings, train_from_capture
+from replaycheck.replay import QueueEntry, ResponseQueue, run_attack
 from replaycheck.simdevices import (
     DEFAULT_APP_ENDPOINT,
     DEFAULT_TRAINING_SCRIPT,
@@ -239,7 +239,7 @@ def test_criterion_5_flow_segmentation_and_replay_order(capsys):
         result = run_attack(
             flows,
             responder.endpoint,
-            ReplayConfig(
+            PipelineSettings(
                 per_flow_response_timeout_ms=150,
                 inter_request_delay_ms=10,
                 inter_flow_delay_ms=20,

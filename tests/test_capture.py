@@ -280,7 +280,7 @@ class TestSegmentFlows:
         with ScriptedResponder({b"T2": [b"t2"]}, transport=tcp) as over_tcp:
             port = over_tcp.endpoint.port
             with ScriptedResponder({b"U1": [b"u1"]}, transport=udp, port=port) as over_udp:
-                result = run_attack(flows, over_udp.endpoint, fast_settings.replay_config())
+                result = run_attack(flows, over_udp.endpoint, fast_settings)
         assert over_udp.received == [b"U2", b"U1"]
         assert b"".join(over_tcp.received) == b"T2T1"
         assert [r.flow.requests[0].transport for r in result.flows] == [tcp, udp, udp, tcp]

@@ -178,8 +178,7 @@ class TestSettings:
             load_settings(None, nope=3)
 
     def test_derived_configs(self):
-        settings = PipelineSettings(inter_flow_delay_ms=77, response_window=2)
-        assert settings.replay_config().inter_flow_delay_ms == 77
+        settings = PipelineSettings(response_window=2)
         assert settings.detection_config().response_window == 2
 
 

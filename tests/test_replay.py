@@ -19,7 +19,6 @@ from replaycheck.replay import (
     AttackResult,
     FlowReplay,
     QueueEntry,
-    ReplayConfig,
     ResponseQueue,
     capture_linger_s,
     replay_flow,
@@ -31,7 +30,7 @@ from doubles import ScriptedResponder
 APP = Endpoint("10.77.0.2", 38200)
 DEV = Endpoint("127.0.0.1", 4000)
 
-FAST = ReplayConfig(
+FAST = PipelineSettings(
     per_flow_response_timeout_ms=150,
     inter_request_delay_ms=10,
     inter_flow_delay_ms=20,
@@ -89,13 +88,13 @@ class TestSchedule:
         assert schedule(schedule(flows)) == flows
 
 
-class TestReplayConfig:
+class TestTimings:
     def test_defaults(self):
-        config = PipelineSettings().replay_config()
-        assert config.per_flow_response_timeout_ms == 2000
-        assert config.inter_request_delay_ms == 50
-        assert config.inter_flow_delay_ms == 200
-        assert config.connect_timeout_ms == 1000
+        settings = PipelineSettings()
+        assert settings.per_flow_response_timeout_ms == 2000
+        assert settings.inter_request_delay_ms == 50
+        assert settings.inter_flow_delay_ms == 200
+        assert settings.connect_timeout_ms == 1000
 
     def test_positive_required(self):
         with pytest.raises(ValueError):
