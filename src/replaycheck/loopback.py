@@ -1,21 +1,16 @@
 """Loopback TCP and UDP servers, all served by one thread: a reactor
 (Schmidt, "Reactor", 1995) waiting in a selectors loop on each server's
-socket, a timer heap and a wake socketpair. It starts with the first
-server, so creating, restarting or stopping a server starts no thread.
-A restart runs on the reactor and keeps the bound socket: what reached
-the server before it is dropped, and no other process can take the port."""
+socket and a wake socketpair. It starts with the first server, so
+creating, restarting or stopping a server starts no thread. A restart
+runs on the reactor and keeps the bound socket: what reached the server
+before it is dropped, and no other process can take the port."""
 
 import contextlib
 import functools
-import heapq
-import itertools
 import selectors
 import socket
 import threading
-import time
 from collections.abc import Callable
-
-_RESPONSE_SPACING_S = 0.008  # keeps consecutive responses in separate segments
 
 
 class SpawnError(RuntimeError):
@@ -23,23 +18,15 @@ class SpawnError(RuntimeError):
 
 
 class _Reactor:
-    """A selectors loop with timers on one daemon thread. Any thread may
-    register a socket or post() a call; what a callback raises is reported."""
+    """A selectors loop on one daemon thread. Any thread may register a
+    socket or post() a call; what a callback raises is reported."""
 
     def __init__(self):
         self.selector = selectors.DefaultSelector()
-        self._timers: list[list] = []  # heap of [when, order, callback or None]
-        self._order = itertools.count()
         self._posted: list = []
         self._wake, self._waker = socket.socketpair()
         self.selector.register(self._wake, selectors.EVENT_READ, self._run_posted)
         threading.Thread(target=self._loop, name="loopback-reactor", daemon=True).start()
-
-    def call_later(self, delay_s: float, callback) -> list:
-        """Reactor thread only; set the timer's last item to None to cancel."""
-        timer = [time.monotonic() + delay_s, next(self._order), callback]
-        heapq.heappush(self._timers, timer)
-        return timer
 
     def post(self, callback) -> None:
         self._posted.append(callback)
@@ -52,18 +39,14 @@ class _Reactor:
 
     def _loop(self):
         while True:
-            timeout = max(self._timers[0][0] - time.monotonic(), 0) if self._timers else None
-            for key, _ in self.selector.select(timeout):
+            for key, _ in self.selector.select():
                 if self.selector.get_map().get(key.fd) is key:  # not let go by an earlier callback
                     self._run(key.data)
-            while self._timers and self._timers[0][0] <= time.monotonic():
-                self._run(heapq.heappop(self._timers)[2])
 
     @staticmethod
     def _run(callback) -> None:
         try:
-            if callback is not None:  # None: a cancelled timer
-                callback()
+            callback()
         except Exception as exc:
             args = (type(exc), exc, exc.__traceback__, threading.current_thread())
             threading.excepthook(threading.ExceptHookArgs(args))
@@ -78,11 +61,12 @@ class LoopbackServer:
 
     transport is "tcp" or "udp". new_handler() is called once per TCP
     connection (once in all for UDP) and returns handle(data) ->
-    (responses, close_connection). Responses go out _RESPONSE_SPACING_S
-    apart, and their socket is not read until the last has gone. TCP
-    connections are served one at a time, in accept order. A handler that
-    raises ends its connection (or drops its datagram) and, unless the
-    error is an OSError, is reported like a thread's uncaught exception.
+    (responses, close_connection). The responses go out back to back, one
+    send each, before their socket is read again, so a TCP reader may get
+    several in one read, as it would from a real device that writes twice.
+    TCP connections are served one at a time, in accept order. A handler
+    that raises ends its connection (or drops its datagram) and, unless
+    the error is an OSError, is reported like a thread's uncaught exception.
     """
 
     def __init__(self, transport: str, port: int, new_handler):
@@ -101,7 +85,6 @@ class LoopbackServer:
         self._new_handler = new_handler
         self._serve = self._accept if stream else functools.partial(self._datagram, new_handler())
         self._connection: socket.socket | None = None
-        self._timer: list | None = None
         with _reactor_lock:  # two first servers must not make two reactors
             self._reactor = _the_reactor()
         self._idle()  # registers from this thread; an epoll or kqueue wait sees it
@@ -140,7 +123,9 @@ class LoopbackServer:
             if not data:
                 return self._idle()
             responses, close_connection = handle(data)
-            self._send(responses, connection.sendall, self._idle if close_connection else wait)
+            for response in responses:
+                connection.sendall(response)
+            (self._idle if close_connection else wait)()
 
         wait = functools.partial(self._await, connection, read)
         wait()
@@ -148,24 +133,16 @@ class LoopbackServer:
     def _datagram(self, handle) -> None:
         data, address = self._receive()
         responses, _ = handle(data)
-        self._send(responses, lambda response: self.sock.sendto(response, address), self._idle)
-
-    def _send(self, responses: list[bytes], send, then) -> None:
-        """Send responses _RESPONSE_SPACING_S apart, then call then()."""
-        if responses:
-            send(responses[0])
-        if len(responses) < 2:
-            return then()
-        self._timer = self._reactor.call_later(
-            _RESPONSE_SPACING_S, lambda: self._attempt(lambda: self._send(responses[1:], send, then))
-        )
+        for response in responses:
+            self.sock.sendto(response, address)
+        self._idle()
 
     def restart(self, reset) -> Callable[[], None]:
         """Power-cycle on the reactor thread, keeping the bound socket.
 
-        Cancels a spaced response still to go, closes the open connection,
-        accepts and closes every connection in the backlog (or reads and
-        discards every queued datagram), calls reset(), then serves again.
+        Closes the open connection, accepts and closes every connection in
+        the backlog (or reads and discards every queued datagram), calls
+        reset(), then serves again.
         Returns without waiting; the returned wait() blocks until the cycle
         has run and re-raises what it raised. After stop() it does nothing.
         """
@@ -198,9 +175,7 @@ class LoopbackServer:
         self._post(close)()
 
     def _unwatch(self) -> None:
-        """Cancel a spaced response still to go; stop watching both sockets."""
-        if self._timer is not None:
-            self._timer[-1] = None
+        """Stop watching the bound socket and the open connection."""
         for sock in filter(None, (self._connection, self.sock)):
             with contextlib.suppress(KeyError, ValueError):  # unwatched; closed
                 self._reactor.selector.unregister(sock)

@@ -17,8 +17,8 @@ seed and port. Devices boot in the REVERSE state; restart clears volatile
 state only (the silent profile's anti-replay counter and the static
 secrets survive, like anything kept in flash). A restart keeps the
 device's port bound and drops what reached it before the power cycle:
-the open connection, queued connections and datagrams, and any response
-still to go. The reset runs on the reactor thread during the boot delay.
+the open connection and the connections and datagrams still queued. The
+reset runs on the reactor thread during the boot delay.
 
 Keyed tags and keystreams come from random.Random seeded with the secret
 (and the body, for a tag), which it hashes with its built-in SHA-512, so

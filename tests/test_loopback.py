@@ -7,8 +7,7 @@ import time
 
 import pytest
 
-from replaycheck import loopback
-from replaycheck.loopback import _RESPONSE_SPACING_S, LoopbackServer
+from replaycheck.loopback import LoopbackServer
 
 
 def echo():
@@ -67,16 +66,14 @@ def test_a_raising_handler_drops_only_its_datagram(printed_faults):
     assert "ValueError: handler fault" in printed_faults()
 
 
-def test_stop_cancels_spaced_responses_and_frees_the_port():
-    burst = [b"one", b"two", b"three"]
-    server = LoopbackServer("tcp", 0, lambda: lambda data: (burst, False))
+def test_stop_hangs_up_and_frees_the_port():
+    server = LoopbackServer("tcp", 0, echo)
     port = server.port
     with socket.create_connection(("127.0.0.1", port), timeout=1.0) as client:
         client.sendall(b"go")
-        assert client.recv(65536) == b"one"
+        assert client.recv(65536) == b"go"
         server.stop()
-        time.sleep(2 * _RESPONSE_SPACING_S)
-        assert client.recv(65536) == b""  # hung up; the rest never went out
+        assert client.recv(65536) == b""
     rebound = LoopbackServer("tcp", port, echo)
     try:
         assert ask(rebound, b"ping") == b"ping"
@@ -84,18 +81,18 @@ def test_stop_cancels_spaced_responses_and_frees_the_port():
         rebound.stop()
 
 
-def test_responses_go_out_spaced():
-    burst = [b"one", b"two"]
-    server = LoopbackServer("udp", 0, lambda: lambda data: (burst, False))
+def test_responses_all_go_out_before_the_next_request_is_read():
+    # Both requests are queued before the first is read; a response to the
+    # second can only follow every response to the first.
+    script = {b"go": [b"one", b"two", b"three"], b"next": [b"after"]}
+    server = LoopbackServer("udp", 0, lambda: lambda data: (script[data], False))
     try:
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
             client.settimeout(1.0)
             client.connect(("127.0.0.1", server.port))
             client.send(b"go")
-            assert client.recv(65536) == b"one"
-            first = time.monotonic()
-            assert client.recv(65536) == b"two"
-            assert time.monotonic() - first >= _RESPONSE_SPACING_S / 2
+            client.send(b"next")
+            assert [client.recv(65536) for _ in range(4)] == [b"one", b"two", b"three", b"after"]
     finally:
         server.stop()
 
@@ -130,27 +127,31 @@ def test_servers_made_and_stopped_from_many_threads_all_answer():
     assert threading.active_count() == threads_before
 
 
-def test_restart_drops_a_pending_response_and_queued_datagrams_then_serves_again(monkeypatch):
-    monkeypatch.setattr(loopback, "_RESPONSE_SPACING_S", 0.5)  # b"two" is pending at the restart
-    handled, reset_on = [], []
+def test_restart_drops_queued_datagrams_then_serves_again():
+    handled, reset_on, holding = [], [], threading.Event()
 
     def handle(data):
         handled.append(data)
-        return [b"one", b"two"], False
+        if data == b"hold":  # the datagrams queue and the restart is posted meanwhile
+            holding.set()
+            time.sleep(0.1)
+        return [data], False
 
     server = LoopbackServer("udp", 0, lambda: handle)
     try:
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
             client.settimeout(1.0)
             client.connect(("127.0.0.1", server.port))
-            client.send(b"go")
-            assert client.recv(65536) == b"one"
+            client.send(b"hold")
+            assert holding.wait(1.0)
             client.send(b"queued")
             client.send(b"queued too")
-            server.restart(lambda: reset_on.append(threading.current_thread().name))()
+            booted = server.restart(lambda: reset_on.append(threading.current_thread().name))
+            assert client.recv(65536) == b"hold"
+            booted()
             client.send(b"after")
-            assert client.recv(65536) == b"one"  # b"two" never went to b"go"
-            assert handled == [b"go", b"after"]
+            assert client.recv(65536) == b"after"
+            assert handled == [b"hold", b"after"]
     finally:
         server.stop()
     assert reset_on == ["loopback-reactor"]

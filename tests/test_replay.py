@@ -1,9 +1,11 @@
 """Replay engine tests over real loopback sockets."""
 
+import contextlib
 import errno
 import os
 import random
 import socket
+import threading
 import time
 from dataclasses import replace
 
@@ -230,6 +232,37 @@ WINDOW = replace(FAST, per_flow_response_timeout_ms=400)
 WINDOW_S = WINDOW.per_flow_response_timeout_ms / 1000
 
 
+@contextlib.contextmanager
+def spacing_responder(script, spacing_s):
+    """A UDP responder on its own thread that answers each request in
+    script with its replies, sleeping spacing_s between one and the next."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    sock.settimeout(0.05)
+    stopping = threading.Event()
+
+    def serve():
+        while not stopping.is_set():
+            try:
+                request, address = sock.recvfrom(65536)
+            except socket.timeout:
+                continue
+            for index, reply in enumerate(script.get(request, [])):
+                if index:
+                    time.sleep(spacing_s)
+                sock.sendto(reply, address)
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        yield Endpoint("127.0.0.1", sock.getsockname()[1])
+    finally:
+        stopping.set()
+        thread.join(timeout=5)
+        sock.close()
+    assert not thread.is_alive()
+
+
 class TestEvidenceCollection:
     """Collection ends a linger after a flow's captured responses arrive."""
 
@@ -254,26 +287,26 @@ class TestEvidenceCollection:
         assert elapsed < WINDOW_S / 4
 
     def test_extra_response_within_the_linger_is_collected(self):
-        # The capture shows one response 80 ms after the request; the device
-        # now sends three, 8 ms apart. Each arrival restarts the linger.
-        with ScriptedResponder({b"burst": [b"one", b"two", b"three"]}) as responder:
-            flow = flow_of(b"burst", responses=[b"one"], gap_us=80_000)
-            payloads, elapsed = timed_replay(
-                flow, responder.endpoint, WINDOW, capture_linger_s([flow], WINDOW)
-            )
+        # The capture shows one response 30 ms after the request; the device
+        # now sends three, 20 ms apart. The third comes 40 ms after the
+        # request, past a linger counted from the send: each arrival
+        # restarts the linger.
+        with spacing_responder({b"burst": [b"one", b"two", b"three"]}, 0.02) as endpoint:
+            flow = flow_of(b"burst", responses=[b"one"], gap_us=30_000)
+            payloads, elapsed = timed_replay(flow, endpoint, WINDOW, capture_linger_s([flow], WINDOW))
         assert payloads == [b"one", b"two", b"three"]
         assert elapsed < WINDOW_S
 
     def test_linger_is_learned_from_the_whole_capture(self):
-        # The burst flow's own gap is 1 ms, too short for the device's 8 ms
+        # The burst flow's own gap is 1 ms, too short for the device's 20 ms
         # spacing; the other flow's 80 ms gap sets the linger for both.
         script = {b"burst": [b"one", b"two"], b"slow": [b"s"]}
-        with ScriptedResponder(script) as responder:
+        with spacing_responder(script, 0.02) as endpoint:
             flows = [
                 flow_of(b"burst", responses=[b"one"]),
                 flow_of(b"slow", at=10_000, responses=[b"s"], gap_us=80_000),
             ]
-            result = run_attack(flows, responder.endpoint, WINDOW)
+            result = run_attack(flows, endpoint, WINDOW)
         assert [e.payload for e in result.queue.entries] == [b"s", b"one", b"two"]
         assert [(len(r.flow.responses), len(r.responses)) for r in result.flows] == [(1, 1), (1, 2)]
 
