@@ -97,6 +97,26 @@ def test_responses_all_go_out_before_the_next_request_is_read():
         server.stop()
 
 
+def test_tcp_responses_arrive_as_one_stream_then_a_closing_handler_hangs_up():
+    # Back-to-back writes carry no boundary: the reader sees one byte
+    # stream, and the hang-up comes only after the last response.
+    server = LoopbackServer("tcp", 0, lambda: lambda data: ([b"one", b"two", b"three"], True))
+
+    def exchange(payload):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=1.0) as client:
+            client.sendall(payload)
+            received = b""
+            while chunk := client.recv(65536):
+                received += chunk
+            return received
+
+    try:
+        assert exchange(b"go") == b"onetwothree"
+        assert exchange(b"again") == b"onetwothree"  # the next connection is served
+    finally:
+        server.stop()
+
+
 def test_servers_made_and_stopped_from_many_threads_all_answer():
     """Registrations from other threads race the reactor's own; every
     exchange must still be answered and every port freed."""
