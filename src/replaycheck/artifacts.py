@@ -18,7 +18,7 @@ from typing import Any
 from .models import model_from_dict
 from .replay import ResponseQueue
 
-__all__ = ["ArtifactError", "write", "read", "read_any"]
+__all__ = ["ArtifactError", "write", "read", "read_any", "read_object"]
 
 MODEL = "novelty-model/1"
 QUEUE = "response-queue/1"
@@ -59,7 +59,8 @@ def read_any(path: str | Path) -> tuple[str, Any]:
     return _load(path, None)
 
 
-def _load(path: str | Path, expected: str | None) -> tuple[str, Any]:
+def read_object(path: str | Path) -> dict:
+    """The JSON object in the file at path: a settings file, or an artifact yet to be decoded."""
     try:
         body = json.loads(Path(path).read_bytes())
     except OSError as exc:
@@ -68,6 +69,11 @@ def _load(path: str | Path, expected: str | None) -> tuple[str, Any]:
         raise ArtifactError(path, f"is not JSON: {exc}") from exc
     if not isinstance(body, dict):
         raise ArtifactError(path, "is not a JSON object")
+    return body
+
+
+def _load(path: str | Path, expected: str | None) -> tuple[str, Any]:
+    body = read_object(path)
     schema = body.get("schema")
     if not isinstance(schema, str) or schema not in _DECODERS:
         raise ArtifactError(path, f"unrecognized artifact schema {schema!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Callable
+from typing import Callable
 
 from . import pcap
 
@@ -175,7 +175,7 @@ def records_to_capture(records: list[PacketRecord]) -> bytes:
 
 
 def parse_capture_with_notes(
-    capture: bytes | BinaryIO, config: SessionConfig
+    capture: bytes, config: SessionConfig
 ) -> tuple[list[PacketRecord], CaptureNotes]:
     """parse_capture plus the diagnostics collected along the way.
 
@@ -244,7 +244,7 @@ def parse_capture_with_notes(
     return records, notes
 
 
-def parse_capture(capture: bytes | BinaryIO, config: SessionConfig) -> list[PacketRecord]:
+def parse_capture(capture: bytes, config: SessionConfig) -> list[PacketRecord]:
     """Extract the app/device payload records from a classic pcap capture.
 
     Returns records in timestamp order with transport payloads intact.

@@ -61,12 +61,8 @@ EXIT_NO_CONNECTIVITY = 3
 
 # Each phase reads its own slice of the settings, and a command offers the
 # flags of the phases it runs. --config may hold any key: one file serves all.
-_CONFIG_OPTION = click.option(
-    "--config",
-    "config_path",
-    type=click.Path(exists=True, dir_okay=False),
-    default=None,
-    help="JSON settings file (any settings key); explicit flags override its keys.",
+_CONFIG_OPTIONS = (
+    click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON settings file (any settings key); explicit flags override its keys."),
 )
 _MODEL_OPTIONS = (
     click.option("--model-kind", type=click.Choice(MODEL_KINDS), default=None),
@@ -92,12 +88,25 @@ _DETECTION_OPTIONS = (
     ),
 )
 
+# The capture's two endpoints, for the commands that read one.
+_SESSION_OPTIONS = (
+    click.option("--app", required=True, help="Companion app endpoint in the capture, HOST:PORT."),
+    click.option("--device", required=True, help="Device endpoint in the capture, HOST:PORT."),
+)
+
 # A client connection's source port sits in TIME-WAIT after it closes, and
 # the device's SO_REUSEADDR lets it bind that port only if the client set
 # the option too. Replay sockets do; other programs' clients may not.
 _FIXED_PORT = (
     "A fixed port should be below 32768: Linux can refuse one in its ephemeral "
     "range for up to a minute after another program's client connection used it."
+)
+# The simulated device of assess and simulate, which _spawn starts.
+_DEVICE_OPTIONS = (
+    click.option("--behavior", required=True, type=click.Choice([b.value for b in Behavior]), help="Simulated device profile to assess."),
+    click.option("--device-seed", type=int, default=0, show_default=True),
+    click.option("--port", type=click.IntRange(0, 65535), default=0, help=f"Device port (default: OS-assigned). {_FIXED_PORT}"),
+    click.option("--rekey-on-restart/--no-rekey-on-restart", default=True, show_default=True, help="Whether the session_key profile rotates its key on restart."),
 )
 
 
@@ -114,11 +123,11 @@ class _Seconds(click.FloatRange):
         return seconds
 
 
-def _settings_options(*groups):
-    """--config plus the settings flags of the given option groups."""
+def _options(*groups):
+    """The options of the given groups, listed in --help in that order."""
 
     def apply(fn):
-        for option in reversed((_CONFIG_OPTION, *chain(*groups))):
+        for option in reversed(tuple(chain(*groups))):
             fn = option(fn)
         return fn
 
@@ -128,8 +137,13 @@ def _settings_options(*groups):
 def _build_settings(config_path, **overrides):
     try:
         return load_settings(config_path, **overrides)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:  # an ArtifactError for an unreadable or malformed file
         raise click.UsageError(str(exc))
+
+
+def _spawn(behavior, device_seed, **profile):
+    """Start the simulated device that _DEVICE_OPTIONS and any other profile fields describe."""
+    return spawn_device(default_profile(Behavior(behavior), seed=device_seed, **profile))
 
 
 def _session(app: str, device: str) -> SessionConfig:
@@ -206,10 +220,9 @@ def main():
 
 @main.command()
 @click.option("--capture", "capture_path", required=True, type=click.Path(exists=True, dir_okay=False), help="pcap of a legitimate command session.")
-@click.option("--app", required=True, help="Companion app endpoint in the capture, HOST:PORT.")
-@click.option("--device", required=True, help="Device endpoint in the capture, HOST:PORT.")
+@_options(_SESSION_OPTIONS)
 @click.option("--model-out", required=True, type=click.Path(dir_okay=False), help="Where to write the trained model JSON.")
-@_settings_options(_MODEL_OPTIONS)
+@_options(_CONFIG_OPTIONS, _MODEL_OPTIONS)
 def train(capture_path, app, device, model_out, config_path, **overrides):
     """Learn legitimate response behavior from a capture."""
     settings = _build_settings(config_path, **overrides)
@@ -241,13 +254,12 @@ def train(capture_path, app, device, model_out, config_path, **overrides):
 
 @main.command()
 @click.option("--capture", "capture_path", required=True, type=click.Path(exists=True, dir_okay=False), help="pcap holding the command flows to replay.")
-@click.option("--app", required=True, help="Companion app endpoint in the capture, HOST:PORT.")
-@click.option("--device", required=True, help="Device endpoint in the capture, HOST:PORT.")
+@_options(_SESSION_OPTIONS)
 @click.option("--target", default=None, help="Live endpoint to aim at (default: the capture's device endpoint).")
 @click.option("--queue-out", required=True, type=click.Path(dir_okay=False), help="Where to write the response queue JSON.")
 @click.option("--transcript-out", type=click.Path(dir_okay=False), default=None, help="Optional per-flow replay transcript JSON.")
 @click.option("--i-own-this-device", is_flag=True, help="Confirm authorization for a non-loopback target.")
-@_settings_options(_TIMING_OPTIONS)
+@_options(_CONFIG_OPTIONS, _TIMING_OPTIONS)
 def attack(capture_path, app, device, target, queue_out, transcript_out, i_own_this_device, config_path, **overrides):
     """Replay captured command flows at a device, newest flow first."""
     settings = _build_settings(config_path, **overrides)
@@ -281,12 +293,11 @@ def attack(capture_path, app, device, target, queue_out, transcript_out, i_own_t
 @click.option("--queue", "queue_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Response queue JSON from the attack step.")
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Trained model JSON from the train step.")
 @click.option("--attack-capture", "capture_path", required=True, type=click.Path(exists=True, dir_okay=False), help="pcap the attack replayed, for the protocol check.")
-@click.option("--app", required=True, help="Companion app endpoint in the capture, HOST:PORT.")
-@click.option("--device", required=True, help="Device endpoint in the capture, HOST:PORT.")
+@_options(_SESSION_OPTIONS)
 @click.option("--report-out", type=click.Path(dir_okay=False), default=None, help="Optional verdict report JSON.")
 @click.option("--device-id", default=None, help="Identifier recorded in the report (default: device endpoint).")
 @click.option("--scenario", type=click.Choice(SCENARIOS), default=SCENARIO_NON_RESTART, show_default=True, help="Label recorded in the report.")
-@_settings_options(_DETECTION_OPTIONS)
+@_options(_CONFIG_OPTIONS, _DETECTION_OPTIONS)
 def detect(queue_path, model_path, capture_path, app, device, report_out, device_id, scenario, config_path, **overrides):
     """Judge an attack: exit 10 if it succeeded, 11 if it failed."""
     settings = _build_settings(config_path, **overrides)
@@ -328,27 +339,19 @@ def detect(queue_path, model_path, capture_path, app, device, report_out, device
 
 
 @main.command()
-@click.option("--behavior", required=True, type=click.Choice([b.value for b in Behavior]), help="Simulated device profile to assess.")
+@_options(_DEVICE_OPTIONS)
 @click.option("--scenario", type=click.Choice(SCENARIOS), default=SCENARIO_NON_RESTART, show_default=True)
 @click.option("--reps", type=click.IntRange(min=1), default=50, show_default=True, help="Capture/replay repetitions.")
-@click.option("--device-seed", type=int, default=0, show_default=True)
-@click.option("--port", type=click.IntRange(0, 65535), default=0, help=f"Device port (default: OS-assigned). {_FIXED_PORT}")
-@click.option("--rekey-on-restart/--no-rekey-on-restart", default=True, show_default=True, help="Whether the session_key profile rotates its key on restart.")
 @click.option("--post-restart-delay", type=_Seconds(), default=1.0, show_default=True, help="Seconds to wait after each simulated restart.")
 @click.option("--report-out", type=click.Path(dir_okay=False), default=None, help="Optional assessment report JSON.")
-@_settings_options(_MODEL_OPTIONS, _TIMING_OPTIONS, _DETECTION_OPTIONS)
-def assess(behavior, scenario, reps, device_seed, port, rekey_on_restart, post_restart_delay, report_out, config_path, **overrides):
+@_options(_CONFIG_OPTIONS, _MODEL_OPTIONS, _TIMING_OPTIONS, _DETECTION_OPTIONS)
+def assess(behavior, device_seed, port, rekey_on_restart, scenario, reps, post_restart_delay, report_out, config_path, **overrides):
     """Full loop against a built-in simulated device; exit 10/11."""
     settings = _build_settings(config_path, **overrides)
     _check_writable(report_out)
-    profile = default_profile(
-        Behavior(behavior),
-        seed=device_seed,
-        port=port,
-        rekey_on_restart=rekey_on_restart,
-        post_restart_delay_s=post_restart_delay,
-    )
-    with spawn_device(profile) as device:
+    with _spawn(
+        behavior, device_seed, port=port, rekey_on_restart=rekey_on_restart, post_restart_delay_s=post_restart_delay
+    ) as device:
         click.echo(f"assessing {behavior} at {device.endpoint}, scenario {scenario}, {reps} reps")
         result = assess_device(device, scenario, reps, settings)
     call = "VULNERABLE" if result.vulnerable else "NOT VULNERABLE"
@@ -368,22 +371,16 @@ def assess(behavior, scenario, reps, device_seed, port, rekey_on_restart, post_r
 
 
 @main.command()
-@click.option("--behavior", required=True, type=click.Choice([b.value for b in Behavior]))
-@click.option("--port", type=click.IntRange(0, 65535), default=0, help=f"Port to listen on (default: OS-assigned). {_FIXED_PORT}")
-@click.option("--device-seed", type=int, default=0, show_default=True)
-@click.option("--rekey-on-restart/--no-rekey-on-restart", default=True, show_default=True)
+@_options(_DEVICE_OPTIONS)
 @click.option("--training-capture-out", type=click.Path(dir_okay=False), default=None, help="Run the default companion script and write it as pcap first.")
 @click.option("--duration", type=_Seconds(), default=None, help="Seconds to keep serving (default: until Ctrl-C).")
-def simulate(behavior, port, device_seed, rekey_on_restart, training_capture_out, duration):
+def simulate(behavior, device_seed, port, rekey_on_restart, training_capture_out, duration):
     """Serve one simulated device for manual train/attack experiments."""
     _check_writable(training_capture_out)
-    profile = default_profile(
-        Behavior(behavior), seed=device_seed, port=port, rekey_on_restart=rekey_on_restart
-    )
-    with spawn_device(profile) as device:
+    with _spawn(behavior, device_seed, port=port, rekey_on_restart=rekey_on_restart) as device:
         click.echo(
             f"{behavior} device listening on {device.endpoint} "
-            f"({profile.transport.value}), initial state reverse"
+            f"({device.profile.transport.value}), initial state reverse"
         )
         if training_capture_out:
             capture = companion_session(device)

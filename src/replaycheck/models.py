@@ -508,8 +508,7 @@ class IsolationForestModel:
 
     def check_width(self, dimensions: int) -> None:
         """Raise ValueError unless every feature the model reads is below dimensions."""
-        widest = max(_widest_split(tree) for tree in self.trees)
-        widest = max([widest] + [dim for dim, _ in self.constant_features])
+        widest = max([_check_tree(tree) for tree in self.trees] + [dim for dim, _ in self.constant_features])
         if widest >= dimensions:
             raise ValueError(
                 f"model reads feature {widest}, vectors have {dimensions} dimensions"
@@ -552,10 +551,11 @@ class IsolationForestModel:
         return cls(trees, subsample, seed, anomaly_cutoff, constant_features)
 
 
-def _check_tree(node) -> None:
-    """Reject a tree that _path_length could not walk."""
+def _check_tree(node) -> int:
+    """Reject a tree that _path_length could not walk; return the largest
+    feature index a split in it reads (-1 for a lone leaf)."""
     if isinstance(node, dict) and node.keys() == {"n"} and _is(node["n"], int):
-        return
+        return -1
     if not (
         isinstance(node, dict)
         and node.keys() == {"f", "t", "l", "r"}
@@ -565,15 +565,7 @@ def _check_tree(node) -> None:
         and math.isfinite(node["t"])
     ):
         raise ValueError("isolation tree node is neither a leaf nor a split")
-    _check_tree(node["l"])
-    _check_tree(node["r"])
-
-
-def _widest_split(node: dict) -> int:
-    """Largest feature index a split in the tree reads; -1 for a lone leaf."""
-    if "f" not in node:
-        return -1
-    return max(node["f"], _widest_split(node["l"]), _widest_split(node["r"]))
+    return max(node["f"], _check_tree(node["l"]), _check_tree(node["r"]))
 
 
 def _grow_tree(rows: list, dims: list[int], rng: random.Random, depth: int, limit: int) -> dict:

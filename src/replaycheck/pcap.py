@@ -17,7 +17,7 @@ import ipaddress
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import BinaryIO, Callable, Iterator
+from typing import Callable, Iterator
 
 PCAP_MAGIC = 0xA1B2C3D4
 PCAP_MAGIC_NANO = 0xA1B23C4D
@@ -46,20 +46,13 @@ class UnsupportedLinkTypeError(PcapError):
     """Well-formed pcap whose link layer this reader does not decode."""
 
 
-def _as_bytes(capture: bytes | BinaryIO) -> bytes:
-    if isinstance(capture, (bytes, bytearray, memoryview)):
-        return bytes(capture)
-    return capture.read()
-
-
-def read_frames(capture: bytes | BinaryIO) -> Iterator[tuple[int, bytes]]:
+def read_frames(data: bytes) -> Iterator[tuple[int, bytes]]:
     """Yield (timestamp_us, frame_bytes) for every record in a classic pcap.
 
     timestamp_us is absolute (seconds*1e6 + micros as written). Raises
     PcapFormatError on truncated or unrecognized structure and
     UnsupportedLinkTypeError for link types other than Ethernet.
     """
-    data = _as_bytes(capture)
     if len(data) < GLOBAL_HEADER_LEN:
         raise PcapFormatError(
             f"truncated global header at offset 0: need {GLOBAL_HEADER_LEN} bytes, "

@@ -9,7 +9,6 @@ Nothing here knows socket or pcap details beyond the functions it calls.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -120,17 +119,18 @@ def load_settings(config_path: str | Path | None = None, **overrides) -> Pipelin
     """Defaults, then JSON config file keys, then explicit overrides.
 
     Overrides passed as None mean "not given" and are skipped, which lets
-    a CLI forward every flag unconditionally. Unknown keys in the file are
-    an error; silently ignoring a typo would misconfigure a whole run.
+    a CLI forward every flag unconditionally. A file that cannot be read,
+    is not JSON or holds no object raises the ArtifactError that names it.
+    Unknown keys in the file are an error; silently ignoring a typo would
+    misconfigure a whole run.
     """
     values: dict = {}
     if config_path is not None:
-        try:
-            loaded = json.loads(Path(config_path).read_text())
-        except RecursionError as exc:  # nesting too deep for the decoder
-            raise ValueError(f"settings file is not JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ValueError("settings file must hold a JSON object")
+        # Imported here, as models imports numpy: no benchmarked run reads a
+        # settings file, so none should load the codec (and its datetime).
+        from .artifacts import read_object
+
+        loaded = read_object(config_path)
         unknown = set(loaded) - _SETTING_NAMES
         if unknown:
             raise ValueError(f"unknown settings keys: {sorted(unknown)}")

@@ -531,9 +531,8 @@ class _SilentEngine(_EngineBase):
         return []
 
     def build_command(self, target: DeviceState) -> bytes:
-        self.device.companion_sequence += 1
-        sequence = self.device.companion_sequence.to_bytes(8, "big")
-        return sequence + _STATE_BYTES[target] + self.tag
+        self.device.serial += 1
+        return self.device.serial.to_bytes(8, "big") + _STATE_BYTES[target] + self.tag
 
 
 _ENGINES = {
@@ -569,8 +568,7 @@ class SimulatedDevice:
         self.device_rng = random.Random(profile.seed)
         self.companion_rng = random.Random(profile.seed ^ 0x5EED5EED)
         self.state = DeviceState.REVERSE
-        self.serial = 0  # companion command counter (zero-padded in payloads)
-        self.companion_sequence = 0  # silent-profile anti-replay counter
+        self.serial = 0  # companion command counter: JSON payload ids, silent's sequence
         self._clock_us = 0
         self.engine = _ENGINES[profile.behavior](self)
         self._server = LoopbackServer(profile.transport, profile.port, self._new_handler)

@@ -108,18 +108,23 @@ ACCEPT_RULES = {"accepts_stale": True, "refuses_stale": False}
 # counter's ack grows a byte each time the count gains a digit. A twin-row
 # ack names its state by one letter, b or e, which share a histogram bucket:
 # the two acks differ in bytes but have one feature row, so no training
-# dimension varies. The last two shapes are ones the paper's rule cannot
-# see: a silent ack leaves nothing to judge, and a rejection that permutes
-# the ack's bytes has the ack's feature row, since every feature ignores
-# byte order.
+# dimension varies. A two-line ack is two TCP segments in the companion's
+# captures, but the server sends both lines in one write, as a TCP stack
+# that coalesces them does. The last three shapes are ones the paper's rule
+# cannot see: a silent ack leaves nothing to judge, a rejection that
+# permutes the ack's bytes has the ack's feature row, since every feature
+# ignores byte order, and so has one whose status digit 0 shares the ack's
+# 1's histogram bucket.
 RESPONSE_SHAPES = {
     "fixed_ack": ("OK {state}\n", None),
     "counter_ack": ("OK {state} n={count:06d}\n", None),
     "unpadded_counter_ack": ("OK {state} n={count}\n", None),
     "rejection": ("OK {state}\n", "ERR stale command\n"),
     "twin_row_ack": ("OK {state[1]}\n", "ERR stale command\n"),
+    "two_line_ack": ("OK {state}\nST {state}\n", None),
     "silent_ack": (None, None),
     "permuted_rejection": ("OK {state}\n", "KO {state}\n"),
+    "status_digit_rejection": ('{{"state":"{state}","status":1}}\n', '{{"state":"{state}","status":0}}\n'),
 }
 
 _COMMAND_GAP_US = 25_000
@@ -179,7 +184,8 @@ class FakeDevice:
         assert self.state == state, f"{self.name} did not execute {request!r}"
         self.clock_us += _COMMAND_GAP_US
         records = []
-        for is_request, payload in [(True, request)] + [(False, r) for r in responses]:
+        segments = [line for response in responses for line in response.splitlines(keepends=True)]
+        for is_request, payload in [(True, request)] + [(False, line) for line in segments]:
             src, dst = (app, self.endpoint) if is_request else (self.endpoint, app)
             self.clock_us += _EVENT_GAP_US
             records.append(PacketRecord(self.clock_us, src, dst, Transport.TCP, payload))

@@ -15,9 +15,10 @@ from replaycheck.pipeline import MODEL_KINDS, SCENARIOS, assess_device
 from replaycheck.verdict import Outcome, Reason
 
 # The shapes the rule claims to cover; BLIND_SHAPES are called wrong by design,
-# and an unpadded counter is called by where it gains a digit (pinned below).
-BLIND_SHAPES = ("silent_ack", "permuted_rejection")
-NOT_IN_CELLS = BLIND_SHAPES + ("unpadded_counter_ack",)
+# an unpadded counter is called by where it gains a digit, and a two-line ack
+# sent in one write is Known defect 4 (both pinned below).
+BLIND_SHAPES = ("silent_ack", "permuted_rejection", "status_digit_rejection")
+NOT_IN_CELLS = BLIND_SHAPES + ("unpadded_counter_ack", "two_line_ack")
 CELLS = list(product(ACCEPT_RULES, [s for s in RESPONSE_SHAPES if s not in NOT_IN_CELLS]))
 
 
@@ -69,16 +70,20 @@ def test_forest_verdicts_equal_the_observed_state(
 
 @pytest.mark.parametrize("model_kind", MODEL_KINDS)
 def test_blind_shapes_are_called_by_response_alone(fake_factory, fast_settings, model_kind):
-    """Pins two limits of the rule. A rejection that permutes the ack's
-    bytes reads as the ack, so a refused replay is called SUCCESSFUL; a
-    device that executes silently leaves no response, so an accepted
-    replay is called FAILED (NoResponse). The other cell of each shape is
-    called right."""
+    """Pins three limits of the rule. A rejection that permutes the ack's
+    bytes reads as the ack, and so does one that differs from it in one
+    status digit of the same histogram bucket, so a refused replay is
+    called SUCCESSFUL; a device that executes silently leaves no response,
+    so an accepted replay is called FAILED (NoResponse). The other cell of
+    each shape is called right."""
     assert featurize(b"KO obverse\n") == featurize(b"OK obverse\n")
+    assert featurize(b'{"state":"obverse","status":0}\n') == featurize(b'{"state":"obverse","status":1}\n')
     settings = replace(fast_settings, model_kind=model_kind)
     expected = {
         ("refuses_stale", "permuted_rejection"): (Outcome.SUCCESSFUL, Reason.REGULAR_FOUND),
         ("accepts_stale", "permuted_rejection"): (Outcome.SUCCESSFUL, Reason.REGULAR_FOUND),
+        ("refuses_stale", "status_digit_rejection"): (Outcome.SUCCESSFUL, Reason.REGULAR_FOUND),
+        ("accepts_stale", "status_digit_rejection"): (Outcome.SUCCESSFUL, Reason.REGULAR_FOUND),
         ("accepts_stale", "silent_ack"): (Outcome.FAILED, Reason.NO_RESPONSE),
         ("refuses_stale", "silent_ack"): (Outcome.FAILED, Reason.NO_RESPONSE),
     }
@@ -133,6 +138,18 @@ def test_acks_sharing_one_feature_row_are_called_right_under_restart(
         result = assess_fake(fake_factory(accept_rule, "twin_row_ack"), "restart", settings)
         assert [(v.outcome, v.reason) for v in result.verdicts] == [call] * 2, accept_rule
         assert result.accuracy == 1.0
+
+
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="Known defect 4; ROADMAP item 14 Part A")
+def test_two_lines_sent_in_one_write_are_called_right(fake_factory, fast_settings, model_kind):
+    """Known defect 4 over sockets. Training holds each command's two
+    equal-length lines as two responses; the replay reads them as one,
+    which differs on the length both kinds saw constant, so a device that
+    acted on the replay is called FAILED (AllIrregular)."""
+    settings = replace(fast_settings, model_kind=model_kind)
+    result = assess_fake(fake_factory("accepts_stale", "two_line_ack"), "non_restart", settings)
+    assert [(v.outcome, v.reason) for v in result.verdicts] == [(Outcome.SUCCESSFUL, Reason.REGULAR_FOUND)] * 2
 
 
 @pytest.mark.parametrize("model_kind", MODEL_KINDS)

@@ -585,7 +585,20 @@ class TestInvalidSettings:
         config = tmp_path / "settings.json"
         config.write_text("[" * 200_000)
         result = run_command(command, device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, "--config", str(config))
-        assert_one_error(result, "settings file is not JSON")
+        assert_one_error(result, f"{config}: is not JSON")
+
+    @pytest.mark.parametrize("command", ["train", "attack", "detect", "assess"])
+    @pytest.mark.parametrize(
+        "content, reason",
+        [(b"lof_k = 5", "is not JSON"), (b"\x80{}", "is not JSON"), (b"[1, 2]", "is not a JSON object")],
+        ids=["not-json", "not-utf8", "not-an-object"],
+    )
+    def test_malformed_config_is_one_error_naming_the_file(self, device_factory, tmp_path, command, content, reason):
+        # The artifact codec reads it, so the line is the one a malformed artifact gives.
+        config = tmp_path / "settings.json"
+        config.write_bytes(content)
+        result = run_command(command, device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, "--config", str(config))
+        assert_one_error(result, f"{config}: {reason}")
 
     def test_infinite_threshold_in_config_exits_2(self, device_factory, tmp_path):
         config = tmp_path / "settings.json"

@@ -150,7 +150,7 @@ class TestSettings:
     def test_deeply_nested_file_is_a_settings_error(self, tmp_path):
         config = tmp_path / "settings.json"
         config.write_text("[" * 200_000)
-        with pytest.raises(ValueError, match="settings file is not JSON"):
+        with pytest.raises(ArtifactError, match="settings.json: is not JSON"):
             load_settings(config)
 
     def test_file_then_overrides(self, tmp_path):
