@@ -594,7 +594,7 @@ class TestInvalidSettings:
         ids=["not-json", "not-utf8", "not-an-object"],
     )
     def test_malformed_config_is_one_error_naming_the_file(self, device_factory, tmp_path, command, content, reason):
-        # The artifact codec reads it, so the line is the one a malformed artifact gives.
+        # The artifact codec reads it, so the reason is the one a malformed artifact gives.
         config = tmp_path / "settings.json"
         config.write_bytes(content)
         result = run_command(command, device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, "--config", str(config))
