@@ -4,12 +4,8 @@ Commands mirror the assessment stages: train, attack, detect, plus
 the all-in-one assess loop and a simulate helper that serves the
 built-in device profiles for manual experiments.
 
-Exit codes: 0 success, 10 device judged vulnerable (attack SUCCESSFUL),
-11 not vulnerable (attack FAILED), 2 usage error (a bad setting among
-them), a malformed artifact or capture, a device port that cannot be
-bound, or an output path that cannot be written, 3 the capture shows no
-traffic between the given endpoints, 1 detect needed a model but none
-was trained.
+The exit codes are the EXIT_* constants; README's table, which a test
+checks against them, says what each means.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from typing import NoReturn
 import click
 
 from . import __version__, artifacts
-from .capture import SessionConfig, parse_capture, parse_endpoint
+from .capture import Endpoint, SessionConfig, parse_capture, parse_endpoint
 from .features import DIMENSIONS
 from .models import model_to_dict
 from .pcap import PcapError
@@ -37,6 +33,7 @@ from .pipeline import (
     SCENARIO_NON_RESTART,
     SCENARIOS,
     NoLocalConnectivityError,
+    SettingError,
     assess_device,
     attack_from_capture,
     load_settings,
@@ -80,12 +77,7 @@ _TIMING_OPTIONS = (
     click.option("--connect-timeout-ms", type=int, default=None),
 )
 _DETECTION_OPTIONS = (
-    click.option(
-        "--response-window",
-        type=int,
-        default=None,
-        help="How many leading attack responses the model inspects.",
-    ),
+    click.option("--response-window", type=int, default=None, help="How many leading attack responses the model inspects."),
 )
 
 # The capture's two endpoints, for the commands that read one.
@@ -134,23 +126,17 @@ def _options(*groups):
     return apply
 
 
-def _build_settings(config_path, **overrides):
-    try:
-        return load_settings(config_path, **overrides)
-    except ValueError as exc:  # an ArtifactError for an unreadable or malformed file
-        raise click.UsageError(str(exc))
-
-
 def _spawn(behavior, device_seed, **profile):
     """Start the simulated device that _DEVICE_OPTIONS and any other profile fields describe."""
     return spawn_device(default_profile(Behavior(behavior), seed=device_seed, **profile))
 
 
-def _session(app: str, device: str) -> SessionConfig:
+def _named(name: str, parse, *args):
+    """parse(*args), with a ValueError raised as the SettingError naming parameter `name`."""
     try:
-        return SessionConfig(app=parse_endpoint(app), device=parse_endpoint(device))
+        return parse(*args)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise SettingError(name, exc) from exc
 
 
 def _fail(message: object, code: int = EXIT_BAD_INPUT) -> NoReturn:
@@ -160,8 +146,10 @@ def _fail(message: object, code: int = EXIT_BAD_INPUT) -> NoReturn:
 
 
 class _Command(click.Command):
-    """Every command's one error boundary: a library failure becomes one
-    `error:` line and its exit code, never a traceback."""
+    """Every command's one error boundary: a bad input or a library failure
+    becomes one `error: <source>: <reason>` line and its exit code, never a
+    traceback. Click reports only what it parses itself: an unknown flag, a
+    missing option, a value outside its type."""
 
     def invoke(self, ctx):
         try:
@@ -176,7 +164,9 @@ class _Command(click.Command):
             if exc.filename is None:  # not about a file, e.g. a reset connection
                 raise
             _fail(f"{exc.filename}: {exc.strerror}")
-        # ValueError: an ArtifactError, or a subsample larger than the training set
+        except SettingError as exc:  # a flag's value: name the flag as click spells it
+            _fail(f"{next(p.opts[0] for p in self.params if p.name == exc.name)}: {exc}")
+        # ValueError: an ArtifactError (it names its file), the trainer's subsample bound, app equal to device
         except (SpawnError, ValueError) as exc:
             _fail(exc)
 
@@ -198,13 +188,15 @@ def _check_writable(*paths: str | None) -> None:
             raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
-def _guard_target(address: str, authorized: bool):
+def _target(text: str, authorized: bool) -> Endpoint:
     # Assessing gear you do not own is an attack, not an assessment.
-    if not ipaddress.ip_address(address).is_loopback and not authorized:
-        raise click.UsageError(
-            f"{address} is not loopback; pass --i-own-this-device to confirm "
+    endpoint = parse_endpoint(text)
+    if not ipaddress.ip_address(endpoint.address).is_loopback and not authorized:
+        raise ValueError(
+            f"{endpoint.address} is not loopback; pass --i-own-this-device to confirm "
             "you are authorized to probe it"
         )
+    return endpoint
 
 
 @click.group(cls=_Group)
@@ -225,8 +217,8 @@ def main():
 @_options(_CONFIG_OPTIONS, _MODEL_OPTIONS)
 def train(capture_path, app, device, model_out, config_path, **overrides):
     """Learn legitimate response behavior from a capture."""
-    settings = _build_settings(config_path, **overrides)
-    session = _session(app, device)
+    settings = load_settings(config_path, **overrides)
+    session = SessionConfig(_named("app", parse_endpoint, app), _named("device", parse_endpoint, device))
     _check_writable(model_out)
     detector = train_from_capture(Path(capture_path).read_bytes(), session, settings)
     body = model_to_dict(detector.model)
@@ -262,13 +254,9 @@ def train(capture_path, app, device, model_out, config_path, **overrides):
 @_options(_CONFIG_OPTIONS, _TIMING_OPTIONS)
 def attack(capture_path, app, device, target, queue_out, transcript_out, i_own_this_device, config_path, **overrides):
     """Replay captured command flows at a device, newest flow first."""
-    settings = _build_settings(config_path, **overrides)
-    session = _session(app, device)
-    try:
-        target_endpoint = parse_endpoint(target) if target else session.device
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    _guard_target(target_endpoint.address, i_own_this_device)
+    settings = load_settings(config_path, **overrides)
+    session = SessionConfig(_named("app", parse_endpoint, app), _named("device", parse_endpoint, device))
+    target_endpoint = _named("target" if target else "device", _target, target or device, i_own_this_device)
     _check_writable(queue_out, transcript_out)
     result, _ = attack_from_capture(Path(capture_path).read_bytes(), session, target_endpoint, settings)
     artifacts.write(queue_out, artifacts.QUEUE, result.queue.to_dict())
@@ -300,8 +288,8 @@ def attack(capture_path, app, device, target, queue_out, transcript_out, i_own_t
 @_options(_CONFIG_OPTIONS, _DETECTION_OPTIONS)
 def detect(queue_path, model_path, capture_path, app, device, report_out, device_id, scenario, config_path, **overrides):
     """Judge an attack: exit 10 if it succeeded, 11 if it failed."""
-    settings = _build_settings(config_path, **overrides)
-    session = _session(app, device)
+    settings = load_settings(config_path, **overrides)
+    session = SessionConfig(_named("app", parse_endpoint, app), _named("device", parse_endpoint, device))
     _check_writable(report_out)
     queue = artifacts.read(queue_path, artifacts.QUEUE)
     model = artifacts.read(model_path, artifacts.MODEL)
@@ -347,7 +335,7 @@ def detect(queue_path, model_path, capture_path, app, device, report_out, device
 @_options(_CONFIG_OPTIONS, _MODEL_OPTIONS, _TIMING_OPTIONS, _DETECTION_OPTIONS)
 def assess(behavior, device_seed, port, rekey_on_restart, scenario, reps, post_restart_delay, report_out, config_path, **overrides):
     """Full loop against a built-in simulated device; exit 10/11."""
-    settings = _build_settings(config_path, **overrides)
+    settings = load_settings(config_path, **overrides)
     _check_writable(report_out)
     with _spawn(
         behavior, device_seed, port=port, rekey_on_restart=rekey_on_restart, post_restart_delay_s=post_restart_delay
@@ -390,11 +378,9 @@ def simulate(behavior, device_seed, port, rekey_on_restart, training_capture_out
                 f"(app endpoint {DEFAULT_APP_ENDPOINT})"
             )
         try:
-            if duration is not None:
-                time.sleep(duration)
-            else:
-                while True:
-                    time.sleep(3600)
+            while duration is None:
+                time.sleep(3600)
+            time.sleep(duration)
         except KeyboardInterrupt:
             click.echo("stopping")
 

@@ -9,7 +9,7 @@ Nothing here knows socket or pcap details beyond the functions it calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Protocol
@@ -115,32 +115,46 @@ _SETTING_NAMES = {f.name for f in _FIELDS}
 _TIMINGS = tuple(f.name for f in _FIELDS if f.name.endswith("_ms"))
 
 
+class SettingError(ValueError):
+    """A bad value given for one setting or input; name is its key."""
+
+    def __init__(self, name: str, reason: object):
+        super().__init__(str(reason))
+        self.name = name
+
+
 def load_settings(config_path: str | Path | None = None, **overrides) -> PipelineSettings:
     """Defaults, then JSON config file keys, then explicit overrides.
 
     Overrides passed as None mean "not given" and are skipped, which lets
-    a CLI forward every flag unconditionally. A file that cannot be read,
-    is not JSON or holds no object raises the ArtifactError that names it.
-    Unknown keys in the file are an error; silently ignoring a typo would
-    misconfigure a whole run.
+    a CLI forward every flag unconditionally. A bad file (unreadable, not a
+    JSON object, or holding an unknown key or a bad value: ignoring a typo
+    would misconfigure a whole run) raises the ArtifactError that names it;
+    a bad override raises the SettingError that names its key.
     """
-    values: dict = {}
+    settings = PipelineSettings()
     if config_path is not None:
         # Imported here, as models imports numpy: no benchmarked run reads a
         # settings file, so none should load the codec (and its datetime).
-        from .artifacts import read_object
+        from .artifacts import ArtifactError, read_object
 
-        loaded = read_object(config_path)
-        unknown = set(loaded) - _SETTING_NAMES
+        values = read_object(config_path)
+        unknown = sorted(set(values) - _SETTING_NAMES)
         if unknown:
-            raise ValueError(f"unknown settings keys: {sorted(unknown)}")
-        values.update(loaded)
+            raise ArtifactError(config_path, f"unknown settings keys: {unknown}")
+        try:
+            settings = PipelineSettings(**values)
+        except ValueError as exc:
+            raise ArtifactError(config_path, str(exc)) from exc
     for name, value in overrides.items():
         if name not in _SETTING_NAMES:
             raise ValueError(f"unknown setting {name!r}")
         if value is not None:
-            values[name] = value
-    return PipelineSettings(**values)
+            try:
+                settings = replace(settings, **{name: value})
+            except ValueError as exc:
+                raise SettingError(name, exc) from exc
+    return settings
 
 
 # ---------------------------------------------------------------------------

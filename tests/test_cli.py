@@ -6,17 +6,23 @@ the conftest factory and answer on loopback.
 """
 
 import json
+import re
 import socket
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import replaycheck
-from replaycheck import artifacts
+from replaycheck import artifacts, cli
 from replaycheck.capture import SessionConfig, parse_capture, records_to_capture
 from replaycheck.cli import main
 from replaycheck.models import train_lof
+from replaycheck.pipeline import PipelineSettings
 from replaycheck.replay import QueueEntry, ResponseQueue
 from replaycheck.simdevices import (
     DEFAULT_APP_ENDPOINT,
@@ -64,23 +70,26 @@ def write_none_model(path):
     artifacts.write(path, artifacts.MODEL, {"kind": "none"})
 
 
-def assert_bad_input(result, path):
-    """Exit 2 with exactly one `error: <path>: <reason>` line, no traceback."""
+def assert_bad_input(result, source, reason=""):
+    """Exit 2 with exactly one stderr line, `error: <source>: ...` holding
+    reason, and no traceback. The source is the file or flag the bad value
+    came from; None is an error about no one input (the trainer's subsample
+    bound, an app endpoint equal to the device's)."""
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     lines = result.stderr.splitlines()
     assert len(lines) == 1, lines
-    assert lines[0].startswith(f"error: {path}: ")
+    assert lines[0].startswith("error: " if source is None else f"error: {source}: "), lines[0]
+    assert reason in lines[0]
 
 
-def assert_one_error(result, reason):
-    """Exit 2 with exactly one `error:` line naming reason, no traceback."""
+def assert_usage_error(result, reason):
+    """Exit 2 in click's usage form, kept for what click parses itself: an
+    unknown flag, a missing option, a value outside a click type."""
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
-    assert "Traceback" not in result.output
-    errors = [line for line in result.stderr.splitlines() if line.lower().startswith("error:")]
-    assert len(errors) == 1, result.stderr
-    assert reason in errors[0]
+    assert result.stderr.startswith("Usage: ")
+    assert f"Error: {reason}" in result.stderr
 
 
 def run_train(device, tmp_path, *extra):
@@ -178,8 +187,7 @@ class TestTrain:
         config = tmp_path / "settings.json"
         config.write_text(json.dumps({"lof_kay": 3}))
         result, _ = run_train(device, tmp_path, "--config", str(config))
-        assert result.exit_code == 2
-        assert "unknown settings keys" in result.stderr
+        assert_bad_input(result, config, "unknown settings keys: ['lof_kay']")
 
     def test_bad_endpoint_is_usage_error(self, device_factory, tmp_path):
         device = device_factory(Behavior.CLEARTEXT_ECHO)
@@ -193,7 +201,7 @@ class TestTrain:
                 "--model-out", str(tmp_path / "model.json"),
             ]
         )
-        assert result.exit_code == 2
+        assert_bad_input(result, "--app", "expected ADDRESS:PORT, got 'not-an-endpoint'")
 
     def test_missing_capture_is_usage_error(self, tmp_path):
         result = invoke(
@@ -280,8 +288,7 @@ class TestAttack:
     def test_non_loopback_target_needs_confirmation(self, device_factory, tmp_path):
         device = device_factory(Behavior.CLEARTEXT_ECHO)
         result, _, _ = run_attack(device, tmp_path, "--target", "192.0.2.1:9")
-        assert result.exit_code == 2
-        assert "--i-own-this-device" in result.stderr
+        assert_bad_input(result, "--target", "192.0.2.1 is not loopback; pass --i-own-this-device")
 
 
 class TestDetect:
@@ -463,20 +470,23 @@ class TestMalformedInput:
         assert_bad_input(result, model_path)
 
 
+# command, flags, the source the error line names, and its reason. The last
+# flag is the bad one; only the trainer knows the training set, so its
+# subsample bound names no flag.
 INVALID_SETTINGS = [
-    ("train", ["--lof-k", "0"], "k must be"),
-    ("train", ["--lof-threshold", "1.0"], "threshold must"),
-    ("train", ["--lof-threshold", "inf"], "threshold must"),
-    ("assess", ["--lof-threshold", "Infinity"], "threshold must"),
-    ("train", ["--model-kind", "isolation_forest", "--seed", "-1"], "seed must"),
-    ("train", ["--model-kind", "isolation_forest", "--trees", "0"], "trees must"),
-    ("train", ["--model-kind", "isolation_forest", "--anomaly-cutoff", "1.5"], "anomaly_cutoff"),
-    ("train", ["--model-kind", "isolation_forest", "--subsample", "1"], "subsample"),
-    ("attack", ["--response-timeout-ms", "0"], "per_flow_response_timeout_ms"),
-    ("attack", ["--connect-timeout-ms", "100000000000000000000"], "connect_timeout_ms"),
-    ("assess", ["--lof-k", "0"], "k must be"),
-    ("assess", ["--model-kind", "isolation_forest", "--subsample", "50"], "subsample"),
-    ("detect", ["--response-window", "0"], "response_window"),
+    ("train", ["--lof-k", "0"], "--lof-k", "k must be"),
+    ("train", ["--lof-threshold", "1.0"], "--lof-threshold", "threshold must"),
+    ("train", ["--lof-threshold", "inf"], "--lof-threshold", "threshold must"),
+    ("assess", ["--lof-threshold", "Infinity"], "--lof-threshold", "threshold must"),
+    ("train", ["--model-kind", "isolation_forest", "--seed", "-1"], "--seed", "seed must"),
+    ("train", ["--model-kind", "isolation_forest", "--trees", "0"], "--trees", "trees must"),
+    ("train", ["--model-kind", "isolation_forest", "--anomaly-cutoff", "1.5"], "--anomaly-cutoff", "anomaly_cutoff"),
+    ("train", ["--model-kind", "isolation_forest", "--subsample", "1"], "--subsample", "subsample"),
+    ("attack", ["--response-timeout-ms", "0"], "--response-timeout-ms", "per_flow_response_timeout_ms"),
+    ("attack", ["--connect-timeout-ms", "100000000000000000000"], "--connect-timeout-ms", "connect_timeout_ms"),
+    ("assess", ["--lof-k", "0"], "--lof-k", "k must be"),
+    ("assess", ["--model-kind", "isolation_forest", "--subsample", "50"], None, "subsample must be in [2, "),
+    ("detect", ["--response-window", "0"], "--response-window", "response_window"),
 ]
 
 
@@ -561,13 +571,13 @@ class TestInvalidSettings:
     """Every setting a check rejects is exit 2 with one error line."""
 
     @pytest.mark.parametrize(
-        "command, flags, reason",
+        "command, flags, source, reason",
         INVALID_SETTINGS,
-        ids=["-".join([command] + [f.lstrip("-") for f in flags]) for command, flags, _ in INVALID_SETTINGS],
+        ids=["-".join([command] + [f.lstrip("-") for f in flags]) for command, flags, *_ in INVALID_SETTINGS],
     )
-    def test_exits_2_without_traceback(self, device_factory, tmp_path, command, flags, reason):
+    def test_exits_2_without_traceback(self, device_factory, tmp_path, command, flags, source, reason):
         result = run_command(command, device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, *flags)
-        assert_one_error(result, reason)
+        assert_bad_input(result, source, reason)
 
     @pytest.mark.parametrize("command", ["train", "attack", "detect"])
     @pytest.mark.parametrize(
@@ -578,14 +588,14 @@ class TestInvalidSettings:
     def test_mistyped_config_value_exits_2(self, device_factory, tmp_path, command, values, reason):
         config = write_config(tmp_path, **{**ALL_SETTINGS, **values})
         result = run_command(command, device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, "--config", config)
-        assert_one_error(result, reason)
+        assert_bad_input(result, config, reason)
 
     @pytest.mark.parametrize("command", ["train", "attack", "detect", "assess"])
     def test_deeply_nested_config_exits_2(self, device_factory, tmp_path, command):
         config = tmp_path / "settings.json"
         config.write_text("[" * 200_000)
         result = run_command(command, device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, "--config", str(config))
-        assert_one_error(result, f"{config}: is not JSON")
+        assert_bad_input(result, config, "is not JSON")
 
     @pytest.mark.parametrize("command", ["train", "attack", "detect", "assess"])
     @pytest.mark.parametrize(
@@ -598,18 +608,19 @@ class TestInvalidSettings:
         config = tmp_path / "settings.json"
         config.write_bytes(content)
         result = run_command(command, device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, "--config", str(config))
-        assert_one_error(result, f"{config}: {reason}")
+        assert_bad_input(result, config, reason)
 
     def test_infinite_threshold_in_config_exits_2(self, device_factory, tmp_path):
         config = tmp_path / "settings.json"
         config.write_text('{"lof_threshold": Infinity}')
         result = run_command("train", device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, "--config", str(config))
-        assert_one_error(result, "threshold must")
+        assert_bad_input(result, config, "threshold must")
 
     def test_config_key_checked_by_a_command_that_does_not_read_it(self, device_factory, tmp_path):
         device = device_factory(Behavior.CLEARTEXT_ECHO)
-        result = run_command("attack", device, tmp_path, "--config", write_config(tmp_path, trees=0))
-        assert_one_error(result, "trees must")
+        config = write_config(tmp_path, trees=0)
+        result = run_command("attack", device, tmp_path, "--config", config)
+        assert_bad_input(result, config, "trees must")
         assert not (tmp_path / "queue.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "attack", "detect"])
@@ -635,7 +646,7 @@ class TestInvalidSettings:
         else:
             args = ["assess", "--behavior", "silent", "--reps", "1", *FAST_FLAGS]
             result = invoke([*args, *flags])
-        assert_one_error(result, reason)
+        assert_bad_input(result, flags[-2], reason)
 
 
 class TestEndpointFlags:
@@ -646,7 +657,7 @@ class TestEndpointFlags:
     def test_app_equal_to_device(self, device_factory, tmp_path, command):
         device = device_factory(Behavior.CLEARTEXT_ECHO)
         result = run_command(command, device, tmp_path, "--app", str(device.endpoint))
-        assert_one_error(result, "must differ")
+        assert_bad_input(result, None, "app and device endpoints must differ")
         assert query_state(device) == DeviceState.REVERSE
 
     @pytest.mark.parametrize(
@@ -660,7 +671,7 @@ class TestEndpointFlags:
     def test_malformed_attack_target(self, device_factory, tmp_path, target, reason):
         device = device_factory(Behavior.CLEARTEXT_ECHO)
         result = run_command("attack", device, tmp_path, *FAST_FLAGS, "--target", target)
-        assert_one_error(result, reason)
+        assert_bad_input(result, "--target", reason)
         assert query_state(device) == DeviceState.REVERSE
         assert not (tmp_path / "queue.json").exists()
 
@@ -694,7 +705,7 @@ class TestSettingsFlags:
     )
     def test_settings_flag_a_command_does_not_read_is_rejected(self, device_factory, tmp_path, command, flag):
         result = run_command(command, device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, *flag)
-        assert_one_error(result, f"No such option '{flag[0]}'")
+        assert_usage_error(result, f"No such option '{flag[0]}'")
 
 
 class TestAssess:
@@ -753,9 +764,7 @@ class TestAssess:
 
     def test_zero_reps_is_an_error(self, tmp_path):
         result = invoke(["assess", "--behavior", "silent", "--reps", "0", *FAST_FLAGS])
-        assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert "Invalid value for '--reps'" in result.stderr
+        assert_usage_error(result, "Invalid value for '--reps'")
 
 
 class TestSimulate:
@@ -794,7 +803,7 @@ class TestDeviceFlags:
     @pytest.mark.parametrize("command", DEVICE_COMMANDS)
     def test_port_out_of_range(self, command):
         result = invoke([*DEVICE_COMMANDS[command], "--port", "70000"])
-        assert_one_error(result, "Invalid value for '--port'")
+        assert_usage_error(result, "Invalid value for '--port'")
 
     @pytest.mark.parametrize("command", DEVICE_COMMANDS)
     def test_busy_port(self, command):
@@ -803,7 +812,7 @@ class TestDeviceFlags:
             busy.listen(1)
             port = busy.getsockname()[1]
             result = invoke([*DEVICE_COMMANDS[command], "--port", str(port)])
-        assert_one_error(result, f"cannot bind 127.0.0.1:{port}")
+        assert_bad_input(result, f"cannot bind 127.0.0.1:{port}", "Address already in use")
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -812,7 +821,7 @@ class TestDeviceFlags:
     def test_negative_seconds(self, command, flag):
         for value in ("-1", "nan", "inf"):
             result = invoke([*DEVICE_COMMANDS[command], flag, value])
-            assert_one_error(result, f"Invalid value for '{flag}'")
+            assert_usage_error(result, f"Invalid value for '{flag}'")
 
 
 OUTPUT_FLAGS = [
@@ -982,3 +991,140 @@ class TestEntryPoint:
         result = invoke([command, "--help"])
         assert result.exit_code == 0
         assert "below 32768" in " ".join(result.output.split())
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def readme_rows(first_header):
+    """The body rows of README's table whose first column is headed
+    first_header, each a list of its cells."""
+    rows, inside = [], False
+    for line in README.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not line.startswith("|"):
+            inside = False
+        elif cells[0] == first_header:
+            inside = True
+        elif inside and not set(cells[0]) <= set("-: "):
+            rows.append(cells)
+    return rows
+
+
+README_EXIT_CODES = {int(code) for code, _ in readme_rows("exit")}
+
+
+class TestReadmeAgrees:
+    """README's exit-code and settings tables say what the code does."""
+
+    def test_exit_code_table(self):
+        meanings = {int(code): meaning for code, meaning in readme_rows("exit")}
+        constants = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+        assert set(meanings) == {0} | constants
+        assert "SUCCESSFUL" in meanings[cli.EXIT_VULNERABLE]
+        assert "FAILED" in meanings[cli.EXIT_NOT_VULNERABLE]
+        assert "bad input" in meanings[cli.EXIT_BAD_INPUT]
+        assert "no traffic" in meanings[cli.EXIT_NO_CONNECTIVITY]
+        assert "none was trained" in meanings[cli.EXIT_NO_MODEL]
+
+    def test_settings_table(self):
+        rows = {key.strip("`"): (default, read_by) for key, default, read_by, _ in readme_rows("key")}
+        assert list(rows) == [field.name for field in fields(PipelineSettings)]
+        defaults = PipelineSettings()
+        for name, (default, read_by) in rows.items():
+            value = getattr(defaults, name)
+            assert default.strip("`") == ("auto" if value is None else str(value)), name
+            readers = {
+                command_name
+                for command_name, command in main.commands.items()
+                if name in {param.name for param in command.params}
+            }
+            assert set(re.findall(r"`(\w+)`", read_by)) == readers, name
+
+
+ECHO = Path(__file__).parent / "artifact_corpus" / "cleartext_echo"
+ECHO_SESSION = ["--app", "10.77.0.2:38200", "--device", "127.0.0.1:33477"]
+# The bytes of each file a command reads, by the flag that names it.
+INPUTS = {
+    "capture": Path(f"{ECHO}.training.pcap").read_bytes(),
+    "attack-capture": Path(f"{ECHO}.attack.pcap").read_bytes(),
+    **{name: Path(f"{ECHO}.{name}.json").read_bytes() for name in ("model", "queue", "transcript", "verdict", "assessment")},
+    "config": json.dumps(ALL_SETTINGS).encode(),
+}
+COMMAND_INPUTS = [
+    ("train", "capture"), ("train", "config"),
+    ("attack", "attack-capture"), ("attack", "config"),
+    ("detect", "queue"), ("detect", "model"), ("detect", "attack-capture"), ("detect", "config"),
+    ("assess", "config"),
+    *(("report", name) for name in ("model", "queue", "transcript", "verdict", "assessment")),
+]
+
+
+def command_line(command, name, paths, out):
+    """The command reading the files in paths, at loopback timings; report
+    reads the one called name. attack aims at the discard port, so a replay
+    is refused at once."""
+    config = ["--config", paths["config"]]
+    if command == "train":
+        return ["train", "--capture", paths["capture"], *ECHO_SESSION, "--model-out", out / "model.json", *config]
+    if command == "attack":
+        return [
+            "attack", "--capture", paths["attack-capture"], *ECHO_SESSION, "--target", "127.0.0.1:9",
+            "--queue-out", out / "queue.json", *config, *FAST_FLAGS,
+        ]
+    if command == "detect":
+        return [
+            "detect", "--queue", paths["queue"], "--model", paths["model"],
+            "--attack-capture", paths["attack-capture"], *ECHO_SESSION, *config,
+        ]
+    if command == "assess":
+        return ["assess", "--behavior", "cleartext_echo", "--reps", "1", "--post-restart-delay", "0", *config, *FAST_FLAGS]
+    return ["report", paths[name]]
+
+
+@st.composite
+def mutations(draw, data):
+    """data changed at the byte level, as a damaged or hand-edited file is."""
+    kind = draw(st.sampled_from(["truncate", "flip", "splice", "not-utf8", "nest", "huge-number"]))
+    at = draw(st.integers(0, len(data)))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "flip":
+        at = min(at, len(data) - 1)
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    if kind == "splice":
+        other = INPUTS[draw(st.sampled_from(sorted(INPUTS)))]
+        return data[:at] + other[draw(st.integers(0, len(other))):]
+    if kind == "not-utf8":
+        return data[:at] + draw(st.sampled_from([b"\x80", b"\xc3\x28", b"\xff\xfe"])) + data[at:]
+    if kind == "nest":
+        return data[:at] + b"[" * 200_000 + data[at:]
+    numbers = [match.span() for match in re.finditer(rb"\d+", data)] or [(at, at)]
+    start, end = draw(st.sampled_from(numbers))
+    return data[:start] + b"9" * 400 + data[end:]
+
+
+@pytest.fixture(scope="module")
+def inputs_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("inputs")
+    for name, data in INPUTS.items():
+        (folder / name).write_bytes(data)
+    return folder
+
+
+@settings(max_examples=280, deadline=None)
+@given(data=st.data())
+def test_any_damaged_input_file_is_one_error_line_naming_it(inputs_dir, data):
+    """Every command, given one damaged file among valid ones, exits with a
+    code from README's table and never a traceback; on exit 2 it prints
+    one `error: <file>: <reason>` line."""
+    command, name = data.draw(st.sampled_from(COMMAND_INPUTS), label="command, file")
+    damaged = inputs_dir / f"damaged-{name}"
+    damaged.write_bytes(data.draw(mutations(INPUTS[name]), label="bytes"))
+    paths = {**{other: inputs_dir / other for other in INPUTS}, name: damaged}
+    result = invoke([str(arg) for arg in command_line(command, name, paths, inputs_dir)])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    assert result.exit_code in README_EXIT_CODES, result.output
+    assert "Traceback" not in result.output
+    if result.exit_code == 2:
+        assert_bad_input(result, damaged)

@@ -43,6 +43,7 @@ from replaycheck.pipeline import (
     SCENARIOS,
     NoLocalConnectivityError,
     PipelineSettings,
+    SettingError,
     assess_device,
     attack_from_capture,
     load_settings,
@@ -166,6 +167,26 @@ class TestSettings:
         config.write_text(json.dumps({"lof_kay": 7}))
         with pytest.raises(ValueError, match="lof_kay"):
             load_settings(config)
+
+    @pytest.mark.parametrize(
+        "body, reason",
+        [({"lof_kay": 7}, "unknown settings keys: ['lof_kay']"), ({"lof_k": "5"}, "lof_k must be an integer, got '5'")],
+        ids=["unknown-key", "mistyped-value"],
+    )
+    def test_file_error_names_the_file_whatever_the_overrides(self, tmp_path, body, reason):
+        # The file's settings are built before any override is applied, so
+        # an override of the bad key does not hide it.
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps(body))
+        with pytest.raises(ArtifactError, match=f"^{re.escape(f'{config}: {reason}')}$"):
+            load_settings(config, lof_k=3)
+
+    def test_override_error_names_its_key(self, tmp_path):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"lof_k": 7}))
+        with pytest.raises(SettingError, match="^k must be >= 1$") as raised:
+            load_settings(config, lof_k=0)
+        assert raised.value.name == "lof_k"
 
     def test_non_object_file_rejected(self, tmp_path):
         config = tmp_path / "settings.json"
