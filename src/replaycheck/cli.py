@@ -128,7 +128,10 @@ def _options(*groups):
 
 def _spawn(behavior, device_seed, **profile):
     """Start the simulated device that _DEVICE_OPTIONS and any other profile fields describe."""
-    return spawn_device(default_profile(Behavior(behavior), seed=device_seed, **profile))
+    try:
+        return spawn_device(default_profile(Behavior(behavior), seed=device_seed, **profile))
+    except SpawnError as exc:  # the port cannot be bound
+        raise SettingError("port", exc) from exc
 
 
 def _named(name: str, parse, *args):
@@ -137,6 +140,11 @@ def _named(name: str, parse, *args):
         return parse(*args)
     except ValueError as exc:
         raise SettingError(name, exc) from exc
+
+
+def _session(app: str, device: str) -> SessionConfig:
+    """The capture's two endpoints; an app equal to the device names --device."""
+    return _named("device", SessionConfig, _named("app", parse_endpoint, app), _named("device", parse_endpoint, device))
 
 
 def _fail(message: object, code: int = EXIT_BAD_INPUT) -> NoReturn:
@@ -164,10 +172,11 @@ class _Command(click.Command):
             if exc.filename is None:  # not about a file, e.g. a reset connection
                 raise
             _fail(f"{exc.filename}: {exc.strerror}")
-        except SettingError as exc:  # a flag's value: name the flag as click spells it
+        except SettingError as exc:  # name the flag as click spells it, or the file that set the value
+            if ctx.params.get(exc.name) is None:
+                _fail(f"{ctx.params['config_path']}: {exc}")
             _fail(f"{next(p.opts[0] for p in self.params if p.name == exc.name)}: {exc}")
-        # ValueError: an ArtifactError (it names its file), the trainer's subsample bound, app equal to device
-        except (SpawnError, ValueError) as exc:
+        except ValueError as exc:  # an ArtifactError names its file
             _fail(exc)
 
 
@@ -218,7 +227,7 @@ def main():
 def train(capture_path, app, device, model_out, config_path, **overrides):
     """Learn legitimate response behavior from a capture."""
     settings = load_settings(config_path, **overrides)
-    session = SessionConfig(_named("app", parse_endpoint, app), _named("device", parse_endpoint, device))
+    session = _session(app, device)
     _check_writable(model_out)
     detector = train_from_capture(Path(capture_path).read_bytes(), session, settings)
     body = model_to_dict(detector.model)
@@ -255,7 +264,7 @@ def train(capture_path, app, device, model_out, config_path, **overrides):
 def attack(capture_path, app, device, target, queue_out, transcript_out, i_own_this_device, config_path, **overrides):
     """Replay captured command flows at a device, newest flow first."""
     settings = load_settings(config_path, **overrides)
-    session = SessionConfig(_named("app", parse_endpoint, app), _named("device", parse_endpoint, device))
+    session = _session(app, device)
     target_endpoint = _named("target" if target else "device", _target, target or device, i_own_this_device)
     _check_writable(queue_out, transcript_out)
     result, _ = attack_from_capture(Path(capture_path).read_bytes(), session, target_endpoint, settings)
@@ -289,7 +298,7 @@ def attack(capture_path, app, device, target, queue_out, transcript_out, i_own_t
 def detect(queue_path, model_path, capture_path, app, device, report_out, device_id, scenario, config_path, **overrides):
     """Judge an attack: exit 10 if it succeeded, 11 if it failed."""
     settings = load_settings(config_path, **overrides)
-    session = SessionConfig(_named("app", parse_endpoint, app), _named("device", parse_endpoint, device))
+    session = _session(app, device)
     _check_writable(report_out)
     queue = artifacts.read(queue_path, artifacts.QUEUE)
     model = artifacts.read(model_path, artifacts.MODEL)
@@ -299,7 +308,7 @@ def detect(queue_path, model_path, capture_path, app, device, report_out, device
             model.check_width(DIMENSIONS)
     except ValueError as exc:
         _fail(f"{model_path}: {exc}")
-    verdict = decide(queue, records, model, settings.detection_config())
+    verdict = decide(queue, records, model, settings)
     labels = ", ".join(label.value for label in verdict.labels) or "n/a"
     click.echo(f"attack {verdict.outcome.value} ({verdict.reason.value})")
     click.echo(f"inspected response labels: {labels}")

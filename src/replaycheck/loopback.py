@@ -96,11 +96,10 @@ class LoopbackServer:
         """Run step once sock is readable, not watching sock while it runs."""
         self._reactor.selector.register(sock, selectors.EVENT_READ, lambda: self._attempt(step, sock))
 
-    def _attempt(self, step, readable: socket.socket | None = None) -> None:
+    def _attempt(self, step, readable: socket.socket) -> None:
         """Run step; if it raises, go back to waiting on the bound socket."""
         try:
-            if readable is not None:
-                self._reactor.selector.unregister(readable)
+            self._reactor.selector.unregister(readable)
             step()
         except Exception as exc:
             self._idle()

@@ -275,13 +275,6 @@ def _complement_fold(total: int) -> int:
     return 0xFFFF - folded
 
 
-def _checksum(data: bytes) -> int:
-    """The RFC 1071 Internet checksum of data (zero-padded to whole words)."""
-    if len(data) % 2:
-        data += b"\x00"
-    return _complement_fold(int.from_bytes(data, "big"))
-
-
 @lru_cache(maxsize=_ADDRESS_CACHE_SIZE)
 def _packed_address(address: str) -> bytes:
     """The 4- or 16-byte network form of an IPv4 or IPv6 address."""

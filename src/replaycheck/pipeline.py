@@ -45,7 +45,6 @@ from .replay import MAX_TIMING_MS, AttackResult, run_attack
 from .simdevices import companion_session, restart_device, trigger_state  # noqa: F401
 from .verdict import (
     DEFAULT_RESPONSE_WINDOW,
-    DetectionConfig,
     Outcome,
     Verdict,
     decide,
@@ -70,7 +69,8 @@ class PipelineSettings:
 
     Construction checks every field's type and range. Only the forest
     trainer, which knows the training set, checks that subsample fits it.
-    The replay engine reads the four *_ms timings from this object itself.
+    The replay engine reads the four *_ms timings from this object itself,
+    and decide reads response_window.
     """
 
     model_kind: str = "lof"
@@ -104,10 +104,13 @@ class PipelineSettings:
         for name in _TIMINGS:
             if not 0 < getattr(self, name) <= MAX_TIMING_MS:
                 raise ValueError(f"{name} must be positive and at most {MAX_TIMING_MS}")
-        self.detection_config()  # checks its own field
+        if self.response_window < 1:
+            raise ValueError("response_window must be >= 1")
 
-    def detection_config(self) -> DetectionConfig:
-        return DetectionConfig(response_window=self.response_window)
+    def detection_config(self) -> PipelineSettings:
+        """These settings: decide reads response_window from them. Kept only
+        because the benchmark's workloads call it."""
+        return self
 
 
 _FIELDS = fields(PipelineSettings)
@@ -218,7 +221,12 @@ def train_from_capture(
     rows = {payload: featurize(payload) for payload in dict.fromkeys(payloads)}
     model: NoveltyModel | None = None
     if len(payloads) >= 2:
-        model = train([rows[payload] for payload in payloads])
+        # The settings were checked when built and the rows are finite and of
+        # one width, so the one bound left to fail is subsample against n.
+        try:
+            model = train([rows[payload] for payload in payloads])
+        except ValueError as exc:
+            raise SettingError("subsample", exc) from exc
     return TrainedDetector(
         model=model,
         response_class=classify_training_responses(flows, rows),
@@ -379,14 +387,7 @@ def assess_device(
         result, attack_records = attack_from_capture(
             attack_capture, session, device.endpoint, settings
         )
-        verdicts.append(
-            decide(
-                result.queue,
-                attack_records,
-                detector.model,
-                settings.detection_config(),
-            )
-        )
+        verdicts.append(decide(result.queue, attack_records, detector.model, settings))
         truths.append(device.replay_took_effect())
 
     return AssessmentResult(

@@ -6,6 +6,10 @@ means replay protection is already guaranteed (FAILED). Otherwise the
 first few attack responses are classified against the trained novelty
 model: if every one is irregular the device rejected the replay, and a
 single regular response means the replayed commands were accepted.
+
+The model sees the first response_window responses, read from the
+PipelineSettings passed in. This module sits below the pipeline and does
+not import it: any object with that attribute serves.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .replay import ResponseQueue
 __all__ = [
     "Outcome",
     "Reason",
-    "DetectionConfig",
     "Verdict",
     "NoModelError",
     "decide",
@@ -49,17 +52,6 @@ class NoModelError(ValueError):
 
 
 _FAILED_REASONS = {Reason.NO_RESPONSE, Reason.STANDARD_PROTOCOL, Reason.ALL_IRREGULAR}
-
-
-@dataclass(frozen=True)
-class DetectionConfig:
-    """response_window is how many leading queue entries the model sees."""
-
-    response_window: int = DEFAULT_RESPONSE_WINDOW
-
-    def __post_init__(self):
-        if self.response_window < 1:
-            raise ValueError("response_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -95,7 +87,7 @@ def decide(
     queue: ResponseQueue,
     attack_records: Sequence[PacketRecord],
     model: NoveltyModel | None,
-    config: DetectionConfig | None = None,
+    settings: "PipelineSettings | None" = None,
 ) -> Verdict:
     """Classify one attack run as SUCCESSFUL or FAILED.
 
@@ -103,7 +95,6 @@ def decide(
     silent device yields no training responses to build a model from);
     reaching the model stage without a model is an error.
     """
-    config = config or DetectionConfig()
     if not queue:
         return Verdict(Outcome.FAILED, Reason.NO_RESPONSE, ())
     if detect_standard_security_protocol(attack_records):
@@ -113,8 +104,8 @@ def decide(
             "attack responses need model classification but no novelty model "
             "was trained (no training responses?)"
         )
-    window = queue.entries[: config.response_window]
-    labels = tuple([classify(model, featurize(entry.payload)) for entry in window])
+    j = DEFAULT_RESPONSE_WINDOW if settings is None else settings.response_window
+    labels = tuple([classify(model, featurize(entry.payload)) for entry in queue.entries[:j]])
     if all(label == Label.IRREGULAR for label in labels):
         return Verdict(Outcome.FAILED, Reason.ALL_IRREGULAR, labels)
     return Verdict(Outcome.SUCCESSFUL, Reason.REGULAR_FOUND, labels)

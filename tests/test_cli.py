@@ -73,13 +73,12 @@ def write_none_model(path):
 def assert_bad_input(result, source, reason=""):
     """Exit 2 with exactly one stderr line, `error: <source>: ...` holding
     reason, and no traceback. The source is the file or flag the bad value
-    came from; None is an error about no one input (the trainer's subsample
-    bound, an app endpoint equal to the device's)."""
+    came from."""
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     lines = result.stderr.splitlines()
     assert len(lines) == 1, lines
-    assert lines[0].startswith("error: " if source is None else f"error: {source}: "), lines[0]
+    assert lines[0].startswith(f"error: {source}: "), lines[0]
     assert reason in lines[0]
 
 
@@ -471,8 +470,8 @@ class TestMalformedInput:
 
 
 # command, flags, the source the error line names, and its reason. The last
-# flag is the bad one; only the trainer knows the training set, so its
-# subsample bound names no flag.
+# flag is the bad one; only the trainer knows the training set, so only it
+# finds a subsample larger than that set.
 INVALID_SETTINGS = [
     ("train", ["--lof-k", "0"], "--lof-k", "k must be"),
     ("train", ["--lof-threshold", "1.0"], "--lof-threshold", "threshold must"),
@@ -485,7 +484,8 @@ INVALID_SETTINGS = [
     ("attack", ["--response-timeout-ms", "0"], "--response-timeout-ms", "per_flow_response_timeout_ms"),
     ("attack", ["--connect-timeout-ms", "100000000000000000000"], "--connect-timeout-ms", "connect_timeout_ms"),
     ("assess", ["--lof-k", "0"], "--lof-k", "k must be"),
-    ("assess", ["--model-kind", "isolation_forest", "--subsample", "50"], None, "subsample must be in [2, "),
+    ("train", ["--model-kind", "isolation_forest", "--subsample", "50"], "--subsample", "subsample must be in [2, 10], got 50"),
+    ("assess", ["--model-kind", "isolation_forest", "--subsample", "50"], "--subsample", "subsample must be in [2, "),
     ("detect", ["--response-window", "0"], "--response-window", "response_window"),
 ]
 
@@ -579,6 +579,12 @@ class TestInvalidSettings:
         result = run_command(command, device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, *flags)
         assert_bad_input(result, source, reason)
 
+    @pytest.mark.parametrize("command", ["train", "assess"])
+    def test_subsample_set_by_the_config_file_names_it(self, device_factory, tmp_path, command):
+        config = write_config(tmp_path, model_kind="isolation_forest", subsample=50)
+        result = run_command(command, device_factory(Behavior.CLEARTEXT_ECHO), tmp_path, "--config", config)
+        assert_bad_input(result, config, "subsample must be in [2, ")
+
     @pytest.mark.parametrize("command", ["train", "attack", "detect"])
     @pytest.mark.parametrize(
         "values, reason",
@@ -657,7 +663,7 @@ class TestEndpointFlags:
     def test_app_equal_to_device(self, device_factory, tmp_path, command):
         device = device_factory(Behavior.CLEARTEXT_ECHO)
         result = run_command(command, device, tmp_path, "--app", str(device.endpoint))
-        assert_bad_input(result, None, "app and device endpoints must differ")
+        assert_bad_input(result, "--device", "app and device endpoints must differ")
         assert query_state(device) == DeviceState.REVERSE
 
     @pytest.mark.parametrize(
@@ -812,7 +818,8 @@ class TestDeviceFlags:
             busy.listen(1)
             port = busy.getsockname()[1]
             result = invoke([*DEVICE_COMMANDS[command], "--port", str(port)])
-        assert_bad_input(result, f"cannot bind 127.0.0.1:{port}", "Address already in use")
+        assert_bad_input(result, "--port", f"cannot bind 127.0.0.1:{port}: ")
+        assert "Address already in use" in result.stderr
 
     @pytest.mark.parametrize(
         "command, flag",

@@ -198,10 +198,6 @@ class TestSettings:
         with pytest.raises(ValueError):
             load_settings(None, nope=3)
 
-    def test_derived_configs(self):
-        settings = PipelineSettings(response_window=2)
-        assert settings.detection_config().response_window == 2
-
 
 class TestTrainFromCapture:
     def test_cleartext_echo_trains_lof(self, device_factory, fast_settings):
@@ -639,7 +635,7 @@ class TestSessionReplay:
                 result, records = attack_from_capture(
                     capture, session, device.endpoint, fast_settings
                 )
-                verdict = decide(result.queue, records, model, fast_settings.detection_config())
+                verdict = decide(result.queue, records, model, fast_settings)
                 counts = [len(flow.responses) for flow in result.flows]
                 runs.append((verdict, query_state(device), counts))
             return runs

@@ -10,10 +10,9 @@ from replaycheck.artifacts import ArtifactError
 from replaycheck.capture import Endpoint, PacketRecord, Transport
 from replaycheck.features import featurize
 from replaycheck.models import Label, train_lof
-from replaycheck.pipeline import AssessmentResult
+from replaycheck.pipeline import AssessmentResult, PipelineSettings
 from replaycheck.replay import QueueEntry, ResponseQueue
 from replaycheck.verdict import (
-    DetectionConfig,
     NoModelError,
     Outcome,
     Reason,
@@ -84,16 +83,12 @@ class TestDecide:
     def test_window_limits_model_to_leading_entries(self, model):
         # the regular response sits outside the window, so it never weighs in
         payloads = [IRREGULAR, random.Random(4).randbytes(290), REGULAR]
-        verdict = decide(
-            queue_of(*payloads), [], model, DetectionConfig(response_window=2)
-        )
+        verdict = decide(queue_of(*payloads), [], model, PipelineSettings(response_window=2))
         assert verdict.reason == Reason.ALL_IRREGULAR
         assert len(verdict.labels) == 2
 
     def test_window_larger_than_queue_uses_whole_queue(self, model):
-        verdict = decide(
-            queue_of(REGULAR), [], model, DetectionConfig(response_window=10)
-        )
+        verdict = decide(queue_of(REGULAR), [], model, PipelineSettings(response_window=10))
         assert len(verdict.labels) == 1
         assert verdict.outcome == Outcome.SUCCESSFUL
 
@@ -110,17 +105,17 @@ class TestDecide:
     def test_more_regular_evidence_never_flips_success_to_failure(self, model):
         base = [IRREGULAR, REGULAR]
         with_more = [REGULAR] + base
-        config = DetectionConfig(response_window=5)
-        first = decide(queue_of(*base), [], model, config)
-        second = decide(queue_of(*with_more), [], model, config)
+        settings = PipelineSettings(response_window=5)
+        first = decide(queue_of(*base), [], model, settings)
+        second = decide(queue_of(*with_more), [], model, settings)
         assert first.outcome == Outcome.SUCCESSFUL
         assert second.outcome == Outcome.SUCCESSFUL
 
     @given(st.lists(st.booleans(), min_size=1, max_size=6))
     def test_failed_iff_all_window_entries_irregular(self, model, regular_flags):
         payloads = [REGULAR if flag else IRREGULAR for flag in regular_flags]
-        config = DetectionConfig(response_window=len(payloads))
-        verdict = decide(queue_of(*payloads), [], model, config)
+        settings = PipelineSettings(response_window=len(payloads))
+        verdict = decide(queue_of(*payloads), [], model, settings)
         if any(regular_flags):
             assert verdict.outcome == Outcome.SUCCESSFUL
         else:
@@ -146,10 +141,6 @@ class TestVerdictValidation:
     def test_regular_found_needs_a_regular_label(self):
         with pytest.raises(ValueError):
             Verdict(Outcome.SUCCESSFUL, Reason.REGULAR_FOUND, (Label.IRREGULAR,))
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            DetectionConfig(response_window=0)
 
 
 class TestEvaluateAccuracy:

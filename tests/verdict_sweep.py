@@ -92,8 +92,7 @@ def calls_for(behavior: Behavior, seed: int, kinds=MODEL_KINDS) -> list[Call]:
             expected = expected_vulnerable(device.profile, scenario == SCENARIO_RESTART)
             took_effect = device.replay_took_effect()
             for kind in kinds:
-                config = settings[kind].detection_config()
-                verdict = decide(queue, records, detectors[kind].model, config)
+                verdict = decide(queue, records, detectors[kind].model, settings[kind])
                 calls.append(Call(behavior.value, seed, scenario, kind, verdict, expected, took_effect))
     return calls
 
