@@ -2,9 +2,10 @@
 
 A capture is reduced to the payload-bearing traffic between exactly two
 endpoints (the controlling app and the device). Everything else is
-unrelated noise and is dropped. Flows group a run of consecutive
-requests with the run of responses that follows, which is the unit the
-replay engine works with. This module reads records from classic pcap
+unrelated noise and is dropped. Flows group a run of requests with the
+run of responses that follows, the replay engine's unit, and
+response_units cuts a flow's responses for training and the attack
+alike. This module reads records from classic pcap
 (parse_capture_with_notes) and writes them to it (records_to_capture).
 """
 
@@ -108,6 +109,23 @@ class Flow:
     def __post_init__(self):
         if not self.requests:
             raise ValueError("Flow.requests must be non-empty")
+
+    def response_units(self) -> list[tuple[int, bytes]]:
+        """The captured responses as (timestamp, payload), cut by response_units."""
+        arrivals = [(record.timestamp, record.payload) for record in self.responses]
+        return response_units(self.requests[0].transport, arrivals)
+
+
+def response_units(transport: Transport, arrivals: list[tuple]) -> list[tuple]:
+    """The responses in one flow's (stamp, payload) arrivals, in order.
+
+    A UDP datagram is one response. TCP is a byte stream that keeps no
+    write boundaries (RFC 9293), so a TCP flow's whole response run is one
+    response, stamped at its first arrival.
+    """
+    if transport == Transport.UDP or not arrivals:
+        return list(arrivals)
+    return [(arrivals[0][0], b"".join(payload for _, payload in arrivals))]
 
 
 @dataclass

@@ -180,7 +180,7 @@ class TrainedDetector:
 
     @property
     def training_responses(self) -> int:
-        return sum(len(flow.responses) for flow in self.flows)
+        return sum(len(flow.response_units()) for flow in self.flows)
 
 
 def require_local_traffic(records: list[PacketRecord], session: SessionConfig) -> None:
@@ -215,7 +215,7 @@ def train_from_capture(
     records, notes = parse_capture_with_notes(capture, session)
     require_local_traffic(records, session)
     flows = segment_flows(records, session)
-    payloads = [record.payload for flow in flows for record in flow.responses]
+    payloads = [payload for flow in flows for _, payload in flow.response_units()]
     # A device answers with a few fixed acks: featurize each one once, for
     # the model and the classifier both.
     rows = {payload: featurize(payload) for payload in dict.fromkeys(payloads)}

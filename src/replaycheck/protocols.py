@@ -149,7 +149,7 @@ def classify_training_responses(
     groups: dict[tuple[Transport, tuple[bytes, ...]], list[bytes]] = {}
     for flow in flows:
         key = (flow.requests[0].transport, tuple([r.payload for r in flow.requests]))
-        groups.setdefault(key, []).extend(r.payload for r in flow.responses)
+        groups.setdefault(key, []).extend(payload for _, payload in flow.response_units())
 
     votes = Counter()
     rows = {} if rows is None else rows

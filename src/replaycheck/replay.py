@@ -19,7 +19,9 @@ device sees.
 The capture is the evidence for how long to listen. Once a flow has
 drawn as many responses as the capture shows for it, collection ends
 after the capture's own largest response gap (the linger) instead of
-the full per-flow window. A flow the capture shows unanswered, or one
+the full per-flow window. A response is a TCP flow's whole response
+run or one UDP datagram, in the capture and the queue alike
+(capture.response_units). A flow the capture shows unanswered, or one
 still short of its count, keeps the full window: concluding that a
 device stayed silent needs it.
 
@@ -43,7 +45,7 @@ import socket
 import time
 from dataclasses import dataclass
 
-from .capture import Endpoint, Flow, Transport
+from .capture import Endpoint, Flow, Transport, response_units
 
 __all__ = [
     "QueueEntry",
@@ -131,6 +133,10 @@ class FlowReplay:
     def __iter__(self):
         return iter((self.responses, self.note))
 
+    def response_units(self) -> list[tuple[float, bytes]]:
+        """The responses as the queue holds them, cut by capture.response_units."""
+        return response_units(self.flow.requests[0].transport, self.responses)
+
 
 @dataclass(frozen=True)
 class AttackResult:
@@ -153,8 +159,8 @@ class AttackResult:
                     "original_index": last - position,
                     "transport": replayed.flow.requests[0].transport.value,
                     "request_lengths": [len(r.payload) for r in replayed.flow.requests],
-                    "expected_responses": len(replayed.flow.responses),
-                    "response_count": len(replayed.responses),
+                    "expected_responses": len(replayed.flow.response_units()),
+                    "response_count": len(replayed.response_units()),
                     "note": replayed.note,
                 }
                 for position, replayed in enumerate(self.flows)
@@ -219,12 +225,12 @@ def replay_flow(
 
     A fresh connection (TCP) or ephemeral-port socket (UDP), as the flow
     rode, is used per call. Each request goes out inter_request_delay after
-    the previous one went out, never waiting for responses. Collection
-    stops when the peer closes, or after a quiet period following the last
-    send or last arrival, whichever is later. The quiet period is
-    per_flow_response_timeout, shortened to linger_s once every request is
-    sent and at least len(flow.responses) responses have arrived;
-    run_attack passes capture_linger_s over the whole capture.
+    the previous one went out, never waiting for responses. Collection stops
+    when the peer closes, or after a quiet period following the last send or
+    last arrival, whichever is later: per_flow_response_timeout, or linger_s
+    (run_attack passes capture_linger_s) once every request is sent and the
+    capture's count of responses has arrived. A response is a TCP flow's
+    whole run, in however many chunks, or one UDP datagram (response_units).
 
     A request has gone out once sendall returns for it; the FlowReplay
     carries those times for the first and last request. Never raises on
@@ -237,7 +243,7 @@ def replay_flow(
         return FlowReplay(flow, [], f"connect to {device} failed: {exc}")
 
     payloads = [record.payload for record in flow.requests]
-    expected = len(flow.responses)
+    expected = len(flow.response_units())
     delay_s = settings.inter_request_delay_ms / 1000.0
     timeout_s = settings.per_flow_response_timeout_ms / 1000.0
 
@@ -263,7 +269,8 @@ def replay_flow(
             if sent < len(payloads):
                 wait = max(due - now, 0.0)
             else:
-                evidenced = expected and len(responses) >= expected
+                # Only the first `expected` arrivals can be needed as evidence.
+                evidenced = expected and len(response_units(transport, responses[:expected])) >= expected
                 wait = last_event + (linger_s if evidenced else timeout_s) - now
                 if wait <= 0:
                     break
@@ -305,7 +312,7 @@ def run_attack(
     flow's collection, or inter_flow_delay after the previous flow's last
     request went out (after the previous flow began, if it sent none). A
     late send or slow connect therefore never shortens the gap the device
-    sees. Queue entries are ordered by arrival time;
+    sees. Each response is one queue entry, ordered by arrival time;
     entries with equal stamps keep replay order. Each entry is tagged with
     its source flow's index in the original capture order.
     """
@@ -330,7 +337,7 @@ def run_attack(
                 flow_index=len(flows) - 1 - position,
                 payload=data,
             )
-            for ts, data in replayed.responses
+            for ts, data in replayed.response_units()
         )
         replays.append(replayed)
     entries.sort(key=lambda e: e.timestamp)  # stable: replay order breaks ties

@@ -1,8 +1,10 @@
-"""Test doubles served on loopback by the simulator's own LoopbackServer.
+"""Test doubles served on loopback, most by the simulator's own LoopbackServer.
 
 ScriptedResponder answers exact request payloads with fixed responses.
 FakeDevice is a table-driven device that pipeline.assess_device assesses
 through its AssessedDevice interface, with no simulator profile behind it.
+SendallServer is a plain threaded TCP server, and TwoSendallDevice a
+FakeDevice on one that writes each line of its ack with its own sendall.
 """
 
 from __future__ import annotations
@@ -57,6 +59,61 @@ class _StampingServer(LoopbackServer):
                 seconds, nanoseconds = struct.unpack("ll", stamp)  # struct timespec
                 self.arrival = now - (time.time() - seconds - nanoseconds / 1e9)
         return data, address
+
+
+class SendallServer:
+    """A plain loopback TCP server with a thread per connection, outside
+    the shared reactor. Built as LoopbackServer is, from (transport, port,
+    new_handler); each response a handler returns goes out in its own
+    sendall, with Nagle off, so two responses leave as two segments."""
+
+    def __init__(self, transport: Transport, port: int, new_handler):
+        assert transport == Transport.TCP
+        self.sock = socket.create_server(("127.0.0.1", port))
+        self.port = self.sock.getsockname()[1]
+        self._new_handler = new_handler
+        self._stopped = False
+        self._threads = [threading.Thread(target=self._accept, daemon=True)]
+        self._threads[0].start()
+
+    def _accept(self):
+        while True:
+            connection = self.sock.accept()[0]
+            if self._stopped:
+                connection.close()
+                return
+            connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._threads.append(threading.Thread(target=self._serve, args=(connection,), daemon=True))
+            self._threads[-1].start()
+
+    def _serve(self, connection: socket.socket):
+        handle = self._new_handler()
+        with connection:
+            try:
+                while data := connection.recv(65536):
+                    responses, close_connection = handle(data)
+                    for response in responses:
+                        connection.sendall(response)
+                    if close_connection:
+                        return
+            except OSError:  # the client closed first
+                pass
+
+    def stop(self):
+        """Wake the accept loop with a last connection, then wait for every
+        connection the clients have closed to finish."""
+        self._stopped = True
+        socket.create_connection(("127.0.0.1", self.port)).close()
+        for thread in self._threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive(), "a connection was left open"
+        self.sock.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.stop()
 
 
 class ScriptedResponder:
@@ -143,7 +200,7 @@ class FakeDevice:
     it handles is number first_count + 1.
     """
 
-    def __init__(self, accept_rule: str, shape: str, first_count: int = 0):
+    def __init__(self, accept_rule: str, shape: str, first_count: int = 0, server=LoopbackServer):
         self.name = f"fake_{accept_rule}_{shape}"
         self.accepts_stale = ACCEPT_RULES[accept_rule]
         self.ack, self.refusal = RESPONSE_SHAPES[shape]
@@ -153,7 +210,7 @@ class FakeDevice:
         self.handled = first_count
         self.sent = 0
         self.clock_us = 0
-        self._server = LoopbackServer(Transport.TCP, 0, self._new_handler)
+        self._server = server(Transport.TCP, 0, self._new_handler)
         self.endpoint = Endpoint("127.0.0.1", self._server.port)
 
     def _new_handler(self):
@@ -218,3 +275,17 @@ class FakeDevice:
 
     def shutdown(self):
         self._server.stop()
+
+
+class TwoSendallDevice(FakeDevice):
+    """two_line_ack on a SendallServer: each command's two equal-length
+    lines go out by two back-to-back sendall calls, so a replay reads them
+    in one recv chunk or two, as the host's TCP stack has it. It serves
+    the non_restart scenario only: a SendallServer has no restart."""
+
+    def __init__(self, accept_rule: str):
+        super().__init__(accept_rule, "two_line_ack", server=SendallServer)
+        self.name = f"fake_{accept_rule}_two_sendall_ack"
+
+    def _answer(self, line: bytes) -> list[bytes]:
+        return [part for answer in super()._answer(line) for part in answer.splitlines(keepends=True)]

@@ -7,7 +7,7 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
-from doubles import ACCEPT_RULES, RESPONSE_SHAPES, FakeDevice
+from doubles import ACCEPT_RULES, RESPONSE_SHAPES, FakeDevice, TwoSendallDevice
 
 from replaycheck import pipeline
 from replaycheck.features import featurize
@@ -15,10 +15,9 @@ from replaycheck.pipeline import MODEL_KINDS, SCENARIOS, assess_device
 from replaycheck.verdict import Outcome, Reason
 
 # The shapes the rule claims to cover; BLIND_SHAPES are called wrong by design,
-# an unpadded counter is called by where it gains a digit, and a two-line ack
-# sent in one write is Known defect 4 (both pinned below).
+# and an unpadded counter is called by where it gains a digit (both pinned below).
 BLIND_SHAPES = ("silent_ack", "permuted_rejection", "status_digit_rejection")
-NOT_IN_CELLS = BLIND_SHAPES + ("unpadded_counter_ack", "two_line_ack")
+NOT_IN_CELLS = BLIND_SHAPES + ("unpadded_counter_ack",)
 CELLS = list(product(ACCEPT_RULES, [s for s in RESPONSE_SHAPES if s not in NOT_IN_CELLS]))
 
 
@@ -141,15 +140,29 @@ def test_acks_sharing_one_feature_row_are_called_right_under_restart(
 
 
 @pytest.mark.parametrize("model_kind", MODEL_KINDS)
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="Known defect 4; ROADMAP item 14 Part A")
 def test_two_lines_sent_in_one_write_are_called_right(fake_factory, fast_settings, model_kind):
-    """Known defect 4 over sockets. Training holds each command's two
-    equal-length lines as two responses; the replay reads them as one,
-    which differs on the length both kinds saw constant, so a device that
-    acted on the replay is called FAILED (AllIrregular)."""
+    """Training captures each command's two equal-length lines as two
+    segments and the replay reads them in one chunk; a TCP flow's response
+    run is one response on both sides, so the accepted replay is regular."""
     settings = replace(fast_settings, model_kind=model_kind)
     result = assess_fake(fake_factory("accepts_stale", "two_line_ack"), "non_restart", settings)
     assert [(v.outcome, v.reason) for v in result.verdicts] == [(Outcome.SUCCESSFUL, Reason.REGULAR_FOUND)] * 2
+
+
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+def test_two_lines_sent_by_two_sendalls_are_called_right_every_rep(fast_settings, model_kind):
+    """The lines go out by two back-to-back sendall calls, so a replay's
+    recv gets them in one chunk or two; the flow's run is one response
+    either way, and the second chunk lands inside the linger that the
+    first one starts."""
+    device = TwoSendallDevice("accepts_stale")
+    try:
+        settings = replace(fast_settings, model_kind=model_kind)
+        result = assess_device(device, "non_restart", reps=50, settings=settings)
+    finally:
+        device.shutdown()
+    assert result.truths == [True] * 50
+    assert [(v.outcome, v.reason) for v in result.verdicts] == [(Outcome.SUCCESSFUL, Reason.REGULAR_FOUND)] * 50
 
 
 @pytest.mark.parametrize("model_kind", MODEL_KINDS)

@@ -18,6 +18,7 @@ from replaycheck.capture import (
     parse_capture_with_notes,
     parse_endpoint,
     records_to_capture,
+    response_units,
     segment_flows,
 )
 from replaycheck.pipeline import NoLocalConnectivityError, require_local_traffic
@@ -332,6 +333,34 @@ class TestSegmentFlows:
             assert flow.requests
             times = [r.timestamp for r in flow.requests + flow.responses]
             assert times == sorted(times)
+
+
+class TestResponseUnits:
+    """One response is a TCP flow's whole response run, or one UDP datagram."""
+
+    arrivals = st.lists(
+        st.tuples(st.integers(min_value=0), st.binary(min_size=1, max_size=8)), max_size=6
+    ).map(lambda pairs: sorted(pairs, key=lambda pair: pair[0]))
+
+    @given(arrivals.filter(bool))
+    def test_a_tcp_run_is_one_unit_stamped_at_its_first_arrival(self, arrivals):
+        joined = b"".join(payload for _, payload in arrivals)
+        assert response_units(Transport.TCP, arrivals) == [(arrivals[0][0], joined)]
+
+    @given(arrivals)
+    def test_each_udp_datagram_is_one_unit(self, arrivals):
+        assert response_units(Transport.UDP, arrivals) == arrivals
+
+    @pytest.mark.parametrize("transport", list(Transport))
+    def test_no_arrivals_are_no_units(self, transport):
+        assert response_units(transport, []) == []
+
+    def test_a_flow_cuts_its_captured_responses_by_its_transport(self):
+        for transport, count in [(Transport.TCP, 1), (Transport.UDP, 2)]:
+            answers = [rec(2, DEV, APP, b"OK a\n", transport), rec(3, DEV, APP, b"ST a\n", transport)]
+            flow = Flow((rec(1, APP, DEV, b"SET a\n", transport),), tuple(answers))
+            assert len(flow.response_units()) == count
+            assert b"".join(payload for _, payload in flow.response_units()) == b"OK a\nST a\n"
 
 
 def reference_parse(capture, config):

@@ -414,16 +414,16 @@ def test_training_and_deciding_park_no_tuples(device_factory):
 TWO_WRITE_DEVICE = Endpoint("127.0.0.1", 29900)
 
 
-def two_write_capture() -> bytes:
-    """Ten flows: each `SET <state> <n>` answered by two segments,
-    `OK <state>` and `ST <state>`."""
+def two_write_capture(transport: Transport) -> bytes:
+    """Ten flows: each `SET <state> <n>` answered by two segments or
+    datagrams, `OK <state>` and `ST <state>`."""
     records = []
     for n, state in enumerate(DEFAULT_TRAINING_SCRIPT):
         name = state.value.encode()
         command, *answers = [b"SET %s %d\n" % (name, n), b"OK %s\n" % name, b"ST %s\n" % name]
-        records.append(PacketRecord(3000 * n, APP, TWO_WRITE_DEVICE, Transport.TCP, command))
+        records.append(PacketRecord(3000 * n, APP, TWO_WRITE_DEVICE, transport, command))
         records += [
-            PacketRecord(3000 * n + 1000 * (i + 1), TWO_WRITE_DEVICE, APP, Transport.TCP, answer)
+            PacketRecord(3000 * n + 1000 * (i + 1), TWO_WRITE_DEVICE, APP, transport, answer)
             for i, answer in enumerate(answers)
         ]
     return records_to_capture(records)
@@ -431,31 +431,29 @@ def two_write_capture() -> bytes:
 
 @pytest.mark.parametrize("model_kind", MODEL_KINDS)
 class TestTwoWritesPerCommand:
-    """Known defect 4, pinned without sockets. Training takes each TCP
-    segment as one response; a replay's recv can join the two writes into
-    one queue entry, as loopback usually does."""
+    """A device that answers each command with two writes, without sockets.
+    Over TCP a flow's response run is one response in training and in the
+    queue, as a replay's recv usually joins the two; over UDP each datagram
+    is one response on both sides."""
 
     @staticmethod
-    def decide_on(model_kind, payloads):
-        capture = two_write_capture()
+    def decide_on(model_kind, transport, payloads):
+        capture = two_write_capture(transport)
         session = SessionConfig(app=APP, device=TWO_WRITE_DEVICE)
         detector = train_from_capture(capture, session, PipelineSettings(model_kind=model_kind))
-        assert detector.training_responses == 20
+        assert detector.training_responses == {Transport.TCP: 10, Transport.UDP: 20}[transport]
         queue = replay.ResponseQueue(
             tuple(replay.QueueEntry(0.01 * i, 0, p) for i, p in enumerate(payloads))
         )
         return decide(queue, parse_capture(capture, session), detector.model)
 
     def test_the_two_writes_kept_apart_are_called_successful(self, model_kind):
-        verdict = self.decide_on(model_kind, [b"OK obverse\n", b"ST obverse\n"])
+        verdict = self.decide_on(model_kind, Transport.UDP, [b"OK obverse\n", b"ST obverse\n"])
         assert (verdict.outcome, verdict.reason) == (Outcome.SUCCESSFUL, Reason.REGULAR_FOUND)
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="Known defect 4; ROADMAP item 14 Part A"
-    )
     def test_the_two_writes_merged_are_called_successful(self, model_kind):
-        verdict = self.decide_on(model_kind, [b"OK obverse\nST obverse\n"])
-        assert verdict.outcome == Outcome.SUCCESSFUL
+        verdict = self.decide_on(model_kind, Transport.TCP, [b"OK obverse\nST obverse\n"])
+        assert (verdict.outcome, verdict.reason) == (Outcome.SUCCESSFUL, Reason.REGULAR_FOUND)
 
 
 class TestAttackFromCapture:

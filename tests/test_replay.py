@@ -27,7 +27,7 @@ from replaycheck.replay import (
     run_attack,
     schedule,
 )
-from doubles import ScriptedResponder
+from doubles import ScriptedResponder, SendallServer
 
 APP = Endpoint("10.77.0.2", 38200)
 DEV = Endpoint("127.0.0.1", 4000)
@@ -327,6 +327,23 @@ class TestEvidenceCollection:
         assert payloads == [b"pong"]
         assert elapsed >= WINDOW_S
 
+    def test_a_tcp_run_captured_as_two_segments_is_evidenced_by_one_write(self):
+        # The capture shows two response segments; the device writes both
+        # lines in one sendall. A TCP flow's run is one response, so the
+        # one chunk is the evidence and collection ends on the linger.
+        settings = replace(FAST, per_flow_response_timeout_ms=300)
+        both = b"OK obverse\nST obverse\n"
+        flow = flow_of(
+            b"SET obverse 1\n", transport=Transport.TCP,
+            responses=[b"OK obverse\n", b"ST obverse\n"], gap_us=1_700,
+        )
+        linger_s = capture_linger_s([flow], settings)
+        with SendallServer(Transport.TCP, 0, lambda: lambda data: ([both], False)) as server:
+            for _ in range(10):
+                payloads, elapsed = timed_replay(flow, Endpoint("127.0.0.1", server.port), settings, linger_s)
+                assert payloads == [both]
+                assert elapsed < 0.05
+
 
 PACED = replace(FAST, per_flow_response_timeout_ms=150, inter_request_delay_ms=15, inter_flow_delay_ms=60)
 FLOW_GAP_S = PACED.inter_flow_delay_ms / 1000
@@ -460,6 +477,21 @@ class TestRunAttack:
         flows = [flow_of(name, responses=script[name]) for name in (b"F1", b"F2")]
         ((gap, _),) = request_gaps(flows, script)
         assert gap >= FLOW_GAP_S - SCHEDULING_TOLERANCE_S
+
+    def test_a_tcp_flow_queues_and_counts_its_run_as_one_response(self):
+        # Two sendalls reach the replay as one recv chunk or two; either
+        # way the queue holds one entry and the transcript counts one of
+        # one captured.
+        lines = [b"OK obverse\n", b"ST obverse\n"]
+        flow = flow_of(b"SET obverse 1\n", transport=Transport.TCP, responses=lines, gap_us=1_700)
+        with SendallServer(Transport.TCP, 0, lambda: lambda data: (lines, False)) as server:
+            result = run_attack([flow], Endpoint("127.0.0.1", server.port), FAST)
+        chunks = result.flows[0].responses
+        assert b"".join(chunk for _, chunk in chunks) == b"".join(lines)
+        (entry,) = result.queue.entries
+        assert entry.payload == b"".join(lines)
+        counts = result.transcript()["flows"][0]
+        assert (counts["expected_responses"], counts["response_count"]) == (1, 1)
 
     def test_no_flows(self):
         result = run_attack([], Endpoint("127.0.0.1", 1), FAST)
