@@ -307,7 +307,7 @@ def detect(queue_path, model_path, capture_path, app, device, report_out, device
         if model is not None:
             model.check_width(DIMENSIONS)
     except ValueError as exc:
-        _fail(f"{model_path}: {exc}")
+        raise artifacts.ArtifactError(model_path, str(exc)) from exc
     verdict = decide(queue, records, model, settings)
     labels = ", ".join(label.value for label in verdict.labels) or "n/a"
     click.echo(f"attack {verdict.outcome.value} ({verdict.reason.value})")

@@ -43,7 +43,7 @@ import math
 import select
 import socket
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .capture import Endpoint, Flow, Transport, response_units
 
@@ -140,10 +140,23 @@ class FlowReplay:
 
 @dataclass(frozen=True)
 class AttackResult:
-    """The merged response queue, and each flow's FlowReplay in replay order."""
+    """What an attack did: each flow's FlowReplay in replay order, and the
+    monotonic time it began. queue is derived from them: one entry per
+    FlowReplay.response_units item, sorted by arrival."""
 
-    queue: ResponseQueue
     flows: tuple[FlowReplay, ...]
+    started: float
+    queue: ResponseQueue = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        last = len(self.flows) - 1
+        entries = [
+            QueueEntry(timestamp=stamp - self.started, flow_index=last - position, payload=payload)
+            for position, replayed in enumerate(self.flows)
+            for stamp, payload in replayed.response_units()
+        ]
+        entries.sort(key=lambda e: e.timestamp)  # stable: replay order breaks ties
+        object.__setattr__(self, "queue", ResponseQueue(tuple(entries)))
 
     def transcript(self) -> dict:
         """The attack-transcript/1 body: one entry per flow, in replay order.
@@ -269,8 +282,8 @@ def replay_flow(
             if sent < len(payloads):
                 wait = max(due - now, 0.0)
             else:
-                # Only the first `expected` arrivals can be needed as evidence.
-                evidenced = expected and len(response_units(transport, responses[:expected])) >= expected
+                # Chunks count as units: a TCP capture holds at most one unit.
+                evidenced = expected and len(responses) >= expected
                 wait = last_event + (linger_s if evidenced else timeout_s) - now
                 if wait <= 0:
                     break
@@ -312,18 +325,14 @@ def run_attack(
     flow's collection, or inter_flow_delay after the previous flow's last
     request went out (after the previous flow began, if it sent none). A
     late send or slow connect therefore never shortens the gap the device
-    sees. Each response is one queue entry, ordered by arrival time;
-    entries with equal stamps keep replay order. Each entry is tagged with
-    its source flow's index in the original capture order.
+    sees. The result's queue is derived from the flows it returns.
     """
-    ordered = schedule(flows)
     linger_s = capture_linger_s(flows, settings)
     flow_delay_s = settings.inter_flow_delay_ms / 1000.0
     attack_started = time.monotonic()
     next_start = attack_started
-    entries: list[QueueEntry] = []
     replays: list[FlowReplay] = []
-    for position, flow in enumerate(ordered):
+    for flow in schedule(flows):
         pause = next_start - time.monotonic()
         if pause > 0:
             time.sleep(pause)
@@ -331,14 +340,5 @@ def run_attack(
         replayed = replay_flow(flow, device, settings, linger_s)
         anchor = flow_started if replayed.last_sent is None else replayed.last_sent
         next_start = anchor + flow_delay_s
-        entries.extend(
-            QueueEntry(
-                timestamp=ts - attack_started,
-                flow_index=len(flows) - 1 - position,
-                payload=data,
-            )
-            for ts, data in replayed.response_units()
-        )
         replays.append(replayed)
-    entries.sort(key=lambda e: e.timestamp)  # stable: replay order breaks ties
-    return AttackResult(queue=ResponseQueue(tuple(entries)), flows=tuple(replays))
+    return AttackResult(tuple(replays), attack_started)

@@ -1,6 +1,7 @@
 """Capture parsing and writing, endpoint matching, and flow segmentation tests."""
 
 import hashlib
+import struct
 from dataclasses import replace
 
 import pytest
@@ -56,6 +57,32 @@ def capture_of(*entries):
         seq = entry[5] if len(entry) > 5 else 0
         frames.append((ts, frame(src, dst, payload, protocol, seq)))
     return pcap.write_capture(frames)
+
+
+def patched(data, offset, fmt, value):
+    """data with value packed at offset."""
+    out = bytearray(data)
+    struct.pack_into(fmt, out, offset, value)
+    return bytes(out)
+
+
+def cut_transport(data, length):
+    """An IPv4 frame cut so that its packet carries length transport bytes."""
+    return patched(data[: 14 + 20 + length], 14 + 2, ">H", 20 + length)
+
+
+_TCP_FRAME = frame(APP, DEV, b"lost", seq=9)
+_UDP_FRAME = frame(APP, DEV, b"lost", pcap.PROTO_UDP)
+_UDP_LENGTH_AT = 14 + 20 + 4
+# Frames whose IPv4, TCP or UDP header does not decode, by what is wrong.
+UNDECODABLE = {
+    "ip_version_6_under_the_ipv4_ethertype": patched(_TCP_FRAME, 14, ">B", 0x65),
+    "ihl_below_5": patched(_TCP_FRAME, 14, ">B", 0x44),
+    "tcp_header_under_20_bytes": cut_transport(_TCP_FRAME, 19),
+    "udp_header_under_8_bytes": cut_transport(_UDP_FRAME, 7),
+    "udp_length_under_8": patched(_UDP_FRAME, _UDP_LENGTH_AT, ">H", 7),
+    "udp_length_past_the_segment": patched(_UDP_FRAME, _UDP_LENGTH_AT, ">H", 8 + len(b"lost") + 1),
+}
 
 
 def rec(ts, src, dst, payload, transport=Transport.TCP):
@@ -151,6 +178,14 @@ class TestParseCapture:
         assert "1 non-TCP/UDP frames" in summary
         assert "1 frames between other endpoints" in summary
 
+    @pytest.mark.parametrize("damaged", UNDECODABLE.values(), ids=UNDECODABLE)
+    def test_a_frame_whose_headers_do_not_decode_is_counted_undecodable(self, damaged):
+        assert pcap.decode_frame(damaged) is None
+        data = pcap.write_capture([(0, frame(APP, DEV, b"keep", seq=1)), (10, damaged)])
+        records, notes = parse_capture_with_notes(data, CONFIG)
+        assert [r.payload for r in records] == [b"keep"]
+        assert (notes.frames_undecodable, notes.frames_other_protocol) == (1, 0)
+
     def test_summary_names_only_reasons_that_occurred(self):
         _, notes = parse_capture_with_notes(capture_of((0, APP, DEV, b"x")), CONFIG)
         assert (
@@ -172,6 +207,7 @@ class TestParseCapture:
         assert records[0].transport == Transport.UDP
         assert records[0].payload == b"ping"
         assert notes.zero_payload_dropped == 1
+        assert "1 empty-payload segments dropped" in notes.summary()
 
     def test_identical_tcp_retransmission_dropped(self):
         data = capture_of(
@@ -182,6 +218,7 @@ class TestParseCapture:
         records, notes = parse_capture_with_notes(data, CONFIG)
         assert len(records) == 2
         assert notes.retransmissions_dropped == 1
+        assert "1 retransmissions dropped" in notes.summary()
 
     def test_udp_duplicates_kept(self):
         data = capture_of(

@@ -27,6 +27,7 @@ from replaycheck.replay import (
     run_attack,
     schedule,
 )
+from replaycheck.verdict import Outcome, Reason, Verdict, decide
 from doubles import ScriptedResponder, SendallServer
 
 APP = Endpoint("10.77.0.2", 38200)
@@ -180,6 +181,24 @@ class TestReplayFlow:
             server.stop()
         assert [p for _, p in responses] == [b"bye"]
         assert note == "peer closed after 1 of 2 requests"
+
+    def test_udp_flow_to_a_closed_port_ends_at_once_and_reads_no_response(self):
+        # The port-unreachable reply surfaces on the connected socket's recv,
+        # so the flow ends long before its window and decide finds no response.
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        flow = flow_of(b"x", responses=[b"ack"])
+        config = replace(FAST, per_flow_response_timeout_ms=300)
+        started = time.monotonic()
+        result = run_attack([flow], Endpoint("127.0.0.1", port), config)
+        assert time.monotonic() - started < 0.15
+        (replayed,) = result.flows
+        assert replayed.responses == [] and len(result.queue) == 0
+        refused = ConnectionRefusedError(errno.ECONNREFUSED, os.strerror(errno.ECONNREFUSED))
+        assert replayed.note == f"receive failed: {refused}"
+        records = [*flow.requests, *flow.responses]
+        assert decide(result.queue, records, None, config) == Verdict(Outcome.FAILED, Reason.NO_RESPONSE, ())
 
     def test_tcp_flow_to_an_ipv6_literal(self):
         # The socket's family comes from the address form, with no lookup.
@@ -531,7 +550,7 @@ class TestArtifacts:
 
     def test_transcript_written(self, tmp_path):
         replayed = tuple(FlowReplay(flow_of(name), [], "") for name in (b"F3", b"F2", b"F1"))
-        result = AttackResult(ResponseQueue(()), replayed)
+        result = AttackResult(replayed, 0.0)
         path = tmp_path / "transcript.json"
         artifacts.write(path, artifacts.TRANSCRIPT, result.transcript())
         text = path.read_text()

@@ -1,11 +1,13 @@
 """Verdicts by the thousand, with no replay socket: a test helper.
 
 replay_in_process answers a command capture's flows, newest first, each
-through a fresh SimulatedDevice._new_handler(), the handler a replay's
-connection gets. The queue it builds goes to the real decide, so a
-verdict costs about a millisecond of CPU where a replay over sockets
-waits out its collection window. sweep() runs it over device seeds and
-returns every call that disagrees with expected_vulnerable.
+through a fresh _new_handler() of the device, the handler a replay's
+connection gets: a simulated device's, or a FakeDevice's from
+tests/doubles.py, two writes per command included. Its queue is derived
+by replay.AttackResult, as an attack's is, and goes to the real decide,
+so a verdict costs about a millisecond of CPU where a replay over
+sockets waits out its collection window. sweep() runs it over device
+seeds and returns every call that disagrees with expected_vulnerable.
 
 Run outside the suite with:
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from replaycheck.capture import DEFAULT_APP_ENDPOINT, SessionConfig, parse_capture, segment_flows
 from replaycheck.models import MODEL_KINDS
 from replaycheck.pipeline import SCENARIO_RESTART, SCENARIOS, PipelineSettings, train_from_capture
-from replaycheck.replay import QueueEntry, ResponseQueue, schedule
+from replaycheck.replay import AttackResult, FlowReplay, schedule
 from replaycheck.simdevices import Behavior, default_profile, expected_vulnerable, spawn_device
 from replaycheck.verdict import Outcome, Verdict, decide
 
@@ -40,21 +42,19 @@ ECHO_STYLE = (
 def replay_in_process(device, capture: bytes, session: SessionConfig):
     """The response queue a replay of capture would draw from device, and
     the capture's records. Entries keep the order the replay's would
-    arrive in; their timestamps count responses, not seconds."""
+    arrive in; their timestamps count the handlers' writes, not seconds."""
     records = parse_capture(capture, session)
-    flows = segment_flows(records, session)
-    entries = []
-    for position, flow in enumerate(schedule(flows)):
-        handle = device._new_handler()
+    replays, written = [], 0
+    for flow in schedule(segment_flows(records, session)):
+        handle, responses = device._new_handler(), []
         for request in flow.requests:
-            responses, close_connection = handle(request.payload)
-            entries.extend(
-                QueueEntry(float(len(entries) + i), len(flows) - 1 - position, payload)
-                for i, payload in enumerate(responses)
-            )
+            answers, close_connection = handle(request.payload)
+            responses.extend(enumerate(answers, start=written))
+            written += len(answers)
             if close_connection:
                 break
-    return ResponseQueue(tuple(entries)), records
+        replays.append(FlowReplay(flow, responses, ""))
+    return AttackResult(tuple(replays), 0.0).queue, records
 
 
 @dataclass(frozen=True)
