@@ -10,13 +10,15 @@ field) raises one ArtifactError that names the file.
 
 from __future__ import annotations
 
+import base64
 import json
+import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
-from .models import model_from_dict
-from .replay import ResponseQueue
+from .models import json_isinstance, model_from_dict
+from .replay import QueueEntry, ResponseQueue
 
 __all__ = ["ArtifactError", "write", "read", "read_any", "read_object"]
 
@@ -90,16 +92,22 @@ def _load(path: str | Path, expected: str | None) -> tuple[str, Any]:
 def _checked(body: dict, fields: dict[str, type | tuple[type, ...]], least: int = 0) -> dict:
     for name, kind in fields.items():
         value = body[name]
-        # bool is an int to Python, but a JSON boolean is never a number.
-        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        if not json_isinstance(value, kind):
             raise TypeError(f"field {name!r} has type {type(value).__name__}")
         if kind is int and value < least:
             raise ValueError(f"field {name!r} must be >= {least}")
     return body
 
 
-# The fields each report summary reads, with the JSON type each must have.
-# Their int fields are counts and positions: j and reps from 1, the rest from 0.
+def _objects(body: dict, name: str, fields: dict[str, type | tuple[type, ...]]) -> list[dict]:
+    if not all(isinstance(item, dict) for item in _checked(body, {name: list})[name]):
+        raise TypeError(f"field {name!r} must hold objects")
+    return [_checked(item, fields) for item in body[name]]
+
+
+# The fields each reader reads, with the JSON type each must have. Their int
+# fields are counts and positions: j and reps from 1, the rest from 0.
+_QUEUE_ENTRY_FIELDS = dict(timestamp=(int, float), flow_index=int, payload_b64=str)
 _FLOW_FIELDS = dict(scheduled_position=int, original_index=int, request_lengths=list, response_count=int)
 _VERDICT_FIELDS = dict(device_id=str, scenario=str, outcome=str, reason=str, labels=list, j=int)
 _ASSESSMENT_FIELDS = dict(
@@ -107,11 +115,21 @@ _ASSESSMENT_FIELDS = dict(
 )
 
 
+def _decode_queue(body: dict) -> ResponseQueue:
+    entries = []
+    for entry in _objects(body, "responses", _QUEUE_ENTRY_FIELDS):
+        if not 0 <= entry["timestamp"] <= sys.float_info.max:  # refuses NaN and ints too big for a float
+            raise ValueError("field 'timestamp' must be finite and >= 0")
+        try:
+            payload = base64.b64decode(entry["payload_b64"], validate=True)
+        except ValueError:
+            raise ValueError("field 'payload_b64' is not strict base64") from None
+        entries.append(QueueEntry(float(entry["timestamp"]), entry["flow_index"], payload))
+    return ResponseQueue(tuple(entries))
+
+
 def _decode_transcript(body: dict) -> dict:
-    for flow in _checked(body, {"flows": list})["flows"]:
-        if not isinstance(flow, dict):
-            raise TypeError("field 'flows' must hold objects")
-        _checked(flow, _FLOW_FIELDS)
+    for flow in _objects(body, "flows", _FLOW_FIELDS):
         if "expected_responses" in flow:  # transcripts written before it was recorded lack it
             _checked(flow, dict(expected_responses=int))
     return body
@@ -131,7 +149,7 @@ def _decode_assessment(body: dict) -> dict:
 
 _DECODERS = {
     MODEL: model_from_dict,
-    QUEUE: ResponseQueue.from_dict,
+    QUEUE: _decode_queue,
     TRANSCRIPT: _decode_transcript,
     VERDICT: _decode_verdict,
     ASSESSMENT: _decode_assessment,

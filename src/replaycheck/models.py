@@ -232,10 +232,10 @@ class LofModel:
             len(std) == len(mean)
             and all(len(point) == len(kept) for point in points)
             and len(k_distance) == len(lrd) == len(points)
-            and _is(k, int)
-            and _is(k_eff, int)
+            and json_isinstance(k, int)
+            and json_isinstance(k_eff, int)
             and 1 <= k_eff < len(points)
-            and _is(threshold, (int, float))
+            and json_isinstance(threshold, (int, float))
         ):
             raise ValueError("LOF model fields have inconsistent shapes or types")
         check_lof_parameters(k, threshold)
@@ -246,15 +246,14 @@ class LofModel:
         return cls(k, k_eff, threshold, mean, std, kept, points, k_distance, lrd, constant_features)
 
 
-def _is(value, kind) -> bool:
-    """isinstance for a model file's fields: bool is an int to Python, but a
-    JSON boolean is never a number."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def json_isinstance(value, kind) -> bool:
+    """isinstance for JSON: bool is an int to Python, but a JSON boolean is never a number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _numbers(value) -> list[float]:
     """A JSON array of numbers as floats; TypeError for anything else."""
-    if not (isinstance(value, list) and all(_is(x, (int, float)) for x in value)):
+    if not (isinstance(value, list) and all(json_isinstance(x, (int, float)) for x in value)):
         raise TypeError("LOF model arrays must hold numbers")
     return [float(x) for x in value]  # OverflowError for an int past the float range
 
@@ -268,9 +267,9 @@ def _constant_features(body: dict, width: float = math.inf) -> list[list]:
         if not (
             isinstance(pair, list)
             and len(pair) == 2
-            and _is(pair[0], int)
+            and json_isinstance(pair[0], int)
             and pair[0] >= 0
-            and _is(pair[1], (int, float))
+            and json_isinstance(pair[1], (int, float))
             and math.isfinite(pair[1])
         ):
             raise ValueError("constant feature is not a [dimension, value] pair")
@@ -539,9 +538,9 @@ class IsolationForestModel:
         seed, anomaly_cutoff = body["seed"], body["anomaly_cutoff"]
         if not (
             isinstance(trees, list)
-            and _is(subsample, int)
-            and _is(seed, int)
-            and _is(anomaly_cutoff, (int, float))
+            and json_isinstance(subsample, int)
+            and json_isinstance(seed, int)
+            and json_isinstance(anomaly_cutoff, (int, float))
         ):
             raise ValueError("isolation forest needs a tree list, subsample, seed and cutoff")
         constant_features = _constant_features(body)
@@ -554,14 +553,14 @@ class IsolationForestModel:
 def _check_tree(node) -> int:
     """Reject a tree that _path_length could not walk; return the largest
     feature index a split in it reads (-1 for a lone leaf)."""
-    if isinstance(node, dict) and node.keys() == {"n"} and _is(node["n"], int):
+    if isinstance(node, dict) and node.keys() == {"n"} and json_isinstance(node["n"], int):
         return -1
     if not (
         isinstance(node, dict)
         and node.keys() == {"f", "t", "l", "r"}
-        and _is(node["f"], int)
+        and json_isinstance(node["f"], int)
         and node["f"] >= 0
-        and _is(node["t"], (int, float))
+        and json_isinstance(node["t"], (int, float))
         and math.isfinite(node["t"])
     ):
         raise ValueError("isolation tree node is neither a leaf nor a split")

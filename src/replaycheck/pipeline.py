@@ -35,6 +35,7 @@ from .models import (
     NoveltyModel,
     check_forest_parameters,
     check_lof_parameters,
+    json_isinstance,
     train_isolation_forest,
     train_lof,
 )
@@ -88,11 +89,9 @@ class PipelineSettings:
 
     def __post_init__(self):
         for field in _FIELDS:  # not fields(self), a tuple per call (see features.featurize)
-            value = getattr(self, field.name)
             accepted, described = _FIELD_TYPES[field.type]
-            # bool is an int to Python, but True is never a count or a timing.
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ValueError(f"{field.name} must be {described}, got {value!r}")
+            if not json_isinstance(getattr(self, field.name), accepted):
+                raise ValueError(f"{field.name} must be {described}, got {getattr(self, field.name)!r}")
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(
                 f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}"

@@ -18,12 +18,13 @@ device sees.
 
 The capture is the evidence for how long to listen. Once a flow has
 drawn as many responses as the capture shows for it, collection ends
-after the capture's own largest response gap (the linger) instead of
-the full per-flow window. A response is a TCP flow's whole response
-run or one UDP datagram, in the capture and the queue alike
-(capture.response_units). A flow the capture shows unanswered, or one
-still short of its count, keeps the full window: concluding that a
-device stayed silent needs it.
+after the linger (capture_linger_s) instead of the full per-flow window:
+the largest gap between records inside a captured flow, from the last
+request to the first response and between responses, capped at the
+window. A response is a TCP flow's whole response run or one UDP
+datagram, in the capture and the queue alike (capture.response_units).
+A flow the capture shows unanswered, or one still short of its count,
+keeps the full window: concluding that a device stayed silent needs it.
 
 The four timings (per_flow_response_timeout_ms, inter_request_delay_ms,
 inter_flow_delay_ms, connect_timeout_ms) are read from the
@@ -39,7 +40,6 @@ device that does would see the difference.
 from __future__ import annotations
 
 import base64
-import math
 import select
 import socket
 import time
@@ -95,23 +95,6 @@ class ResponseQueue:
                 for entry in self.entries
             ]
         }
-
-    @classmethod
-    def from_dict(cls, body: dict) -> "ResponseQueue":
-        """Inverse of to_dict; raises on a missing or malformed field."""
-        entries = []
-        for item in body["responses"]:
-            timestamp, flow_index = item["timestamp"], item["flow_index"]
-            # bool is an int to Python, but a JSON boolean is never a number.
-            numeric = isinstance(timestamp, (int, float)) and isinstance(flow_index, int)
-            if not numeric or isinstance(timestamp, bool) or isinstance(flow_index, bool):
-                raise TypeError("queue entries need a numeric timestamp and integer flow_index")
-            timestamp = float(timestamp)  # OverflowError for an int past the float range
-            if not (math.isfinite(timestamp) and timestamp >= 0 and flow_index >= 0):
-                raise ValueError("queue entries need a finite timestamp >= 0 and a flow_index >= 0")
-            payload = base64.b64decode(item["payload_b64"], validate=True)
-            entries.append(QueueEntry(timestamp=timestamp, flow_index=flow_index, payload=payload))
-        return cls(tuple(entries))
 
 
 @dataclass(frozen=True)

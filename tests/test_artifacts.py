@@ -368,29 +368,42 @@ def test_a_report_count_below_its_least_is_refused(tmp_path, schema, body, field
 QUEUE_BODY = VALID[artifacts.QUEUE][0]
 
 
+# A node of a queue body, a value no attack writes there, and the field the error names.
+MALFORMED_QUEUES = [
+    (("responses", 0, "timestamp"), 10**400, "timestamp"),
+    (("responses", 0, "timestamp"), math.nan, "timestamp"),
+    (("responses", 0, "timestamp"), math.inf, "timestamp"),
+    (("responses", 0, "timestamp"), -0.5, "timestamp"),
+    (("responses", 0, "flow_index"), -1, "flow_index"),
+    (("responses",), {"0": QUEUE_BODY["responses"][0]}, "responses"),
+    (("responses", 0), "YWNr", "responses"),
+    (("responses", 0, "payload_b64"), 7, "payload_b64"),
+    (("responses", 0, "payload_b64"), "ack!", "payload_b64"),
+]
+
+
 @pytest.mark.parametrize(
-    "field, value",
-    [
-        ("timestamp", 10**400),
-        ("timestamp", math.nan),
-        ("timestamp", math.inf),
-        ("timestamp", -0.5),
-        ("flow_index", -1),
+    "node, value, named",
+    MALFORMED_QUEUES,
+    ids=[
+        "huge-int", "NaN", "Infinity", "negative-timestamp", "negative-flow-index",
+        "responses-not-a-list", "entry-not-an-object", "payload-not-a-string", "payload-not-strict-base64",
     ],
-    ids=["huge-int", "NaN", "Infinity", "negative-timestamp", "negative-flow-index"],
 )
-def test_a_queue_entry_needs_a_finite_timestamp_and_a_flow_index_from_0(tmp_path, field, value):
+def test_a_malformed_queue_is_refused_naming_its_field(tmp_path, node, value, named):
     """report prints each timestamp as a float: a 400-digit integer once
     raised an OverflowError traceback after the first line, and NaN printed
     "t=nans". A queue entry's timestamp is seconds since the attack began
     and its flow_index a position in the capture, so neither can be
-    negative, and the timestamp is finite."""
+    negative, and the timestamp is finite. responses is a list of objects,
+    and each payload a string of strict base64. Anything else exits 2 with
+    one error line naming the field."""
     path = tmp_path / "queue.json"
-    artifacts.write(path, artifacts.QUEUE, with_value(QUEUE_BODY, ("responses", 0, field), value))
-    with pytest.raises(ArtifactError):
+    artifacts.write(path, artifacts.QUEUE, with_value(QUEUE_BODY, node, value))
+    with pytest.raises(ArtifactError, match=named):
         artifacts.read(path, artifacts.QUEUE)
     result = CliRunner().invoke(main, ["report", str(path)])
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     (line,) = result.stderr.splitlines()
-    assert line.startswith(f"error: {path}: ")
+    assert line.startswith(f"error: {path}: ") and f"'{named}'" in line

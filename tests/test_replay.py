@@ -3,14 +3,14 @@
 import contextlib
 import errno
 import os
-import random
 import socket
+import sys
 import threading
 import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings as hypothesis_settings, strategies as st
 
 from replaycheck import artifacts, replay
 from replaycheck.artifacts import ArtifactError
@@ -530,15 +530,30 @@ class TestRunAttack:
 
 
 class TestArtifacts:
-    def test_queue_round_trip_binary_safe(self, tmp_path):
-        payloads = [random.Random(5).randbytes(40), b"", b"\x00\xff"]
-        queue = ResponseQueue(
-            tuple(
-                QueueEntry(timestamp=float(i), flow_index=i, payload=p)
-                for i, p in enumerate(payloads)
-            )
+    @example(
+        [
+            QueueEntry(0.0, 0, b""),
+            QueueEntry(5e-324, 1, b"\x00\xff"),  # the least subnormal
+            QueueEntry(sys.float_info.max, 2**70, b"\x00"),
+        ]
+    )
+    @hypothesis_settings(deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                QueueEntry,
+                timestamp=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                flow_index=st.integers(min_value=0),
+                payload=st.binary(max_size=64),
+            ),
+            max_size=6,
         )
-        path = tmp_path / "queue.json"
+    )
+    def test_queue_round_trip_binary_safe(self, tmp_path_factory, entries):
+        """A queue of finite timestamps >= 0, flow indices from 0 and any
+        payload bytes reads back as ResponseQueue.to_dict wrote it."""
+        queue = ResponseQueue(tuple(entries))
+        path = tmp_path_factory.mktemp("queue") / "queue.json"
         artifacts.write(path, artifacts.QUEUE, queue.to_dict())
         assert artifacts.read(path, artifacts.QUEUE) == queue
 
